@@ -10,7 +10,7 @@ import numpy as np
 
 import roar3d.numerics as nx
 from roar3d.numerics import Tensor
-from roar3d.router import RouterParams, gumbel_select, pool_view_keys, routing_logits
+from roar3d.router import RouterParams, gumbel_select, pool_view_keys, routing_logits_batched
 from roar3d.rng import stream
 from roar3d.world import Camera, ViewFeatureSet
 
@@ -28,7 +28,9 @@ tokens = rng.normal(size=(N, D))
 pooled = pool_view_keys(views)
 print("pooled keys:", pooled.shape)
 
-logits = routing_logits(tokens, pooled, params)
+# the router is batched: score a batch of one sample, then drop the batch axis
+batched = routing_logits_batched(Tensor(tokens[None]), nx.reshape(pooled, (1, V, D)), params)
+logits = nx.reshape(batched, (N, V))
 print("routing logits (token x view):\n", logits.data.round(3))
 
 print("\n=== train mode: Gumbel exploration ===")

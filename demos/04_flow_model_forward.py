@@ -23,10 +23,9 @@ print("=== attended keys per token, varying view count ===")
 for v in (1, 2, 4, 8, 12):
     feats = rng.normal(size=(B, v, cfg.patches, cfg.feat_dim))
     z_t = rng.normal(size=(B, N, cfg.model_dim))
-    with AttentionMeter.capture() as meter:
+    with AttentionMeter() as meter:
         forward_multiview(model.params, cfg, z_t, rng.random(B), feats,
                           np.zeros(B, dtype=np.int64), ForwardOptions(mode="inference"))
-    AttentionMeter.release()
     keys = meter.per_token_keys("cross")
     print(f"V={v:2d}: every token attends exactly {keys.min()}..{keys.max()} keys "
           f"(patch count S={cfg.patches})")
@@ -37,10 +36,9 @@ from roar3d.model import forward_single
 single = Model.create(dataclasses.replace(cfg, arch="single"), seed=0)
 for v in (1, 4):
     feats = rng.normal(size=(B, v * cfg.patches, cfg.feat_dim))
-    with AttentionMeter.capture() as meter:
+    with AttentionMeter() as meter:
         forward_single(single.params, single.cfg, rng.normal(size=(B, N, cfg.model_dim)),
                        rng.random(B), feats)
-    AttentionMeter.release()
     keys = meter.per_token_keys("cross")
     print(f"V={v}: concat attention touches {keys.max()} keys per token")
 

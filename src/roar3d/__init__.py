@@ -28,7 +28,7 @@ from .model import (
     rotate_latent,
 )
 from .numerics import ComputationTape, Tensor, grad_check
-from .router import RouterParams, RoutingDecision, gumbel_select, pool_view_keys, routing_logits
+from .router import RouterParams, RoutingDecision, gumbel_select, pool_view_keys, routing_logits_batched
 from .trainer import (
     AdamW,
     TrainingSample,

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -47,25 +49,37 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a ``save_tensors`` file; any short read or trailing byte is a CheckpointError."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise CheckpointError(f"{path}: truncated {what}")
+            left -= n
+            return fh.read(n)
+
+        magic = read(4, "header")
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack("<%dQ" % rank, fh.read(8 * rank)) if rank else ()
-            size = int(np.prod(dims)) if dims else 1
-            payload = fh.read(8 * size)
-            if len(payload) != 8 * size:
-                raise CheckpointError(f"{path}: truncated payload for {name!r}")
+        for i in range(count):
+            (name_len,) = struct.unpack("<I", read(4, f"name of tensor {i}"))
+            try:
+                name = read(name_len, f"name of tensor {i}").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: name of tensor {i} is not UTF-8") from None
+            (rank,) = struct.unpack("<I", read(4, f"rank of {name!r}"))
+            dims = struct.unpack("<%dQ" % rank, read(8 * rank, f"dims of {name!r}"))
+            payload = read(8 * math.prod(dims), f"payload for {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if left:
+            raise CheckpointError(f"{path}: {left} trailing bytes after the last tensor")
         return out
 
 

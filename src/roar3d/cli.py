@@ -12,7 +12,8 @@ Subcommands wire the library into reproducible runs:
 
 Every command resolves defaults < config file < flags, writes the resolved
 config into its output directory, and derives all randomness from one root
-seed. Exit codes: 0 ok, 2 config error, 3 missing input, 4 divergence.
+seed. Exit codes: 0 ok, 2 config error, 3 missing or malformed input,
+4 divergence.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def cmd_sample(args) -> int:
     z0, trace = integrate_flow(model.params, model.cfg, feats,
                                np.zeros(1, dtype=np.int64), z_init,
                                steps=cfg.sample.euler_steps,
-                               collect_trace=args.trace and model.cfg.arch == "routed")
+                               collect_trace=args.trace)
     points = latent_decode(z0[0], model.cfg)
     ckpt.save_tensors(out / "sample.bin", {"points": points})
     ckpt.save_sidecar(out / "sample.bin", {
@@ -323,6 +324,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except ckpt.CheckpointError as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

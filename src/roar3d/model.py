@@ -6,11 +6,12 @@ timestep-modulated self-attention, token-wise view routing, dual-stream
 cross-attention to the selected view's patch features, and a modulated MLP;
 a zero-initialized linear head emits the velocity field.
 
-Two architectures share the backbone code:
-
-* ``forward_multiview`` - router plus primary/auxiliary attention streams;
-* ``forward_single``    - the plain single-stream baseline (also used for
-  the naive concatenation variant by flattening views into one key set).
+All three architectures run one block loop and one cross-attention
+function. ``forward_multiview`` routes every token to one view and sends it
+through the primary (CA_p) or auxiliary (CA_a) stream. ``forward_single`` is
+the same loop without a router: every token attends view 0 through CA_p, with
+no straight-through multiplier. The concatenation baseline is that case with
+all views flattened into one key set, which ``Model.velocity`` does.
 
 Parameters live in a flat name -> Tensor dict (checkpoint friendly); helper
 accessors slice out per-block views.
@@ -19,16 +20,17 @@ accessors slice out per-block views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import checkpoint as ckpt
 from . import numerics as nx
 from .config import ModelConfig
 from .numerics import Tensor
-from .router import RouterParams, RoutingDecision, gumbel_select, routing_logits_batched, routing_noise
+from .router import RouterParams, gumbel_select, routing_logits_batched, routing_noise
 from .rng import stream
-from .world import PointCloud, ViewFeatureSet
+from .world import _QUARTER, PointCloud
 
 __all__ = [
     "LatentTokens",
@@ -42,7 +44,6 @@ __all__ = [
     "Model",
     "forward_single",
     "forward_multiview",
-    "dispatch_cross_attention",
     "integrate_flow",
     "count_parameters",
 ]
@@ -118,14 +119,6 @@ def latent_decode(z: LatentTokens | np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return _cell_centers(n)[occupied] + offsets
 
 
-_OFFSET_ROT = {
-    0: np.array([[1.0, 0.0], [0.0, 1.0]]),
-    1: np.array([[0.0, -1.0], [1.0, 0.0]]),
-    2: np.array([[-1.0, 0.0], [0.0, -1.0]]),
-    3: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-}
-
-
 def grid_permutation(n: int, quarters: int) -> np.ndarray:
     """dest[old_cell] = cell index after rotating the grid by 90 * quarters."""
     quarters %= 4
@@ -148,7 +141,7 @@ def rotate_latent(z: LatentTokens, degrees: float, cfg: ModelConfig) -> LatentTo
         raise ValueError("latent rotation supports quarter turns only")
     quarters = int(round(quarters)) % 4
     dest = grid_permutation(cfg.grid, quarters)
-    rot = _OFFSET_ROT[quarters]
+    rot = _QUARTER[quarters]
     tokens = np.zeros_like(z.tokens)
     moved = z.tokens.copy()
     ox = z.tokens[:, 1].copy()
@@ -314,7 +307,6 @@ class ForwardOptions:
 @dataclass
 class ForwardInfo:
     decisions: list = field(default_factory=list)
-    velocity: Tensor | None = None
 
     def hard_trace(self) -> np.ndarray:
         """(L, B, N) hard routing indices of one forward pass."""
@@ -446,58 +438,42 @@ def _ca_qkv(params, prefix: str, znorm: Tensor, feats: Tensor, cfg: ModelConfig)
     )
 
 
-def _cross_attention_multiview(
+def _cross_attention(
     params, l: int, z: Tensor, feats: Tensor, v_star: np.ndarray,
-    use_primary: np.ndarray, multiplier: Tensor, gate: Tensor, cfg: ModelConfig,
+    use_primary: np.ndarray, multiplier: Tensor | None, gate: Tensor, cfg: ModelConfig,
 ) -> Tensor:
+    """Dual-stream cross attention of block ``l`` over (B, V, S, feat) views.
+
+    Token n of sample b attends the S patches of view ``v_star[b, n]``
+    through CA_p where ``use_primary[b, n]``, otherwise through CA_a, and its
+    output is scaled by the straight-through ``multiplier``. Without a router
+    (``multiplier`` None) CA_p serves both streams and nothing is scaled.
+    """
     B, N, _ = z.shape
     pre = f"blocks.{l}"
     znorm = nx.layer_norm(z, params[f"{pre}.ln_ca.gain"], params[f"{pre}.ln_ca.bias"])
     q_p, k_p, vv_p = _ca_qkv(params, f"{pre}.ca_p", znorm, feats, cfg)
-    q_a, k_a, vv_a = _ca_qkv(params, f"{pre}.ca_a", znorm, feats, cfg)
+    q_a, k_a, vv_a = (q_p, k_p, vv_p) if multiplier is None else \
+        _ca_qkv(params, f"{pre}.ca_a", znorm, feats, cfg)
     attn = nx.routed_attention(q_p, q_a, (k_p, vv_p), (k_a, vv_a), v_star, use_primary,
                                tag=f"cross.{l}")
     flat = nx.reshape(attn, (B, N, cfg.attn_width))
-    mask_p = Tensor(use_primary[..., None].astype(np.float64))
-    mask_a = Tensor((~use_primary)[..., None].astype(np.float64))
-    out = nx.add(
-        nx.matmul(nx.scale_rows(flat, mask_p), params[f"{pre}.ca_p.w_o"]),
-        nx.matmul(nx.scale_rows(flat, mask_a), params[f"{pre}.ca_a.w_o"]),
-    )
-    return nx.add(z, nx.gate_mul(nx.scale_rows(out, multiplier), gate))
-
-
-def _cross_attention_single(params, l: int, z: Tensor, feats: Tensor, gate: Tensor,
-                            cfg: ModelConfig) -> Tensor:
-    """Plain single-stream cross attention over one (B, S', feat) key set."""
-    B, N, _ = z.shape
-    pre = f"blocks.{l}"
-    znorm = nx.layer_norm(z, params[f"{pre}.ln_ca.gain"], params[f"{pre}.ln_ca.bias"])
-    feats4 = nx.reshape(feats, (B, 1, feats.shape[1], feats.shape[2]))
-    q, k, vv = _ca_qkv(params, f"{pre}.ca_p", znorm, feats4, cfg)
-    v_star = np.zeros((B, N), dtype=np.int64)
-    use_p = np.ones((B, N), dtype=bool)
-    attn = nx.routed_attention(q, q, (k, vv), (k, vv), v_star, use_p, tag=f"cross.{l}")
-    flat = nx.reshape(attn, (B, N, cfg.attn_width))
-    return nx.add(z, nx.gate_mul(nx.matmul(flat, params[f"{pre}.ca_p.w_o"]), gate))
+    if multiplier is None:
+        out = nx.matmul(flat, params[f"{pre}.ca_p.w_o"])
+    else:
+        mask_p = Tensor(use_primary[..., None].astype(np.float64))
+        mask_a = Tensor((~use_primary)[..., None].astype(np.float64))
+        out = nx.scale_rows(nx.add(
+            nx.matmul(nx.scale_rows(flat, mask_p), params[f"{pre}.ca_p.w_o"]),
+            nx.matmul(nx.scale_rows(flat, mask_a), params[f"{pre}.ca_a.w_o"]),
+        ), multiplier)
+    return nx.add(z, nx.gate_mul(out, gate))
 
 
 def forward_single(params: dict[str, Tensor], cfg: ModelConfig, z_t: np.ndarray,
                    t: np.ndarray, feats: np.ndarray) -> Tensor:
-    """Single-stream velocity prediction; feats is (B, S', feat_dim).
-
-    The concatenation baseline reuses this with all views flattened into S'.
-    """
-    B, N, d = z_t.shape
-    z = Tensor(z_t + grid_positional_embedding(cfg)[None])
-    feats_t = Tensor(feats)
-    temb = _t_embed(params, t, d)
-    for l in range(cfg.blocks):
-        sc1, sh1, g1, g_ca, sc2, sh2, g2 = _modulation(params, l, temb, d)
-        z = _self_attention_block(params, l, z, sc1, sh1, g1, cfg)
-        z = _cross_attention_single(params, l, z, feats_t, g_ca, cfg)
-        z = _mlp_block(params, l, z, sc2, sh2, g2)
-    return _final_head(params, z, temb, d, z_t, t)
+    """Router-less velocity prediction; feats is (B, S', feat_dim), one view."""
+    return _forward(params, cfg, z_t, t, np.asarray(feats)[:, None], None, None)[0]
 
 
 def forward_multiview(
@@ -516,100 +492,72 @@ def forward_multiview(
     mode - every token then runs through the auxiliary stream).
     """
     opts = opts or ForwardOptions()
-    B, N, d = z_t.shape
-    V = feats.shape[1]
     primary_index = np.asarray(primary_index, dtype=np.int64)
-    if primary_index.shape != (B,):
+    if primary_index.shape != (z_t.shape[0],):
         raise ValueError("primary_index must have one entry per sample")
-    if primary_index.max() >= V:
+    if primary_index.max() >= feats.shape[1]:
         raise ValueError("primary index out of range")
     if opts.force_primary and (primary_index < 0).any():
         raise ValueError("cannot force primary routing without a primary view")
+    return _forward(params, cfg, z_t, t, feats, primary_index, opts)
 
+
+def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,
+             primary_index: np.ndarray | None,
+             opts: ForwardOptions | None) -> tuple[Tensor, ForwardInfo]:
+    """The block loop of both forwards; ``primary_index`` None runs without a router."""
+    B, N, d = z_t.shape
     z = Tensor(z_t + grid_positional_embedding(cfg)[None])
     feats_t = Tensor(feats)
-    pooled = Tensor(feats.mean(axis=2))
     temb = _t_embed(params, t, d)
     info = ForwardInfo()
+    # without a router every token takes view 0 through CA_p
+    v_star = np.zeros((B, N), dtype=np.int64)
+    use_p = np.ones((B, N), dtype=bool)
+    multiplier = None
+    pooled = None if primary_index is None else Tensor(feats.mean(axis=2))
 
     for l in range(cfg.blocks):
         sc1, sh1, g1, g_ca, sc2, sh2, g2 = _modulation(params, l, temb, d)
         z = _self_attention_block(params, l, z, sc1, sh1, g1, cfg)
 
-        logits = routing_logits_batched(z, pooled, block_router(params, l, cfg))
-        if opts.mode == "train":
-            noise = opts.noises[l] if opts.noises is not None else \
-                routing_noise(opts.run_seed, opts.step, l, (B, N, V))
-            dec = gumbel_select(logits, opts.tau, "train", noise=noise,
-                                gumbel_seed=(opts.run_seed, opts.step, l))
-        else:
-            dec = gumbel_select(logits, opts.tau, "inference")
+        if primary_index is not None:
+            logits = routing_logits_batched(z, pooled, block_router(params, l, cfg))
+            if opts.mode == "train":
+                noise = opts.noises[l] if opts.noises is not None else \
+                    routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
+                dec = gumbel_select(logits, opts.tau, "train", noise=noise)
+            else:
+                dec = gumbel_select(logits, opts.tau, "inference")
 
-        if opts.routing_override is not None:
-            v_star = np.asarray(opts.routing_override[l], dtype=np.int64)
-        elif opts.force_primary:
-            v_star = np.broadcast_to(primary_index[:, None], (B, N)).copy()
-        else:
-            v_star = dec.hard_index
-        dec.hard_index = v_star
+            if opts.routing_override is not None:
+                v_star = np.asarray(opts.routing_override[l], dtype=np.int64)
+            elif opts.force_primary:
+                v_star = np.broadcast_to(primary_index[:, None], (B, N)).copy()
+            else:
+                v_star = dec.hard_index
+            dec.hard_index = v_star
 
-        if opts.ste_offsets is not None:
-            multiplier = dec.surrogate_multiplier(opts.ste_offsets[l])
-        else:
-            multiplier = dec.ste_multiplier()
+            multiplier = dec.ste_multiplier() if opts.ste_offsets is None else \
+                dec.surrogate_multiplier(opts.ste_offsets[l])
 
-        use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
-        z = _cross_attention_multiview(params, l, z, feats_t, v_star, use_p, multiplier,
-                                       g_ca, cfg)
+            use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
+            if opts.collect_decisions:
+                info.decisions.append(dec)
+
+        z = _cross_attention(params, l, z, feats_t, v_star, use_p, multiplier, g_ca, cfg)
         z = _mlp_block(params, l, z, sc2, sh2, g2)
-        if opts.collect_decisions:
-            info.decisions.append(dec)
 
-    velocity = _final_head(params, z, temb, d, z_t, t)
-    info.velocity = velocity
-    return velocity, info
-
-
-def dispatch_cross_attention(
-    tokens: np.ndarray | Tensor,
-    views: ViewFeatureSet,
-    decision: RoutingDecision,
-    primary: int | None,
-    params: dict[str, Tensor],
-    l: int,
-    cfg: ModelConfig,
-) -> Tensor:
-    """Single-sample dual-stream dispatch for block ``l``.
-
-    Token i attends the S patch tokens of its selected view through CA_p if
-    that view is the primary, otherwise CA_a; with no primary (perturbation
-    mode) every token uses CA_a. The output is modulated by the decision's
-    straight-through weight: forward value 1, soft gradient behind it.
-    """
-    if primary is not None and not 0 <= primary < views.view_count:
-        raise ValueError(f"primary index {primary} out of range for {views.view_count} views")
-    z = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-    N = z.shape[0]
-    z3 = nx.reshape(z, (1,) + z.shape)
-    v_star = decision.hard_index.reshape(1, N)
-    use_p = np.zeros((1, N), dtype=bool) if primary is None \
-        else (v_star == int(primary))
-    mult = decision.ste_multiplier()
-    mult = nx.reshape(mult, (1, N, 1))
-    unit_gate = Tensor(np.ones((1, z.shape[1])))  # timestep gating lives in the block
-    out = _cross_attention_multiview(
-        params, l, z3, Tensor(views.features[None]), v_star, use_p, mult, unit_gate, cfg
-    )
-    return nx.reshape(out, (N, z.shape[1]))
+    return _final_head(params, z, temb, d, z_t, t), info
 
 
 class Model:
     """Parameter dict + config bundle with velocity and checkpoint helpers.
 
-    ``cfg.arch`` picks the forward path: "routed" runs the dual-stream
-    router model on (B, V, S, feat) views, "concat" flattens all views into
-    one key set through the single stream, "single" is the plain one-view
-    baseline of the first training phase.
+    ``velocity`` is the one place that picks the forward by ``cfg.arch``:
+    "routed" runs the router on (B, V, S, feat) views, "concat" flattens all
+    views into one key set for the router-less forward, and "single" is the
+    one-view baseline of the first training phase.
     """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, Tensor]):
@@ -628,11 +576,8 @@ class Model:
                 raise ValueError("routed model needs a primary_index array")
             return forward_multiview(self.params, self.cfg, z_t, t, feats,
                                      primary_index, opts)
-        if feats.ndim == 4:
-            B, V, S, Df = feats.shape
-            feats = feats.reshape(B, V * S, Df)
-        vel = forward_single(self.params, self.cfg, z_t, t, feats)
-        return vel, ForwardInfo(velocity=vel)
+        flat = feats.reshape(feats.shape[0], -1, feats.shape[-1])  # views into one key set
+        return forward_single(self.params, self.cfg, z_t, t, flat), ForwardInfo()
 
     def named_data(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
@@ -642,17 +587,12 @@ class Model:
             p.zero_grad()
 
     def copy(self) -> "Model":
-        import dataclasses as _dc
-
         params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in self.params.items()}
-        return Model(_dc.replace(self.cfg), params)
+        return Model(replace(self.cfg), params)
 
     def save(self, path, meta: dict | None = None) -> None:
-        from . import checkpoint as ckpt
-        import dataclasses as _dc
-
         ckpt.save_tensors(path, self.named_data())
-        sidecar = {"model": _dc.asdict(self.cfg)}
+        sidecar = {"model": asdict(self.cfg)}
         sidecar["model"]["tokens"] = self.cfg.tokens
         if meta:
             sidecar.update(meta)
@@ -660,12 +600,15 @@ class Model:
 
     @staticmethod
     def load(path) -> "Model":
-        from . import checkpoint as ckpt
-
         tensors = ckpt.load_tensors(path)
         sidecar = ckpt.load_sidecar(path)
         fields = {k: v for k, v in sidecar["model"].items() if k != "tokens"}
         cfg = ModelConfig(**fields)
+        expected = {k: p.shape for k, p in Model.create(cfg, 0).params.items()}
+        diff = sorted(set(expected.items()) ^ {(k, v.shape) for k, v in tensors.items()})
+        if diff:
+            raise ckpt.CheckpointError(f"{path}: {len(diff)} tensor names or shapes differ "
+                                       f"from a {cfg.arch} model, first {diff[0]}")
         params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()}
         return Model(cfg, params)
 
@@ -681,24 +624,21 @@ def integrate_flow(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Euler integration of the learned velocity field from t=1 down to 0.
 
-    Deterministic given ``z_init``; with ``collect_trace`` also returns the
-    (T, L, B, N) hard routing indices of every denoising step.
+    Deterministic given ``z_init``; with ``collect_trace`` a routed model
+    also returns the (T, L, B, N) hard routing indices of every denoising
+    step (None for a model without a router).
     """
+    model = Model(cfg, params)
     z = z_init.copy()
     B = z.shape[0]
     dt = 1.0 / steps
-    trace = [] if collect_trace else None
+    trace = []
     opts = ForwardOptions(mode="inference", collect_decisions=collect_trace)
     with nx.no_grad():
         for k in range(steps):
             t = np.full(B, 1.0 - k * dt)
-            if cfg.arch in ("concat", "single"):
-                Bv, V, S, Df = feats.shape
-                vel = forward_single(params, cfg, z, t, feats.reshape(Bv, V * S, Df))
-                info = None
-            else:
-                vel, info = forward_multiview(params, cfg, z, t, feats, primary_index, opts)
+            vel, info = model.velocity(z, t, feats, primary_index, opts)
             z = z - dt * vel.data
-            if collect_trace and info is not None:
+            if info.decisions:
                 trace.append(info.hard_trace())
-    return z, (np.stack(trace) if collect_trace else None)
+    return z, (np.stack(trace) if trace else None)

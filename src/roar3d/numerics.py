@@ -12,11 +12,13 @@ design goals are auditability and determinism, not generality:
 
 Tensors are immutable after construction except through their owning graph;
 forward/backward of one graph is single-threaded, independent graphs may run
-on independent threads.
+on independent threads. ``no_grad`` and ``AttentionMeter`` act on the current
+context only, so one thread's inference does not switch off another's graph.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,9 +106,6 @@ class Tensor:
         """Reverse-mode sweep from this (scalar) tensor."""
         ComputationTape.trace(self).backward(self)
 
-    def detach(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
@@ -116,26 +115,23 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_grad_enabled = True
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
     """Context that skips graph construction (pure inference, same math)."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -189,37 +185,28 @@ class ComputationTape:
 class AttentionMeter:
     """Counts keys attended per query token, split by kernel tag.
 
-    Enable via ``with AttentionMeter.capture() as meter:``; kernels report
-    (token_count, keys_per_token) per call. ``per_token_keys(tag)`` returns
-    one entry per attended token.
+    Enable via ``with AttentionMeter() as meter:``; kernels running in the
+    same context report (token_count, keys_per_token) per call.
+    ``per_token_keys(tag)`` returns one entry per attended token.
     """
 
-    _active: "AttentionMeter | None" = None
+    _active: ContextVar["AttentionMeter | None"] = ContextVar("attention_meter", default=None)
 
     def __init__(self):
         self.records: list[tuple[str, int, int]] = []
 
-    @classmethod
-    def capture(cls) -> "AttentionMeter":
-        meter = cls()
-        cls._active = meter
-        return meter
-
-    @classmethod
-    def release(cls) -> None:
-        cls._active = None
-
     def __enter__(self) -> "AttentionMeter":
-        AttentionMeter._active = self
+        self._token = AttentionMeter._active.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        AttentionMeter.release()
+        AttentionMeter._active.reset(self._token)
 
     @classmethod
     def record(cls, tag: str, tokens: int, keys: int) -> None:
-        if cls._active is not None and tokens:
-            cls._active.records.append((tag, tokens, keys))
+        meter = cls._active.get()
+        if meter is not None and tokens:
+            meter.records.append((tag, tokens, keys))
 
     def per_token_keys(self, tag_prefix: str) -> np.ndarray:
         out: list[int] = []

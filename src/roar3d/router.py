@@ -21,7 +21,8 @@ from .numerics import Tensor
 from .rng import stream
 from .world import ViewFeatureSet
 
-__all__ = ["RouterParams", "RoutingDecision", "pool_view_keys", "routing_logits", "gumbel_select"]
+__all__ = ["RouterParams", "RoutingDecision", "pool_view_keys", "routing_logits_batched",
+           "gumbel_select"]
 
 
 @dataclass
@@ -81,9 +82,6 @@ class RoutingDecision:
 
     hard_index: np.ndarray        # (..., N) int64
     y_soft: Tensor                # (..., N, V), rows sum to 1
-    logits: Tensor                # (..., N, V)
-    mode: str                     # "train" | "inference"
-    gumbel_seed: object = None    # provenance of the noise draw, if any
     noise: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -118,16 +116,6 @@ def pool_view_keys(views: ViewFeatureSet | np.ndarray) -> Tensor:
     return Tensor(feats.mean(axis=1))
 
 
-def routing_logits(latents, pooled, params: RouterParams) -> Tensor:
-    """Multi-head routing scores r[i, v] for single-sample inputs (N, V)."""
-    z = latents if isinstance(latents, Tensor) else Tensor(latents)
-    k = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    batched = routing_logits_batched(
-        nx.reshape(z, (1,) + z.shape), nx.reshape(k, (1,) + k.shape), params
-    )
-    return nx.reshape(batched, batched.shape[1:])
-
-
 def routing_logits_batched(z: Tensor, pooled: Tensor, params: RouterParams) -> Tensor:
     """Batched routing scores: z (B, N, D), pooled (B, V, feat_dim) -> (B, N, V)."""
     B, N, _ = z.shape
@@ -159,7 +147,6 @@ def gumbel_select(
     mode: str = "train",
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
-    gumbel_seed: object = None,
 ) -> RoutingDecision:
     """Hard view selection with straight-through soft weights.
 
@@ -184,14 +171,7 @@ def gumbel_select(
         noisy = logits
     hard = np.argmax(noisy.data, axis=-1)
     y_soft = nx.softmax(nx.scale(noisy, 1.0 / tau), axis=-1)
-    return RoutingDecision(
-        hard_index=hard,
-        y_soft=y_soft,
-        logits=logits,
-        mode=mode,
-        gumbel_seed=gumbel_seed,
-        noise=noise,
-    )
+    return RoutingDecision(hard_index=hard, y_soft=y_soft, noise=noise)
 
 
 def routing_noise(run_seed: int, step: int, block: int, shape) -> np.ndarray:

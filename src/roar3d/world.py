@@ -31,7 +31,6 @@ __all__ = [
     "azimuth_bin",
     "sample_views",
     "encode_view",
-    "encode_views",
     "feature_lift_matrix",
 ]
 
@@ -382,9 +381,3 @@ def encode_view(pc: PointCloud, cam: Camera, cfg: WorldConfig) -> np.ndarray:
     off_y = np.where(vcounts > 0, cy - centers_y, 0.0)
     stats = np.stack([counts / P, mean_depth, var_depth, off_x, off_y], axis=1)
     return (stats * _STAT_SCALES) @ feature_lift_matrix(cfg).T
-
-
-def encode_views(pc: PointCloud, cams: list[Camera], cfg: WorldConfig,
-                 primary_index: int | None = 0) -> ViewFeatureSet:
-    feats = np.stack([encode_view(pc, c, cfg) for c in cams])
-    return ViewFeatureSet(features=feats, cameras=list(cams), primary_index=primary_index)

@@ -157,6 +157,16 @@ def test_missing_inputs_exit_code(pipeline, tmp_path):
     assert code == EXIT_MISSING
 
 
+def test_truncated_checkpoint_exit_code(pipeline, tmp_path):
+    src = pipeline["mv"] / "checkpoint.bin"
+    cut = tmp_path / "checkpoint.bin"
+    cut.write_bytes(src.read_bytes()[:-8])
+    Path(str(cut) + ".json").write_bytes(Path(str(src) + ".json").read_bytes())
+    code = main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(cut), "--out", str(tmp_path / "y")])
+    assert code == EXIT_MISSING
+
+
 def test_bad_config_exit_code(pipeline, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\np_pert = 1.5\n", encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 
 import roar3d.model as M
 import roar3d.numerics as nx
+from roar3d import checkpoint as ckpt
 from roar3d.config import ModelConfig, RunConfig
 from roar3d.evaluation import chamfer_distance
 from roar3d.model import (
@@ -23,9 +24,9 @@ from roar3d.model import (
     rotate_latent,
 )
 from roar3d.numerics import AttentionMeter, Tensor
-from roar3d.router import gumbel_select, pool_view_keys, routing_logits
+from roar3d.router import gumbel_select, pool_view_keys, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
-from roar3d.world import Camera, PointCloud, ViewFeatureSet, generate_shape, rotate_azimuth
+from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
 CFG = ModelConfig()
 
@@ -103,9 +104,18 @@ def test_roundtrip_chamfer_below_cell_size():
 # ---------------------------------------------------------------------------
 
 
-def _single_ca_reference(params, l, tokens, feats_one_view, gate, cfg):
-    z3 = Tensor(tokens[None])
-    return M._cross_attention_single(params, l, z3, Tensor(feats_one_view[None]), gate, cfg)
+UNIT_GATE = Tensor(np.ones((1, MICRO.model_dim)))  # timestep gating lives in the block
+
+
+def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
+    """Block-l cross attention of one sample, routed by the block's router."""
+    z = Tensor(tokens[None])
+    pooled = Tensor(pool_view_keys(feats).data[None])
+    dec = gumbel_select(routing_logits_batched(z, pooled, M.block_router(params, l, cfg)),
+                        mode="inference")
+    use_p = dec.hard_index == primary
+    return M._cross_attention(params, l, z, Tensor(feats[None]), dec.hard_index, use_p,
+                              dec.ste_multiplier(), UNIT_GATE, cfg)
 
 
 def test_dispatch_single_view_reduces_to_primary_stream():
@@ -113,14 +123,13 @@ def test_dispatch_single_view_reduces_to_primary_stream():
     params = init_multiview_params(MICRO, 1)
     tokens = rng.normal(size=(MICRO.tokens, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 1)
-    views = ViewFeatureSet(feats, [Camera(0.0, 0.0)], primary_index=0)
-    logits = routing_logits(tokens, pool_view_keys(views).data, M.block_router(params, 0, MICRO))
-    dec = gumbel_select(logits, mode="inference")
-    out = M.dispatch_cross_attention(tokens, views, dec, 0, params, 0, MICRO)
+    out = _routed_cross_attention(params, 0, tokens, feats, 0, MICRO)
 
-    gate = Tensor(np.ones((1, MICRO.model_dim)))
-    ref = _single_ca_reference(params, 0, tokens, feats[0], gate, MICRO)
-    assert np.abs(out.data - ref.data[0]).max() < 1e-12
+    N = MICRO.tokens
+    ref = M._cross_attention(params, 0, Tensor(tokens[None]), Tensor(feats[None]),
+                             np.zeros((1, N), dtype=np.int64), np.ones((1, N), dtype=bool),
+                             None, UNIT_GATE, MICRO)
+    assert np.abs(out.data - ref.data).max() < 1e-12
 
 
 def test_dispatch_equal_streams_make_aux_equal_primary():
@@ -131,26 +140,21 @@ def test_dispatch_equal_streams_make_aux_equal_primary():
         params[f"blocks.0.ca_a.{k}"].data[...] = params[f"blocks.0.ca_p.{k}"].data
     tokens = rng.normal(size=(MICRO.tokens, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 3)
-    views = ViewFeatureSet(feats, [Camera(0.0, 0), Camera(90.0, 0), Camera(180.0, 0)], 0)
-    logits = routing_logits(tokens, pool_view_keys(views).data, M.block_router(params, 0, MICRO))
-    dec = gumbel_select(logits, mode="inference")
-    out_with_primary_0 = M.dispatch_cross_attention(tokens, views, dec, 0, params, 0, MICRO)
+    out_with_primary_0 = _routed_cross_attention(params, 0, tokens, feats, 0, MICRO)
     # re-dispatch declaring a different primary: stream assignment flips for
     # some tokens, but identical parameters must give the identical output
-    out_with_primary_2 = M.dispatch_cross_attention(tokens, views, dec, 2, params, 0, MICRO)
+    out_with_primary_2 = _routed_cross_attention(params, 0, tokens, feats, 2, MICRO)
     assert np.abs(out_with_primary_0.data - out_with_primary_2.data).max() < 1e-12
 
 
 def test_dispatch_rejects_bad_primary():
     rng = np.random.default_rng(2)
     params = init_multiview_params(MICRO, 3)
-    tokens = rng.normal(size=(MICRO.tokens, MICRO.model_dim))
-    feats = _rand_views(rng, MICRO, 2)
-    views = ViewFeatureSet(feats, [Camera(0.0, 0), Camera(90.0, 0)], 0)
-    logits = routing_logits(tokens, pool_view_keys(views).data, M.block_router(params, 0, MICRO))
-    dec = gumbel_select(logits, mode="inference")
+    tokens = rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))
+    feats = _rand_views(rng, MICRO, 2, batch=1)
     with pytest.raises(ValueError):
-        M.dispatch_cross_attention(tokens, views, dec, 5, params, 0, MICRO)
+        forward_multiview(params, MICRO, tokens, rng.random(1), feats, np.array([5]),
+                          ForwardOptions(mode="inference"))
 
 
 @pytest.mark.parametrize("v", [1, 2, 4, 8])
@@ -161,10 +165,9 @@ def test_per_token_attended_keys_equal_patch_count(v):
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, v, batch=B)
     primary = np.zeros(B, dtype=np.int64)
-    with AttentionMeter.capture() as meter:
+    with AttentionMeter() as meter:
         forward_multiview(params, MICRO, z_t, rng.random(B), feats, primary,
                           ForwardOptions(mode="inference"))
-    AttentionMeter.release()
     keys = meter.per_token_keys("cross")
     assert keys.size == B * N * MICRO.blocks
     assert (keys == MICRO.patches).all()
@@ -240,6 +243,28 @@ def test_post_upgrade_forced_primary_identity_bit_exact():
         forced, _ = forward_multiview(upgraded.params, upgraded.cfg, z_t, t, feats, primary,
                                       ForwardOptions(mode="inference", force_primary=True))
         assert np.array_equal(base.data, forced.data), f"draw {draw}"
+
+
+@pytest.mark.parametrize("arch, views", [("single", 1), ("concat", 3)])
+def test_integrate_flow_without_router_is_euler_over_flattened_views(arch, views):
+    rng = np.random.default_rng(13)
+    cfg = dataclasses.replace(MICRO, arch=arch)
+    model = Model.create(cfg, 14)
+    _randomize_zero_init(model.params, rng)
+    B, steps = 2, 4
+    feats = _rand_views(rng, cfg, views, batch=B)
+    z_init = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
+    z, trace = M.integrate_flow(model.params, cfg, feats, np.zeros(B, dtype=np.int64),
+                                z_init, steps=steps, collect_trace=True)
+    assert trace is None
+
+    flat = feats.reshape(B, views * cfg.patches, cfg.feat_dim)
+    ref, dt = z_init.copy(), 1.0 / steps
+    with nx.no_grad():
+        for k in range(steps):
+            vel = forward_single(model.params, cfg, ref, np.full(B, 1.0 - k * dt), flat)
+            ref = ref - dt * vel.data
+    assert np.array_equal(z, ref)
 
 
 def test_view_order_invariance_at_inference():
@@ -352,3 +377,17 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.cfg == model.cfg
     for k, p in model.params.items():
         assert np.array_equal(loaded.params[k].data, p.data)
+
+
+def test_model_load_rejects_tensors_that_do_not_fit_the_config(tmp_path):
+    path = tmp_path / "model.bin"
+    Model.create(MICRO, 13).save(path)
+    tensors = ckpt.load_tensors(path)
+    del tensors["blocks.1.ca_a.w_v"]
+    ckpt.save_tensors(path, tensors)
+    with pytest.raises(ckpt.CheckpointError):
+        Model.load(path)
+    tensors["blocks.1.ca_a.w_v"] = np.zeros((MICRO.feat_dim + 1, MICRO.attn_width))
+    ckpt.save_tensors(path, tensors)
+    with pytest.raises(ckpt.CheckpointError):
+        Model.load(path)

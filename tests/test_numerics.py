@@ -1,5 +1,8 @@
 """Autodiff core: oracle values, finite-difference checks, determinism."""
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -322,3 +325,70 @@ def test_checkpoint_writes_identical_bytes(tmp_path):
     ckpt.save_tensors(tmp_path / "one.bin", tensors)
     ckpt.save_tensors(tmp_path / "two.bin", tensors)
     assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "two.bin").read_bytes()
+
+
+def _tensors_file(tmp_path):
+    path = tmp_path / "model.bin"
+    ckpt.save_tensors(path, {"blocks.0.w": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    return path, path.read_bytes()
+
+
+def test_checkpoint_truncated_at_any_offset_raises_checkpoint_error(tmp_path):
+    """Every cut - header, name, dims or payload - is a CheckpointError."""
+    path, blob = _tensors_file(tmp_path)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ckpt.CheckpointError):
+            ckpt.load_tensors(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, blob = _tensors_file(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.load_tensors(path)
+
+
+# ---------------------------------------------------------------------------
+# per-context state
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _entered_in_other_thread(make):
+    """Hold ``with make()`` open in a second thread for the body of this block."""
+    entered, leave, held = threading.Event(), threading.Event(), []
+
+    def hold():
+        with make() as ctx:
+            held.append(ctx)
+            entered.set()
+            leave.wait(10)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        yield held[0]
+    finally:
+        leave.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_no_grad_in_another_thread_keeps_this_threads_graph():
+    with _entered_in_other_thread(nx.no_grad):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        nx.sum_all(nx.matmul(Tensor(np.eye(2)), w)).backward()
+    assert w.grad is not None
+    assert np.array_equal(w.grad, np.ones((2, 2)))
+
+
+def test_attention_meter_counts_only_its_own_thread():
+    q = Tensor(np.random.default_rng(0).normal(size=(1, 1, 3, 2)))
+    with _entered_in_other_thread(nx.AttentionMeter) as other:
+        nx.self_attention(q, q, q)  # no meter open in this thread
+        with nx.AttentionMeter() as mine:
+            nx.self_attention(q, q, q)
+    assert other.records == []
+    assert mine.per_token_keys("self").tolist() == [3, 3, 3]

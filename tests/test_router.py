@@ -9,7 +9,7 @@ from roar3d.router import (
     RouterParams,
     gumbel_select,
     pool_view_keys,
-    routing_logits,
+    routing_logits_batched,
     sample_gumbel,
 )
 from roar3d.rng import stream
@@ -52,8 +52,15 @@ def test_pool_matches_direct_summation():
 
 
 # ---------------------------------------------------------------------------
-# routing_logits
+# routing_logits_batched
 # ---------------------------------------------------------------------------
+
+
+def _one_sample_logits(z, pooled, p):
+    """(N, V) logits of one sample through the batched router, a batch of one."""
+    z, k = Tensor(z), Tensor(pooled)
+    r = routing_logits_batched(nx.reshape(z, (1,) + z.shape), nx.reshape(k, (1,) + k.shape), p)
+    return nx.reshape(r, r.shape[1:])
 
 
 def test_orthogonal_query_key_gives_zero_logit():
@@ -65,7 +72,7 @@ def test_orthogonal_query_key_gives_zero_logit():
     p.w_k.data[...] = np.array([[0.0, 1.0], [0.0, 1.0]])
     z = np.array([[0.7, -0.3]])
     pooled = np.array([[0.4, 0.9]])
-    r = routing_logits(z, pooled, p)
+    r = _one_sample_logits(z, pooled, p)
     assert abs(float(r.data[0, 0])) < 1e-12
 
 
@@ -75,7 +82,7 @@ def test_identical_pooled_keys_give_identical_columns():
     z = rng.normal(size=(5, 8))
     key = rng.normal(size=8)
     pooled = np.tile(key, (4, 1))
-    r = routing_logits(z, pooled, p).data
+    r = _one_sample_logits(z, pooled, p).data
     for v in range(1, 4):
         assert np.array_equal(r[:, 0], r[:, v])
 
@@ -87,7 +94,7 @@ def test_routing_logits_match_per_head_oracle():
     p = _params(rng, model_dim=D, feat_dim=D, heads=H, head_dim=dh)
     z = rng.normal(size=(N, D))
     pooled = rng.normal(size=(V, D))
-    r = routing_logits(z, pooled, p).data
+    r = _one_sample_logits(z, pooled, p).data
 
     # direct evaluation of the stated formula
     zt = nx.layer_norm(Tensor(z), p.ln_gain, p.ln_bias).data
