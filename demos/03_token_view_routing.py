@@ -12,20 +12,15 @@ import roar3d.numerics as nx
 from roar3d.numerics import Tensor
 from roar3d.router import RouterParams, gumbel_select, pool_view_keys, routing_logits_batched
 from roar3d.rng import stream
-from roar3d.world import Camera, ViewFeatureSet
 
 rng = stream(0, "demo-router")
 N, V, S, D = 8, 3, 16, 32
 
-views = ViewFeatureSet(
-    features=rng.normal(size=(V, S, D)),
-    cameras=[Camera(azimuth=120.0 * v, elevation=0.0) for v in range(V)],
-    primary_index=0,
-)
+feats = rng.normal(size=(V, S, D))  # per-view patch features
 params = RouterParams.init(model_dim=D, feat_dim=D, heads=4, head_dim=8, rng=rng)
 tokens = rng.normal(size=(N, D))
 
-pooled = pool_view_keys(views)
+pooled = pool_view_keys(feats)
 print("pooled keys:", pooled.shape)
 
 # the router is batched: score a batch of one sample, then drop the batch axis

@@ -20,7 +20,6 @@ from .evaluation import (
 )
 from .model import (
     ForwardOptions,
-    LatentTokens,
     Model,
     integrate_flow,
     latent_decode,
@@ -31,12 +30,11 @@ from .numerics import ComputationTape, Tensor, grad_check
 from .router import RouterParams, RoutingDecision, gumbel_select, pool_view_keys, routing_logits_batched
 from .trainer import (
     AdamW,
-    TrainingSample,
-    build_perturbed_sample,
     flow_matching_loss,
+    perturbation,
     train,
     upgrade_from_single,
 )
-from .world import Camera, PointCloud, ViewFeatureSet, encode_view, generate_shape, rotate_azimuth, sample_views
+from .world import Camera, PointCloud, encode_view, generate_shape, rotate_azimuth, sample_views
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a ``save_tensors`` file; any short read or trailing byte is a CheckpointError."""
+    """Read a ``save_tensors`` file; a short read, trailing byte or NaN/inf is a CheckpointError."""
     path = Path(path)
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -77,7 +77,10 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             (rank,) = struct.unpack("<I", read(4, f"rank of {name!r}"))
             dims = struct.unpack("<%dQ" % rank, read(8 * rank, f"dims of {name!r}"))
             payload = read(8 * math.prod(dims), f"payload for {name!r}")
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            arr = np.frombuffer(payload, dtype="<f8").reshape(dims)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: non-finite values in {name!r}")
+            out[name] = arr.copy()
         if left:
             raise CheckpointError(f"{path}: {left} trailing bytes after the last tensor")
         return out
@@ -91,7 +94,15 @@ def save_sidecar(path: str | Path, meta: dict) -> None:
 
 
 def load_sidecar(path: str | Path) -> dict:
-    return json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
+    """Read <path>.json; anything but a JSON object is a CheckpointError."""
+    side = Path(str(path) + ".json")
+    try:
+        meta = json.loads(side.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{side}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{side}: not a JSON object")
+    return meta
 
 
 def content_hash(obj) -> str:

@@ -100,7 +100,8 @@ class ModelConfig:
         return self.heads * self.head_dim
 
     def validate(self) -> None:
-        if self.attn_width <= 0 or self.model_dim <= 0:
+        if min(self.blocks, self.grid, self.model_dim, self.heads, self.head_dim,
+               self.patches, self.feat_dim, self.mlp_ratio) <= 0:
             raise ConfigError("model dims must be positive")
         if self.arch not in ("routed", "concat", "single"):
             raise ConfigError(f"unknown arch {self.arch!r}")
@@ -208,12 +209,7 @@ class RunConfig:
                 continue
             if section not in sections:
                 raise ConfigError(f"unknown config section [{section}]")
-            target = sections[section]
-            valid = {f.name: f for f in fields(target)}
-            for key, raw in values.items():
-                if key not in valid:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-                setattr(target, key, _coerce(raw, getattr(target, key), key))
+            set_fields(sections[section], values, section)
         return cfg.validate()
 
     @staticmethod
@@ -251,6 +247,18 @@ class RunConfig:
                 raise ConfigError(f"unknown override {dotted!r}")
             setattr(target, key, _coerce(value, getattr(target, key), dotted))
         return self.validate()
+
+
+def set_fields(target, values: dict, section: str) -> None:
+    """Set ``values`` on the dataclass ``target``, each coerced to its default's type.
+
+    An unknown key or a value that does not coerce raises ConfigError.
+    """
+    valid = {f.name for f in fields(target)}
+    for key, raw in values.items():
+        if key not in valid:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        setattr(target, key, _coerce(raw, getattr(target, key), key))
 
 
 def _coerce(raw, template, key: str):

@@ -21,7 +21,7 @@ from . import checkpoint as ckpt
 from .config import RunConfig
 from .model import latent_encode
 from .rng import stream, stream_seed, worker_count
-from .world import Camera, encode_view, generate_shape, sample_views
+from .world import encode_view, generate_shape, sample_views
 
 __all__ = ["DatasetStore", "SplitData", "build_dataset", "load_dataset"]
 
@@ -74,7 +74,7 @@ def _build_shape(rec: dict, cfg: RunConfig) -> dict[str, np.ndarray]:
         for k, cam in enumerate(pool):
             feats[b, k] = encode_view(pc, cam, cfg.world)
             cams[b, k] = (cam.azimuth, cam.elevation)
-    return {"points": pc.points, "latent": latent.tokens, "feats": feats, "cams": cams}
+    return {"points": pc.points, "latent": latent, "feats": feats, "cams": cams}
 
 
 def build_dataset(cfg: RunConfig, out_dir: str | Path, classes=None,

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .checkpoint import CheckpointError
 from .config import RunConfig
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
@@ -328,11 +329,17 @@ def save_trace(path, trace: np.ndarray, view_count: int, meta: dict | None = Non
 
 
 def load_trace(path) -> tuple[np.ndarray, int]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != TRACE_MAGIC:
-            raise IOError(f"{path}: not a routing trace")
-        version, T, L, N, V = struct.unpack("<IIIII", fh.read(20))
-        if version != TRACE_VERSION:
-            raise IOError(f"{path}: unsupported trace version {version}")
-        data = np.frombuffer(fh.read(2 * T * L * N), dtype="<u2")
-    return data.reshape(T, L, N).astype(np.int64), int(V)
+    """Read a ``save_trace`` file; a bad header, payload length or index is a CheckpointError."""
+    blob = Path(path).read_bytes()
+    head = 24  # magic + five u32
+    if len(blob) < head or blob[:4] != TRACE_MAGIC:
+        raise CheckpointError(f"{path}: not a routing trace")
+    version, T, L, N, V = struct.unpack("<IIIII", blob[4:head])
+    if version != TRACE_VERSION:
+        raise CheckpointError(f"{path}: unsupported trace version {version}")
+    if T * L * N == 0 or len(blob) != head + 2 * T * L * N:
+        raise CheckpointError(f"{path}: {len(blob) - head} payload bytes for a {T}x{L}x{N} trace")
+    trace = np.frombuffer(blob, dtype="<u2", offset=head).reshape(T, L, N).astype(np.int64)
+    if trace.max() >= V:
+        raise CheckpointError(f"{path}: view index {trace.max()} with {V} views")
+    return trace, int(V)

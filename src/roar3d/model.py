@@ -1,7 +1,8 @@
 """Miniature flow-matching transformer over 3D latent tokens.
 
-A latent is an occupancy-grid encoding of a point cloud: one token per cell
-carrying [occupancy, scaled centroid offset xyz, zero padding]. Blocks run
+A latent is an occupancy-grid encoding of a point cloud, a plain (N, D)
+array: one token per cell carrying [occupancy, scaled centroid offset xyz,
+zero padding]. Blocks run
 timestep-modulated self-attention, token-wise view routing, dual-stream
 cross-attention to the selected view's patch features, and a modulated MLP;
 a zero-initialized linear head emits the velocity field.
@@ -26,14 +27,13 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import numerics as nx
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig, set_fields
 from .numerics import Tensor
 from .router import RouterParams, gumbel_select, routing_logits_batched, routing_noise
 from .rng import stream
 from .world import _QUARTER, PointCloud
 
 __all__ = [
-    "LatentTokens",
     "ForwardOptions",
     "ForwardInfo",
     "latent_encode",
@@ -54,18 +54,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LatentTokens:
-    """(N, D) latent token matrix plus orientation metadata.
-
-    ``azimuth_tag`` records the azimuth the geometry currently faces; it is
-    bookkeeping for training-sample construction, never a model input.
-    """
-
-    tokens: np.ndarray
-    azimuth_tag: float = 0.0
-
-
 def _cell_ids(points: np.ndarray, n: int) -> np.ndarray:
     h = 2.0 / n
     idx = np.clip(np.floor((points + 1.0) / h).astype(np.int64), 0, n - 1)
@@ -80,8 +68,8 @@ def _cell_centers(n: int) -> np.ndarray:
     return np.stack([-1.0 + (ix + 0.5) * h, -1.0 + (iy + 0.5) * h, -1.0 + (iz + 0.5) * h], axis=1)
 
 
-def latent_encode(pc: PointCloud, cfg: ModelConfig) -> LatentTokens:
-    """Occupancy + scaled centroid offsets on a grid**3 cell lattice.
+def latent_encode(pc: PointCloud, cfg: ModelConfig) -> np.ndarray:
+    """(N, D) occupancy + scaled centroid offsets on a grid**3 cell lattice.
 
     Token = [occ, off_x, off_y, off_z, 0, ...]; offsets are (centroid - cell
     center) * offset_scale, zero for empty cells.
@@ -99,17 +87,17 @@ def latent_encode(pc: PointCloud, cfg: ModelConfig) -> LatentTokens:
     tokens = np.zeros((N, cfg.model_dim))
     tokens[:, 0] = (counts > 0).astype(np.float64) * cfg.occupancy_scale
     tokens[:, 1:4] = offsets * cfg.offset_scale
-    return LatentTokens(tokens=tokens, azimuth_tag=0.0)
+    return tokens
 
 
-def latent_decode(z: LatentTokens | np.ndarray, cfg: ModelConfig) -> np.ndarray:
+def latent_decode(tokens: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Points at occupied-cell centers plus stored offsets.
 
     Occupancy is thresholded at 0.5; offsets are clipped to the half cell so
     every decoded point stays in its cell. An all-empty latent decodes to a
     (0, 3) array - callers decide how to flag that.
     """
-    tokens = z.tokens if isinstance(z, LatentTokens) else np.asarray(z)
+    tokens = np.asarray(tokens)
     n = cfg.grid
     half = 1.0 / n
     occupied = tokens[:, 0] / cfg.occupancy_scale >= 0.5
@@ -130,8 +118,8 @@ def grid_permutation(n: int, quarters: int) -> np.ndarray:
     return (ix * n + iy) * n + iz
 
 
-def rotate_latent(z: LatentTokens, degrees: float, cfg: ModelConfig) -> LatentTokens:
-    """Exact quarter-turn of an encoded latent: cell permutation + offset rotation.
+def rotate_latent(z: np.ndarray, degrees: float, cfg: ModelConfig) -> np.ndarray:
+    """Exact quarter-turn of an (N, D) latent: cell permutation + offset rotation.
 
     This matches re-encoding the rotated cloud bit-for-bit on power-of-two
     grids, so perturbed training latents are precisely the rotated geometry.
@@ -142,14 +130,12 @@ def rotate_latent(z: LatentTokens, degrees: float, cfg: ModelConfig) -> LatentTo
     quarters = int(round(quarters)) % 4
     dest = grid_permutation(cfg.grid, quarters)
     rot = _QUARTER[quarters]
-    tokens = np.zeros_like(z.tokens)
-    moved = z.tokens.copy()
-    ox = z.tokens[:, 1].copy()
-    oy = z.tokens[:, 2].copy()
-    moved[:, 1] = rot[0, 0] * ox + rot[0, 1] * oy
-    moved[:, 2] = rot[1, 0] * ox + rot[1, 1] * oy
+    tokens = np.zeros_like(z)
+    moved = z.copy()
+    moved[:, 1] = rot[0, 0] * z[:, 1] + rot[0, 1] * z[:, 2]
+    moved[:, 2] = rot[1, 0] * z[:, 1] + rot[1, 1] * z[:, 2]
     tokens[dest] = moved
-    return LatentTokens(tokens=tokens, azimuth_tag=(z.azimuth_tag + 90.0 * quarters) % 360.0)
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +283,13 @@ class ForwardOptions:
     tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
-    noises: list | None = None         # explicit per-block Gumbel noise arrays
     routing_override: list | None = None   # per-block (B, N) hard indices
     ste_offsets: list | None = None    # per-block (B, N, 1) surrogate offsets
-    force_primary: bool = False
-    collect_decisions: bool = False
 
 
 @dataclass
 class ForwardInfo:
-    decisions: list = field(default_factory=list)
+    decisions: list = field(default_factory=list)   # one RoutingDecision per routed block
 
     def hard_trace(self) -> np.ndarray:
         """(L, B, N) hard routing indices of one forward pass."""
@@ -497,8 +480,6 @@ def forward_multiview(
         raise ValueError("primary_index must have one entry per sample")
     if primary_index.max() >= feats.shape[1]:
         raise ValueError("primary index out of range")
-    if opts.force_primary and (primary_index < 0).any():
-        raise ValueError("cannot force primary routing without a primary view")
     return _forward(params, cfg, z_t, t, feats, primary_index, opts)
 
 
@@ -524,26 +505,20 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
         if primary_index is not None:
             logits = routing_logits_batched(z, pooled, block_router(params, l, cfg))
             if opts.mode == "train":
-                noise = opts.noises[l] if opts.noises is not None else \
-                    routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
+                noise = routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
                 dec = gumbel_select(logits, opts.tau, "train", noise=noise)
             else:
                 dec = gumbel_select(logits, opts.tau, "inference")
 
             if opts.routing_override is not None:
-                v_star = np.asarray(opts.routing_override[l], dtype=np.int64)
-            elif opts.force_primary:
-                v_star = np.broadcast_to(primary_index[:, None], (B, N)).copy()
-            else:
-                v_star = dec.hard_index
-            dec.hard_index = v_star
+                dec.hard_index = np.asarray(opts.routing_override[l], dtype=np.int64)
+            v_star = dec.hard_index
 
             multiplier = dec.ste_multiplier() if opts.ste_offsets is None else \
                 dec.surrogate_multiplier(opts.ste_offsets[l])
 
             use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
-            if opts.collect_decisions:
-                info.decisions.append(dec)
+            info.decisions.append(dec)
 
         z = _cross_attention(params, l, z, feats_t, v_star, use_p, multiplier, g_ca, cfg)
         z = _mlp_block(params, l, z, sc2, sh2, g2)
@@ -602,8 +577,15 @@ class Model:
     def load(path) -> "Model":
         tensors = ckpt.load_tensors(path)
         sidecar = ckpt.load_sidecar(path)
-        fields = {k: v for k, v in sidecar["model"].items() if k != "tokens"}
-        cfg = ModelConfig(**fields)
+        if not isinstance(sidecar.get("model"), dict):
+            raise ckpt.CheckpointError(f"{path}.json: no model section")
+        cfg = ModelConfig()
+        try:
+            set_fields(cfg, {k: v for k, v in sidecar["model"].items() if k != "tokens"},
+                       "model")
+            cfg.validate()
+        except ConfigError as exc:
+            raise ckpt.CheckpointError(f"{path}.json: {exc}") from None
         expected = {k: p.shape for k, p in Model.create(cfg, 0).params.items()}
         diff = sorted(set(expected.items()) ^ {(k, v.shape) for k, v in tensors.items()})
         if diff:
@@ -633,12 +615,12 @@ def integrate_flow(
     B = z.shape[0]
     dt = 1.0 / steps
     trace = []
-    opts = ForwardOptions(mode="inference", collect_decisions=collect_trace)
+    opts = ForwardOptions(mode="inference")
     with nx.no_grad():
         for k in range(steps):
             t = np.full(B, 1.0 - k * dt)
             vel, info = model.velocity(z, t, feats, primary_index, opts)
             z = z - dt * vel.data
-            if info.decisions:
+            if collect_trace and info.decisions:
                 trace.append(info.hard_trace())
     return z, (np.stack(trace) if trace else None)

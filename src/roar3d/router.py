@@ -12,14 +12,13 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor
 from .rng import stream
-from .world import ViewFeatureSet
 
 __all__ = ["RouterParams", "RoutingDecision", "pool_view_keys", "routing_logits_batched",
            "gumbel_select"]
@@ -82,7 +81,6 @@ class RoutingDecision:
 
     hard_index: np.ndarray        # (..., N) int64
     y_soft: Tensor                # (..., N, V), rows sum to 1
-    noise: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def view_count(self) -> int:
@@ -108,9 +106,9 @@ class RoutingDecision:
         return float(-(p * np.log(p)).sum(axis=-1).mean())
 
 
-def pool_view_keys(views: ViewFeatureSet | np.ndarray) -> Tensor:
-    """Mean over patch tokens: one key per view, (V, feat_dim)."""
-    feats = views.features if isinstance(views, ViewFeatureSet) else np.asarray(views)
+def pool_view_keys(feats: np.ndarray) -> Tensor:
+    """Mean over patch tokens: (V, S, feat_dim) -> one key per view, (V, feat_dim)."""
+    feats = np.asarray(feats)
     if feats.ndim != 3 or feats.shape[0] < 1:
         raise ValueError(f"expected (V, S, feat_dim) features, got {feats.shape}")
     return Tensor(feats.mean(axis=1))
@@ -167,11 +165,10 @@ def gumbel_select(
             noise = sample_gumbel(rng, logits.shape)
         noisy = nx.add(logits, Tensor(noise))
     else:
-        noise = None
         noisy = logits
     hard = np.argmax(noisy.data, axis=-1)
     y_soft = nx.softmax(nx.scale(noisy, 1.0 / tau), axis=-1)
-    return RoutingDecision(hard_index=hard, y_soft=y_soft, noise=noise)
+    return RoutingDecision(hard_index=hard, y_soft=y_soft)
 
 
 def routing_noise(run_seed: int, step: int, block: int, shape) -> np.ndarray:

@@ -4,13 +4,16 @@ Phase one trains the single-stream baseline on one view per sample. Phase
 two upgrades it (auxiliary stream and router initialized from the trained
 cross attention) and finetunes on 1 primary + 1..4 auxiliary views.
 
-With probability ``p_pert`` an eligible multi-view sample is perturbed:
-its latent is quarter-rotated away from every input view's azimuth bin, the
-primary designation is dropped so every token runs through the auxiliary
-stream, and the primary-stream weights are frozen for that step. Samples
-whose views cover all four bins admit no such rotation; they are counted as
-skips and emitted unperturbed (eligibility is checked before the coin flip
-so the realized perturbed fraction matches ``p_pert``).
+A training sample is one row of a :class:`Batch`: the (N, D) clean latent,
+the (V, S, feat_dim) view features, the primary view index and the
+perturbed flag. With probability ``p_pert`` an eligible multi-view sample is
+perturbed (:func:`perturbation`): its latent is quarter-turned into an
+azimuth bin that no input view occupies, its primary index is set to -1 so
+every token runs through the auxiliary stream, and the primary-stream
+weights are frozen for that step. Samples whose views cover all four bins
+admit no such turn; they are counted as skips and emitted unperturbed
+(eligibility is checked before the coin flip so the realized perturbed
+fraction matches ``p_pert``).
 """
 
 from __future__ import annotations
@@ -23,24 +26,16 @@ import numpy as np
 from . import numerics as nx
 from .config import RunConfig, TrainConfig
 from .data import SplitData
-from .model import (
-    ForwardInfo,
-    ForwardOptions,
-    LatentTokens,
-    Model,
-    rotate_latent,
-)
+from .model import ForwardInfo, ForwardOptions, Model, rotate_latent
 from .numerics import Tensor
 from .rng import stream
-from .world import Camera, ViewFeatureSet, azimuth_bin
+from .world import BIN_CENTERS, azimuth_bin
 
 __all__ = [
-    "TrainingSample",
     "Batch",
     "TrainingDiverged",
     "flow_matching_loss",
-    "candidate_rotations",
-    "build_perturbed_sample",
+    "perturbation",
     "apply_freeze",
     "AdamW",
     "upgrade_from_single",
@@ -49,24 +44,10 @@ __all__ = [
     "train",
 ]
 
-QUARTER_TURNS = (0.0, 90.0, 180.0, 270.0)
-
-
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
-
-
-@dataclass
-class TrainingSample:
-    latent_clean: LatentTokens
-    views: ViewFeatureSet
-    perturbed: bool = False
-    primary_present: bool = True
-
-    def occupied_bins(self) -> set[int]:
-        return {cam.bin for cam in self.views.cameras}
 
 
 @dataclass
@@ -89,21 +70,9 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 
-def _as_batch(sample) -> Batch:
-    if isinstance(sample, Batch):
-        return sample
-    primary = sample.views.primary_index
-    return Batch(
-        z0=sample.latent_clean.tokens[None],
-        feats=sample.views.features[None],
-        primary_index=np.array([-1 if primary is None else primary]),
-        perturbed=np.array([sample.perturbed]),
-    )
-
-
 def flow_matching_loss(
     model: Model,
-    sample: Batch | TrainingSample,
+    batch: Batch,
     t: np.ndarray,
     noise: np.ndarray,
     opts: ForwardOptions | None = None,
@@ -112,7 +81,6 @@ def flow_matching_loss(
 
     z_t = (1 - t) * z_clean + t * noise, target velocity u = noise - z_clean.
     """
-    batch = _as_batch(sample)
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if noise.shape != batch.z0.shape:
         raise ValueError(f"noise shape {noise.shape} vs latents {batch.z0.shape}")
@@ -131,36 +99,23 @@ def flow_matching_loss(
 # ---------------------------------------------------------------------------
 
 
-def candidate_rotations(sample: TrainingSample) -> list[float]:
-    """Quarter turns that land the latent outside every occupied azimuth bin."""
-    occupied = sample.occupied_bins()
-    tag = sample.latent_clean.azimuth_tag
-    return [rot for rot in QUARTER_TURNS
-            if azimuth_bin((tag + rot) % 360.0) not in occupied]
+def perturbation(bins: set[int], p_pert: float,
+                 rng: np.random.Generator) -> tuple[float | None, bool]:
+    """Orientation perturbation of one sample whose views occupy ``bins``.
 
-
-def build_perturbed_sample(
-    base: TrainingSample, rng: np.random.Generator, cfg: RunConfig
-) -> tuple[TrainingSample, bool]:
-    """Rotate the latent away from all view bins and drop the primary view.
-
-    Returns (sample, skipped). When every rotation would align with some
-    input view the base sample is returned unchanged and skipped is True.
+    Returns (turn, skipped). ``turn`` is the azimuth in degrees by which to
+    rotate the clean latent, or None to leave the sample as it is. The clean
+    latent faces bin 0, so a turn by ``BIN_CENTERS[b]`` lands it in bin b;
+    only bins no view occupies qualify. When the views cover every bin the
+    sample is skipped without drawing from ``rng``; otherwise a coin flip at
+    ``p_pert`` comes first and the choice among the free turns second.
     """
-    if base.perturbed:
-        raise ValueError("base sample is already perturbed")
-    survivors = candidate_rotations(base)
-    if not survivors:
-        return base, True
-    rot = survivors[int(rng.integers(len(survivors)))]
-    latent = rotate_latent(base.latent_clean, rot, cfg.model)
-    assert azimuth_bin(latent.azimuth_tag) not in base.occupied_bins()
-    views = ViewFeatureSet(
-        features=base.views.features,
-        cameras=list(base.views.cameras),
-        primary_index=None,
-    )
-    return TrainingSample(latent, views, perturbed=True, primary_present=False), False
+    free = [turn for b, turn in enumerate(BIN_CENTERS) if b not in bins]
+    if not free:
+        return None, True
+    if rng.random() >= p_pert:
+        return None, False
+    return free[int(rng.integers(len(free)))], False
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +241,6 @@ def upgrade_from_single(single: Model) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _make_camera(az_el: np.ndarray) -> Camera:
-    return Camera(azimuth=float(az_el[0]), elevation=float(az_el[1]))
-
-
 def assemble_batch(
     split: SplitData,
     cfg: RunConfig,
@@ -320,21 +271,17 @@ def assemble_batch(
         cam_rows = [(0, int(rng.integers(K)))]
         for _ in range(n_aux):
             cam_rows.append((int(rng.integers(4)), int(rng.integers(K))))
-        view_feats = np.stack([split.feats[i, bn, kk] for bn, kk in cam_rows])
-        cams = [_make_camera(split.cams[i, bn, kk]) for bn, kk in cam_rows]
-        sample = TrainingSample(
-            latent_clean=LatentTokens(split.latents[i], azimuth_tag=0.0),
-            views=ViewFeatureSet(view_feats, cams, primary_index=0),
-        )
-        if not single_view:
-            if not candidate_rotations(sample):
-                skips += 1
-            elif rng.random() < p_pert:
-                sample, _ = build_perturbed_sample(sample, rng, cfg)
-        z0[b] = sample.latent_clean.tokens
-        feats[b] = sample.views.features
-        primary[b] = -1 if sample.views.primary_index is None else sample.views.primary_index
-        perturbed[b] = sample.perturbed
+        feats[b] = [split.feats[i, bn, kk] for bn, kk in cam_rows]
+        z0[b] = split.latents[i]
+        if single_view:
+            continue
+        bins = {azimuth_bin(split.cams[i, bn, kk, 0]) for bn, kk in cam_rows}
+        turn, skipped = perturbation(bins, p_pert, rng)
+        skips += skipped
+        if turn is not None:
+            z0[b] = rotate_latent(split.latents[i], turn, cfg.model)
+            primary[b] = -1
+            perturbed[b] = True
     return Batch(z0=z0, feats=feats, primary_index=primary, perturbed=perturbed, skips=skips)
 
 
@@ -390,8 +337,7 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str,
         # across the path and the high-noise (conditioning) regime is covered
         t = stream(cfg.seed, "time", step).random(batch.size) ** (1.0 / 3.0)
         noise = stream(cfg.seed, "noise", step).normal(size=batch.z0.shape)
-        opts = ForwardOptions(mode="train", tau=tc.tau, run_seed=cfg.seed, step=step,
-                              collect_decisions=routed)
+        opts = ForwardOptions(mode="train", tau=tc.tau, run_seed=cfg.seed, step=step)
         model.zero_grads()
         loss, info = flow_matching_loss(model, batch, t, noise, opts)
         loss.backward()

@@ -25,7 +25,6 @@ from .rng import stream
 __all__ = [
     "PointCloud",
     "Camera",
-    "ViewFeatureSet",
     "generate_shape",
     "rotate_azimuth",
     "azimuth_bin",
@@ -55,26 +54,6 @@ class Camera:
         self.azimuth = float(self.azimuth) % 360.0
         self.elevation = float(self.elevation)
         self.bin = azimuth_bin(self.azimuth)
-
-
-@dataclass
-class ViewFeatureSet:
-    """Per-view patch features (V, S, feat_dim) plus camera metadata."""
-
-    features: np.ndarray
-    cameras: list[Camera]
-    primary_index: int | None = 0
-
-    def __post_init__(self):
-        v = self.features.shape[0]
-        if v < 1 or len(self.cameras) != v:
-            raise ValueError("feature/camera count mismatch")
-        if self.primary_index is not None and not 0 <= self.primary_index < v:
-            raise ValueError("primary index out of range")
-
-    @property
-    def view_count(self) -> int:
-        return self.features.shape[0]
 
 
 def azimuth_bin(azimuth: float) -> int:

@@ -167,6 +167,30 @@ def test_truncated_checkpoint_exit_code(pipeline, tmp_path):
     assert code == EXIT_MISSING
 
 
+def test_truncated_sidecar_exit_code(pipeline, tmp_path):
+    src = pipeline["mv"] / "checkpoint.bin"
+    cut = tmp_path / "checkpoint.bin"
+    cut.write_bytes(src.read_bytes())
+    Path(str(cut) + ".json").write_bytes(Path(str(src) + ".json").read_bytes()[:40])
+    code = main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(cut), "--out", str(tmp_path / "y")])
+    assert code == EXIT_MISSING
+
+
+def test_non_finite_dataset_exit_code(pipeline, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in pipeline["data"].iterdir():
+        (data / f.name).write_bytes(f.read_bytes())
+    tensors = ckpt.load_tensors(data / "test.bin")
+    name = next(k for k in tensors if k.endswith("/feats"))
+    tensors[name][0, 0, 0, 0] = np.nan
+    ckpt.save_tensors(data / "test.bin", tensors)
+    code = main(["sample", "--config", str(pipeline["cfg"]), "--data", str(data),
+                 "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(tmp_path / "y")])
+    assert code == EXIT_MISSING
+
+
 def test_bad_config_exit_code(pipeline, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\np_pert = 1.5\n", encoding="utf-8")
@@ -254,6 +278,13 @@ def test_analyze_router_constant_trace(tmp_path):
     assert rep["cross_block"]["mean"] == 1.0
     assert rep["cross_timestep"]["mean"] == 1.0
     assert rep["global"]["mean"] == 1.0
+
+
+def test_analyze_router_truncated_trace_exit_code(tmp_path):
+    p = tmp_path / "cut.rtrc"
+    save_trace(p, np.zeros((4, 2, 6), dtype=int), view_count=2)
+    p.write_bytes(p.read_bytes()[:-3])
+    assert main(["analyze-router", "--out", str(tmp_path / "c.json"), str(p)]) == EXIT_MISSING
 
 
 def test_analyze_router_matches_library_metrics(pipeline, tmp_path):

@@ -1,10 +1,12 @@
 """Geometry metrics and routing-consistency analytics against brute force."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
+from roar3d.checkpoint import CheckpointError
 from roar3d.evaluation import (
     EMPTY_CLOUD_CD,
     chamfer_distance,
@@ -272,6 +274,36 @@ def test_trace_rejects_wrong_magic(tmp_path):
     p.write_bytes(b"XXXX" + b"\x00" * 24)
     with pytest.raises(IOError):
         load_trace(p)
+
+
+def _trace_file(tmp_path):
+    path = tmp_path / "run.rtrc"
+    save_trace(path, np.random.default_rng(12).integers(0, 3, size=(2, 2, 3)), view_count=3)
+    return path, path.read_bytes()
+
+
+def test_trace_truncated_at_any_offset_raises_checkpoint_error(tmp_path):
+    """Every cut - magic, header fields or payload - is a CheckpointError."""
+    path, blob = _trace_file(tmp_path)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_trace(path)
+
+
+def test_trace_rejects_trailing_byte(tmp_path):
+    path, blob = _trace_file(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError):
+        load_trace(path)
+
+
+def test_trace_rejects_index_outside_view_count(tmp_path):
+    path, blob = _trace_file(tmp_path)
+    header = struct.pack("<IIIII", 1, 2, 2, 3, 2)  # same trace, two views declared
+    path.write_bytes(blob[:4] + header + np.full(12, 2, dtype="<u2").tobytes())
+    with pytest.raises(CheckpointError):
+        load_trace(path)
 
 
 def test_empty_cloud_sentinel_value():

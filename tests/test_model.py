@@ -12,7 +12,6 @@ from roar3d.config import ModelConfig, RunConfig
 from roar3d.evaluation import chamfer_distance
 from roar3d.model import (
     ForwardOptions,
-    LatentTokens,
     Model,
     count_parameters,
     forward_multiview,
@@ -47,9 +46,9 @@ def _rand_views(rng, cfg, v, batch=None):
 def test_encode_empty_region_gives_zero_tokens():
     pts = np.full((64, 3), 0.8)  # everything in one corner cell
     lat = latent_encode(PointCloud(points=pts), CFG)
-    occupied = lat.tokens[:, 0] > 0
+    occupied = lat[:, 0] > 0
     assert occupied.sum() == 1
-    assert np.array_equal(lat.tokens[~occupied], np.zeros_like(lat.tokens[~occupied]))
+    assert np.array_equal(lat[~occupied], np.zeros_like(lat[~occupied]))
 
 
 def test_encode_rotate_commutes_with_cell_permutation():
@@ -58,15 +57,16 @@ def test_encode_rotate_commutes_with_cell_permutation():
         for klass in ("notched-box", "l-prism", "asymmetric-cross", "stepped-pyramid"):
             pc = generate_shape(seed, klass, points=512)
             for deg in (90.0, 180.0, 270.0):
-                a = latent_encode(rotate_azimuth(pc, deg), CFG).tokens
-                b = rotate_latent(latent_encode(pc, CFG), deg, CFG).tokens
+                a = latent_encode(rotate_azimuth(pc, deg), CFG)
+                b = rotate_latent(latent_encode(pc, CFG), deg, CFG)
                 assert np.array_equal(a, b), (klass, seed, deg)
 
 
-def test_rotate_latent_tracks_azimuth_tag():
-    lat = LatentTokens(np.zeros((CFG.tokens, CFG.model_dim)), azimuth_tag=0.0)
-    assert rotate_latent(lat, 90.0, CFG).azimuth_tag == 90.0
-    assert rotate_latent(rotate_latent(lat, 270.0, CFG), 180.0, CFG).azimuth_tag == 90.0
+def test_rotate_latent_quarter_turns_compose():
+    lat = latent_encode(generate_shape(0, "l-prism", points=512), CFG)
+    turned = rotate_latent(lat, 90.0, CFG)
+    assert not np.array_equal(turned, lat)
+    assert np.array_equal(rotate_latent(rotate_latent(lat, 270.0, CFG), 180.0, CFG), turned)
     with pytest.raises(ValueError):
         rotate_latent(lat, 45.0, CFG)
 
@@ -239,9 +239,11 @@ def test_post_upgrade_forced_primary_identity_bit_exact():
         t = rng.random(B)
         feats = _rand_views(rng, MICRO, 3, batch=B)
         primary = np.full(B, 1, dtype=np.int64)
+        to_primary = [np.broadcast_to(primary[:, None], (B, N))] * MICRO.blocks
         base = forward_single(single_params, MICRO, z_t, t, feats[:, 1])
         forced, _ = forward_multiview(upgraded.params, upgraded.cfg, z_t, t, feats, primary,
-                                      ForwardOptions(mode="inference", force_primary=True))
+                                      ForwardOptions(mode="inference",
+                                                     routing_override=to_primary))
         assert np.array_equal(base.data, forced.data), f"draw {draw}"
 
 
@@ -311,19 +313,18 @@ def test_forward_gradients_match_soft_surrogate(subtests=None):
     primary = np.array([0, -1])
     target = rng.normal(size=z_t.shape)
 
-    opts = ForwardOptions(mode="train", run_seed=3, step=0, collect_decisions=True)
+    opts = ForwardOptions(mode="train", run_seed=3, step=0)
     for p in params.values():
         p.zero_grad()
     vel, info = forward_multiview(params, MICRO, z_t, t, feats, primary, opts)
     nx.mse(vel, Tensor(target)).backward()
 
-    noises = [d.noise for d in info.decisions]
     overrides = [d.hard_index for d in info.decisions]
     offsets = [1.0 - np.take_along_axis(d.y_soft.data, d.hard_index[..., None], -1)
                for d in info.decisions]
 
     def surrogate():
-        o = ForwardOptions(mode="train", run_seed=3, step=0, noises=noises,
+        o = ForwardOptions(mode="train", run_seed=3, step=0,
                            routing_override=overrides, ste_offsets=offsets)
         v, _ = forward_multiview(params, MICRO, z_t, t, feats, primary, o)
         return nx.mse(v, Tensor(target))
@@ -389,5 +390,23 @@ def test_model_load_rejects_tensors_that_do_not_fit_the_config(tmp_path):
         Model.load(path)
     tensors["blocks.1.ca_a.w_v"] = np.zeros((MICRO.feat_dim + 1, MICRO.attn_width))
     ckpt.save_tensors(path, tensors)
+    with pytest.raises(ckpt.CheckpointError):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[: len(text) // 2],
+    lambda text: text.replace('"model"', '"modle"'),
+    lambda text: text.replace('"blocks"', '"blockz"'),
+    lambda text: text.replace('"blocks": 2', '"blocks": "two"'),
+    lambda text: "[1, 2]",
+], ids=["cut", "no-model", "unknown-key", "wrong-type", "not-an-object"])
+def test_model_load_rejects_malformed_sidecar(tmp_path, edit):
+    path = tmp_path / "model.bin"
+    Model.create(MICRO, 13).save(path)
+    side = tmp_path / "model.bin.json"
+    text = side.read_text(encoding="utf-8")
+    assert edit(text) != text
+    side.write_text(edit(text), encoding="utf-8")
     with pytest.raises(ckpt.CheckpointError):
         Model.load(path)

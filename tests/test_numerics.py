@@ -349,6 +349,14 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         ckpt.load_tensors(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "model.bin"
+    ckpt.save_tensors(path, {"a": np.ones(3), "b": np.array([[0.0, bad]])})
+    with pytest.raises(ckpt.CheckpointError, match="'b'"):
+        ckpt.load_tensors(path)
+
+
 # ---------------------------------------------------------------------------
 # per-context state
 # ---------------------------------------------------------------------------

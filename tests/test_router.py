@@ -13,13 +13,6 @@ from roar3d.router import (
     sample_gumbel,
 )
 from roar3d.rng import stream
-from roar3d.world import Camera, ViewFeatureSet
-
-
-def _views(rng, v=3, s=4, d=8, primary=0):
-    feats = rng.normal(size=(v, s, d))
-    cams = [Camera(azimuth=90.0 * (i % 4), elevation=0.0) for i in range(v)]
-    return ViewFeatureSet(features=feats, cameras=cams, primary_index=primary)
 
 
 def _params(rng, model_dim=8, feat_dim=8, heads=2, head_dim=4):
@@ -45,9 +38,9 @@ def test_pool_zero_features():
 
 def test_pool_matches_direct_summation():
     rng = np.random.default_rng(0)
-    views = _views(rng)
-    pooled = pool_view_keys(views)
-    expect = views.features.sum(axis=1) / views.features.shape[1]
+    feats = rng.normal(size=(3, 4, 8))
+    pooled = pool_view_keys(feats)
+    expect = feats.sum(axis=1) / feats.shape[1]
     assert np.allclose(pooled.data, expect, rtol=1e-12, atol=1e-15)
 
 

@@ -1,40 +1,43 @@
 """Loss, perturbation sampling, freezing, optimizer, and the train loop."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from roar3d.config import RunConfig
-from roar3d.model import ForwardInfo, ForwardOptions, LatentTokens, Model
+from roar3d.model import ForwardInfo, ForwardOptions, Model, rotate_latent
 from roar3d.numerics import Tensor
 from roar3d.rng import stream
 from roar3d.trainer import (
     AdamW,
     Batch,
-    TrainingSample,
     apply_freeze,
     assemble_batch,
-    build_perturbed_sample,
-    candidate_rotations,
     cosine_lr,
     flow_matching_loss,
+    perturbation,
     train,
     upgrade_from_single,
 )
-from roar3d.world import Camera, ViewFeatureSet, azimuth_bin
+from roar3d.world import azimuth_bin
 
 from conftest import micro_run_config
 
 CFG = micro_run_config()
 
 
-def _sample(rng, cfg, bins=(0,), primary=0):
-    n = cfg.model.tokens
-    latent = LatentTokens(rng.normal(size=(n, cfg.model.model_dim)), azimuth_tag=0.0)
-    cams = [Camera(azimuth=90.0 * b, elevation=0.0) for b in bins]
-    feats = rng.normal(size=(len(bins), cfg.model.patches, cfg.model.feat_dim))
-    return TrainingSample(latent, ViewFeatureSet(feats, cams, primary_index=primary))
+def _batch(rng, cfg, views=1, perturbed=(False,)):
+    """Random batch; a perturbed sample has no primary view (index -1)."""
+    pert = np.array(perturbed)
+    m = cfg.model
+    return Batch(
+        z0=rng.normal(size=(pert.size, m.tokens, m.model_dim)),
+        feats=rng.normal(size=(pert.size, views, m.patches, m.feat_dim)),
+        primary_index=np.where(pert, -1, 0),
+        perturbed=pert,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -54,27 +57,27 @@ class _StubModel:
 
 def test_loss_zero_when_model_equals_target():
     rng = np.random.default_rng(0)
-    s = _sample(rng, CFG)
-    noise = rng.normal(size=s.latent_clean.tokens.shape)
-    stub = _StubModel(s.latent_clean.tokens[None], noise[None])
-    loss, _ = flow_matching_loss(stub, s, np.array([0.4]), noise[None])
+    s = _batch(rng, CFG)
+    noise = rng.normal(size=s.z0.shape)
+    stub = _StubModel(s.z0, noise)
+    loss, _ = flow_matching_loss(stub, s, np.array([0.4]), noise)
     assert float(loss.data) == 0.0
 
 
 def test_loss_zero_model_at_t_one_matches_arithmetic():
     rng = np.random.default_rng(1)
     model = Model.create(dataclasses.replace(CFG.model, arch="single"), 0)  # zero head
-    s = _sample(rng, CFG)
-    noise = rng.normal(size=s.latent_clean.tokens.shape)
-    loss, _ = flow_matching_loss(model, s, np.array([1.0]), noise[None],
+    s = _batch(rng, CFG)
+    noise = rng.normal(size=s.z0.shape)
+    loss, _ = flow_matching_loss(model, s, np.array([1.0]), noise,
                                  ForwardOptions(mode="inference"))
-    expect = float(((noise - s.latent_clean.tokens) ** 2).mean())
+    expect = float(((noise - s.z0) ** 2).mean())
     assert abs(float(loss.data) - expect) < 1e-12
 
 
 def test_loss_rejects_bad_noise_shape():
     rng = np.random.default_rng(2)
-    s = _sample(rng, CFG)
+    s = _batch(rng, CFG)
     with pytest.raises(ValueError):
         flow_matching_loss(_StubModel(np.zeros((1, 2, 3)), np.zeros((1, 2, 3))),
                            s, np.array([0.5]), np.zeros((1, 2, 3)))
@@ -85,60 +88,72 @@ def test_loss_rejects_bad_noise_shape():
 # ---------------------------------------------------------------------------
 
 
-def test_candidate_rotations_exclude_occupied_bins():
-    rng = np.random.default_rng(3)
-    s = _sample(rng, CFG, bins=(0,))
-    assert candidate_rotations(s) == [90.0, 180.0, 270.0]
-    s2 = _sample(rng, CFG, bins=(0, 2))
-    assert candidate_rotations(s2) == [90.0, 270.0]
+def _turns(bins, draws=200, seed=3):
+    """Every turn ``perturbation`` draws for these bins at p_pert 1."""
+    rng = stream(seed, "turns")
+    return {perturbation(bins, 1.0, rng)[0] for _ in range(draws)}
+
+
+def test_perturbation_turns_exclude_occupied_bins():
+    assert _turns({0}) == {90.0, 180.0, 270.0}
+    assert _turns({0, 2}) == {90.0, 270.0}
 
 
 def test_perturbed_rotation_frequencies_uniform():
-    rng = np.random.default_rng(4)
-    base = _sample(rng, CFG, bins=(0,))
     draw = stream(7, "pert-freq")
     counts = {90.0: 0, 180.0: 0, 270.0: 0}
     n = 30_000
     for _ in range(n):
-        out, skipped = build_perturbed_sample(base, draw, CFG)
+        turn, skipped = perturbation({0}, 1.0, draw)
         assert not skipped
-        counts[out.latent_clean.azimuth_tag] += 1
+        counts[turn] += 1
     for rot in counts:
         assert abs(counts[rot] / n - 1 / 3) < 0.01
 
 
-def test_perturbed_sample_contract():
-    rng = np.random.default_rng(5)
-    base = _sample(rng, CFG, bins=(0, 1))
-    out, skipped = build_perturbed_sample(base, stream(1, "x"), CFG)
-    assert not skipped
-    assert out.perturbed and not out.primary_present
-    assert out.views.primary_index is None
-    assert azimuth_bin(out.latent_clean.azimuth_tag) not in base.occupied_bins()
-    with pytest.raises(ValueError):
-        build_perturbed_sample(out, stream(2, "y"), CFG)
+def _source(split, z0, view_feats):
+    """(turn, view bins) of a batch row, found by matching it to the split."""
+    for i in range(len(split)):
+        for turn in (0.0, 90.0, 180.0, 270.0):
+            if np.array_equal(rotate_latent(split.latents[i], turn, CFG.model), z0):
+                pool = split.feats[i].reshape(-1, *split.feats.shape[3:])
+                rows = [int(np.flatnonzero((pool == f).all(axis=(1, 2)))[0]) for f in view_feats]
+                cams = split.cams[i].reshape(-1, 2)
+                return turn, {azimuth_bin(cams[r, 0]) for r in rows}
+    raise AssertionError("batch row matches no latent of the split")
+
+
+def test_perturbed_sample_contract(micro_dataset):
+    # aux_max=2 keeps every sample eligible, so p_pert=1 perturbs every sample
+    cfg = micro_run_config()
+    cfg.train = dataclasses.replace(cfg.train, p_pert=1.0, aux_max=2)
+    split = micro_dataset.split("train")
+    for step in range(3):
+        batch = assemble_batch(split, cfg, step, "mv", 1.0)
+        assert batch.perturbed.all() and batch.skips == 0
+        assert (batch.primary_index == -1).all()
+        for z0, view_feats in zip(batch.z0, batch.feats):
+            turn, bins = _source(split, z0, view_feats)
+            assert turn != 0.0
+            assert azimuth_bin(turn) not in bins
 
 
 def test_all_bins_occupied_skips():
-    rng = np.random.default_rng(6)
-    base = _sample(rng, CFG, bins=(0, 1, 2, 3))
-    out, skipped = build_perturbed_sample(base, stream(3, "z"), CFG)
-    assert skipped
-    assert out is base and not out.perturbed
+    draw = stream(3, "z")
+    assert perturbation({0, 1, 2, 3}, 1.0, draw) == (None, True)
+    assert draw.random() == stream(3, "z").random()  # eligibility is checked before any draw
 
 
 def test_perturbation_invariant_over_many_draws():
-    rng = np.random.default_rng(7)
     draw = stream(11, "many")
     violations = 0
     for i in range(10_000):
         n_bins = int(draw.integers(1, 4))
-        bins = tuple(sorted(set(draw.integers(0, 4, size=n_bins).tolist())))
-        base = _sample(rng, CFG, bins=bins)
-        out, skipped = build_perturbed_sample(base, draw, CFG)
+        bins = set(draw.integers(0, 4, size=n_bins).tolist())
+        turn, skipped = perturbation(bins, 1.0, draw)
         if skipped:
             continue
-        if azimuth_bin(out.latent_clean.azimuth_tag) in out.occupied_bins():
+        if azimuth_bin(turn) in bins:
             violations += 1
     assert violations == 0
 
@@ -146,16 +161,6 @@ def test_perturbation_invariant_over_many_draws():
 # ---------------------------------------------------------------------------
 # freezing
 # ---------------------------------------------------------------------------
-
-
-def _batch_from(samples):
-    return Batch(
-        z0=np.stack([s.latent_clean.tokens for s in samples]),
-        feats=np.stack([s.views.features for s in samples]),
-        primary_index=np.array([-1 if s.views.primary_index is None else s.views.primary_index
-                                for s in samples]),
-        perturbed=np.array([s.perturbed for s in samples]),
-    )
 
 
 def _grads(model, batch, seed=0):
@@ -171,9 +176,7 @@ def _grads(model, batch, seed=0):
 def test_fully_perturbed_batch_zeroes_and_freezes_ca_p():
     rng = np.random.default_rng(8)
     model = Model.create(CFG.model, 1)
-    samples = [build_perturbed_sample(_sample(rng, CFG, bins=(0,), primary=0),
-                                      stream(i, "p"), CFG)[0] for i in range(3)]
-    batch = _batch_from(samples)
+    batch = _batch(rng, CFG, perturbed=(True, True, True))
     _grads(model, batch)
     frozen = apply_freeze(model.params, batch.perturbed)
     assert frozen == {k for k in model.params if ".ca_p." in k}
@@ -185,7 +188,7 @@ def test_fully_perturbed_batch_zeroes_and_freezes_ca_p():
 def test_unperturbed_batch_freezes_nothing():
     rng = np.random.default_rng(9)
     model = Model.create(CFG.model, 2)
-    batch = _batch_from([_sample(rng, CFG, bins=(0, 1)) for _ in range(3)])
+    batch = _batch(rng, CFG, views=2, perturbed=(False, False, False))
     _grads(model, batch)
     assert apply_freeze(model.params, batch.perturbed) == set()
 
@@ -194,9 +197,7 @@ def test_mixed_batch_ca_p_gradient_equals_unperturbed_subset():
     """CA_p grads from a mixed batch == grads from the clean subset alone."""
     rng = np.random.default_rng(10)
     model = Model.create(CFG.model, 3)
-    clean = [_sample(rng, CFG, bins=(0, 2)) for _ in range(2)]
-    pert = [build_perturbed_sample(_sample(rng, CFG, bins=(0, 1)), stream(5, "m"), CFG)[0]]
-    mixed = _batch_from(clean + pert)
+    mixed = _batch(rng, CFG, views=2, perturbed=(False, False, True))
 
     t = stream(0, "t").random(mixed.size)
     noise = stream(0, "n").normal(size=mixed.z0.shape)
@@ -207,12 +208,13 @@ def test_mixed_batch_ca_p_gradient_equals_unperturbed_subset():
     mixed_grads = {k: p.grad.copy() for k, p in model.params.items()
                    if ".ca_p." in k and p.grad is not None}
 
-    clean_batch = _batch_from(clean)
+    clean_batch = Batch(mixed.z0[:2], mixed.feats[:2], mixed.primary_index[:2],
+                        mixed.perturbed[:2])
     model.zero_grads()
     loss2, _ = flow_matching_loss(model, clean_batch, t[:2], noise[:2],
                                   ForwardOptions(mode="train", run_seed=0, step=0))
     loss2.backward()
-    ratio = len(clean) / mixed.size  # mean-over-batch rescaling
+    ratio = clean_batch.size / mixed.size  # mean-over-batch rescaling
     for k, g in mixed_grads.items():
         sub = model.params[k].grad
         sub = np.zeros_like(g) if sub is None else sub
@@ -348,3 +350,18 @@ def test_assemble_batch_deterministic(micro_cfg, micro_dataset):
     assert np.array_equal(a.z0, b.z0)
     assert np.array_equal(a.feats, b.feats)
     assert np.array_equal(a.perturbed, b.perturbed)
+
+
+def test_assemble_batch_output_pinned(micro_cfg, micro_dataset):
+    """Micro mv batches of steps 0-19 at p_pert 0.5 hash to a fixed value."""
+    split = micro_dataset.split("train")
+    h = hashlib.sha256()
+    perturbed = skips = 0
+    for step in range(20):
+        b = assemble_batch(split, micro_cfg, step, "mv", 0.5)
+        for arr in (b.z0, b.feats, b.primary_index, b.perturbed, np.int64(b.skips)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        perturbed += int(b.perturbed.sum())
+        skips += b.skips
+    assert (perturbed, skips) == (37, 6)  # both branches of the perturbation rule run
+    assert h.hexdigest() == "62353c6af66d9b759460d1c83b4d3b85e25ee30885006bb91c11cf228e79e5ca"
