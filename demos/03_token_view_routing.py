@@ -9,18 +9,26 @@ backward.
 import numpy as np
 
 import roar3d.numerics as nx
+from roar3d.config import ModelConfig
+from roar3d.model import init_multiview_params
 from roar3d.numerics import Tensor
-from roar3d.router import RouterParams, gumbel_select, pool_view_keys, routing_logits_batched
+from roar3d.router import gumbel_select, routing_logits_batched, routing_noise
 from roar3d.rng import stream
 
 rng = stream(0, "demo-router")
 N, V, S, D = 8, 3, 16, 32
 
 feats = rng.normal(size=(V, S, D))  # per-view patch features
-params = RouterParams.init(model_dim=D, feat_dim=D, heads=4, head_dim=8, rng=rng)
 tokens = rng.normal(size=(N, D))
 
-pooled = pool_view_keys(feats)
+# the router weights are block 0's "blocks.0.router.*" entries of the model's flat dict
+cfg = ModelConfig(blocks=1, model_dim=D, feat_dim=D, heads=4, head_dim=8)
+prefix = "blocks.0.router."
+params = {k[len(prefix):]: p for k, p in init_multiview_params(cfg, 0).items()
+          if k.startswith(prefix)}
+print("router weights:", {k: p.shape for k, p in params.items()})
+
+pooled = Tensor(feats.mean(axis=1))  # one key per view: the mean over its patches
 print("pooled keys:", pooled.shape)
 
 # the router is batched: score a batch of one sample, then drop the batch axis
@@ -29,12 +37,13 @@ logits = nx.reshape(batched, (N, V))
 print("routing logits (token x view):\n", logits.data.round(3))
 
 print("\n=== train mode: Gumbel exploration ===")
-for trial in range(3):
-    dec = gumbel_select(logits, tau=1.0, mode="train", rng=stream(trial, "gumbel-demo"))
-    print(f"draw {trial}: hard choices {dec.hard_index}")
+for step in range(3):
+    noise = routing_noise(run_seed=0, step=step, block=0, shape=(N, V))
+    dec = gumbel_select(logits, tau=1.0, noise=noise)
+    print(f"step {step}: hard choices {dec.hard_index}")
 
 print("\n=== inference mode: deterministic ===")
-dec = gumbel_select(logits, mode="inference")
+dec = gumbel_select(logits)
 print("hard choices:", dec.hard_index)
 print("soft weights row 0:", dec.y_soft.data[0].round(3), "sum", dec.y_soft.data[0].sum())
 
@@ -44,5 +53,5 @@ print("\nSTE multiplier forward values:", multiplier.data.ravel())
 # backward: gradient reaches the router parameters through the soft weights
 downstream = Tensor(rng.normal(size=(N, 1)))
 nx.sum_all(nx.mul(multiplier, downstream)).backward()
-print("w_agg gradient:", params.w_agg.grad.round(5))
-print("|dL/dW_q|:", float(np.abs(params.w_q.grad).max()))
+print("w_agg gradient:", params["w_agg"].grad.round(5))
+print("|dL/dW_q|:", float(np.abs(params["w_q"].grad).max()))

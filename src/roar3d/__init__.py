@@ -27,7 +27,7 @@ from .model import (
     rotate_latent,
 )
 from .numerics import ComputationTape, Tensor, grad_check
-from .router import RouterParams, RoutingDecision, gumbel_select, pool_view_keys, routing_logits_batched
+from .router import RoutingDecision, gumbel_select, routing_logits_batched
 from .trainer import (
     AdamW,
     flow_matching_loss,

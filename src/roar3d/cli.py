@@ -163,10 +163,8 @@ def cmd_sample(args) -> int:
     model = _load_model(args.ckpt)
     data = _load_data(args.data)
     split = data.split(args.split)
-    if args.shape >= len(split):
+    if not 0 <= args.shape < len(split):
         raise ConfigError(f"shape index {args.shape} out of range (split has {len(split)})")
-    if not 1 <= args.views <= 12:
-        raise ConfigError("--views must be in 1..12")
     out = _out_dir(args)
 
     feats = _shape_features(split.points[args.shape], cfg, args.views)[None]
@@ -200,9 +198,7 @@ def cmd_eval(args) -> int:
     model = _load_model(args.ckpt)
     data = _load_data(args.data)
     split = data.split(args.split)
-    if len(split) == 0:
-        raise ConfigError(f"split {args.split!r} is empty")
-    counts = tuple(int(c) for c in args.view_counts.split(","))
+    counts = args.view_counts
     out = _out_dir(args)
     result = evaluation.evaluate(model, split, cfg, view_counts=counts, seed=cfg.seed)
     evaluation.write_metrics_csv(out / "metrics.csv", result["rows"])
@@ -240,6 +236,17 @@ def cmd_analyze_router(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _view_count(text: str) -> int:
+    count = int(text)
+    if not 1 <= count <= evaluation.MAX_VIEWS:
+        raise argparse.ArgumentTypeError(f"view count must be in 1..{evaluation.MAX_VIEWS}")
+    return count
+
+
+def _view_counts(text: str) -> tuple[int, ...]:
+    return tuple(_view_count(c) for c in text.split(","))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--shape", type=int, default=0, help="shape index within the split")
-    p.add_argument("--views", type=int, default=1)
+    p.add_argument("--views", type=_view_count, default=1)
     p.add_argument("--euler-steps", type=int, dest="euler_steps")
     p.add_argument("--trace", action="store_true", help="also write the routing trace")
     p.set_defaults(fn=cmd_sample)
@@ -297,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--view-counts", default="1,2,4", dest="view_counts")
+    p.add_argument("--view-counts", type=_view_counts, default=(1, 2, 4), dest="view_counts",
+                   help=f"comma-separated view counts, each in 1..{evaluation.MAX_VIEWS}")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("analyze-router", help="routing consistency report")

@@ -134,6 +134,8 @@ class TrainConfig:
             raise ConfigError("aux view range must satisfy 0 <= min <= max")
         if self.batch < 1 or self.steps_single < 0 or self.steps_mv < 0:
             raise ConfigError("batch and step counts must be positive")
+        if not self.tau > 0.0:
+            raise ConfigError("tau must be positive")
 
 
 @dataclass
@@ -145,6 +147,14 @@ class SampleConfig:
     n_val: int = 50
     n_test: int = 50
     views_per_bin: int = 6        # pre-encoded camera pool per shape and bin
+
+    def validate(self) -> None:
+        if self.euler_steps < 1:
+            raise ConfigError("euler_steps must be at least 1")
+        if min(self.n_train, self.n_val, self.n_test) < 0:
+            raise ConfigError("split sizes must not be negative")
+        if self.views_per_bin < 1:
+            raise ConfigError("views_per_bin must be at least 1")
 
 
 @dataclass
@@ -158,6 +168,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         self.model.validate()
         self.train.validate()
+        self.sample.validate()
         if self.model.patches != self.world.patches:
             raise ConfigError("model.patches must equal world.patch_grid**2")
         if self.model.feat_dim != self.world.feat_dim:
@@ -202,10 +213,14 @@ class RunConfig:
             "train": cfg.train,
             "sample": cfg.sample,
         }
+        if not isinstance(payload, dict):
+            raise ConfigError("config must be an object of sections")
         for section, values in payload.items():
+            if not isinstance(values, dict):
+                raise ConfigError(f"config section [{section}] must be an object")
             if section == "run":
                 if "seed" in values:
-                    cfg.seed = int(values["seed"])
+                    cfg.seed = _coerce(values["seed"], cfg.seed, "seed")
                 continue
             if section not in sections:
                 raise ConfigError(f"unknown config section [{section}]")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .model import latent_encode
 from .rng import stream, stream_seed, worker_count
 from .world import encode_view, generate_shape, sample_views
@@ -47,8 +47,9 @@ class DatasetStore:
     manifest: list[dict]
 
     def split(self, name: str) -> SplitData:
+        """The named split; an unknown or empty split (not loaded) is a ConfigError."""
         if name not in self.splits:
-            raise KeyError(f"unknown split {name!r}")
+            raise ConfigError(f"split {name!r} is unknown or empty")
         return self.splits[name]
 
 
@@ -119,19 +120,33 @@ def load_dataset(path: str | Path) -> DatasetStore:
     manifest_path = path / "manifest.jsonl"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest at {manifest_path}")
-    manifest = [json.loads(line) for line in manifest_path.read_text().splitlines() if line]
+    manifest = []
+    for n, line in enumerate(manifest_path.read_text().splitlines(), 1):
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ckpt.CheckpointError(f"{manifest_path}:{n}: {exc}") from None
+        if not isinstance(rec, dict) or not {"shape_id", "class", "split"} <= rec.keys():
+            raise ckpt.CheckpointError(
+                f"{manifest_path}:{n}: not an object with shape_id, class and split")
+        manifest.append(rec)
     splits: dict[str, SplitData] = {}
     for split in SPLITS:
         recs = [r for r in manifest if r["split"] == split]
         tensors = ckpt.load_tensors(path / f"{split}.bin")
         if not recs:
             continue
-        splits[split] = SplitData(
-            ids=[r["shape_id"] for r in recs],
-            classes=[r["class"] for r in recs],
-            points=np.stack([tensors[f"{r['shape_id']}/points"] for r in recs]),
-            latents=np.stack([tensors[f"{r['shape_id']}/latent"] for r in recs]),
-            feats=np.stack([tensors[f"{r['shape_id']}/feats"] for r in recs]),
-            cams=np.stack([tensors[f"{r['shape_id']}/cams"] for r in recs]),
-        )
+        try:
+            splits[split] = SplitData(
+                ids=[r["shape_id"] for r in recs],
+                classes=[r["class"] for r in recs],
+                points=np.stack([tensors[f"{r['shape_id']}/points"] for r in recs]),
+                latents=np.stack([tensors[f"{r['shape_id']}/latent"] for r in recs]),
+                feats=np.stack([tensors[f"{r['shape_id']}/feats"] for r in recs]),
+                cams=np.stack([tensors[f"{r['shape_id']}/cams"] for r in recs]),
+            )
+        except KeyError as exc:
+            raise ckpt.CheckpointError(f"{path / f'{split}.bin'}: no tensor {exc}") from None
     return DatasetStore(splits=splits, manifest=manifest)

@@ -223,11 +223,12 @@ def consistency_report(traces: list[np.ndarray]) -> dict:
 # opposite bin, then the sides; counts above 4 repeat the ring at +/-20
 # degrees elevation.
 _EVAL_AZIMUTHS = (0.0, 180.0, 90.0, 270.0)
+MAX_VIEWS = 12  # the four azimuths on three elevation rings
 
 
 def eval_cameras(count: int) -> list[Camera]:
-    if count < 1 or count > 12:
-        raise ValueError("view count must be in 1..12")
+    if count < 1 or count > MAX_VIEWS:
+        raise ValueError(f"view count must be in 1..{MAX_VIEWS}")
     cams = []
     for i in range(count):
         ring, pos = divmod(i, 4)

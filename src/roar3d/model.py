@@ -14,8 +14,8 @@ the same loop without a router: every token attends view 0 through CA_p, with
 no straight-through multiplier. The concatenation baseline is that case with
 all views flattened into one key set, which ``Model.velocity`` does.
 
-Parameters live in a flat name -> Tensor dict (checkpoint friendly); helper
-accessors slice out per-block views.
+Parameters, the router's included, live in one flat name -> Tensor dict
+(checkpoint friendly); block ``l`` reads its weights by name.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import checkpoint as ckpt
 from . import numerics as nx
 from .config import ConfigError, ModelConfig, set_fields
 from .numerics import Tensor
-from .router import RouterParams, gumbel_select, routing_logits_batched, routing_noise
+from .router import gumbel_select, routing_logits_batched, routing_noise
 from .rng import stream
 from .world import _QUARTER, PointCloud
 
@@ -42,6 +42,7 @@ __all__ = [
     "init_single_params",
     "init_multiview_params",
     "Model",
+    "mismatched_tensors",
     "forward_single",
     "forward_multiview",
     "integrate_flow",
@@ -167,6 +168,22 @@ def _init_ca(rng, cfg: ModelConfig) -> dict[str, Tensor]:
     }
 
 
+def _init_router(rng, cfg: ModelConfig) -> dict[str, Tensor]:
+    d, hd = cfg.model_dim, cfg.attn_width
+    return {
+        "ln_gain": _ones(d),
+        "ln_bias": _zeros(d),
+        "w_q": _linear(rng, d, hd),
+        "w_k": _linear(rng, cfg.feat_dim, hd),
+        "q_gain": _ones(hd),
+        "k_gain": _ones(hd),
+        "w_agg": Tensor(np.full(cfg.heads, 1.0 / cfg.heads), requires_grad=True),
+    }
+
+
+_ROUTER_KEYS = ("ln_gain", "ln_bias", "w_q", "w_k", "q_gain", "k_gain", "w_agg")
+
+
 def _init_backbone_block(rng, cfg: ModelConfig) -> dict[str, Tensor]:
     d = cfg.model_dim
     hd = cfg.attn_width
@@ -233,25 +250,10 @@ def init_multiview_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
             params[f"blocks.{l}.{k}"] = v
         for k, v in _init_ca(rng, cfg).items():
             params[f"blocks.{l}.ca_a.{k}"] = v
-        router = RouterParams.init(cfg.model_dim, cfg.feat_dim, cfg.heads, cfg.head_dim, rng)
-        params.update(router.named(f"blocks.{l}.router"))
+        for k, v in _init_router(rng, cfg).items():
+            params[f"blocks.{l}.router.{k}"] = v
     params.update(_init_common(rng, cfg))
     return params
-
-
-def block_router(params: dict[str, Tensor], l: int, cfg: ModelConfig) -> RouterParams:
-    p = f"blocks.{l}.router"
-    return RouterParams(
-        ln_gain=params[f"{p}.ln_gain"],
-        ln_bias=params[f"{p}.ln_bias"],
-        w_q=params[f"{p}.w_q"],
-        w_k=params[f"{p}.w_k"],
-        q_gain=params[f"{p}.q_gain"],
-        k_gain=params[f"{p}.k_gain"],
-        w_agg=params[f"{p}.w_agg"],
-        heads=cfg.heads,
-        head_dim=cfg.head_dim,
-    )
 
 
 def count_parameters(params: dict[str, Tensor]) -> dict:
@@ -480,6 +482,8 @@ def forward_multiview(
         raise ValueError("primary_index must have one entry per sample")
     if primary_index.max() >= feats.shape[1]:
         raise ValueError("primary index out of range")
+    if opts.mode not in ("train", "inference"):
+        raise ValueError(f"mode must be train or inference, got {opts.mode!r}")
     return _forward(params, cfg, z_t, t, feats, primary_index, opts)
 
 
@@ -503,12 +507,11 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
         z = _self_attention_block(params, l, z, sc1, sh1, g1, cfg)
 
         if primary_index is not None:
-            logits = routing_logits_batched(z, pooled, block_router(params, l, cfg))
-            if opts.mode == "train":
-                noise = routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
-                dec = gumbel_select(logits, opts.tau, "train", noise=noise)
-            else:
-                dec = gumbel_select(logits, opts.tau, "inference")
+            router = {k: params[f"blocks.{l}.router.{k}"] for k in _ROUTER_KEYS}
+            logits = routing_logits_batched(z, pooled, router)
+            noise = (routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
+                     if opts.mode == "train" else None)
+            dec = gumbel_select(logits, opts.tau, noise)
 
             if opts.routing_override is not None:
                 dec.hard_index = np.asarray(opts.routing_override[l], dtype=np.int64)
@@ -586,13 +589,18 @@ class Model:
             cfg.validate()
         except ConfigError as exc:
             raise ckpt.CheckpointError(f"{path}.json: {exc}") from None
-        expected = {k: p.shape for k, p in Model.create(cfg, 0).params.items()}
-        diff = sorted(set(expected.items()) ^ {(k, v.shape) for k, v in tensors.items()})
+        diff = mismatched_tensors(cfg, tensors)
         if diff:
             raise ckpt.CheckpointError(f"{path}: {len(diff)} tensor names or shapes differ "
                                        f"from a {cfg.arch} model, first {diff[0]}")
         params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()}
         return Model(cfg, params)
+
+
+def mismatched_tensors(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> list:
+    """Sorted (name, shape) pairs in which ``tensors`` and a ``cfg`` model differ."""
+    expected = {k: p.shape for k, p in Model.create(cfg, 0).params.items()}
+    return sorted(set(expected.items()) ^ {(k, v.shape) for k, v in tensors.items()})
 
 
 def integrate_flow(

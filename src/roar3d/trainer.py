@@ -19,14 +19,14 @@ fraction matches ``p_pert``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numerics as nx
 from .config import RunConfig, TrainConfig
 from .data import SplitData
-from .model import ForwardInfo, ForwardOptions, Model, rotate_latent
+from .model import ForwardInfo, ForwardOptions, Model, mismatched_tensors, rotate_latent
 from .numerics import Tensor
 from .rng import stream
 from .world import BIN_CENTERS, azimuth_bin
@@ -187,6 +187,16 @@ def cosine_lr(cfg: TrainConfig, step: int, total: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# per-block copy table of the upgrade: new parameter <- trained source, in
+# checkpoint order; router.w_agg has no source and starts at 1/heads
+_UPGRADE_COPIES = (
+    *((f"ca_a.{k}", f"ca_p.{k}") for k in ("w_q", "q_gain", "w_k", "k_gain", "w_v", "w_o")),
+    *((f"router.{k}", f"ca_p.{k}") for k in ("w_q", "w_k", "q_gain", "k_gain")),
+    ("router.ln_gain", "ln_ca.gain"),
+    ("router.ln_bias", "ln_ca.bias"),
+)
+
+
 def upgrade_from_single(single: Model) -> Model:
     """Single-stream checkpoint -> routed dual-stream model.
 
@@ -196,43 +206,21 @@ def upgrade_from_single(single: Model) -> Model:
     backbone is untouched, so forced-primary routing reproduces the source
     model exactly.
     """
-    import dataclasses as _dc
-
     cfg = single.cfg
     if cfg.arch == "routed":
         raise ValueError("model already has router/auxiliary parameters")
-    hd = cfg.attn_width
-    params: dict[str, Tensor] = {}
-    for name, p in single.params.items():
-        params[name] = Tensor(p.data.copy(), requires_grad=True)
+    new_cfg = replace(cfg, arch="routed")
+    data = {name: p.data for name, p in single.params.items()}
     for l in range(cfg.blocks):
         pre = f"blocks.{l}"
-        ca_p = {k.rsplit(".", 1)[-1]: params[f"{pre}.ca_p.{k.rsplit('.', 1)[-1]}"]
-                for k in ("w_q", "q_gain", "w_k", "k_gain", "w_v", "w_o")}
-        expected = {
-            "w_q": (cfg.model_dim, hd), "q_gain": (hd,),
-            "w_k": (cfg.feat_dim, hd), "k_gain": (hd,),
-            "w_v": (cfg.feat_dim, hd), "w_o": (hd, cfg.model_dim),
-        }
-        for key, shape in expected.items():
-            if ca_p[key].shape != shape:
-                raise ValueError(
-                    f"checkpoint/config mismatch at {pre}.ca_p.{key}: "
-                    f"{ca_p[key].shape} vs {shape}"
-                )
-        for key in expected:
-            params[f"{pre}.ca_a.{key}"] = Tensor(ca_p[key].data.copy(), requires_grad=True)
-        params[f"{pre}.router.w_q"] = Tensor(ca_p["w_q"].data.copy(), requires_grad=True)
-        params[f"{pre}.router.w_k"] = Tensor(ca_p["w_k"].data.copy(), requires_grad=True)
-        params[f"{pre}.router.q_gain"] = Tensor(ca_p["q_gain"].data.copy(), requires_grad=True)
-        params[f"{pre}.router.k_gain"] = Tensor(ca_p["k_gain"].data.copy(), requires_grad=True)
-        params[f"{pre}.router.ln_gain"] = Tensor(params[f"{pre}.ln_ca.gain"].data.copy(),
-                                                 requires_grad=True)
-        params[f"{pre}.router.ln_bias"] = Tensor(params[f"{pre}.ln_ca.bias"].data.copy(),
-                                                 requires_grad=True)
-        params[f"{pre}.router.w_agg"] = Tensor(np.full(cfg.heads, 1.0 / cfg.heads),
-                                               requires_grad=True)
-    new_cfg = _dc.replace(cfg, arch="routed")
+        for dst, src in _UPGRADE_COPIES:
+            data[f"{pre}.{dst}"] = data[f"{pre}.{src}"]
+        data[f"{pre}.router.w_agg"] = np.full(cfg.heads, 1.0 / cfg.heads)
+    diff = mismatched_tensors(new_cfg, data)
+    if diff:
+        raise ValueError(f"checkpoint/config mismatch: {len(diff)} tensor names or shapes "
+                         f"differ, first {diff[0]}")
+    params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in data.items()}
     return Model(new_cfg, params)
 
 

@@ -177,11 +177,21 @@ def test_truncated_sidecar_exit_code(pipeline, tmp_path):
     assert code == EXIT_MISSING
 
 
+def _copy_data(src: Path, dst: Path) -> Path:
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    return dst
+
+
+def _sample(pipeline, out: Path, cfg=None, data=None) -> int:
+    return main(["sample", "--config", str(cfg or pipeline["cfg"]),
+                 "--data", str(data or pipeline["data"]),
+                 "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(out)])
+
+
 def test_non_finite_dataset_exit_code(pipeline, tmp_path):
-    data = tmp_path / "data"
-    data.mkdir()
-    for f in pipeline["data"].iterdir():
-        (data / f.name).write_bytes(f.read_bytes())
+    data = _copy_data(pipeline["data"], tmp_path / "data")
     tensors = ckpt.load_tensors(data / "test.bin")
     name = next(k for k in tensors if k.endswith("/feats"))
     tensors[name][0, 0, 0, 0] = np.nan
@@ -196,6 +206,82 @@ def test_bad_config_exit_code(pipeline, tmp_path):
     bad.write_text("[train]\np_pert = 1.5\n", encoding="utf-8")
     code = main(["train-single", "--config", str(bad), "--data", str(pipeline["data"]),
                  "--out", str(tmp_path / "w")])
+    assert code == EXIT_CONFIG
+
+
+def _edit_manifest(data: Path, edit) -> None:
+    manifest = data / "manifest.jsonl"
+    manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def _drop_first_class(text: str) -> str:
+    first, rest = text.split("\n", 1)
+    rec = json.loads(first)
+    del rec["class"]
+    return json.dumps(rec) + "\n" + rest
+
+
+def _drop_first_test_cams(data: Path) -> None:
+    tensors = ckpt.load_tensors(data / "test.bin")
+    del tensors[next(k for k in tensors if k.endswith("/cams"))]
+    ckpt.save_tensors(data / "test.bin", tensors)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: _edit_manifest(data, lambda text: text[:-30]),
+    lambda data: _edit_manifest(data, lambda text: "[1, 2]\n" + text),
+    lambda data: _edit_manifest(data, _drop_first_class),
+    _drop_first_test_cams,
+], ids=["manifest-cut", "record-not-object", "record-without-class", "tensors-missing"])
+def test_malformed_dataset_exit_code(pipeline, tmp_path, edit):
+    data = _copy_data(pipeline["data"], tmp_path / "data")
+    edit(data)
+    assert _sample(pipeline, tmp_path / "y", data=data) == EXIT_MISSING
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("bad.json", lambda text: '{"model": 5}'),
+    ("bad.json", lambda text: "[1, 2]"),
+    ("bad.json", lambda text: '{"run": 5}'),
+    ("bad.json", lambda text: '{"run": {"seed": "x"}}'),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\ntau = 0")),
+    ("bad.cfg", lambda text: text.replace("n_test = 4", "n_test = -1")),
+    ("bad.cfg", lambda text: text.replace("views_per_bin = 2", "views_per_bin = 0")),
+], ids=["section-not-object", "payload-not-object", "run-not-object", "seed-not-int",
+        "tau-zero", "split-size-negative", "views-per-bin-zero"])
+def test_bad_config_value_exit_code(pipeline, tmp_path, name, edit):
+    text = pipeline["cfg"].read_text(encoding="utf-8")
+    assert edit(text) != text
+    bad = tmp_path / name
+    bad.write_text(edit(text), encoding="utf-8")
+    assert _sample(pipeline, tmp_path / "y", cfg=bad) == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def data_without_val(pipeline, tmp_path_factory):
+    """The pipeline dataset with no val records, so its val split is empty."""
+    data = _copy_data(pipeline["data"], tmp_path_factory.mktemp("noval") / "data")
+    _edit_manifest(data, lambda text: "".join(
+        line + "\n" for line in text.splitlines() if json.loads(line)["split"] != "val"))
+    return data
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sample", ["--shape", "-1"]),
+    ("sample", ["--euler-steps", "0"]),
+    ("sample", ["--euler-steps", "-3"]),
+    ("sample", ["--split", "nope"]),
+    ("sample", ["--split", "val"]),
+    ("eval", ["--split", "nope"]),
+    ("eval", ["--split", "val"]),
+    ("eval", ["--view-counts", "1,a"]),
+    ("eval", ["--view-counts", "0"]),
+    ("eval", ["--view-counts", "13"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_bad_argument_exit_code(pipeline, data_without_val, tmp_path, command, extra):
+    code = main([command, "--config", str(pipeline["cfg"]), "--data", str(data_without_val),
+                 "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(tmp_path / "y"),
+                 *extra])
     assert code == EXIT_CONFIG
 
 

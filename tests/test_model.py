@@ -1,6 +1,7 @@
 """Latent codec, dual-stream dispatch, forward passes, parameter counts."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from roar3d.model import (
     rotate_latent,
 )
 from roar3d.numerics import AttentionMeter, Tensor
-from roar3d.router import gumbel_select, pool_view_keys, routing_logits_batched
+from roar3d.router import gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
@@ -110,9 +111,9 @@ UNIT_GATE = Tensor(np.ones((1, MICRO.model_dim)))  # timestep gating lives in th
 def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
     """Block-l cross attention of one sample, routed by the block's router."""
     z = Tensor(tokens[None])
-    pooled = Tensor(pool_view_keys(feats).data[None])
-    dec = gumbel_select(routing_logits_batched(z, pooled, M.block_router(params, l, cfg)),
-                        mode="inference")
+    pooled = Tensor(feats.mean(axis=1)[None])
+    router = {k: params[f"blocks.{l}.router.{k}"] for k in M._ROUTER_KEYS}
+    dec = gumbel_select(routing_logits_batched(z, pooled, router))
     use_p = dec.hard_index == primary
     return M._cross_attention(params, l, z, Tensor(feats[None]), dec.hard_index, use_p,
                               dec.ste_multiplier(), UNIT_GATE, cfg)
@@ -155,6 +156,16 @@ def test_dispatch_rejects_bad_primary():
     with pytest.raises(ValueError):
         forward_multiview(params, MICRO, tokens, rng.random(1), feats, np.array([5]),
                           ForwardOptions(mode="inference"))
+
+
+def test_forward_rejects_unknown_routing_mode():
+    rng = np.random.default_rng(2)
+    params = init_multiview_params(MICRO, 3)
+    tokens = rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))
+    feats = _rand_views(rng, MICRO, 2, batch=1)
+    with pytest.raises(ValueError):
+        forward_multiview(params, MICRO, tokens, rng.random(1), feats, np.array([0]),
+                          ForwardOptions(mode="maybe"))
 
 
 @pytest.mark.parametrize("v", [1, 2, 4, 8])
@@ -346,6 +357,15 @@ def test_forward_gradients_match_soft_surrogate(subtests=None):
 # ---------------------------------------------------------------------------
 # parameter counting and checkpoints
 # ---------------------------------------------------------------------------
+
+
+def test_init_multiview_params_pinned():
+    """Micro names, order and init draws hash to a fixed value (checkpoint layout)."""
+    h = hashlib.sha256()
+    for name, p in init_multiview_params(MICRO, 7).items():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "89402d8a45a95ce46672954d2d74cd4d7b66c636bd8ce5e5c10396709dfed824"
 
 
 def test_count_parameters_router_and_aux_formulas():

@@ -4,44 +4,60 @@ import numpy as np
 import pytest
 
 import roar3d.numerics as nx
+import roar3d.model as M
+from roar3d.config import ModelConfig
 from roar3d.numerics import Tensor, grad_check
-from roar3d.router import (
-    RouterParams,
-    gumbel_select,
-    pool_view_keys,
-    routing_logits_batched,
-    sample_gumbel,
-)
+from roar3d.router import gumbel_select, routing_logits_batched, sample_gumbel
 from roar3d.rng import stream
 
 
 def _params(rng, model_dim=8, feat_dim=8, heads=2, head_dim=4):
-    return RouterParams.init(model_dim, feat_dim, heads, head_dim, rng)
+    cfg = ModelConfig(model_dim=model_dim, feat_dim=feat_dim, heads=heads, head_dim=head_dim)
+    return M._init_router(rng, cfg)
 
 
 # ---------------------------------------------------------------------------
-# pool_view_keys
+# pooled view keys
 # ---------------------------------------------------------------------------
 
 
-def test_pool_constant_patches():
-    c = np.array([1.0, -2.0, 3.0])
-    feats = np.tile(c, (2, 5, 1))
-    pooled = pool_view_keys(feats)
-    assert np.allclose(pooled.data, np.tile(c, (2, 1)), atol=1e-15)
+POOL_CFG = ModelConfig(blocks=1, grid=2, model_dim=16, heads=2, head_dim=4,
+                       patches=4, feat_dim=8, mlp_ratio=2)
 
 
-def test_pool_zero_features():
-    pooled = pool_view_keys(np.zeros((3, 4, 6)))
-    assert np.array_equal(pooled.data, np.zeros((3, 6)))
+def _pooled_keys(monkeypatch, feats):
+    """The (V, feat_dim) pooled keys the routed forward hands the router for ``feats``."""
+    seen = []
+
+    def spy(z, pooled, p):
+        seen.append(pooled.data)
+        return routing_logits_batched(z, pooled, p)
+
+    monkeypatch.setattr(M, "routing_logits_batched", spy)
+    params = M.init_multiview_params(POOL_CFG, 0)
+    z_t = np.zeros((1, POOL_CFG.tokens, POOL_CFG.model_dim))
+    M.forward_multiview(params, POOL_CFG, z_t, np.ones(1), feats[None], np.zeros(1, int))
+    return seen[0][0]
 
 
-def test_pool_matches_direct_summation():
+def test_pool_constant_patches(monkeypatch):
+    c = np.array([1.0, -2.0, 3.0, 0.5, 0.0, 4.0, -1.5, 2.0])
+    feats = np.tile(c, (2, 4, 1))
+    pooled = _pooled_keys(monkeypatch, feats)
+    assert np.allclose(pooled, np.tile(c, (2, 1)), atol=1e-15)
+
+
+def test_pool_zero_features(monkeypatch):
+    pooled = _pooled_keys(monkeypatch, np.zeros((3, 4, 8)))
+    assert np.array_equal(pooled, np.zeros((3, 8)))
+
+
+def test_pool_matches_direct_summation(monkeypatch):
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(3, 4, 8))
-    pooled = pool_view_keys(feats)
+    pooled = _pooled_keys(monkeypatch, feats)
     expect = feats.sum(axis=1) / feats.shape[1]
-    assert np.allclose(pooled.data, expect, rtol=1e-12, atol=1e-15)
+    assert np.allclose(pooled, expect, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +77,8 @@ def test_orthogonal_query_key_gives_zero_logit():
     rng = np.random.default_rng(1)
     p = _params(rng, heads=1, head_dim=2, model_dim=2, feat_dim=2)
     # engineer projections so q = (c, 0) and k = (0, c') before RMSNorm
-    p.w_q.data[...] = np.array([[1.0, 0.0], [1.0, 0.0]])
-    p.w_k.data[...] = np.array([[0.0, 1.0], [0.0, 1.0]])
+    p["w_q"].data[...] = np.array([[1.0, 0.0], [1.0, 0.0]])
+    p["w_k"].data[...] = np.array([[0.0, 1.0], [0.0, 1.0]])
     z = np.array([[0.7, -0.3]])
     pooled = np.array([[0.4, 0.9]])
     r = _one_sample_logits(z, pooled, p)
@@ -90,9 +106,9 @@ def test_routing_logits_match_per_head_oracle():
     r = _one_sample_logits(z, pooled, p).data
 
     # direct evaluation of the stated formula
-    zt = nx.layer_norm(Tensor(z), p.ln_gain, p.ln_bias).data
-    q = nx.rms_norm(Tensor(zt @ p.w_q.data), p.q_gain).data
-    k = nx.rms_norm(Tensor(pooled @ p.w_k.data), p.k_gain).data
+    zt = nx.layer_norm(Tensor(z), p["ln_gain"], p["ln_bias"]).data
+    q = nx.rms_norm(Tensor(zt @ p["w_q"].data), p["q_gain"]).data
+    k = nx.rms_norm(Tensor(pooled @ p["w_k"].data), p["k_gain"]).data
     expect = np.zeros((N, V))
     for i in range(N):
         for v in range(V):
@@ -100,14 +116,14 @@ def test_routing_logits_match_per_head_oracle():
             for h in range(H):
                 qh = q[i, h * dh:(h + 1) * dh]
                 kh = k[v, h * dh:(h + 1) * dh]
-                acc += p.w_agg.data[h] * float(qh @ kh) / np.sqrt(dh)
+                acc += p["w_agg"].data[h] * float(qh @ kh) / np.sqrt(dh)
             expect[i, v] = acc
     assert np.allclose(r, expect, rtol=1e-10, atol=1e-14)
 
 
 def test_w_agg_initialized_uniform():
     p = _params(np.random.default_rng(0), heads=4, head_dim=2)
-    assert np.array_equal(p.w_agg.data, np.full(4, 0.25))
+    assert np.array_equal(p["w_agg"].data, np.full(4, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +133,14 @@ def test_w_agg_initialized_uniform():
 
 def test_single_view_selects_zero_in_both_modes():
     logits = Tensor(np.array([[0.3], [-1.0], [2.0]]))
-    for mode in ("train", "inference"):
-        dec = gumbel_select(logits, mode=mode, rng=np.random.default_rng(0))
+    for noise in (sample_gumbel(np.random.default_rng(0), logits.shape), None):
+        dec = gumbel_select(logits, noise=noise)
         assert np.array_equal(dec.hard_index, np.zeros(3, dtype=np.int64))
         assert np.allclose(dec.y_soft.data, 1.0, atol=1e-15)
 
 
 def test_inference_soft_weights_match_softmax():
-    dec = gumbel_select(Tensor(np.array([[2.0, 1.0, 1.0]])), tau=1.0, mode="inference")
+    dec = gumbel_select(Tensor(np.array([[2.0, 1.0, 1.0]])), tau=1.0)
     assert dec.hard_index[0] == 0
     e = np.exp(np.array([2.0, 1.0, 1.0]))
     assert np.allclose(dec.y_soft.data[0], e / e.sum(), atol=1e-12)
@@ -132,24 +148,20 @@ def test_inference_soft_weights_match_softmax():
 
 
 def test_tie_breaks_to_lowest_index():
-    dec = gumbel_select(Tensor(np.array([[1.0, 1.0]])), mode="inference")
+    dec = gumbel_select(Tensor(np.array([[1.0, 1.0]])))
     assert dec.hard_index[0] == 0
 
 
 def test_invalid_arguments():
     logits = Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        gumbel_select(logits, tau=0.0, mode="inference")
-    with pytest.raises(ValueError):
-        gumbel_select(logits, mode="maybe")
-    with pytest.raises(ValueError):
-        gumbel_select(logits, mode="train")  # no rng, no noise
+        gumbel_select(logits, tau=0.0)
 
 
 def test_ste_forward_identity_is_one_hot():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.normal(size=(6, 4)))
-    dec = gumbel_select(logits, mode="train", rng=rng)
+    dec = gumbel_select(logits, noise=sample_gumbel(rng, logits.shape))
     m = dec.ste_multiplier()
     assert np.array_equal(m.data, np.ones((6, 1)))
     # the one-hot at hard_index: all rows sum to 1 with entries in {0, 1}
@@ -169,7 +181,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
 
     def decision():
         logits = nx.matmul(Tensor(x), w)
-        return gumbel_select(logits, tau=1.0, mode="train", noise=noise)
+        return gumbel_select(logits, tau=1.0, noise=noise)
 
     # real network: STE multiplier scales a fixed downstream value
     w.zero_grad()
@@ -202,23 +214,23 @@ def test_view_permutation_equivariance():
     noise = sample_gumbel(np.random.default_rng(2), (N, V))
     perm = np.array([2, 0, 3, 1])
 
-    base = gumbel_select(Tensor(logits), mode="train", noise=noise)
-    permuted = gumbel_select(Tensor(logits[:, perm]), mode="train", noise=noise[:, perm])
+    base = gumbel_select(Tensor(logits), noise=noise)
+    permuted = gumbel_select(Tensor(logits[:, perm]), noise=noise[:, perm])
     inv = np.argsort(perm)
     assert np.array_equal(inv[base.hard_index], permuted.hard_index)
     assert np.allclose(permuted.y_soft.data, base.y_soft.data[:, perm], atol=1e-12)
 
     # inference mode needs no noise coupling at all
-    b2 = gumbel_select(Tensor(logits), mode="inference")
-    p2 = gumbel_select(Tensor(logits[:, perm]), mode="inference")
+    b2 = gumbel_select(Tensor(logits))
+    p2 = gumbel_select(Tensor(logits[:, perm]))
     assert np.array_equal(inv[b2.hard_index], p2.hard_index)
 
 
 def test_inference_determinism_bit_exact():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(7, 3))
-    a = gumbel_select(Tensor(logits), mode="inference")
-    b = gumbel_select(Tensor(logits), mode="inference")
+    a = gumbel_select(Tensor(logits))
+    b = gumbel_select(Tensor(logits))
     assert np.array_equal(a.hard_index, b.hard_index)
     assert np.array_equal(a.y_soft.data, b.y_soft.data)
 

@@ -246,6 +246,14 @@ def test_upgrade_copies_parameters():
         upgrade_from_single(up)
 
 
+def test_upgrade_checkpoint_bytes_pinned(tmp_path):
+    """The saved upgrade of a micro single model hashes to a fixed value (names, order, data)."""
+    single = Model.create(dataclasses.replace(CFG.model, arch="single"), 4)
+    upgrade_from_single(single).save(tmp_path / "up.bin")
+    digest = hashlib.sha256((tmp_path / "up.bin").read_bytes()).hexdigest()
+    assert digest == "6c4c52378f9e801f025696e416fb6bdd64f080be1219ba2bff0b154e47c81116"
+
+
 def test_upgrade_rejects_shape_mismatch():
     single = Model.create(dataclasses.replace(CFG.model, arch="single"), 5)
     bad_cfg = dataclasses.replace(CFG.model, feat_dim=12, arch="single")
