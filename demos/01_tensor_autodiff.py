@@ -18,7 +18,7 @@ gain = Tensor(np.ones(3), requires_grad=True, name="gain")
 bias = Tensor(np.zeros(3), requires_grad=True, name="bias")
 
 h = nx.layer_norm(nx.matmul(x, w), gain, bias)
-probs = nx.softmax(h, axis=-1)
+probs = nx.softmax(h)
 print("softmax rows sum to:", probs.data.sum(axis=-1))
 
 # --- backward -------------------------------------------------------------

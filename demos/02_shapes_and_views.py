@@ -9,6 +9,7 @@ import numpy as np
 
 from roar3d.config import WorldConfig
 from roar3d.evaluation import chamfer_distance
+from roar3d.rng import stream
 from roar3d.world import Camera, encode_view, generate_shape, rotate_azimuth, sample_views
 
 cfg = WorldConfig()
@@ -22,7 +23,8 @@ for klass in cfg.classes:
           f"CD to rotations: {[round(c, 3) for c in cds]}")
 
 print("\n=== cameras ===")
-cams = sample_views(0, count=8, bins=(0, 1, 2, 3), elevation_max=cfg.elevation_max)
+cams = sample_views(stream(0, "views"), count=8, bins=(0, 1, 2, 3),
+                    elevation_max=cfg.elevation_max)
 for cam in cams:
     print(f"azimuth {cam.azimuth:7.2f}  elevation {cam.elevation:7.2f}  bin {cam.bin}")
 

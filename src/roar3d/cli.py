@@ -53,6 +53,7 @@ def _resolve_config(args) -> RunConfig:
         "train.steps_single": getattr(args, "steps_single", None),
         "train.steps_mv": getattr(args, "steps_mv", None),
         "sample.euler_steps": getattr(args, "euler_steps", None),
+        "world.classes": getattr(args, "classes", None),
     }
     return cfg.apply_overrides(overrides)
 
@@ -95,12 +96,7 @@ def _load_data(path: str):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    classes = tuple(args.classes.split(",")) if args.classes else None
-    if classes:
-        unknown = set(classes) - set(cfg.world.classes)
-        if unknown:
-            raise ConfigError(f"unknown classes: {sorted(unknown)}")
-    build_dataset(cfg, args.out, classes=classes, force=args.force)
+    build_dataset(cfg, args.out, force=args.force)
     print(f"dataset written to {args.out}")
     return EXIT_OK
 
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the procedural dataset")
     _add_common(p)
-    p.add_argument("--classes", help="comma-separated shape class filter")
+    p.add_argument("--classes", help="comma-separated shape classes (world.classes)")
     p.add_argument("--force", action="store_true", help="overwrite an existing dataset")
     p.set_defaults(fn=cmd_gen_data)
 

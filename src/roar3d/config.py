@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .checkpoint import content_hash
+from .rng import SEED_LIMIT
 
 __all__ = [
     "WorldConfig",
@@ -68,6 +69,13 @@ class WorldConfig:
     @property
     def patches(self) -> int:
         return self.patch_grid * self.patch_grid
+
+    def validate(self) -> None:
+        if not 0 <= self.lift_seed < SEED_LIMIT:
+            raise ConfigError("world.lift_seed must lie in [0, 2**63)")
+        if not self.classes or not set(self.classes) <= set(SHAPE_CLASSES):
+            raise ConfigError(f"world.classes must be a non-empty subset of {SHAPE_CLASSES}, "
+                              f"got {self.classes}")
 
 
 @dataclass
@@ -166,6 +174,9 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed must lie in [0, 2**63)")
+        self.world.validate()
         self.model.validate()
         self.train.validate()
         self.sample.validate()

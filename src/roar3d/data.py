@@ -53,9 +53,9 @@ class DatasetStore:
         return self.splits[name]
 
 
-def _shape_record(cfg: RunConfig, index: int, classes: tuple[str, ...]) -> dict:
+def _shape_record(cfg: RunConfig, index: int) -> dict:
     seed = stream_seed(cfg.seed, "dataset-shape", index)
-    klass = classes[index % len(classes)]
+    klass = cfg.world.classes[index % len(cfg.world.classes)]
     sizes = (cfg.sample.n_train, cfg.sample.n_val, cfg.sample.n_test)
     bounds = np.cumsum(sizes)
     split = SPLITS[int(np.searchsorted(bounds, index, side="right"))]
@@ -78,17 +78,15 @@ def _build_shape(rec: dict, cfg: RunConfig) -> dict[str, np.ndarray]:
     return {"points": pc.points, "latent": latent, "feats": feats, "cams": cams}
 
 
-def build_dataset(cfg: RunConfig, out_dir: str | Path, classes=None,
-                  force: bool = False) -> Path:
+def build_dataset(cfg: RunConfig, out_dir: str | Path, force: bool = False) -> Path:
     """Generate manifest + per-split containers under ``out_dir``."""
     out = Path(out_dir)
     manifest_path = out / "manifest.jsonl"
     if manifest_path.exists() and not force:
         raise FileExistsError(f"{manifest_path} exists (use force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
-    classes = tuple(classes) if classes else cfg.world.classes
     total = cfg.sample.n_train + cfg.sample.n_val + cfg.sample.n_test
-    records = [_shape_record(cfg, i, classes) for i in range(total)]
+    records = [_shape_record(cfg, i) for i in range(total)]
 
     workers = worker_count()
     if workers > 1:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .checkpoint import CheckpointError
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
 from .world import Camera, PointCloud, encode_view
@@ -172,12 +172,17 @@ def consistency_report(traces: list[np.ndarray]) -> dict:
     traces; the global std is across the pooled per-token values (tokens are
     the sampling unit there, which is why its spread is a lot larger).
     Early/mid/late split timesteps for cross-block and global, and blocks
-    for cross-timestep.
+    for cross-timestep. Traces whose timestep or block counts differ raise
+    ConfigError.
     """
     if not traces:
         raise ValueError("no traces")
     traces = [_check_trace(t) for t in traces]
     T, L, _ = traces[0].shape
+    for t in traces[1:]:
+        if t.shape[:2] != (T, L):
+            raise ConfigError(f"trace shapes {traces[0].shape} and {t.shape} differ in "
+                              "timestep or block count")
     cb = np.array([cross_block_consistency(t) for t in traces])
     ct = np.array([cross_timestep_consistency(t) for t in traces])
     gl_tokens = np.concatenate([global_per_token(t) for t in traces])
@@ -243,7 +248,6 @@ def evaluate(
     cfg: RunConfig,
     view_counts=(1, 2, 4),
     seed: int = 0,
-    euler_steps: int | None = None,
 ) -> dict:
     """Decode held-out shapes under each view count and score the geometry.
 
@@ -251,7 +255,6 @@ def evaluate(
     count, so per-shape comparisons across counts are paired. Empty decodes
     score the worst-case sentinel and are counted separately.
     """
-    steps = euler_steps or cfg.sample.euler_steps
     n = len(split)
     N, D = split.latents.shape[1:]
     z_init = np.stack([stream(seed, "eval-noise", j).normal(size=(N, D)) for j in range(n)])
@@ -267,7 +270,8 @@ def evaluate(
     for count in view_counts:
         feats = feats_all[:, :count]
         z0, _ = integrate_flow(model.params, model.cfg, feats,
-                               np.zeros(n, dtype=np.int64), z_init, steps=steps)
+                               np.zeros(n, dtype=np.int64), z_init,
+                               steps=cfg.sample.euler_steps)
         cds, f1a, f1b, empty = [], [], [], 0
         for j in range(n):
             pred = latent_decode(z0[j], model.cfg)

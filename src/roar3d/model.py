@@ -440,8 +440,7 @@ def _cross_attention(
     q_p, k_p, vv_p = _ca_qkv(params, f"{pre}.ca_p", znorm, feats, cfg)
     q_a, k_a, vv_a = (q_p, k_p, vv_p) if multiplier is None else \
         _ca_qkv(params, f"{pre}.ca_a", znorm, feats, cfg)
-    attn = nx.routed_attention(q_p, q_a, (k_p, vv_p), (k_a, vv_a), v_star, use_primary,
-                               tag=f"cross.{l}")
+    attn = nx.routed_attention(q_p, q_a, (k_p, vv_p), (k_a, vv_a), v_star, use_primary)
     flat = nx.reshape(attn, (B, N, cfg.attn_width))
     if multiplier is None:
         out = nx.matmul(flat, params[f"{pre}.ca_p.w_o"])

@@ -12,8 +12,8 @@ design goals are auditability and determinism, not generality:
 
 Tensors are immutable after construction except through their owning graph;
 forward/backward of one graph is single-threaded, independent graphs may run
-on independent threads. ``no_grad`` and ``AttentionMeter`` act on the current
-context only, so one thread's inference does not switch off another's graph.
+on independent threads. ``no_grad`` acts on the current context only, so one
+thread's inference does not switch off another's graph.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "Tensor",
     "ComputationTape",
     "ShapeError",
-    "AttentionMeter",
     "no_grad",
     "matmul",
     "add",
@@ -178,45 +177,6 @@ class ComputationTape:
 
 
 # ---------------------------------------------------------------------------
-# attention instrumentation
-# ---------------------------------------------------------------------------
-
-
-class AttentionMeter:
-    """Counts keys attended per query token, split by kernel tag.
-
-    Enable via ``with AttentionMeter() as meter:``; kernels running in the
-    same context report (token_count, keys_per_token) per call.
-    ``per_token_keys(tag)`` returns one entry per attended token.
-    """
-
-    _active: ContextVar["AttentionMeter | None"] = ContextVar("attention_meter", default=None)
-
-    def __init__(self):
-        self.records: list[tuple[str, int, int]] = []
-
-    def __enter__(self) -> "AttentionMeter":
-        self._token = AttentionMeter._active.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        AttentionMeter._active.reset(self._token)
-
-    @classmethod
-    def record(cls, tag: str, tokens: int, keys: int) -> None:
-        meter = cls._active.get()
-        if meter is not None and tokens:
-            meter.records.append((tag, tokens, keys))
-
-    def per_token_keys(self, tag_prefix: str) -> np.ndarray:
-        out: list[int] = []
-        for tag, tokens, keys in self.records:
-            if tag.startswith(tag_prefix):
-                out.extend([keys] * tokens)
-        return np.asarray(out, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
 
@@ -334,21 +294,21 @@ def scale_batch(x: Tensor, s: np.ndarray) -> Tensor:
     return _node(x.data * view, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max-subtracted) along one axis."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax (max-subtracted) over the last axis."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         x.accum_grad(y * (g - dot))
 
     return _node(y, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row zero mean / unit variance over the last axis, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
@@ -358,7 +318,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
         raise ShapeError("layer_norm affine shape mismatch")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
     y = xhat * gain.data + bias.data
 
@@ -374,14 +334,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     return _node(y, (x, gain, bias), backward)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
-    """x / sqrt(mean(x^2) + eps) * gain over the last axis."""
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """x / sqrt(mean(x^2) + RMS_EPS) * gain over the last axis."""
     x, gain = _as_tensor(x), _as_tensor(gain)
     d = x.shape[-1]
     if gain.shape != (d,):
         raise ShapeError("rms_norm gain shape mismatch")
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
+    inv = 1.0 / np.sqrt(ms + RMS_EPS)
     u = x.data * inv
     y = u * gain.data
 
@@ -543,7 +503,27 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def self_attention(q: Tensor, k: Tensor, v: Tensor, tag: str = "self") -> Tensor:
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sc: float):
+    """softmax(q k^T * sc) v over (..., n, d) arrays; returns (out, attn)."""
+    scores = np.matmul(q, k.swapaxes(-1, -2)) * sc
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return np.matmul(attn, v), attn
+
+
+def _attend_grad(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                 attn: np.ndarray, sc: float):
+    """Backward of :func:`_attend` for output gradient ``g``; returns (gq, gk, gv)."""
+    gattn = np.matmul(g, v.swapaxes(-1, -2))
+    gv = np.matmul(attn.swapaxes(-1, -2), g)
+    gs = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
+    gq = np.matmul(gs, k) * sc
+    gk = np.matmul(gs.swapaxes(-1, -2), q) * sc
+    return gq, gk, gv
+
+
+def self_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention, q/k/v shaped (B, H, N, d).
 
     Fused so one graph node covers scores, softmax and the value product.
@@ -551,21 +531,14 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, tag: str = "self") -> Tensor
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 4 or q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"self_attention shapes: {q.shape}, {k.shape}, {v.shape}")
-    B, H, N, dh = q.shape
-    sc = 1.0 / np.sqrt(dh)
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * sc
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    out = np.matmul(attn, v.data)
-    AttentionMeter.record(tag, B * N, N)
+    sc = 1.0 / np.sqrt(q.shape[-1])
+    out, attn = _attend(q.data, k.data, v.data, sc)
 
     def backward(g: np.ndarray) -> None:
-        gattn = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        v.accum_grad(np.matmul(np.swapaxes(attn, -1, -2), g))
-        gs = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
-        q.accum_grad(np.matmul(gs, k.data) * sc)
-        k.accum_grad(np.matmul(np.swapaxes(gs, -1, -2), q.data) * sc)
+        gq, gk, gv = _attend_grad(g, q.data, k.data, v.data, attn, sc)
+        v.accum_grad(gv)
+        q.accum_grad(gq)
+        k.accum_grad(gk)
 
     return _node(out, (q, k, v), backward)
 
@@ -577,7 +550,6 @@ def routed_attention(
     kv_a: tuple[Tensor, Tensor],
     view_index: np.ndarray,
     use_primary: np.ndarray,
-    tag: str = "cross",
 ) -> Tensor:
     """Per-token single-view cross attention with dual parameter streams.
 
@@ -586,8 +558,7 @@ def routed_attention(
     ``use_primary[b, n]`` and the auxiliary stream otherwise. Queries are
     (B, N, H, d); each stream's keys/values are (B, V, S, H, d). Tokens are
     grouped by (sample, view, stream) so the kernel runs a handful of
-    medium-sized matmuls instead of one per token, and the instrumented
-    attended-key count per token is S by construction.
+    medium-sized matmuls instead of one per token.
     """
     q_p, q_a = _as_tensor(q_p), _as_tensor(q_a)
     k_p, v_p = (_as_tensor(t) for t in kv_p)
@@ -597,7 +568,7 @@ def routed_attention(
     if k_p.shape != v_p.shape or k_a.shape != v_a.shape or k_p.shape != k_a.shape:
         raise ShapeError("routed_attention key/value shapes differ")
     B, N, H, dh = q_p.shape
-    Bv, V, S, Hk, dk = k_p.shape
+    Bv, V, _, Hk, dk = k_p.shape
     if (Bv, Hk, dk) != (B, H, dh):
         raise ShapeError(f"routed_attention q {q_p.shape} vs k {k_p.shape}")
     view_index = np.asarray(view_index, dtype=np.int64)
@@ -607,6 +578,13 @@ def routed_attention(
     if view_index.min() < 0 or view_index.max() >= V:
         raise ShapeError("view index out of range")
     sc = 1.0 / np.sqrt(dh)
+    streams = {True: (q_p, k_p, v_p), False: (q_a, k_a, v_a)}
+
+    def operands(b, v, primary, idx):
+        """The group's (H, G, d) queries and (H, S, d) keys and values."""
+        q, k, vv = streams[primary]
+        return (q.data[b, idx].transpose(1, 0, 2), k.data[b, v].transpose(1, 0, 2),
+                vv.data[b, v].transpose(1, 0, 2))
 
     out = np.zeros((B, N, H, dh))
     groups: list[tuple[int, int, bool, np.ndarray, np.ndarray]] = []
@@ -617,50 +595,22 @@ def routed_attention(
                 idx = np.nonzero(sel & (use_primary[b] == primary))[0]
                 if idx.size == 0:
                     continue
-                q_src = q_p if primary else q_a
-                k_src = k_p if primary else k_a
-                v_src = v_p if primary else v_a
-                qg = q_src.data[b, idx].transpose(1, 0, 2)        # (H, G, d)
-                kg = k_src.data[b, v].transpose(1, 2, 0)          # (H, d, S)
-                scores = np.matmul(qg, kg) * sc                   # (H, G, S)
-                scores -= scores.max(axis=-1, keepdims=True)
-                e = np.exp(scores)
-                attn = e / e.sum(axis=-1, keepdims=True)
-                og = np.matmul(attn, v_src.data[b, v].transpose(1, 0, 2))  # (H, G, d)
+                og, attn = _attend(*operands(b, v, primary, idx), sc)
                 out[b, idx] = og.transpose(1, 0, 2)
                 groups.append((b, int(v), primary, idx, attn))
-                AttentionMeter.record(tag + ("_p" if primary else "_a"), idx.size, S)
 
     def backward(g: np.ndarray) -> None:
-        gq_p = np.zeros_like(q_p.data)
-        gq_a = np.zeros_like(q_a.data)
-        gk_p = np.zeros_like(k_p.data)
-        gk_a = np.zeros_like(k_a.data)
-        gv_p = np.zeros_like(v_p.data)
-        gv_a = np.zeros_like(v_a.data)
+        grads = {s: [np.zeros_like(t.data) for t in ts] for s, ts in streams.items()}
         for b, v, primary, idx, attn in groups:
-            q_src = q_p if primary else q_a
-            k_src = k_p if primary else k_a
-            v_src = v_p if primary else v_a
-            go = g[b, idx].transpose(1, 0, 2)                      # (H, G, d)
-            vg = v_src.data[b, v].transpose(1, 0, 2)               # (H, S, d)
-            gattn = np.matmul(go, vg.transpose(0, 2, 1))           # (H, G, S)
-            gvv = np.matmul(attn.transpose(0, 2, 1), go)           # (H, S, d)
-            gs = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
-            kg = k_src.data[b, v].transpose(1, 0, 2)               # (H, S, d)
-            gqg = np.matmul(gs, kg) * sc                           # (H, G, d)
-            qg = q_src.data[b, idx].transpose(1, 0, 2)
-            gkk = np.matmul(gs.transpose(0, 2, 1), qg) * sc        # (H, S, d)
-            tgt_q = gq_p if primary else gq_a
-            tgt_q[b, idx] += gqg.transpose(1, 0, 2)
-            (gk_p if primary else gk_a)[b, v] += gkk.transpose(1, 0, 2)
-            (gv_p if primary else gv_a)[b, v] += gvv.transpose(1, 0, 2)
-        q_p.accum_grad(gq_p)
-        q_a.accum_grad(gq_a)
-        k_p.accum_grad(gk_p)
-        k_a.accum_grad(gk_a)
-        v_p.accum_grad(gv_p)
-        v_a.accum_grad(gv_a)
+            gq, gk, gv = _attend_grad(g[b, idx].transpose(1, 0, 2),
+                                      *operands(b, v, primary, idx), attn, sc)
+            gq_s, gk_s, gv_s = grads[primary]
+            gq_s[b, idx] += gq.transpose(1, 0, 2)
+            gk_s[b, v] += gk.transpose(1, 0, 2)
+            gv_s[b, v] += gv.transpose(1, 0, 2)
+        for i in range(3):  # q_p, q_a, k_p, k_a, v_p, v_a
+            for primary in (True, False):
+                streams[primary][i].accum_grad(grads[primary][i])
 
     return _node(out, (q_p, q_a, k_p, v_p, k_a, v_a), backward)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "stream_seed", "worker_count"]
+__all__ = ["SEED_LIMIT", "stream", "stream_seed", "worker_count"]
+
+SEED_LIMIT = 2**63  # root seeds lie in [0, SEED_LIMIT)
 
 # FNV-1a, used to fold stream names into the Philox key deterministically.
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -30,11 +32,14 @@ def stream(root_seed: int, name: str, *counters: int) -> np.random.Generator:
 
     Identical arguments always yield a generator producing the identical
     sequence; distinct names or counter words give decorrelated streams.
-    At most two counter words are supported (e.g. step, block).
+    At most two counter words are supported (e.g. step, block), and the root
+    seed must lie in [0, SEED_LIMIT).
     """
     if len(counters) > 2:
         raise ValueError("at most two counter words (got %d)" % len(counters))
-    key = [int(root_seed) & 0xFFFFFFFFFFFFFFFF, _fnv1a(name)]
+    if not 0 <= int(root_seed) < SEED_LIMIT:
+        raise ValueError(f"root seed {root_seed} outside [0, 2**63)")
+    key = [int(root_seed), _fnv1a(name)]
     counter = [int(c) & 0xFFFFFFFFFFFFFFFF for c in counters]
     counter += [0] * (4 - len(counter))
     bitgen = np.random.Philox(key=key, counter=counter)
@@ -46,8 +51,8 @@ def stream_seed(root_seed: int, name: str, *counters: int) -> int:
     return int(stream(root_seed, name, *counters).integers(0, 2**63 - 1))
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker parallelism cap: min(cpu count, ROAR_THREADS, requested)."""
+def worker_count() -> int:
+    """Worker parallelism cap: min(cpu count, ROAR_THREADS)."""
     import os
 
     n = os.cpu_count() or 1
@@ -57,6 +62,4 @@ def worker_count(requested: int | None = None) -> int:
             n = min(n, max(1, int(env)))
         except ValueError:
             pass
-    if requested is not None:
-        n = min(n, max(1, requested))
     return n

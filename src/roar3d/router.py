@@ -97,7 +97,7 @@ def gumbel_select(logits: Tensor, tau: float = 1.0,
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     noisy = logits if noise is None else nx.add(logits, Tensor(noise))
     hard = np.argmax(noisy.data, axis=-1)
-    y_soft = nx.softmax(nx.scale(noisy, 1.0 / tau), axis=-1)
+    y_soft = nx.softmax(nx.scale(noisy, 1.0 / tau))
     return RoutingDecision(hard_index=hard, y_soft=y_soft)
 
 

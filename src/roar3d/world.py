@@ -276,14 +276,12 @@ def rotate_azimuth(pc: PointCloud, degrees: float) -> PointCloud:
 
 
 def sample_views(
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
     count: int,
     bins=(0, 1, 2, 3),
     elevation_max: float = 30.0,
 ) -> list[Camera]:
     """Cameras with azimuth uniform within uniformly chosen bins."""
-    if isinstance(rng, (int, np.integer)):
-        rng = stream(int(rng), "views")
     bins = sorted(set(int(b) for b in bins))
     if not bins or any(b not in (0, 1, 2, 3) for b in bins):
         raise ValueError(f"bins must be a non-empty subset of {{0..3}}, got {bins}")

@@ -101,6 +101,12 @@ def test_gen_data_class_filter(tmp_path):
     assert all(r["class"] == "notched-box" for r in recs)
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "bad"),
                  "--classes", "dodecahedron"]) == EXIT_CONFIG
+    # the filter is the world.classes override, so dataset.cfg rebuilds the same dataset
+    assert "classes = notched-box\n" in (out / "dataset.cfg").read_text()
+    again = tmp_path / "again"
+    assert main(["gen-data", "--config", str(out / "dataset.cfg"), "--out", str(again)]) == EXIT_OK
+    for name in ("manifest.jsonl", "train.bin", "val.bin", "test.bin", "dataset.cfg"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +253,11 @@ def test_malformed_dataset_exit_code(pipeline, tmp_path, edit):
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\ntau = 0")),
     ("bad.cfg", lambda text: text.replace("n_test = 4", "n_test = -1")),
     ("bad.cfg", lambda text: text.replace("views_per_bin = 2", "views_per_bin = 0")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nclasses = foo")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nlift_seed = -1")),
 ], ids=["section-not-object", "payload-not-object", "run-not-object", "seed-not-int",
-        "tau-zero", "split-size-negative", "views-per-bin-zero"])
+        "tau-zero", "split-size-negative", "views-per-bin-zero", "unknown-class",
+        "lift-seed-negative"])
 def test_bad_config_value_exit_code(pipeline, tmp_path, name, edit):
     text = pipeline["cfg"].read_text(encoding="utf-8")
     assert edit(text) != text
@@ -277,6 +286,8 @@ def data_without_val(pipeline, tmp_path_factory):
     ("eval", ["--view-counts", "1,a"]),
     ("eval", ["--view-counts", "0"]),
     ("eval", ["--view-counts", "13"]),
+    ("sample", ["--seed", "-1"]),
+    ("sample", ["--seed", str(2**64 - 1)]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
 def test_bad_argument_exit_code(pipeline, data_without_val, tmp_path, command, extra):
     code = main([command, "--config", str(pipeline["cfg"]), "--data", str(data_without_val),
@@ -371,6 +382,14 @@ def test_analyze_router_truncated_trace_exit_code(tmp_path):
     save_trace(p, np.zeros((4, 2, 6), dtype=int), view_count=2)
     p.write_bytes(p.read_bytes()[:-3])
     assert main(["analyze-router", "--out", str(tmp_path / "c.json"), str(p)]) == EXIT_MISSING
+
+
+def test_analyze_router_traces_of_different_lengths_exit_code(tmp_path):
+    paths = []
+    for i, shape in enumerate([(4, 2, 6), (3, 2, 5)]):
+        paths.append(str(tmp_path / f"t{i}.rtrc"))
+        save_trace(paths[-1], np.zeros(shape, dtype=int), view_count=2)
+    assert main(["analyze-router", "--out", str(tmp_path / "r.json"), *paths]) == EXIT_CONFIG
 
 
 def test_analyze_router_matches_library_metrics(pipeline, tmp_path):

@@ -23,7 +23,7 @@ from roar3d.model import (
     latent_encode,
     rotate_latent,
 )
-from roar3d.numerics import AttentionMeter, Tensor
+from roar3d.numerics import Tensor
 from roar3d.router import gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
@@ -170,18 +170,27 @@ def test_forward_rejects_unknown_routing_mode():
 
 @pytest.mark.parametrize("v", [1, 2, 4, 8])
 def test_per_token_attended_keys_equal_patch_count(v):
+    """Each token's output is a softmax over the S keys of its own view and stream."""
     rng = np.random.default_rng(3)
-    params = init_multiview_params(MICRO, 4)
-    B, N = 2, MICRO.tokens
-    z_t = rng.normal(size=(B, N, MICRO.model_dim))
-    feats = _rand_views(rng, MICRO, v, batch=B)
-    primary = np.zeros(B, dtype=np.int64)
-    with AttentionMeter() as meter:
-        forward_multiview(params, MICRO, z_t, rng.random(B), feats, primary,
-                          ForwardOptions(mode="inference"))
-    keys = meter.per_token_keys("cross")
-    assert keys.size == B * N * MICRO.blocks
-    assert (keys == MICRO.patches).all()
+    B, N, S, H, d = 2, MICRO.tokens, MICRO.patches, MICRO.heads, MICRO.head_dim
+    q = {s: rng.normal(size=(B, N, H, d)) for s in (True, False)}
+    k = {s: rng.normal(size=(B, v, S, H, d)) for s in (True, False)}
+    val = {s: rng.normal(size=(B, v, S, H, d)) for s in (True, False)}
+    view_index = rng.integers(0, v, size=(B, N))
+    use_primary = rng.random((B, N)) < 0.5
+    out = nx.routed_attention(Tensor(q[True]), Tensor(q[False]),
+                              (Tensor(k[True]), Tensor(val[True])),
+                              (Tensor(k[False]), Tensor(val[False])),
+                              view_index, use_primary).data
+    ref = np.zeros_like(out)
+    for b in range(B):
+        for n in range(N):
+            s, w = bool(use_primary[b, n]), view_index[b, n]
+            for h in range(H):
+                logits = k[s][b, w, :, h] @ q[s][b, n, h] / np.sqrt(d)   # (S,)
+                p = np.exp(logits - logits.max())
+                ref[b, n, h] = (p / p.sum()) @ val[s][b, w, :, h]
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -391,12 +391,3 @@ def test_no_grad_in_another_thread_keeps_this_threads_graph():
     assert w.grad is not None
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
-
-def test_attention_meter_counts_only_its_own_thread():
-    q = Tensor(np.random.default_rng(0).normal(size=(1, 1, 3, 2)))
-    with _entered_in_other_thread(nx.AttentionMeter) as other:
-        nx.self_attention(q, q, q)  # no meter open in this thread
-        with nx.AttentionMeter() as mine:
-            nx.self_attention(q, q, q)
-    assert other.records == []
-    assert mine.per_token_keys("self").tolist() == [3, 3, 3]

@@ -5,6 +5,7 @@ import pytest
 
 from roar3d.config import WorldConfig
 from roar3d.evaluation import chamfer_distance
+from roar3d.rng import stream
 from roar3d.world import (
     Camera,
     PointCloud,
@@ -104,7 +105,7 @@ def test_azimuth_bin_boundaries():
 
 
 def test_sample_views_single_bin_range():
-    cams = sample_views(0, count=64, bins=(0,))
+    cams = sample_views(stream(0, "views"), count=64, bins=(0,))
     for cam in cams:
         assert cam.bin == 0
         folded = (cam.azimuth + 45.0) % 360.0
@@ -112,26 +113,33 @@ def test_sample_views_single_bin_range():
 
 
 def test_sample_views_bin_frequencies():
-    cams = sample_views(7, count=10_000, bins=(0, 1, 2, 3))
+    cams = sample_views(stream(7, "views"), count=10_000, bins=(0, 1, 2, 3))
     freq = np.bincount([c.bin for c in cams], minlength=4) / 10_000
     assert np.abs(freq - 0.25).max() < 0.02
 
 
 def test_sample_views_deterministic():
-    a = sample_views(3, count=10, bins=(1, 2))
-    b = sample_views(3, count=10, bins=(1, 2))
+    a = sample_views(stream(3, "views"), count=10, bins=(1, 2))
+    b = sample_views(stream(3, "views"), count=10, bins=(1, 2))
     assert [(c.azimuth, c.elevation) for c in a] == [(c.azimuth, c.elevation) for c in b]
 
 
 def test_sample_views_rejects_empty_bins():
     with pytest.raises(ValueError):
-        sample_views(0, count=1, bins=())
+        sample_views(stream(0, "views"), count=1, bins=())
     with pytest.raises(ValueError):
-        sample_views(0, count=1, bins=(5,))
+        sample_views(stream(0, "views"), count=1, bins=(5,))
+
+
+def test_stream_rejects_root_seed_outside_range():
+    for seed in (-1, 2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match="root seed"):
+            stream(seed, "views")
+    assert stream(2**63 - 1, "views").random() != stream(0, "views").random()
 
 
 def test_camera_bin_invariant_holds_for_samples():
-    cams = sample_views(11, count=500, bins=(0, 1, 2, 3))
+    cams = sample_views(stream(11, "views"), count=500, bins=(0, 1, 2, 3))
     for cam in cams:
         assert cam.bin == azimuth_bin(cam.azimuth)
 
