@@ -77,7 +77,7 @@ def _save_run_model(model: Model, cfg: RunConfig, out: Path, phase: str, steps: 
 
 def _load_model(path: str) -> Model:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise FileNotFoundError(f"checkpoint not found: {p}")
     return Model.load(p)
 
@@ -157,6 +157,8 @@ def _shape_features(points: np.ndarray, cfg: RunConfig, count: int) -> np.ndarra
 def cmd_sample(args) -> int:
     cfg = _resolve_config(args)
     model = _load_model(args.ckpt)
+    if args.trace and model.cfg.arch != "routed":
+        raise ConfigError("--trace requires a routed checkpoint")
     data = _load_data(args.data)
     split = data.split(args.split)
     if not 0 <= args.shape < len(split):
@@ -181,8 +183,6 @@ def cmd_sample(args) -> int:
         "config_hash": cfg.provenance,
     })
     if args.trace:
-        if trace is None:
-            raise ConfigError("--trace requires a routed checkpoint")
         evaluation.save_trace(out / "trace.rtrc", trace[:, :, 0, :], args.views,
                               meta={"shape_id": split.ids[args.shape], "seed": cfg.seed})
     print(f"sample written to {out / 'sample.bin'} ({points.shape[0]} points)")
@@ -214,7 +214,7 @@ def cmd_analyze_router(args) -> int:
     traces = []
     for path in args.traces:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise FileNotFoundError(f"trace not found: {p}")
         trace, _ = evaluation.load_trace(p)
         traces.append(trace)

@@ -8,10 +8,7 @@ Config files are diff-friendly ``key = value`` text with ``[section]``
 headers (JSON with the same section/key structure is also accepted).
 
 The desk-scale defaults below are sized so a full two-phase training run
-finishes in minutes on a laptop CPU. The production-scale operating point
-this miniature mirrors (21 blocks, 4096 latent tokens, hidden width 2048,
-256 patch tokens of width 1024 per view, 50 sampling steps) is kept in
-:data:`REFERENCE_SCALE` for documentation; it is far outside a desk budget.
+finishes in minutes on a laptop CPU.
 """
 
 from __future__ import annotations
@@ -32,19 +29,7 @@ __all__ = [
     "SampleConfig",
     "RunConfig",
     "ConfigError",
-    "REFERENCE_SCALE",
 ]
-
-# Documented large-scale reference values (not buildable at desk scale).
-REFERENCE_SCALE = {
-    "blocks": 21,
-    "tokens": 4096,
-    "model_dim": 2048,
-    "patches": 256,
-    "feat_dim": 1024,
-    "sample_steps": 50,
-    "lr": 1e-5,
-}
 
 SHAPE_CLASSES = ("notched-box", "l-prism", "asymmetric-cross", "stepped-pyramid")
 
@@ -241,9 +226,12 @@ class RunConfig:
     @staticmethod
     def load(path: str | Path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
         if path.suffix == ".json" or text.lstrip().startswith("{"):
             try:
                 return RunConfig.from_dict(json.loads(text))

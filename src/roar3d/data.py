@@ -31,7 +31,6 @@ SPLITS = ("train", "val", "test")
 @dataclass
 class SplitData:
     ids: list[str]
-    classes: list[str]
     points: np.ndarray       # (n, P, 3)
     latents: np.ndarray      # (n, N, D)
     feats: np.ndarray        # (n, 4, K, S, feat_dim) camera-pool features
@@ -44,7 +43,6 @@ class SplitData:
 @dataclass
 class DatasetStore:
     splits: dict[str, SplitData]
-    manifest: list[dict]
 
     def split(self, name: str) -> SplitData:
         """The named split; an unknown or empty split (not loaded) is a ConfigError."""
@@ -139,7 +137,6 @@ def load_dataset(path: str | Path) -> DatasetStore:
         try:
             splits[split] = SplitData(
                 ids=[r["shape_id"] for r in recs],
-                classes=[r["class"] for r in recs],
                 points=np.stack([tensors[f"{r['shape_id']}/points"] for r in recs]),
                 latents=np.stack([tensors[f"{r['shape_id']}/latent"] for r in recs]),
                 feats=np.stack([tensors[f"{r['shape_id']}/feats"] for r in recs]),
@@ -147,4 +144,4 @@ def load_dataset(path: str | Path) -> DatasetStore:
             )
         except KeyError as exc:
             raise ckpt.CheckpointError(f"{path / f'{split}.bin'}: no tensor {exc}") from None
-    return DatasetStore(splits=splits, manifest=manifest)
+    return DatasetStore(splits=splits)

@@ -57,10 +57,6 @@ class GeoMetrics:
     f1_at_0_1: float          # percent
     f1_at_0_05: float         # percent
 
-    @property
-    def cd_x1000(self) -> float:
-        return 1e3 * self.cd
-
 
 def _points(cloud) -> np.ndarray:
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
@@ -172,13 +168,16 @@ def consistency_report(traces: list[np.ndarray]) -> dict:
     traces; the global std is across the pooled per-token values (tokens are
     the sampling unit there, which is why its spread is a lot larger).
     Early/mid/late split timesteps for cross-block and global, and blocks
-    for cross-timestep. Traces whose timestep or block counts differ raise
-    ConfigError.
+    for cross-timestep. Traces whose timestep or block counts differ, or
+    that have fewer than two of either, raise ConfigError.
     """
     if not traces:
         raise ValueError("no traces")
     traces = [_check_trace(t) for t in traces]
     T, L, _ = traces[0].shape
+    if T < 2 or L < 2:
+        raise ConfigError(f"trace shape {traces[0].shape} needs at least two timesteps "
+                          "and two blocks")
     for t in traces[1:]:
         if t.shape[:2] != (T, L):
             raise ConfigError(f"trace shapes {traces[0].shape} and {t.shape} differ in "
@@ -253,8 +252,11 @@ def evaluate(
 
     The initial noise is drawn once per shape and reused for every view
     count, so per-shape comparisons across counts are paired. Empty decodes
-    score the worst-case sentinel and are counted separately.
+    score the worst-case sentinel and are counted separately. Non-finite
+    ``split.points`` raise ValueError.
     """
+    if not np.isfinite(split.points).all():
+        raise ValueError("evaluate needs finite split.points")
     n = len(split)
     N, D = split.latents.shape[1:]
     z_init = np.stack([stream(seed, "eval-noise", j).normal(size=(N, D)) for j in range(n)])

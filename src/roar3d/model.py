@@ -285,8 +285,6 @@ class ForwardOptions:
     tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
-    routing_override: list | None = None   # per-block (B, N) hard indices
-    ste_offsets: list | None = None    # per-block (B, N, 1) surrogate offsets
 
 
 @dataclass
@@ -511,14 +509,8 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
             noise = (routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
                      if opts.mode == "train" else None)
             dec = gumbel_select(logits, opts.tau, noise)
-
-            if opts.routing_override is not None:
-                dec.hard_index = np.asarray(opts.routing_override[l], dtype=np.int64)
             v_star = dec.hard_index
-
-            multiplier = dec.ste_multiplier() if opts.ste_offsets is None else \
-                dec.surrogate_multiplier(opts.ste_offsets[l])
-
+            multiplier = dec.ste_multiplier()
             use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
             info.decisions.append(dec)
 
@@ -615,8 +607,11 @@ def integrate_flow(
 
     Deterministic given ``z_init``; with ``collect_trace`` a routed model
     also returns the (T, L, B, N) hard routing indices of every denoising
-    step (None for a model without a router).
+    step (None for a model without a router). Non-finite ``feats`` or
+    ``z_init`` raise ValueError.
     """
+    if not (np.isfinite(feats).all() and np.isfinite(z_init).all()):
+        raise ValueError("integrate_flow needs finite feats and z_init")
     model = Model(cfg, params)
     z = z_init.copy()
     B = z.shape[0]

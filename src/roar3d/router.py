@@ -34,17 +34,6 @@ class RoutingDecision:
         """(..., N, 1) multiplier: forward exactly 1, backward d(y_soft[v*])."""
         return nx.ste_one(nx.take_index_last(self.y_soft, self.hard_index))
 
-    def surrogate_multiplier(self, offset: np.ndarray) -> Tensor:
-        """Differentiable stand-in y_soft[v*] + offset used for gradient checks.
-
-        With ``offset = 1 - y_soft[v*]`` captured at the evaluation point this
-        equals the straight-through composite as a plain function of the
-        parameters (no stop-gradient), so central differences of the network
-        built with it match the tape gradients of the STE network.
-        """
-        picked = nx.take_index_last(self.y_soft, self.hard_index)
-        return nx.add(picked, Tensor(offset))
-
     def soft_entropy(self) -> float:
         p = np.clip(self.y_soft.data, 1e-12, 1.0)
         return float(-(p * np.log(p)).sum(axis=-1).mean())

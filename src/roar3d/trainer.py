@@ -130,17 +130,13 @@ def apply_freeze(params: dict[str, Tensor], perturbed: np.ndarray) -> set[str]:
     stream gradient contribution is structurally zero; in a mixed batch the
     CA_p gradient already equals the unperturbed subset's gradient and
     nothing needs masking. Only when the whole batch is perturbed is CA_p
-    frozen outright (gradients zeroed, optimizer update and weight decay
-    skipped).
+    frozen outright: its gradients are then zero, and AdamW skips the
+    update and the weight decay of every returned name.
     """
     perturbed = np.asarray(perturbed, dtype=bool)
     if perturbed.size == 0 or not perturbed.all():
         return set()
-    frozen = {name for name in params if ".ca_p." in name}
-    for name in frozen:
-        if params[name].grad is not None:
-            params[name].grad[...] = 0.0
-    return frozen
+    return {name for name in params if ".ca_p." in name}
 
 
 class AdamW:
@@ -299,8 +295,7 @@ class TrainLog:
                 fh.write(row + "\n")
 
 
-def train(model: Model, split: SplitData, cfg: RunConfig, phase: str,
-          steps: int | None = None) -> TrainLog:
+def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLog:
     """Run one training phase in place on ``model``; returns the step log.
 
     ``phase`` is "single" (one view, no router) or "mv". Divergence raises
@@ -311,8 +306,6 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str,
         raise ValueError(f"unknown phase {phase!r}")
     tc = cfg.train
     total = tc.steps_single if phase == "single" else tc.steps_mv
-    if steps is not None:
-        total = steps
     p_pert = tc.p_pert if (phase == "mv" and model.cfg.arch == "routed") else 0.0
     opt = AdamW(model.params, tc)
     log = TrainLog()

@@ -41,7 +41,6 @@ class PointCloud:
     """Surface samples in the canonical [-1, 1]^3 box, bbox centered at origin."""
 
     points: np.ndarray            # (P, 3) float64
-    shape_id: str = ""
 
 
 @dataclass
@@ -240,7 +239,7 @@ def generate_shape(seed: int, klass: str, points: int = 2048) -> PointCloud:
     pts = corners[pick] + u * e1[pick] + v * e2[pick]
     center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     pts = pts - center
-    return PointCloud(points=pts, shape_id=f"{klass}:{seed}")
+    return PointCloud(points=pts)
 
 
 _QUARTER = {
@@ -267,7 +266,7 @@ def rotate_azimuth(pc: PointCloud, degrees: float) -> PointCloud:
     out = pts.copy()
     out[:, 0] = rot[0, 0] * pts[:, 0] + rot[0, 1] * pts[:, 1]
     out[:, 1] = rot[1, 0] * pts[:, 0] + rot[1, 1] * pts[:, 1]
-    return PointCloud(points=out, shape_id=pc.shape_id)
+    return PointCloud(points=out)
 
 
 # ---------------------------------------------------------------------------

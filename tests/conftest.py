@@ -4,8 +4,10 @@ import dataclasses
 
 import pytest
 
+import roar3d.numerics as nx
 from roar3d.config import ModelConfig, RunConfig, SampleConfig, TrainConfig, WorldConfig
 from roar3d.data import build_dataset, load_dataset
+from roar3d.numerics import Tensor
 
 
 def micro_run_config(seed: int = 0) -> RunConfig:
@@ -18,6 +20,17 @@ def micro_run_config(seed: int = 0) -> RunConfig:
         seed=seed,
     )
     return cfg.validate()
+
+
+def surrogate_multiplier(dec, offset):
+    """Differentiable stand-in y_soft[v*] + offset for a RoutingDecision ``dec``.
+
+    With ``offset = 1 - y_soft[v*]`` captured at the evaluation point this
+    equals the straight-through multiplier as a plain function of the
+    parameters (no stop-gradient), so central differences of a network built
+    with it match the tape gradients of the straight-through network.
+    """
+    return nx.add(nx.take_index_last(dec.y_soft, dec.hard_index), Tensor(offset))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,79 @@
+"""The benchmark's tracer still fits the library it patches.
+
+``perfbench/tracing.py`` replaces roar3d functions by module name and reads
+their arguments by position (``feats`` is the fifth argument of both
+forwards). A rename or signature change in ``src/`` would break the
+benchmark first; this test runs one routed training step and one flow
+integration through the installed wrappers so that it breaks here too.
+"""
+
+import dataclasses
+import importlib.util
+import time
+from pathlib import Path
+
+import numpy as np
+
+from roar3d import model as model_mod
+from roar3d import trainer
+from roar3d.model import Model
+from roar3d.trainer import upgrade_from_single
+
+from conftest import micro_run_config
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_run_a_routed_step_and_a_sample(micro_dataset):
+    tracing = _load_tracing()
+    cfg = micro_run_config(seed=1)
+    cfg.train = dataclasses.replace(cfg.train, steps_mv=1)
+    model = upgrade_from_single(Model.create(dataclasses.replace(cfg.model, arch="single"), 1))
+    split = micro_dataset.split("train")
+    rng = np.random.default_rng(0)
+    feats = split.feats[:1, :2, 0]                              # (1, 2, S, feat_dim)
+    z_init = rng.normal(size=(1,) + split.latents.shape[1:])
+    originals = (model_mod.forward_multiview, trainer.apply_freeze)
+
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    tracing.install(tracer, patches)
+    frozen = []
+    freeze = trainer.apply_freeze
+
+    def apply_freeze(params, perturbed):   # the benchmark's gradient check rides here
+        frozen.append(freeze(params, perturbed))
+        return frozen[-1]
+
+    try:
+        patches.set(trainer, "apply_freeze", apply_freeze)
+        tracer.next_op(time.perf_counter())
+        trainer.train(model, split, cfg, "mv")
+        tracer.next_op(time.perf_counter())
+        z, trace = model_mod.integrate_flow(model.params, model.cfg, feats,
+                                            np.zeros(1, dtype=np.int64), z_init, steps=2,
+                                            collect_trace=True)
+        tracer.end_op(time.perf_counter())
+    finally:
+        patches.undo()
+
+    assert (model_mod.forward_multiview, trainer.apply_freeze) == originals
+    assert len(frozen) == 1 and isinstance(frozen[0], set)
+    assert np.isfinite(z).all() and trace.shape == (2, cfg.model.blocks, 1, cfg.model.tokens)
+    spans = {tracer.names[i] for i in tracer.name}
+    assert {
+        "trainer.assemble_batch", "trainer.loss_fwd", "trainer.backward", "trainer.adamw",
+        "model.forward", "model.integrate_flow", "router.logits", "router.select",
+        "router.noise", "numerics.matmul", "numerics.self_attention.bwd",
+        "numerics.routed_attention.fwd", "numerics.routed_attention.bwd",
+        "numerics.tape.backward",
+    } <= spans
+    for op in (0, 1):   # the forward wrapper found the view features in both ops
+        assert tracer.counts[("numerics.matmul.view_side_calls", op)] > 0
+        assert tracer.counts[("router.tokens", op)] > 0

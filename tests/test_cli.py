@@ -215,6 +215,31 @@ def test_bad_config_exit_code(pipeline, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("case, expected", [
+    ("config-dir", EXIT_MISSING),
+    ("ckpt-dir", EXIT_MISSING),
+    ("trace-dir", EXIT_MISSING),
+    ("config-not-utf8", EXIT_CONFIG),
+])
+def test_directory_or_undecodable_input_exit_code(pipeline, tmp_path, case, expected):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cfg, ckpt_path = pipeline["cfg"], pipeline["mv"] / "checkpoint.bin"
+    if case == "config-dir":
+        cfg = folder
+    elif case == "ckpt-dir":
+        ckpt_path = folder
+    elif case == "config-not-utf8":
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\n" + pipeline["cfg"].read_bytes())
+    if case == "trace-dir":
+        argv = ["analyze-router", "--out", str(tmp_path / "r.json"), str(folder)]
+    else:
+        argv = ["sample", "--config", str(cfg), "--data", str(pipeline["data"]),
+                "--ckpt", str(ckpt_path), "--out", str(tmp_path / "y")]
+    assert main(argv) == expected
+
+
 def _edit_manifest(data: Path, edit) -> None:
     manifest = data / "manifest.jsonl"
     manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
@@ -325,6 +350,14 @@ def test_sample_trace_shape_contract(pipeline, tmp_path):
     assert trace.max() < 3
 
 
+def test_sample_trace_on_router_less_checkpoint_fails_before_sampling(pipeline, tmp_path):
+    out = tmp_path / "tr"
+    assert main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(pipeline["single"] / "checkpoint.bin"), "--out", str(out),
+                 "--trace"]) == EXIT_CONFIG
+    assert not (out / "sample.bin").exists()
+
+
 def test_sample_view_counts_both_work(pipeline, tmp_path):
     for views in (1, 4):
         out = tmp_path / f"v{views}"
@@ -390,6 +423,13 @@ def test_analyze_router_traces_of_different_lengths_exit_code(tmp_path):
         paths.append(str(tmp_path / f"t{i}.rtrc"))
         save_trace(paths[-1], np.zeros(shape, dtype=int), view_count=2)
     assert main(["analyze-router", "--out", str(tmp_path / "r.json"), *paths]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 6), (3, 1, 6)], ids=["one-timestep", "one-block"])
+def test_analyze_router_short_trace_exit_code(tmp_path, shape):
+    p = tmp_path / "short.rtrc"
+    save_trace(p, np.zeros(shape, dtype=int), view_count=2)
+    assert main(["analyze-router", "--out", str(tmp_path / "r.json"), str(p)]) == EXIT_CONFIG
 
 
 def test_analyze_router_matches_library_metrics(pipeline, tmp_path):

@@ -1,5 +1,6 @@
 """Geometry metrics and routing-consistency analytics against brute force."""
 
+import dataclasses
 import itertools
 import struct
 
@@ -13,11 +14,13 @@ from roar3d.evaluation import (
     consistency_report,
     cross_block_consistency,
     cross_timestep_consistency,
+    evaluate,
     f_score,
     global_consistency,
     load_trace,
     save_trace,
 )
+from roar3d.model import Model
 
 
 def _brute_nn(src, dst):
@@ -308,3 +311,12 @@ def test_trace_rejects_index_outside_view_count(tmp_path):
 
 def test_empty_cloud_sentinel_value():
     assert EMPTY_CLOUD_CD > 2.0  # larger than any CD inside the unit box
+
+
+def test_evaluate_rejects_non_finite_points(micro_cfg, micro_dataset):
+    split = micro_dataset.split("test")
+    points = split.points.copy()
+    points[0, 0, 0] = np.nan
+    model = Model.create(micro_cfg.model, 0)
+    with pytest.raises(ValueError, match="finite split.points"):
+        evaluate(model, dataclasses.replace(split, points=points), micro_cfg, view_counts=(1,))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from roar3d.model import (
     rotate_latent,
 )
 from roar3d.numerics import Tensor
-from roar3d.router import gumbel_select, routing_logits_batched
+from roar3d.router import RoutingDecision, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
+
+from conftest import surrogate_multiplier
 
 CFG = ModelConfig()
 
@@ -247,23 +250,28 @@ def test_single_view_equivalence_with_baseline():
         assert np.abs(base.data - mv.data).max() < 1e-12
 
 
-def test_post_upgrade_forced_primary_identity_bit_exact():
+def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch):
     rng = np.random.default_rng(7)
     single_params = init_single_params(MICRO, 8)
     _randomize_zero_init(single_params, rng)
     single = Model(dataclasses.replace(MICRO, arch="single"), single_params)
     upgraded = upgrade_from_single(single)
     B, N = 2, MICRO.tokens
+
+    def to_primary(*args):
+        dec = gumbel_select(*args)
+        dec.hard_index = np.ones_like(dec.hard_index)  # view 1 is every sample's primary
+        return dec
+
+    monkeypatch.setattr(M, "gumbel_select", to_primary)
     for draw in range(10):
         z_t = rng.normal(size=(B, N, MICRO.model_dim))
         t = rng.random(B)
         feats = _rand_views(rng, MICRO, 3, batch=B)
         primary = np.full(B, 1, dtype=np.int64)
-        to_primary = [np.broadcast_to(primary[:, None], (B, N))] * MICRO.blocks
         base = forward_single(single_params, MICRO, z_t, t, feats[:, 1])
         forced, _ = forward_multiview(upgraded.params, upgraded.cfg, z_t, t, feats, primary,
-                                      ForwardOptions(mode="inference",
-                                                     routing_override=to_primary))
+                                      ForwardOptions(mode="inference"))
         assert np.array_equal(base.data, forced.data), f"draw {draw}"
 
 
@@ -287,6 +295,18 @@ def test_integrate_flow_without_router_is_euler_over_flattened_views(arch, views
             vel = forward_single(model.params, cfg, ref, np.full(B, 1.0 - k * dt), flat)
             ref = ref - dt * vel.data
     assert np.array_equal(z, ref)
+
+
+@pytest.mark.parametrize("bad", ["feats", "z_init"])
+def test_integrate_flow_rejects_non_finite_inputs(bad):
+    rng = np.random.default_rng(15)
+    model = Model.create(MICRO, 16)
+    inputs = {"feats": _rand_views(rng, MICRO, 2, batch=1),
+              "z_init": rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))}
+    inputs[bad][0, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite feats and z_init"):
+        M.integrate_flow(model.params, MICRO, inputs["feats"], np.zeros(1, dtype=np.int64),
+                         inputs["z_init"], steps=2)
 
 
 def test_view_order_invariance_at_inference():
@@ -321,7 +341,7 @@ def test_timestep_changes_output():
     assert np.abs(v0.data - v1.data).max() > 1e-8
 
 
-def test_forward_gradients_match_soft_surrogate(subtests=None):
+def test_forward_gradients_match_soft_surrogate(monkeypatch):
     """Micro version of the STE gradient acceptance check."""
     rng = np.random.default_rng(10)
     params = init_multiview_params(MICRO, 11)
@@ -332,23 +352,6 @@ def test_forward_gradients_match_soft_surrogate(subtests=None):
     feats = _rand_views(rng, MICRO, V, batch=B)
     primary = np.array([0, -1])
     target = rng.normal(size=z_t.shape)
-
-    opts = ForwardOptions(mode="train", run_seed=3, step=0)
-    for p in params.values():
-        p.zero_grad()
-    vel, info = forward_multiview(params, MICRO, z_t, t, feats, primary, opts)
-    nx.mse(vel, Tensor(target)).backward()
-
-    overrides = [d.hard_index for d in info.decisions]
-    offsets = [1.0 - np.take_along_axis(d.y_soft.data, d.hard_index[..., None], -1)
-               for d in info.decisions]
-
-    def surrogate():
-        o = ForwardOptions(mode="train", run_seed=3, step=0,
-                           routing_override=overrides, ste_offsets=offsets)
-        v, _ = forward_multiview(params, MICRO, z_t, t, feats, primary, o)
-        return nx.mse(v, Tensor(target))
-
     checked = {
         "blocks.0.router.w_q": params["blocks.0.router.w_q"],
         "blocks.0.router.w_agg": params["blocks.0.router.w_agg"],
@@ -359,6 +362,43 @@ def test_forward_gradients_match_soft_surrogate(subtests=None):
         "temb.w1": params["temb.w1"],
         "head.w": params["head.w"],
     }
+
+    def loss():
+        opts = ForwardOptions(mode="train", run_seed=3, step=0)
+        vel, info = forward_multiview(params, MICRO, z_t, t, feats, primary, opts)
+        return nx.mse(vel, Tensor(target)), info
+
+    for p in params.values():
+        p.zero_grad()
+    ste_loss, info = loss()
+    ste_loss.backward()
+    ste_grads = {k: p.grad.copy() for k, p in checked.items()}
+
+    # the surrogate network replays each block's hard choice and swaps the
+    # straight-through multiplier for y_soft[v*] + (1 - y_soft0[v*])
+    overrides = [d.hard_index for d in info.decisions]
+    offsets = [1.0 - np.take_along_axis(d.y_soft.data, d.hard_index[..., None], -1)
+               for d in info.decisions]
+    calls = itertools.count()
+
+    def replay(*args):
+        dec = gumbel_select(*args)
+        block = next(calls) % MICRO.blocks
+        dec.hard_index, dec.offset = overrides[block], offsets[block]
+        return dec
+
+    monkeypatch.setattr(M, "gumbel_select", replay)
+    monkeypatch.setattr(RoutingDecision, "ste_multiplier",
+                        lambda dec: surrogate_multiplier(dec, dec.offset))
+
+    def surrogate():
+        return loss()[0]
+
+    for p in params.values():
+        p.zero_grad()
+    surrogate().backward()
+    for k, p in checked.items():
+        assert np.array_equal(p.grad, ste_grads[k]), k
     report = nx.grad_check(surrogate, checked, max_entries=5)
     assert max(report.values()) < 1e-4, report
 

@@ -10,6 +10,8 @@ from roar3d.numerics import Tensor, grad_check
 from roar3d.router import gumbel_select, routing_logits_batched, sample_gumbel
 from roar3d.rng import stream
 
+from conftest import surrogate_multiplier
+
 
 def _params(rng, model_dim=8, feat_dim=8, heads=2, head_dim=4):
     cfg = ModelConfig(model_dim=model_dim, feat_dim=feat_dim, heads=heads, head_dim=head_dim)
@@ -197,7 +199,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
     def surrogate():
         d2 = decision()
         d2.hard_index = hard0
-        return nx.sum_all(nx.mul(d2.surrogate_multiplier(offset), Tensor(downstream)))
+        return nx.sum_all(nx.mul(surrogate_multiplier(d2, offset), Tensor(downstream)))
 
     report = grad_check(surrogate, {"w": w})
     assert report["w"] < 1e-4

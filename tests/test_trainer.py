@@ -126,7 +126,7 @@ def _source(split, z0, view_feats):
 def test_perturbed_sample_contract(micro_dataset):
     # aux_max=2 keeps every sample eligible, so p_pert=1 perturbs every sample
     cfg = micro_run_config()
-    cfg.train = dataclasses.replace(cfg.train, p_pert=1.0, aux_max=2)
+    cfg.train = dataclasses.replace(cfg.train, p_pert=1.0, aux_max=2, steps_mv=60)
     split = micro_dataset.split("train")
     for step in range(3):
         batch = assemble_batch(split, cfg, step, "mv", 1.0)
@@ -180,6 +180,7 @@ def test_fully_perturbed_batch_zeroes_and_freezes_ca_p():
     _grads(model, batch)
     frozen = apply_freeze(model.params, batch.perturbed)
     assert frozen == {k for k in model.params if ".ca_p." in k}
+    # zero by construction: a fully perturbed batch never reaches CA_p
     for name in frozen:
         g = model.params[name].grad
         assert g is None or np.array_equal(g, np.zeros_like(g))
@@ -312,10 +313,10 @@ def test_cosine_schedule_endpoints():
 
 def test_train_no_perturbation_when_p_zero(micro_cfg, micro_dataset):
     cfg = micro_run_config()
-    cfg.train = dataclasses.replace(cfg.train, p_pert=0.0)
+    cfg.train = dataclasses.replace(cfg.train, p_pert=0.0, steps_mv=12)
     model = Model.create(dataclasses.replace(cfg.model, arch="single"), 0)
     up = upgrade_from_single(model)
-    log = train(up, micro_dataset.split("train"), cfg, phase="mv", steps=12)
+    log = train(up, micro_dataset.split("train"), cfg, phase="mv")
     assert log.pert_total == 0
     assert all(row.split(",")[3] == "0.000000" for row in log.rows)
 
@@ -323,8 +324,9 @@ def test_train_no_perturbation_when_p_zero(micro_cfg, micro_dataset):
 def test_train_deterministic_loss_curve(micro_cfg, micro_dataset):
     def run():
         cfg = micro_run_config(seed=5)
+        cfg.train = dataclasses.replace(cfg.train, steps_single=10)
         model = Model.create(dataclasses.replace(cfg.model, arch="single"), 3)
-        log = train(model, micro_dataset.split("train"), cfg, phase="single", steps=10)
+        log = train(model, micro_dataset.split("train"), cfg, phase="single")
         return [row.split(",")[1] for row in log.rows]
 
     assert run() == run()
@@ -332,8 +334,9 @@ def test_train_deterministic_loss_curve(micro_cfg, micro_dataset):
 
 def test_train_loss_decreases_on_micro_config(micro_cfg, micro_dataset):
     cfg = micro_run_config(seed=1)
+    cfg.train = dataclasses.replace(cfg.train, steps_single=160)
     model = Model.create(dataclasses.replace(cfg.model, arch="single"), 1)
-    log = train(model, micro_dataset.split("train"), cfg, phase="single", steps=160)
+    log = train(model, micro_dataset.split("train"), cfg, phase="single")
     losses = [float(r.split(",")[1]) for r in log.rows]
     assert np.mean(losses[-16:]) < 0.6 * np.mean(losses[:16])
 
@@ -342,11 +345,11 @@ def test_fully_perturbed_training_leaves_ca_p_bit_identical(micro_cfg, micro_dat
     # aux_max=2 keeps every sample eligible (primary bin + 2 aux bins can
     # never cover all four), so p_pert=1 really perturbs 100% of samples
     cfg = micro_run_config(seed=2)
-    cfg.train = dataclasses.replace(cfg.train, p_pert=1.0, aux_max=2)
+    cfg.train = dataclasses.replace(cfg.train, p_pert=1.0, aux_max=2, steps_mv=60)
     single = Model.create(dataclasses.replace(cfg.model, arch="single"), 2)
     model = upgrade_from_single(single)
     before = {k: p.data.copy() for k, p in model.params.items() if ".ca_p." in k}
-    train(model, micro_dataset.split("train"), cfg, phase="mv", steps=60)
+    train(model, micro_dataset.split("train"), cfg, phase="mv")
     for k, v in before.items():
         assert np.array_equal(model.params[k].data, v), k
 

@@ -28,7 +28,6 @@ def test_generate_shape_deterministic():
     a = generate_shape(42, "notched-box")
     b = generate_shape(42, "notched-box")
     assert np.array_equal(a.points, b.points)
-    assert a.shape_id == b.shape_id
 
 
 def test_generate_shape_unknown_class():
