@@ -12,7 +12,7 @@ import roar3d.numerics as nx
 from roar3d.config import ModelConfig
 from roar3d.model import init_multiview_params
 from roar3d.numerics import Tensor
-from roar3d.router import gumbel_select, routing_logits_batched, routing_noise
+from roar3d.router import gumbel_select, router_keys, routing_logits_batched, routing_noise
 from roar3d.rng import stream
 
 rng = stream(0, "demo-router")
@@ -30,9 +30,12 @@ print("router weights:", {k: p.shape for k, p in params.items()})
 
 pooled = Tensor(feats.mean(axis=1))  # one key per view: the mean over its patches
 print("pooled keys:", pooled.shape)
+# the keys depend on the views only: a sampling request projects them once
+keys = router_keys(nx.reshape(pooled, (1, V, D)), params)
+print("projected keys:", keys.shape)
 
 # the router is batched: score a batch of one sample, then drop the batch axis
-batched = routing_logits_batched(Tensor(tokens[None]), nx.reshape(pooled, (1, V, D)), params)
+batched = routing_logits_batched(Tensor(tokens[None]), keys, params)
 logits = nx.reshape(batched, (N, V))
 print("routing logits (token x view):\n", logits.data.round(3))
 

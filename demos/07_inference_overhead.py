@@ -1,0 +1,65 @@
+"""Inference overhead of routing, measured: routed vs single-view sampling time.
+
+The paper claims routing adds no inference overhead over the single-view
+baseline. This times ``integrate_flow`` (batch 1, the desk config's 32 Euler
+steps) for the single-view model and for its routed upgrade at 1, 2, 4 and
+8 views of one shape, and prints the routed-to-single time ratio. Each
+figure is the median of a few interleaved rounds, with single-threaded BLAS.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import dataclasses  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from roar3d.config import RunConfig  # noqa: E402
+from roar3d.evaluation import eval_cameras  # noqa: E402
+from roar3d.model import Model, integrate_flow  # noqa: E402
+from roar3d.trainer import upgrade_from_single  # noqa: E402
+from roar3d.world import encode_view, generate_shape  # noqa: E402
+
+ROUNDS = 3
+VIEW_COUNTS = (1, 2, 4, 8)
+
+cfg = RunConfig()  # the desk config
+steps = cfg.sample.euler_steps
+single = Model.create(dataclasses.replace(cfg.model, arch="single"), seed=0)
+rng = np.random.default_rng(0)
+# adaLN-zero gates and the zero velocity head would make every velocity 0;
+# random values stand in for trained weights (timing only)
+for name, p in single.params.items():
+    if name.endswith("mod.w") or name.endswith("head.w"):
+        p.data[...] = rng.normal(0.0, 0.1, size=p.shape)
+routed = upgrade_from_single(single)
+
+pc = generate_shape(0, "l-prism", cfg.world.points)
+feats = {v: np.stack([encode_view(pc, cam, cfg.world) for cam in eval_cameras(v)])[None]
+         for v in VIEW_COUNTS}
+z_init = rng.normal(size=(1, cfg.model.tokens, cfg.model.model_dim))
+primary = np.zeros(1, dtype=np.int64)
+
+runs = {"single": lambda: integrate_flow(single.params, single.cfg, feats[1], primary,
+                                         z_init, steps)}
+for v in VIEW_COUNTS:
+    runs[v] = lambda v=v: integrate_flow(routed.params, routed.cfg, feats[v], primary,
+                                         z_init, steps)
+
+times = {key: [] for key in runs}
+for round_ in range(ROUNDS + 1):  # round 0 warms up and is not kept
+    for key, run in runs.items():
+        start = time.perf_counter()
+        run()
+        if round_:
+            times[key].append(time.perf_counter() - start)
+
+base = float(np.median(times["single"]))
+print(f"integrate_flow, batch 1, {steps} Euler steps, median of {ROUNDS} rounds")
+print(f"single-view baseline: {base * 1e3:7.1f} ms")
+for v in VIEW_COUNTS:
+    t = float(np.median(times[v]))
+    print(f"routed, {v} view(s):  {t * 1e3:7.1f} ms   routed/single {t / base:.2f}")

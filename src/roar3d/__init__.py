@@ -25,9 +25,10 @@ from .model import (
     latent_decode,
     latent_encode,
     rotate_latent,
+    view_context,
 )
 from .numerics import ComputationTape, Tensor, grad_check
-from .router import RoutingDecision, gumbel_select, routing_logits_batched
+from .router import RoutingDecision, gumbel_select, router_keys, routing_logits_batched
 from .trainer import (
     AdamW,
     flow_matching_loss,

@@ -114,10 +114,14 @@ def build_dataset(cfg: RunConfig, out_dir: str | Path, force: bool = False) -> P
 def load_dataset(path: str | Path) -> DatasetStore:
     path = Path(path)
     manifest_path = path / "manifest.jsonl"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no manifest at {manifest_path}")
+    if not manifest_path.is_file():
+        raise FileNotFoundError(f"no manifest file at {manifest_path}")
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ckpt.CheckpointError(f"{manifest_path}: not UTF-8 ({exc.reason})") from None
     manifest = []
-    for n, line in enumerate(manifest_path.read_text().splitlines(), 1):
+    for n, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         try:

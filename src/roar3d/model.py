@@ -29,13 +29,15 @@ from . import checkpoint as ckpt
 from . import numerics as nx
 from .config import ConfigError, ModelConfig, set_fields
 from .numerics import Tensor
-from .router import gumbel_select, routing_logits_batched, routing_noise
+from .router import gumbel_select, router_keys, routing_logits_batched, routing_noise
 from .rng import stream
 from .world import _QUARTER, PointCloud
 
 __all__ = [
     "ForwardOptions",
     "ForwardInfo",
+    "ViewContext",
+    "view_context",
     "latent_encode",
     "latent_decode",
     "rotate_latent",
@@ -280,16 +282,35 @@ def count_parameters(params: dict[str, Tensor]) -> dict:
 
 
 @dataclass
+class ViewContext:
+    """The view-side tensors of a forward: everything that depends only on the views.
+
+    Per block ``l``: ``kv_p[l]`` is the CA_p (keys, values) pair shaped
+    (B, V, S, H, dh), keys RMS-normed; on a routed model ``kv_a[l]`` is the
+    CA_a pair and ``router_keys[l]`` the router's projected pooled keys
+    (B, V, H * dh), both None without a router. ``feats`` is the
+    (B, V, S, feat_dim) array the context was built from.
+    """
+
+    feats: np.ndarray
+    kv_p: list
+    kv_a: list | None = None
+    router_keys: list | None = None
+
+
+@dataclass
 class ForwardOptions:
     mode: str = "inference"            # routing mode: "train" draws Gumbel noise
     tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
+    views: ViewContext | None = None   # built from the same feats; None builds it
 
 
 @dataclass
 class ForwardInfo:
     decisions: list = field(default_factory=list)   # one RoutingDecision per routed block
+    views: ViewContext | None = None                # the context the forward used
 
     def hard_trace(self) -> np.ndarray:
         """(L, B, N) hard routing indices of one forward pass."""
@@ -406,26 +427,48 @@ def _final_head(params, z: Tensor, temb: Tensor, d: int,
     return nx.add_bias(nx.matmul(candidate, params["head.w"]), params["head.b"])
 
 
-def _ca_qkv(params, prefix: str, znorm: Tensor, feats: Tensor, cfg: ModelConfig):
-    """Stream projections: query per token, keys/values per view patch."""
-    B, N, _ = znorm.shape
-    Bv, V, S, _ = feats.shape
-    H, dh = cfg.heads, cfg.head_dim
+def _ca_q(params, prefix: str, znorm: Tensor, cfg: ModelConfig) -> Tensor:
+    """One stream's query per token, (B, N, H, dh)."""
     q = nx.rms_norm(nx.matmul(znorm, params[prefix + ".w_q"]), params[prefix + ".q_gain"])
+    return nx.reshape(q, znorm.shape[:2] + (cfg.heads, cfg.head_dim))
+
+
+def _ca_kv(params, prefix: str, feats: Tensor, cfg: ModelConfig):
+    """One stream's keys and values per view patch, each (B, V, S, H, dh)."""
+    shape = feats.shape[:3] + (cfg.heads, cfg.head_dim)
     k = nx.rms_norm(nx.matmul(feats, params[prefix + ".w_k"]), params[prefix + ".k_gain"])
     v = nx.matmul(feats, params[prefix + ".w_v"])
-    return (
-        nx.reshape(q, (B, N, H, dh)),
-        nx.reshape(k, (Bv, V, S, H, dh)),
-        nx.reshape(v, (Bv, V, S, H, dh)),
-    )
+    return nx.reshape(k, shape), nx.reshape(v, shape)
+
+
+def _router_params(params, l: int) -> dict[str, Tensor]:
+    return {k: params[f"blocks.{l}.router.{k}"] for k in _ROUTER_KEYS}
+
+
+def view_context(params: dict[str, Tensor], cfg: ModelConfig, feats: np.ndarray,
+                 routed: bool) -> ViewContext:
+    """Build every block's view-side tensors from (B, V, S, feat_dim) ``feats``.
+
+    ``routed`` adds the CA_a pairs and the router keys. Under ``no_grad`` the
+    context is plain data that every step of one request can reuse; with
+    gradients on it is part of the graph of the forward that builds it.
+    """
+    feats = np.asarray(feats)
+    feats_t = Tensor(feats)
+    blocks = range(cfg.blocks)
+    ctx = ViewContext(feats, [_ca_kv(params, f"blocks.{l}.ca_p", feats_t, cfg) for l in blocks])
+    if routed:
+        pooled = Tensor(feats.mean(axis=2))
+        ctx.kv_a = [_ca_kv(params, f"blocks.{l}.ca_a", feats_t, cfg) for l in blocks]
+        ctx.router_keys = [router_keys(pooled, _router_params(params, l)) for l in blocks]
+    return ctx
 
 
 def _cross_attention(
-    params, l: int, z: Tensor, feats: Tensor, v_star: np.ndarray,
+    params, l: int, z: Tensor, views: ViewContext, v_star: np.ndarray,
     use_primary: np.ndarray, multiplier: Tensor | None, gate: Tensor, cfg: ModelConfig,
 ) -> Tensor:
-    """Dual-stream cross attention of block ``l`` over (B, V, S, feat) views.
+    """Dual-stream cross attention of block ``l`` over the views of ``views``.
 
     Token n of sample b attends the S patches of view ``v_star[b, n]``
     through CA_p where ``use_primary[b, n]``, otherwise through CA_a, and its
@@ -435,27 +478,28 @@ def _cross_attention(
     B, N, _ = z.shape
     pre = f"blocks.{l}"
     znorm = nx.layer_norm(z, params[f"{pre}.ln_ca.gain"], params[f"{pre}.ln_ca.bias"])
-    q_p, k_p, vv_p = _ca_qkv(params, f"{pre}.ca_p", znorm, feats, cfg)
-    q_a, k_a, vv_a = (q_p, k_p, vv_p) if multiplier is None else \
-        _ca_qkv(params, f"{pre}.ca_a", znorm, feats, cfg)
-    attn = nx.routed_attention(q_p, q_a, (k_p, vv_p), (k_a, vv_a), v_star, use_primary)
+    q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm, cfg), views.kv_p[l]
+    q_a, kv_a = (q_p, kv_p) if multiplier is None else \
+        (_ca_q(params, f"{pre}.ca_a", znorm, cfg), views.kv_a[l])
+    attn = nx.routed_attention(q_p, q_a, kv_p, kv_a, v_star, use_primary)
     flat = nx.reshape(attn, (B, N, cfg.attn_width))
     if multiplier is None:
         out = nx.matmul(flat, params[f"{pre}.ca_p.w_o"])
     else:
-        mask_p = Tensor(use_primary[..., None].astype(np.float64))
-        mask_a = Tensor((~use_primary)[..., None].astype(np.float64))
-        out = nx.scale_rows(nx.add(
-            nx.matmul(nx.scale_rows(flat, mask_p), params[f"{pre}.ca_p.w_o"]),
-            nx.matmul(nx.scale_rows(flat, mask_a), params[f"{pre}.ca_a.w_o"]),
-        ), multiplier)
+        out = nx.dual_linear(flat, params[f"{pre}.ca_p.w_o"], params[f"{pre}.ca_a.w_o"],
+                             use_primary, multiplier)
     return nx.add(z, nx.gate_mul(out, gate))
 
 
 def forward_single(params: dict[str, Tensor], cfg: ModelConfig, z_t: np.ndarray,
-                   t: np.ndarray, feats: np.ndarray) -> Tensor:
-    """Router-less velocity prediction; feats is (B, S', feat_dim), one view."""
-    return _forward(params, cfg, z_t, t, np.asarray(feats)[:, None], None, None)[0]
+                   t: np.ndarray, feats: np.ndarray,
+                   opts: ForwardOptions | None = None) -> tuple[Tensor, ForwardInfo]:
+    """Router-less velocity prediction; feats is (B, S', feat_dim), one view.
+
+    Only ``opts.views`` is read: a context from an earlier call on the same
+    ``feats``.
+    """
+    return _forward(params, cfg, z_t, t, np.asarray(feats)[:, None], None, opts)
 
 
 def forward_multiview(
@@ -487,25 +531,32 @@ def forward_multiview(
 def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,
              primary_index: np.ndarray | None,
              opts: ForwardOptions | None) -> tuple[Tensor, ForwardInfo]:
-    """The block loop of both forwards; ``primary_index`` None runs without a router."""
+    """The block loop of both forwards; ``primary_index`` None runs without a router.
+
+    The view context comes from ``opts.views``, or is built here when that is
+    None; either way it is returned in ``ForwardInfo.views``.
+    """
     B, N, d = z_t.shape
+    routed = primary_index is not None
+    views = opts.views if opts is not None else None
+    if views is None:
+        views = view_context(params, cfg, feats, routed)
+    elif (views.router_keys is not None) != routed or not np.array_equal(views.feats, feats):
+        raise ValueError("the view context was built from other features or another arch")
     z = Tensor(z_t + grid_positional_embedding(cfg)[None])
-    feats_t = Tensor(feats)
     temb = _t_embed(params, t, d)
-    info = ForwardInfo()
+    info = ForwardInfo(views=views)
     # without a router every token takes view 0 through CA_p
     v_star = np.zeros((B, N), dtype=np.int64)
     use_p = np.ones((B, N), dtype=bool)
     multiplier = None
-    pooled = None if primary_index is None else Tensor(feats.mean(axis=2))
 
     for l in range(cfg.blocks):
         sc1, sh1, g1, g_ca, sc2, sh2, g2 = _modulation(params, l, temb, d)
         z = _self_attention_block(params, l, z, sc1, sh1, g1, cfg)
 
-        if primary_index is not None:
-            router = {k: params[f"blocks.{l}.router.{k}"] for k in _ROUTER_KEYS}
-            logits = routing_logits_batched(z, pooled, router)
+        if routed:
+            logits = routing_logits_batched(z, views.router_keys[l], _router_params(params, l))
             noise = (routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
                      if opts.mode == "train" else None)
             dec = gumbel_select(logits, opts.tau, noise)
@@ -514,7 +565,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
             use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
             info.decisions.append(dec)
 
-        z = _cross_attention(params, l, z, feats_t, v_star, use_p, multiplier, g_ca, cfg)
+        z = _cross_attention(params, l, z, views, v_star, use_p, multiplier, g_ca, cfg)
         z = _mlp_block(params, l, z, sc2, sh2, g2)
 
     return _final_head(params, z, temb, d, z_t, t), info
@@ -546,7 +597,7 @@ class Model:
             return forward_multiview(self.params, self.cfg, z_t, t, feats,
                                      primary_index, opts)
         flat = feats.reshape(feats.shape[0], -1, feats.shape[-1])  # views into one key set
-        return forward_single(self.params, self.cfg, z_t, t, flat), ForwardInfo()
+        return forward_single(self.params, self.cfg, z_t, t, flat, opts)
 
     def named_data(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
@@ -608,7 +659,8 @@ def integrate_flow(
     Deterministic given ``z_init``; with ``collect_trace`` a routed model
     also returns the (T, L, B, N) hard routing indices of every denoising
     step (None for a model without a router). Non-finite ``feats`` or
-    ``z_init`` raise ValueError.
+    ``z_init`` raise ValueError. The first step's forward builds the view
+    context and every later step reuses it.
     """
     if not (np.isfinite(feats).all() and np.isfinite(z_init).all()):
         raise ValueError("integrate_flow needs finite feats and z_init")
@@ -622,6 +674,7 @@ def integrate_flow(
         for k in range(steps):
             t = np.full(B, 1.0 - k * dt)
             vel, info = model.velocity(z, t, feats, primary_index, opts)
+            opts.views = info.views
             z = z - dt * vel.data
             if collect_trace and info.decisions:
                 trace.append(info.hard_trace())

@@ -35,6 +35,7 @@ __all__ = [
     "scale",
     "add_bias",
     "scale_rows",
+    "dual_linear",
     "scale_batch",
     "softmax",
     "layer_norm",
@@ -278,6 +279,44 @@ def scale_rows(x: Tensor, m: Tensor) -> Tensor:
         m.accum_grad((g * x.data).sum(axis=-1, keepdims=True))
 
     return _node(x.data * m.data, (x, m), backward)
+
+
+def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
+                multiplier: Tensor) -> Tensor:
+    """Two-stream linear map with a row scale, as one node.
+
+    Row r of ``x[..., k]`` goes through ``w_p`` (k, n) where ``use_primary[r]``
+    and through ``w_a`` otherwise, then is scaled by ``multiplier[r, 0]``. It
+    runs the masked form ``(x * mask_p) @ w_p + (x * mask_a) @ w_a`` with
+    full-size matmuls, so its value and every gradient equal, bit for bit,
+    those of the six nodes that spell it out with ``scale_rows``, ``matmul``
+    and ``add``.
+    """
+    x, w_p, w_a, m = _as_tensor(x), _as_tensor(w_p), _as_tensor(w_a), _as_tensor(multiplier)
+    use_primary = np.asarray(use_primary, dtype=bool)
+    if w_p.ndim != 2 or w_p.shape != w_a.shape or x.shape[-1] != w_p.shape[0]:
+        raise ShapeError(f"dual_linear weights {w_p.shape}, {w_a.shape} for x {x.shape}")
+    if use_primary.shape != x.shape[:-1] or m.shape != x.shape[:-1] + (1,):
+        raise ShapeError(f"dual_linear rows: mask {use_primary.shape}, multiplier {m.shape}, "
+                         f"x {x.shape}")
+    mask_p = use_primary[..., None].astype(np.float64)
+    mask_a = (~use_primary)[..., None].astype(np.float64)
+    x_p, x_a = x.data * mask_p, x.data * mask_a
+    summed = np.matmul(x_p, w_p.data) + np.matmul(x_a, w_a.data)
+    k, n = w_p.shape
+
+    def backward(g: np.ndarray) -> None:
+        gs = g * m.data
+        if x.requires_grad or x._parents:
+            gx = np.matmul(gs, w_p.data.T) * mask_p
+            gx += np.matmul(gs, w_a.data.T) * mask_a
+            x.accum_grad(gx)
+        for w, xs in ((w_p, x_p), (w_a, x_a)):
+            if w.requires_grad or w._parents:
+                w.accum_grad(xs.reshape(-1, k).T @ gs.reshape(-1, n))
+        m.accum_grad((g * summed).sum(axis=-1, keepdims=True))
+
+    return _node(summed * m.data, (x, w_p, w_a, m), backward)
 
 
 def scale_batch(x: Tensor, s: np.ndarray) -> Tensor:

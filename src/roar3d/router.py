@@ -20,7 +20,7 @@ from . import numerics as nx
 from .numerics import Tensor
 from .rng import stream
 
-__all__ = ["RoutingDecision", "routing_logits_batched", "gumbel_select"]
+__all__ = ["RoutingDecision", "router_keys", "routing_logits_batched", "gumbel_select"]
 
 
 @dataclass
@@ -39,25 +39,33 @@ class RoutingDecision:
         return float(-(p * np.log(p)).sum(axis=-1).mean())
 
 
-def routing_logits_batched(z: Tensor, pooled: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Batched routing scores: z (B, N, D), pooled (B, V, feat_dim) -> (B, N, V).
+def router_keys(pooled: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Projected view keys: pooled (B, V, feat_dim) -> (B, V, heads * head_dim).
 
-    ``p`` holds one block's router weights by short name. Projections are
-    input-major (``z @ w_q``), so ``w_q`` is (model_dim, heads * head_dim) and
-    ``w_k`` is (feat_dim, heads * head_dim). ``ln_gain``/``ln_bias`` normalize
-    the raw token before projection, ``q_gain``/``k_gain`` are the
-    post-projection RMSNorm gains, and ``w_agg`` mixes the per-head scores,
-    one weight per head.
+    They depend on the views only, so one request projects them once and
+    hands them to :func:`routing_logits_batched` at every step.
+    """
+    return nx.rms_norm(nx.matmul(pooled, p["w_k"]), p["k_gain"])
+
+
+def routing_logits_batched(z: Tensor, keys: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Batched routing scores: z (B, N, D), keys (B, V, H*dh) -> (B, N, V).
+
+    ``keys`` come from :func:`router_keys`. ``p`` holds one block's router
+    weights by short name. Projections are input-major (``z @ w_q``), so
+    ``w_q`` is (model_dim, heads * head_dim) and ``w_k`` is (feat_dim, heads *
+    head_dim). ``ln_gain``/``ln_bias`` normalize the raw token before
+    projection, ``q_gain``/``k_gain`` are the post-projection RMSNorm gains,
+    and ``w_agg`` mixes the per-head scores, one weight per head.
     """
     B, N, _ = z.shape
-    V = pooled.shape[1]
+    V = keys.shape[1]
     H = p["w_agg"].shape[0]
     zt = nx.layer_norm(z, p["ln_gain"], p["ln_bias"])
     q = nx.rms_norm(nx.matmul(zt, p["w_q"]), p["q_gain"])               # (B, N, H*dh)
-    k = nx.rms_norm(nx.matmul(pooled, p["w_k"]), p["k_gain"])           # (B, V, H*dh)
     dh = q.shape[-1] // H
     qh = nx.transpose(nx.reshape(q, (B, N, H, dh)), (0, 2, 1, 3))       # (B, H, N, dh)
-    kh = nx.transpose(nx.reshape(k, (B, V, H, dh)), (0, 2, 3, 1))       # (B, H, dh, V)
+    kh = nx.transpose(nx.reshape(keys, (B, V, H, dh)), (0, 2, 3, 1))    # (B, H, dh, V)
     scores = nx.scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh))             # (B, H, N, V)
     return nx.head_mix(scores, p["w_agg"])                              # (B, N, V)
 

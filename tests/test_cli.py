@@ -240,6 +240,20 @@ def test_directory_or_undecodable_input_exit_code(pipeline, tmp_path, case, expe
     assert main(argv) == expected
 
 
+@pytest.mark.parametrize("case", ["manifest-not-utf8", "manifest-dir"])
+def test_unreadable_manifest_exit_code(pipeline, tmp_path, case):
+    data = _copy_data(pipeline["data"], tmp_path / "data")
+    manifest = data / "manifest.jsonl"
+    if case == "manifest-not-utf8":
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+    else:
+        manifest.unlink()
+        manifest.mkdir()
+    code = main(["train-single", "--config", str(pipeline["cfg"]), "--data", str(data),
+                 "--out", str(tmp_path / "w")])
+    assert code == EXIT_MISSING
+
+
 def _edit_manifest(data: Path, edit) -> None:
     manifest = data / "manifest.jsonl"
     manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")

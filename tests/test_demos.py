@@ -14,6 +14,7 @@ FAST_DEMOS = (
     "03_token_view_routing.py",
     "04_flow_model_forward.py",
     "06_metrics_and_analytics.py",
+    "07_inference_overhead.py",
 )
 
 

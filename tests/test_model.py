@@ -114,11 +114,11 @@ UNIT_GATE = Tensor(np.ones((1, MICRO.model_dim)))  # timestep gating lives in th
 def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
     """Block-l cross attention of one sample, routed by the block's router."""
     z = Tensor(tokens[None])
-    pooled = Tensor(feats.mean(axis=1)[None])
+    views = M.view_context(params, cfg, feats[None], routed=True)
     router = {k: params[f"blocks.{l}.router.{k}"] for k in M._ROUTER_KEYS}
-    dec = gumbel_select(routing_logits_batched(z, pooled, router))
+    dec = gumbel_select(routing_logits_batched(z, views.router_keys[l], router))
     use_p = dec.hard_index == primary
-    return M._cross_attention(params, l, z, Tensor(feats[None]), dec.hard_index, use_p,
+    return M._cross_attention(params, l, z, views, dec.hard_index, use_p,
                               dec.ste_multiplier(), UNIT_GATE, cfg)
 
 
@@ -130,7 +130,8 @@ def test_dispatch_single_view_reduces_to_primary_stream():
     out = _routed_cross_attention(params, 0, tokens, feats, 0, MICRO)
 
     N = MICRO.tokens
-    ref = M._cross_attention(params, 0, Tensor(tokens[None]), Tensor(feats[None]),
+    ref = M._cross_attention(params, 0, Tensor(tokens[None]),
+                             M.view_context(params, MICRO, feats[None], routed=False),
                              np.zeros((1, N), dtype=np.int64), np.ones((1, N), dtype=bool),
                              None, UNIT_GATE, MICRO)
     assert np.abs(out.data - ref.data).max() < 1e-12
@@ -244,7 +245,7 @@ def test_single_view_equivalence_with_baseline():
         z_t = rng.normal(size=(B, N, MICRO.model_dim))
         t = rng.random(B)
         feats = _rand_views(rng, MICRO, 1, batch=B)
-        base = forward_single(single, MICRO, z_t, t, feats[:, 0])
+        base, _ = forward_single(single, MICRO, z_t, t, feats[:, 0])
         mv, _ = forward_multiview(multi, MICRO, z_t, t, feats, np.zeros(B, dtype=np.int64),
                                   ForwardOptions(mode="inference"))
         assert np.abs(base.data - mv.data).max() < 1e-12
@@ -269,7 +270,7 @@ def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch):
         t = rng.random(B)
         feats = _rand_views(rng, MICRO, 3, batch=B)
         primary = np.full(B, 1, dtype=np.int64)
-        base = forward_single(single_params, MICRO, z_t, t, feats[:, 1])
+        base, _ = forward_single(single_params, MICRO, z_t, t, feats[:, 1])
         forced, _ = forward_multiview(upgraded.params, upgraded.cfg, z_t, t, feats, primary,
                                       ForwardOptions(mode="inference"))
         assert np.array_equal(base.data, forced.data), f"draw {draw}"
@@ -292,9 +293,54 @@ def test_integrate_flow_without_router_is_euler_over_flattened_views(arch, views
     ref, dt = z_init.copy(), 1.0 / steps
     with nx.no_grad():
         for k in range(steps):
-            vel = forward_single(model.params, cfg, ref, np.full(B, 1.0 - k * dt), flat)
+            vel, _ = forward_single(model.params, cfg, ref, np.full(B, 1.0 - k * dt), flat)
             ref = ref - dt * vel.data
     assert np.array_equal(z, ref)
+
+
+@pytest.mark.parametrize("views", [1, 2, 4])
+def test_integrate_flow_reuses_its_view_context_bit_exactly(views):
+    """One context per request gives the latents and trace of a fresh one per step."""
+    rng = np.random.default_rng(17)
+    model = Model.create(MICRO, 18)
+    _randomize_zero_init(model.params, rng)
+    B, steps = 2, 4
+    feats = _rand_views(rng, MICRO, views, batch=B)
+    primary = np.zeros(B, dtype=np.int64)
+    z_init = rng.normal(size=(B, MICRO.tokens, MICRO.model_dim))
+    z, trace = M.integrate_flow(model.params, MICRO, feats, primary, z_init, steps=steps,
+                                collect_trace=True)
+
+    ref, dt, ref_trace = z_init.copy(), 1.0 / steps, []
+    with nx.no_grad():
+        for k in range(steps):
+            fresh = M.view_context(model.params, MICRO, feats, routed=True)
+            vel, info = forward_multiview(model.params, MICRO, ref, np.full(B, 1.0 - k * dt),
+                                          feats, primary, ForwardOptions(views=fresh))
+            ref = ref - dt * vel.data
+            ref_trace.append(info.hard_trace())
+    assert np.array_equal(z, ref)
+    assert np.array_equal(trace, np.stack(ref_trace))
+
+
+@pytest.mark.parametrize("arch", ["routed", "concat"])
+def test_forward_rejects_a_view_context_of_other_features(arch):
+    rng = np.random.default_rng(19)
+    cfg = dataclasses.replace(MICRO, arch=arch)
+    model = Model.create(cfg, 20)
+    B = 2
+    feats = _rand_views(rng, cfg, 3, batch=B)
+    z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
+    t, primary = np.ones(B), np.zeros(B, dtype=np.int64)
+    _, info = model.velocity(z_t, t, feats, primary)
+    opts = ForwardOptions(views=info.views)
+    model.velocity(z_t, t, feats.copy(), primary, opts)    # equal features are accepted
+    with pytest.raises(ValueError, match="view context"):
+        model.velocity(z_t, t, feats + 1.0, primary, opts)
+    if arch == "routed":   # a router-less context lacks CA_a and the router keys
+        opts.views = M.view_context(model.params, cfg, feats, routed=False)
+        with pytest.raises(ValueError, match="view context"):
+            model.velocity(z_t, t, feats, primary, opts)
 
 
 @pytest.mark.parametrize("bad", ["feats", "z_init"])

@@ -9,6 +9,9 @@ import pytest
 import roar3d.numerics as nx
 from roar3d import checkpoint as ckpt
 from roar3d.numerics import Tensor, grad_check
+from roar3d.router import RoutingDecision
+
+from conftest import surrogate_multiplier
 
 
 def _fd_scalar(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -291,6 +294,56 @@ def test_ste_one_forward_is_exact_ones_backward_passthrough():
     expect[0, 1] = 2.0
     expect[1, 0] = -3.0
     assert np.array_equal(y.grad, expect)
+
+
+def _dual_linear_inputs(rng, B=2, N=8, k=4, n=3, V=3):
+    """x, w_p, w_a, a soft routing row per token, hard picks and a mixed stream mask."""
+    x = Tensor(rng.normal(size=(B, N, k)), requires_grad=True)
+    w_p = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    w_a = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    y_soft = Tensor(nx.softmax(Tensor(rng.normal(size=(B, N, V)))).data, requires_grad=True)
+    hard = rng.integers(0, V, size=(B, N))
+    use_p = np.arange(B * N).reshape(B, N) % 2 == 0
+    rng.shuffle(use_p.reshape(-1))
+    return x, w_p, w_a, RoutingDecision(hard, y_soft), use_p
+
+
+def test_dual_linear_gradients_match_finite_differences():
+    rng = np.random.default_rng(21)
+    x, w_p, w_a, dec, use_p = _dual_linear_inputs(rng)
+    offset = 1.0 - np.take_along_axis(dec.y_soft.data, dec.hard_index[..., None], -1)
+    w = rng.normal(size=x.shape[:-1] + (w_p.shape[1],))
+
+    def f():
+        out = nx.dual_linear(x, w_p, w_a, use_p, surrogate_multiplier(dec, offset))
+        return nx.sum_all(nx.mul(out, Tensor(w)))
+
+    report = grad_check(f, {"x": x, "w_p": w_p, "w_a": w_a, "y_soft": dec.y_soft})
+    assert max(report.values()) < 1e-4, report
+
+
+def _masked_dual_linear(x, w_p, w_a, use_p, m):
+    """The six-node masked form that ``dual_linear`` replaces."""
+    mask_p = Tensor(use_p[..., None].astype(np.float64))
+    mask_a = Tensor((~use_p)[..., None].astype(np.float64))
+    return nx.scale_rows(nx.add(nx.matmul(nx.scale_rows(x, mask_p), w_p),
+                                nx.matmul(nx.scale_rows(x, mask_a), w_a)), m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dual_linear_bit_equal_to_masked_form(seed):
+    rng = np.random.default_rng(seed)
+    x, w_p, w_a, dec, use_p = _dual_linear_inputs(rng)
+    inputs = (x, w_p, w_a, dec.y_soft)
+    g = Tensor(rng.normal(size=x.shape[:-1] + (w_p.shape[1],)))
+    runs = []
+    for op in (nx.dual_linear, _masked_dual_linear):
+        for t in inputs:
+            t.zero_grad()
+        out = op(x, w_p, w_a, use_p, dec.ste_multiplier())
+        nx.sum_all(nx.mul(out, g)).backward()
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import roar3d.numerics as nx
 import roar3d.model as M
 from roar3d.config import ModelConfig
 from roar3d.numerics import Tensor, grad_check
-from roar3d.router import gumbel_select, routing_logits_batched, sample_gumbel
+from roar3d.router import gumbel_select, router_keys, routing_logits_batched, sample_gumbel
 from roar3d.rng import stream
 
 from conftest import surrogate_multiplier
@@ -28,14 +28,14 @@ POOL_CFG = ModelConfig(blocks=1, grid=2, model_dim=16, heads=2, head_dim=4,
 
 
 def _pooled_keys(monkeypatch, feats):
-    """The (V, feat_dim) pooled keys the routed forward hands the router for ``feats``."""
+    """The (V, feat_dim) pooled keys the routed forward hands ``router_keys`` for ``feats``."""
     seen = []
 
-    def spy(z, pooled, p):
+    def spy(pooled, p):
         seen.append(pooled.data)
-        return routing_logits_batched(z, pooled, p)
+        return router_keys(pooled, p)
 
-    monkeypatch.setattr(M, "routing_logits_batched", spy)
+    monkeypatch.setattr(M, "router_keys", spy)
     params = M.init_multiview_params(POOL_CFG, 0)
     z_t = np.zeros((1, POOL_CFG.tokens, POOL_CFG.model_dim))
     M.forward_multiview(params, POOL_CFG, z_t, np.ones(1), feats[None], np.zeros(1, int))
@@ -70,7 +70,8 @@ def test_pool_matches_direct_summation(monkeypatch):
 def _one_sample_logits(z, pooled, p):
     """(N, V) logits of one sample through the batched router, a batch of one."""
     z, k = Tensor(z), Tensor(pooled)
-    r = routing_logits_batched(nx.reshape(z, (1,) + z.shape), nx.reshape(k, (1,) + k.shape), p)
+    keys = router_keys(nx.reshape(k, (1,) + k.shape), p)
+    r = routing_logits_batched(nx.reshape(z, (1,) + z.shape), keys, p)
     return nx.reshape(r, r.shape[1:])
 
 
