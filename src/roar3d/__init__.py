@@ -25,6 +25,7 @@ from .model import (
     latent_decode,
     latent_encode,
     rotate_latent,
+    time_context,
     view_context,
 )
 from .numerics import ComputationTape, Tensor, grad_check

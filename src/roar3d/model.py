@@ -38,6 +38,8 @@ __all__ = [
     "ForwardInfo",
     "ViewContext",
     "view_context",
+    "TimeContext",
+    "time_context",
     "latent_encode",
     "latent_decode",
     "rotate_latent",
@@ -299,12 +301,35 @@ class ViewContext:
 
 
 @dataclass
+class TimeContext:
+    """The timestep side of a forward: everything that depends only on ``t``.
+
+    ``blocks[l]`` holds block ``l``'s seven adaLN chunks (self-attention
+    scale, shift, gate; cross-attention gate; MLP scale, shift, gate) and
+    ``final`` the head's (scale, shift), each shaped ``t.shape + (D,)``.
+    """
+
+    t: np.ndarray
+    blocks: list
+    final: tuple
+
+    def row(self, k: int) -> "TimeContext":
+        """Row ``k`` of a context built for a (steps, B) schedule, as plain data."""
+        def pick(x: Tensor) -> Tensor:
+            return Tensor(x.data[k])
+
+        return TimeContext(self.t[k], [[pick(c) for c in chunks] for chunks in self.blocks],
+                           tuple(pick(c) for c in self.final))
+
+
+@dataclass
 class ForwardOptions:
     mode: str = "inference"            # routing mode: "train" draws Gumbel noise
     tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
     views: ViewContext | None = None   # built from the same feats; None builds it
+    time: TimeContext | None = None    # built for the same t; None builds it
 
 
 @dataclass
@@ -323,14 +348,17 @@ class ForwardInfo:
 
 
 def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
-    """Sinusoidal features of t in [0, 1], scaled to a 0..1000 phase range."""
+    """Sinusoidal features of t in [0, 1], scaled to a 0..1000 phase range.
+
+    Any leading shape of ``t`` works; the features go on a new last axis.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
-    ang = t[:, None] * 1000.0 * freqs[None, :]
-    emb = np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
+    ang = t[..., None] * 1000.0 * freqs
+    emb = np.concatenate([np.cos(ang), np.sin(ang)], axis=-1)
     if dim % 2:
-        emb = np.concatenate([emb, np.zeros((t.shape[0], 1))], axis=1)
+        emb = np.concatenate([emb, np.zeros(t.shape + (1,))], axis=-1)
     return emb
 
 
@@ -372,10 +400,26 @@ def _t_embed(params, t: np.ndarray, d: int) -> Tensor:
     return nx.add_bias(nx.matmul(h, params["temb.w2"]), params["temb.b2"])
 
 
-def _modulation(params, l: int, temb: Tensor, d: int):
-    mod = nx.add_bias(nx.matmul(nx.silu(temb), params[f"blocks.{l}.mod.w"]),
-                      params[f"blocks.{l}.mod.b"])
-    return [nx.slice_last(mod, i * d, (i + 1) * d) for i in range(7)]
+def _modulation(temb: Tensor, w: Tensor, b: Tensor, d: int) -> list:
+    """The width-``d`` chunks of the adaLN projection ``silu(temb) @ w + b``."""
+    mod = nx.add_bias(nx.matmul(nx.silu(temb), w), b)
+    return [nx.slice_last(mod, i, i + d) for i in range(0, b.shape[0], d)]
+
+
+def time_context(params: dict[str, Tensor], cfg: ModelConfig, t: np.ndarray) -> TimeContext:
+    """Build every block's adaLN modulation and the head's from timesteps ``t``.
+
+    ``t`` is (B,) for one forward, or (steps, B) for a whole sampling schedule
+    whose rows :meth:`TimeContext.row` hands out. With gradients on the
+    context is part of the graph of the forward that builds it.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    d = cfg.model_dim
+    temb = _t_embed(params, t, d)
+    blocks = [_modulation(temb, params[f"blocks.{l}.mod.w"], params[f"blocks.{l}.mod.b"], d)
+              for l in range(cfg.blocks)]
+    final = _modulation(temb, params["final.mod.w"], params["final.mod.b"], d)
+    return TimeContext(t, blocks, tuple(final))
 
 
 def _self_attention_block(params, l: int, z: Tensor, sc, sh, gate, cfg: ModelConfig) -> Tensor:
@@ -407,7 +451,7 @@ def _mlp_block(params, l: int, z: Tensor, sc, sh, gate) -> Tensor:
 T_FLOOR = 0.02  # clamp for the 1/t factor of the clean-latent parameterization
 
 
-def _final_head(params, z: Tensor, temb: Tensor, d: int,
+def _final_head(params, z: Tensor, sc: Tensor, sh: Tensor,
                 z_t: np.ndarray, t: np.ndarray) -> Tensor:
     """Clean-latent estimate, then a linear velocity head.
 
@@ -417,12 +461,9 @@ def _final_head(params, z: Tensor, temb: Tensor, d: int,
     what lets conditioning train in a desk-sized step budget. The final
     zero-initialized linear head maps that candidate to the emitted velocity.
     """
-    fm = nx.add_bias(nx.matmul(nx.silu(temb), params["final.mod.w"]), params["final.mod.b"])
-    sc = nx.slice_last(fm, 0, d)
-    sh = nx.slice_last(fm, d, 2 * d)
     h = nx.modulate(nx.layer_norm(z, params["final.ln.gain"], params["final.ln.bias"]), sc, sh)
     x_hat = nx.add_bias(nx.matmul(h, params["xhead.w"]), params["xhead.b"])
-    inv_t = 1.0 / np.maximum(np.atleast_1d(np.asarray(t, dtype=np.float64)), T_FLOOR)
+    inv_t = 1.0 / np.maximum(t, T_FLOOR)
     candidate = nx.scale_batch(nx.sub(Tensor(z_t), x_hat), inv_t)
     return nx.add_bias(nx.matmul(candidate, params["head.w"]), params["head.b"])
 
@@ -496,8 +537,8 @@ def forward_single(params: dict[str, Tensor], cfg: ModelConfig, z_t: np.ndarray,
                    opts: ForwardOptions | None = None) -> tuple[Tensor, ForwardInfo]:
     """Router-less velocity prediction; feats is (B, S', feat_dim), one view.
 
-    Only ``opts.views`` is read: a context from an earlier call on the same
-    ``feats``.
+    Only ``opts.views`` and ``opts.time`` are read: contexts from an earlier
+    call on the same ``feats`` and ``t``.
     """
     return _forward(params, cfg, z_t, t, np.asarray(feats)[:, None], None, opts)
 
@@ -521,7 +562,7 @@ def forward_multiview(
     primary_index = np.asarray(primary_index, dtype=np.int64)
     if primary_index.shape != (z_t.shape[0],):
         raise ValueError("primary_index must have one entry per sample")
-    if primary_index.max() >= feats.shape[1]:
+    if primary_index.max() >= feats.shape[1] or primary_index.min() < -1:
         raise ValueError("primary index out of range")
     if opts.mode not in ("train", "inference"):
         raise ValueError(f"mode must be train or inference, got {opts.mode!r}")
@@ -534,17 +575,23 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     """The block loop of both forwards; ``primary_index`` None runs without a router.
 
     The view context comes from ``opts.views``, or is built here when that is
-    None; either way it is returned in ``ForwardInfo.views``.
+    None; either way it is returned in ``ForwardInfo.views``. The time context
+    comes from ``opts.time`` in the same way.
     """
     B, N, d = z_t.shape
     routed = primary_index is not None
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     views = opts.views if opts is not None else None
     if views is None:
         views = view_context(params, cfg, feats, routed)
     elif (views.router_keys is not None) != routed or not np.array_equal(views.feats, feats):
         raise ValueError("the view context was built from other features or another arch")
+    time = opts.time if opts is not None else None
+    if time is None:
+        time = time_context(params, cfg, t)
+    elif not np.array_equal(time.t, t):
+        raise ValueError("the time context was built for other timesteps")
     z = Tensor(z_t + grid_positional_embedding(cfg)[None])
-    temb = _t_embed(params, t, d)
     info = ForwardInfo(views=views)
     # without a router every token takes view 0 through CA_p
     v_star = np.zeros((B, N), dtype=np.int64)
@@ -552,7 +599,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     multiplier = None
 
     for l in range(cfg.blocks):
-        sc1, sh1, g1, g_ca, sc2, sh2, g2 = _modulation(params, l, temb, d)
+        sc1, sh1, g1, g_ca, sc2, sh2, g2 = time.blocks[l]
         z = _self_attention_block(params, l, z, sc1, sh1, g1, cfg)
 
         if routed:
@@ -568,7 +615,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
         z = _cross_attention(params, l, z, views, v_star, use_p, multiplier, g_ca, cfg)
         z = _mlp_block(params, l, z, sc2, sh2, g2)
 
-    return _final_head(params, z, temb, d, z_t, t), info
+    return _final_head(params, z, *time.final, z_t, t), info
 
 
 class Model:
@@ -659,9 +706,12 @@ def integrate_flow(
     Deterministic given ``z_init``; with ``collect_trace`` a routed model
     also returns the (T, L, B, N) hard routing indices of every denoising
     step (None for a model without a router). Non-finite ``feats`` or
-    ``z_init`` raise ValueError. The first step's forward builds the view
+    ``z_init`` and ``steps < 1`` raise ValueError. The time context of the
+    whole schedule is built once; the first step's forward builds the view
     context and every later step reuses it.
     """
+    if steps < 1:
+        raise ValueError(f"integrate_flow needs steps >= 1, got {steps}")
     if not (np.isfinite(feats).all() and np.isfinite(z_init).all()):
         raise ValueError("integrate_flow needs finite feats and z_init")
     model = Model(cfg, params)
@@ -671,9 +721,11 @@ def integrate_flow(
     trace = []
     opts = ForwardOptions(mode="inference")
     with nx.no_grad():
+        times = time_context(params, cfg, np.stack([np.full(B, 1.0 - k * dt)
+                                                    for k in range(steps)]))
         for k in range(steps):
-            t = np.full(B, 1.0 - k * dt)
-            vel, info = model.velocity(z, t, feats, primary_index, opts)
+            opts.time = times.row(k)
+            vel, info = model.velocity(z, opts.time.t, feats, primary_index, opts)
             opts.views = info.views
             z = z - dt * vel.data
             if collect_trace and info.decisions:

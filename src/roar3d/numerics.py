@@ -97,10 +97,9 @@ class Tensor:
         # Constants outside the graph never need gradient storage.
         if not (self.requires_grad or self._parents):
             return
-        if self.grad is None:
-            self.grad = np.array(g)  # own a copy: g may be shared by siblings
-        else:
-            self.grad += g
+        # g is kept, not copied, and may be shared with siblings: no backward
+        # or optimizer writes into a gradient array in place
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Reverse-mode sweep from this (scalar) tensor."""
@@ -355,18 +354,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("layer_norm needs last axis >= 2")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm affine shape mismatch")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.data - mu) * inv
+    # the sums and divisions of np.mean and np.var, without their Python overhead
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(np.square(xc), axis=-1, keepdims=True) / d + LN_EPS)
+    xhat = xc * inv
     y = xhat * gain.data + bias.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad or x._parents:
             dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accum_grad(term * inv)
+            mean_dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+            dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            dxhat -= xhat * mean_dot
+            dxhat *= inv
+            x.accum_grad(dxhat)
         gain.accum_grad((g * xhat).reshape(-1, d).sum(axis=0))
         bias.accum_grad(g.reshape(-1, d).sum(axis=0))
 
@@ -379,16 +380,17 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,):
         raise ShapeError("rms_norm gain shape mismatch")
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + RMS_EPS)
+    inv = 1.0 / np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d + RMS_EPS)
     u = x.data * inv
     y = u * gain.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad or x._parents:
             gg = g * gain.data
-            dot = (gg * x.data).sum(axis=-1, keepdims=True)
-            x.accum_grad(gg * inv - x.data * (dot * inv**3 / d))
+            dot = np.add.reduce(gg * x.data, axis=-1, keepdims=True)
+            gg *= inv
+            gg -= x.data * (dot * inv**3 / d)
+            x.accum_grad(gg)
         gain.accum_grad((g * u).reshape(-1, d).sum(axis=0))
 
     return _node(y, (x, gain), backward)
@@ -418,10 +420,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
 
     def backward(g: np.ndarray) -> None:
-        x.accum_grad(g.transpose(inv))
+        x.accum_grad(g.transpose(np.argsort(axes)))
 
     return _node(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward)
 

@@ -172,6 +172,18 @@ def test_forward_rejects_unknown_routing_mode():
                           ForwardOptions(mode="maybe"))
 
 
+@pytest.mark.parametrize("primary", [-2, -5, 2])
+def test_forward_rejects_primary_index_out_of_range(primary):
+    """-1 means "no primary"; other negatives and view counts are no view at all."""
+    rng = np.random.default_rng(2)
+    params = init_multiview_params(MICRO, 3)
+    tokens = rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))
+    feats = _rand_views(rng, MICRO, 2, batch=1)
+    forward_multiview(params, MICRO, tokens, rng.random(1), feats, np.array([-1]))
+    with pytest.raises(ValueError, match="primary index out of range"):
+        forward_multiview(params, MICRO, tokens, rng.random(1), feats, np.array([primary]))
+
+
 @pytest.mark.parametrize("v", [1, 2, 4, 8])
 def test_per_token_attended_keys_equal_patch_count(v):
     """Each token's output is a softmax over the S keys of its own view and stream."""
@@ -341,6 +353,35 @@ def test_forward_rejects_a_view_context_of_other_features(arch):
         opts.views = M.view_context(model.params, cfg, feats, routed=False)
         with pytest.raises(ValueError, match="view context"):
             model.velocity(z_t, t, feats, primary, opts)
+
+
+@pytest.mark.parametrize("arch", ["routed", "concat"])
+def test_forward_rejects_a_time_context_of_other_timesteps(arch):
+    rng = np.random.default_rng(21)
+    cfg = dataclasses.replace(MICRO, arch=arch)
+    model = Model.create(cfg, 22)
+    _randomize_zero_init(model.params, rng)
+    B = 2
+    feats = _rand_views(rng, cfg, 3, batch=B)
+    z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
+    t, primary = np.array([0.25, 0.75]), np.zeros(B, dtype=np.int64)
+    fresh, _ = model.velocity(z_t, t, feats, primary)
+    opts = ForwardOptions(time=M.time_context(model.params, cfg, t))
+    out, _ = model.velocity(z_t, t.copy(), feats, primary, opts)   # equal timesteps are accepted
+    assert np.array_equal(out.data, fresh.data)
+    for other in (t[::-1], np.full(B, 0.25), t[:1]):
+        with pytest.raises(ValueError, match="time context"):
+            model.velocity(z_t, other, feats, primary, opts)
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_integrate_flow_rejects_fewer_than_one_step(steps):
+    rng = np.random.default_rng(15)
+    model = Model.create(MICRO, 16)
+    with pytest.raises(ValueError, match="steps >= 1"):
+        M.integrate_flow(model.params, MICRO, _rand_views(rng, MICRO, 2, batch=1),
+                         np.zeros(1, dtype=np.int64),
+                         rng.normal(size=(1, MICRO.tokens, MICRO.model_dim)), steps=steps)
 
 
 @pytest.mark.parametrize("bad", ["feats", "z_init"])

@@ -160,6 +160,57 @@ def test_norms_scale_equivariant_far_from_eps(alpha):
     assert np.abs(rn1 - rn2).max() < 1e-8
 
 
+def _layer_norm_mean_var_form(x, gain, bias, g):
+    """layer_norm's output and (x, gain, bias) gradients spelled out with mean/var."""
+    d = x.shape[-1]
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + nx.LN_EPS)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    dxhat = g * gain
+    gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return xhat * gain + bias, gx, (g * xhat).reshape(-1, d).sum(axis=0), \
+        g.reshape(-1, d).sum(axis=0)
+
+
+def _rms_norm_mean_form(x, gain, g):
+    """rms_norm's output and (x, gain) gradients spelled out with mean/sum."""
+    d = x.shape[-1]
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + nx.RMS_EPS)
+    u = x * inv
+    gg = g * gain
+    dot = (gg * x).sum(axis=-1, keepdims=True)
+    return u * gain, gg * inv - x * (dot * inv**3 / d), (g * u).reshape(-1, d).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 64), (16, 64, 64)])
+def test_norms_bit_equal_to_mean_var_form(shape):
+    rng = np.random.default_rng(shape[0])
+    x = Tensor(rng.normal(size=shape) * 3.0 + 0.5, requires_grad=True)
+    gain = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+    bias = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+    g = rng.normal(size=shape)
+    for op, inputs, reference in (
+        (nx.layer_norm, (x, gain, bias), _layer_norm_mean_var_form),
+        (nx.rms_norm, (x, gain), _rms_norm_mean_form),
+    ):
+        for t in inputs:
+            t.zero_grad()
+        out = op(*inputs)
+        nx.sum_all(nx.mul(out, Tensor(g))).backward()
+        got = [out.data] + [t.grad for t in inputs]
+        expect = reference(*(t.data for t in inputs), g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], op.__name__
+
+
+def test_accum_grad_keeps_sibling_gradients_apart():
+    """``add`` hands both leaves one gradient array; a later one for ``a`` leaves ``b``'s alone."""
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    nx.sum_all(nx.add(nx.add(a, b), nx.scale(a, 2.0))).backward()
+    assert np.array_equal(a.grad, np.full((2, 3), 3.0))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # grad_check harness
 # ---------------------------------------------------------------------------
