@@ -51,6 +51,8 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a ``save_tensors`` file; a short read, trailing byte or NaN/inf is a CheckpointError."""
     path = Path(path)
+    if path.is_dir():
+        raise CheckpointError(f"{path}: a directory, not a tensor container")
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
@@ -94,8 +96,10 @@ def save_sidecar(path: str | Path, meta: dict) -> None:
 
 
 def load_sidecar(path: str | Path) -> dict:
-    """Read <path>.json; anything but a JSON object is a CheckpointError."""
+    """Read <path>.json; a directory or anything but a JSON object is a CheckpointError."""
     side = Path(str(path) + ".json")
+    if side.is_dir():
+        raise CheckpointError(f"{side}: a directory, not a sidecar")
     try:
         meta = json.loads(side.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -56,6 +57,12 @@ class WorldConfig:
         return self.patch_grid * self.patch_grid
 
     def validate(self) -> None:
+        if self.points < 16:
+            raise ConfigError("world.points must be at least 16")
+        if not self.image_extent > 0.0:
+            raise ConfigError("world.image_extent must be positive")
+        if not self.occlusion_window >= 0.0:
+            raise ConfigError("world.occlusion_window must not be negative")
         if not 0 <= self.lift_seed < SEED_LIMIT:
             raise ConfigError("world.lift_seed must lie in [0, 2**63)")
         if not self.classes or not set(self.classes) <= set(SHAPE_CLASSES):
@@ -100,6 +107,8 @@ class ModelConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.model_dim < 4:
             raise ConfigError("model_dim must hold the 4 geometry channels")
+        if not (self.occupancy_scale > 0.0 and self.offset_scale > 0.0):
+            raise ConfigError("occupancy_scale and offset_scale must be positive")
 
 
 @dataclass
@@ -121,6 +130,12 @@ class TrainConfig:
     tau: float = 1.0              # Gumbel-Softmax temperature, fixed
 
     def validate(self) -> None:
+        if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr, self.lr_final)):
+            raise ConfigError("lr and lr_final must be finite and not negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0.0:
+            raise ConfigError("adam_eps must be positive")
         if not 0.0 <= self.p_pert <= 1.0:
             raise ConfigError("p_pert must lie in [0, 1]")
         if not 0 <= self.aux_min <= self.aux_max:

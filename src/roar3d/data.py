@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig
 from .model import latent_encode
-from .rng import stream, stream_seed, worker_count
+from .rng import stream, stream_seed
 from .world import encode_view, generate_shape, sample_views
 
 __all__ = ["DatasetStore", "SplitData", "build_dataset", "load_dataset"]
@@ -85,15 +85,7 @@ def build_dataset(cfg: RunConfig, out_dir: str | Path, force: bool = False) -> P
     out.mkdir(parents=True, exist_ok=True)
     total = cfg.sample.n_train + cfg.sample.n_val + cfg.sample.n_test
     records = [_shape_record(cfg, i) for i in range(total)]
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(lambda r: _build_shape(r, cfg), records))
-    else:
-        built = [_build_shape(r, cfg) for r in records]
+    built = [_build_shape(r, cfg) for r in records]
 
     for split in SPLITS:
         tensors: dict[str, np.ndarray] = {}

@@ -14,7 +14,6 @@ choices across blocks, timesteps, or both jointly; every value lies in
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, save_sidecar
 from .config import ConfigError, RunConfig
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
@@ -330,9 +329,7 @@ def save_trace(path, trace: np.ndarray, view_count: int, meta: dict | None = Non
         fh.write(trace.astype("<u2").tobytes(order="C"))
     sidecar = {"timesteps": T, "blocks": L, "tokens": N, "views": view_count}
     sidecar.update(meta or {})
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_sidecar(path, sidecar)
 
 
 def load_trace(path) -> tuple[np.ndarray, int]:

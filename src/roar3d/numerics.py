@@ -95,7 +95,7 @@ class Tensor:
 
     def accum_grad(self, g: np.ndarray) -> None:
         # Constants outside the graph never need gradient storage.
-        if not (self.requires_grad or self._parents):
+        if not self.requires_grad:
             return
         # g is kept, not copied, and may be shared with siblings: no backward
         # or optimizer writes into a gradient array in place
@@ -130,7 +130,7 @@ class no_grad:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -195,9 +195,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accum_grad(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             if shared_rhs:
                 k, n = b.shape
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
@@ -306,12 +306,12 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
 
     def backward(g: np.ndarray) -> None:
         gs = g * m.data
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gx = np.matmul(gs, w_p.data.T) * mask_p
             gx += np.matmul(gs, w_a.data.T) * mask_a
             x.accum_grad(gx)
         for w, xs in ((w_p, x_p), (w_a, x_a)):
-            if w.requires_grad or w._parents:
+            if w.requires_grad:
                 w.accum_grad(xs.reshape(-1, k).T @ gs.reshape(-1, n))
         m.accum_grad((g * summed).sum(axis=-1, keepdims=True))
 
@@ -361,7 +361,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y = xhat * gain.data + bias.data
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dxhat = g * gain.data
             mean_dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
             dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
@@ -385,7 +385,7 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     y = u * gain.data
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gg = g * gain.data
             dot = np.add.reduce(gg * x.data, axis=-1, keepdims=True)
             gg *= inv

@@ -52,7 +52,8 @@ def stream_seed(root_seed: int, name: str, *counters: int) -> int:
 
 
 def worker_count() -> int:
-    """Worker parallelism cap: min(cpu count, ROAR_THREADS)."""
+    """min(cpu count, ROAR_THREADS), kept only for the benchmark's
+    ``data.workers`` record: no roar3d code path reads it."""
     import os
 
     n = os.cpu_count() or 1

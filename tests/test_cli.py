@@ -272,12 +272,19 @@ def _drop_first_test_cams(data: Path) -> None:
     ckpt.save_tensors(data / "test.bin", tensors)
 
 
+def _train_container_to_directory(data: Path) -> None:
+    (data / "train.bin").unlink()
+    (data / "train.bin").mkdir()
+
+
 @pytest.mark.parametrize("edit", [
     lambda data: _edit_manifest(data, lambda text: text[:-30]),
     lambda data: _edit_manifest(data, lambda text: "[1, 2]\n" + text),
     lambda data: _edit_manifest(data, _drop_first_class),
     _drop_first_test_cams,
-], ids=["manifest-cut", "record-not-object", "record-without-class", "tensors-missing"])
+    _train_container_to_directory,
+], ids=["manifest-cut", "record-not-object", "record-without-class", "tensors-missing",
+        "split-container-is-directory"])
 def test_malformed_dataset_exit_code(pipeline, tmp_path, edit):
     data = _copy_data(pipeline["data"], tmp_path / "data")
     edit(data)
@@ -294,9 +301,21 @@ def test_malformed_dataset_exit_code(pipeline, tmp_path, edit):
     ("bad.cfg", lambda text: text.replace("views_per_bin = 2", "views_per_bin = 0")),
     ("bad.cfg", lambda text: text.replace("[world]", "[world]\nclasses = foo")),
     ("bad.cfg", lambda text: text.replace("[world]", "[world]\nlift_seed = -1")),
+    ("bad.cfg", lambda text: text.replace("points = 256", "points = 4")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nimage_extent = 0")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nocclusion_window = -0.1")),
+    ("bad.cfg", lambda text: text.replace("[model]", "[model]\noccupancy_scale = 0")),
+    ("bad.cfg", lambda text: text.replace("[model]", "[model]\noffset_scale = 0")),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\nlr = inf")),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\nlr_final = -1e-4")),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta1 = 1.0")),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta2 = -0.5")),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\nadam_eps = 0")),
 ], ids=["section-not-object", "payload-not-object", "run-not-object", "seed-not-int",
         "tau-zero", "split-size-negative", "views-per-bin-zero", "unknown-class",
-        "lift-seed-negative"])
+        "lift-seed-negative", "points-below-16", "image-extent-zero",
+        "occlusion-window-negative", "occupancy-scale-zero", "offset-scale-zero",
+        "lr-infinite", "lr-final-negative", "beta1-one", "beta2-negative", "adam-eps-zero"])
 def test_bad_config_value_exit_code(pipeline, tmp_path, name, edit):
     text = pipeline["cfg"].read_text(encoding="utf-8")
     assert edit(text) != text

@@ -556,13 +556,18 @@ def test_model_load_rejects_tensors_that_do_not_fit_the_config(tmp_path):
     lambda text: text.replace('"blocks"', '"blockz"'),
     lambda text: text.replace('"blocks": 2', '"blocks": "two"'),
     lambda text: "[1, 2]",
-], ids=["cut", "no-model", "unknown-key", "wrong-type", "not-an-object"])
+    None,
+], ids=["cut", "no-model", "unknown-key", "wrong-type", "not-an-object", "directory"])
 def test_model_load_rejects_malformed_sidecar(tmp_path, edit):
     path = tmp_path / "model.bin"
     Model.create(MICRO, 13).save(path)
     side = tmp_path / "model.bin.json"
-    text = side.read_text(encoding="utf-8")
-    assert edit(text) != text
-    side.write_text(edit(text), encoding="utf-8")
+    if edit is None:  # a directory where the sidecar belongs
+        side.unlink()
+        side.mkdir()
+    else:
+        text = side.read_text(encoding="utf-8")
+        assert edit(text) != text
+        side.write_text(edit(text), encoding="utf-8")
     with pytest.raises(ckpt.CheckpointError):
         Model.load(path)

@@ -1,9 +1,12 @@
-"""Shapes, rotation, cameras, and the synthetic view encoder."""
+"""Shapes, rotation, cameras, the synthetic view encoder, and the dataset build."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from roar3d.config import WorldConfig
+from roar3d.data import build_dataset
 from roar3d.evaluation import chamfer_distance
 from roar3d.rng import stream
 from roar3d.world import (
@@ -213,3 +216,24 @@ def test_encode_view_canonical_cameras_distinguishable():
             for j in range(i + 1, 4):
                 dist = float(np.linalg.norm(pooled[i] - pooled[j]))
                 assert dist > floor, f"seed {seed} views {i},{j}: {dist}"
+
+
+# ---------------------------------------------------------------------------
+# build_dataset
+# ---------------------------------------------------------------------------
+
+
+def test_build_dataset_runs_in_the_calling_thread(micro_cfg, tmp_path, monkeypatch):
+    build_dataset(micro_cfg, tmp_path / "normal")
+    monkeypatch.delenv("ROAR_THREADS", raising=False)
+
+    def refuse(self):
+        raise AssertionError("build_dataset started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    build_dataset(micro_cfg, tmp_path / "no-threads")
+    normal = sorted(p.name for p in (tmp_path / "normal").iterdir())
+    assert normal == sorted(p.name for p in (tmp_path / "no-threads").iterdir())
+    for name in normal:
+        assert (tmp_path / "no-threads" / name).read_bytes() == \
+            (tmp_path / "normal" / name).read_bytes(), name
