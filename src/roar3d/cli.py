@@ -29,7 +29,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import evaluation
-from .config import ConfigError, RunConfig
+from .config import ConfigError, ModelConfig, RunConfig
 from .data import build_dataset, load_dataset
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
@@ -89,6 +89,26 @@ def _load_data(path: str):
     return load_dataset(p)
 
 
+def _check_fit(split, mcfg: ModelConfig, features: bool = True) -> None:
+    """ConfigError unless the split's latents (and features) fit model config ``mcfg``."""
+    pairs = [("latents", split.latents.shape[1:], (mcfg.tokens, mcfg.model_dim))]
+    if features:
+        pairs.append(("features", split.feats.shape[3:], (mcfg.patches, mcfg.feat_dim)))
+    for what, have, want in pairs:
+        if tuple(have) != want:
+            raise ConfigError(f"dataset {what} are {tuple(have)} per shape, "
+                              f"the model expects {want}")
+
+
+def _check_world(model: Model, cfg: RunConfig) -> None:
+    """ConfigError unless the run's world encodes views the checkpoint can read."""
+    have = (cfg.world.patches, cfg.world.feat_dim)
+    want = (model.cfg.patches, model.cfg.feat_dim)
+    if have != want:
+        raise ConfigError(f"the run's world makes (patches, feat_dim) {have}, "
+                          f"the checkpoint expects {want}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -104,6 +124,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_single(args) -> int:
     cfg = _resolve_config(args)
     data = _load_data(args.data)
+    _check_fit(data.split("train"), cfg.model)
     out = _out_dir(args)
     model = Model.create(dataclasses.replace(cfg.model, arch="single"), cfg.seed)
     try:
@@ -130,8 +151,10 @@ def cmd_upgrade(args) -> int:
 def cmd_train_mv(args) -> int:
     cfg = _resolve_config(args)
     data = _load_data(args.data)
-    out = _out_dir(args)
     model = _load_model(args.ckpt)
+    for mcfg in (cfg.model, model.cfg):
+        _check_fit(data.split("train"), mcfg)
+    out = _out_dir(args)
     if args.arch == "routed" and model.cfg.arch != "routed":
         model = upgrade_from_single(model)
     elif args.arch == "concat":
@@ -163,6 +186,8 @@ def cmd_sample(args) -> int:
     split = data.split(args.split)
     if not 0 <= args.shape < len(split):
         raise ConfigError(f"shape index {args.shape} out of range (split has {len(split)})")
+    _check_fit(split, model.cfg, features=False)
+    _check_world(model, cfg)
     out = _out_dir(args)
 
     feats = _shape_features(split.points[args.shape], cfg, args.views)[None]
@@ -194,6 +219,8 @@ def cmd_eval(args) -> int:
     model = _load_model(args.ckpt)
     data = _load_data(args.data)
     split = data.split(args.split)
+    _check_fit(split, model.cfg, features=False)
+    _check_world(model, cfg)
     counts = args.view_counts
     out = _out_dir(args)
     result = evaluation.evaluate(model, split, cfg, view_counts=counts, seed=cfg.seed)

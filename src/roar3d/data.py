@@ -140,4 +140,6 @@ def load_dataset(path: str | Path) -> DatasetStore:
             )
         except KeyError as exc:
             raise ckpt.CheckpointError(f"{path / f'{split}.bin'}: no tensor {exc}") from None
+        except ValueError as exc:  # np.stack of shapes whose arrays differ in size
+            raise ckpt.CheckpointError(f"{path / f'{split}.bin'}: {exc}") from None
     return DatasetStore(splits=splits)

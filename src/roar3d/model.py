@@ -396,13 +396,13 @@ def grid_positional_embedding(cfg: ModelConfig) -> np.ndarray:
 
 def _t_embed(params, t: np.ndarray, d: int) -> Tensor:
     h = Tensor(timestep_embedding(t, d))
-    h = nx.silu(nx.add_bias(nx.matmul(h, params["temb.w1"]), params["temb.b1"]))
-    return nx.add_bias(nx.matmul(h, params["temb.w2"]), params["temb.b2"])
+    h = nx.silu(nx.linear(h, params["temb.w1"], params["temb.b1"]))
+    return nx.linear(h, params["temb.w2"], params["temb.b2"])
 
 
 def _modulation(temb: Tensor, w: Tensor, b: Tensor, d: int) -> list:
     """The width-``d`` chunks of the adaLN projection ``silu(temb) @ w + b``."""
-    mod = nx.add_bias(nx.matmul(nx.silu(temb), w), b)
+    mod = nx.linear(nx.silu(temb), w, b)
     return [nx.slice_last(mod, i, i + d) for i in range(0, b.shape[0], d)]
 
 
@@ -423,29 +423,19 @@ def time_context(params: dict[str, Tensor], cfg: ModelConfig, t: np.ndarray) -> 
 
 
 def _self_attention_block(params, l: int, z: Tensor, sc, sh, gate, cfg: ModelConfig) -> Tensor:
-    B, N, _ = z.shape
-    H, dh = cfg.heads, cfg.head_dim
     pre = f"blocks.{l}"
-    h = nx.modulate(nx.layer_norm(z, params[f"{pre}.ln_sa.gain"], params[f"{pre}.ln_sa.bias"]),
-                    sc, sh)
-
-    def heads(w):
-        return nx.transpose(nx.reshape(nx.matmul(h, w), (B, N, H, dh)), (0, 2, 1, 3))
-
-    out = nx.self_attention(heads(params[f"{pre}.sa.w_q"]), heads(params[f"{pre}.sa.w_k"]),
-                            heads(params[f"{pre}.sa.w_v"]))
-    out = nx.reshape(nx.transpose(out, (0, 2, 1, 3)), (B, N, H * dh))
-    out = nx.matmul(out, params[f"{pre}.sa.w_o"])
-    return nx.add(z, nx.gate_mul(out, gate))
+    h = nx.ada_layer_norm(z, params[f"{pre}.ln_sa.gain"], params[f"{pre}.ln_sa.bias"], sc, sh)
+    q, k, v = (nx.matmul(h, params[f"{pre}.sa.{w}"]) for w in ("w_q", "w_k", "w_v"))
+    out = nx.matmul(nx.self_attention(q, k, v, cfg.heads), params[f"{pre}.sa.w_o"])
+    return nx.gated_add(z, out, gate)
 
 
 def _mlp_block(params, l: int, z: Tensor, sc, sh, gate) -> Tensor:
     pre = f"blocks.{l}"
-    h = nx.modulate(nx.layer_norm(z, params[f"{pre}.ln_mlp.gain"], params[f"{pre}.ln_mlp.bias"]),
-                    sc, sh)
-    h = nx.silu(nx.add_bias(nx.matmul(h, params[f"{pre}.mlp.w1"]), params[f"{pre}.mlp.b1"]))
-    h = nx.add_bias(nx.matmul(h, params[f"{pre}.mlp.w2"]), params[f"{pre}.mlp.b2"])
-    return nx.add(z, nx.gate_mul(h, gate))
+    h = nx.ada_layer_norm(z, params[f"{pre}.ln_mlp.gain"], params[f"{pre}.ln_mlp.bias"], sc, sh)
+    h = nx.silu(nx.linear(h, params[f"{pre}.mlp.w1"], params[f"{pre}.mlp.b1"]))
+    h = nx.linear(h, params[f"{pre}.mlp.w2"], params[f"{pre}.mlp.b2"])
+    return nx.gated_add(z, h, gate)
 
 
 T_FLOOR = 0.02  # clamp for the 1/t factor of the clean-latent parameterization
@@ -461,17 +451,16 @@ def _final_head(params, z: Tensor, sc: Tensor, sh: Tensor,
     what lets conditioning train in a desk-sized step budget. The final
     zero-initialized linear head maps that candidate to the emitted velocity.
     """
-    h = nx.modulate(nx.layer_norm(z, params["final.ln.gain"], params["final.ln.bias"]), sc, sh)
-    x_hat = nx.add_bias(nx.matmul(h, params["xhead.w"]), params["xhead.b"])
+    h = nx.ada_layer_norm(z, params["final.ln.gain"], params["final.ln.bias"], sc, sh)
+    x_hat = nx.linear(h, params["xhead.w"], params["xhead.b"])
     inv_t = 1.0 / np.maximum(t, T_FLOOR)
     candidate = nx.scale_batch(nx.sub(Tensor(z_t), x_hat), inv_t)
-    return nx.add_bias(nx.matmul(candidate, params["head.w"]), params["head.b"])
+    return nx.linear(candidate, params["head.w"], params["head.b"])
 
 
-def _ca_q(params, prefix: str, znorm: Tensor, cfg: ModelConfig) -> Tensor:
-    """One stream's query per token, (B, N, H, dh)."""
-    q = nx.rms_norm(nx.matmul(znorm, params[prefix + ".w_q"]), params[prefix + ".q_gain"])
-    return nx.reshape(q, znorm.shape[:2] + (cfg.heads, cfg.head_dim))
+def _ca_q(params, prefix: str, znorm: Tensor) -> Tensor:
+    """One stream's query per token, (B, N, H * dh)."""
+    return nx.rms_norm(nx.matmul(znorm, params[prefix + ".w_q"]), params[prefix + ".q_gain"])
 
 
 def _ca_kv(params, prefix: str, feats: Tensor, cfg: ModelConfig):
@@ -516,20 +505,18 @@ def _cross_attention(
     output is scaled by the straight-through ``multiplier``. Without a router
     (``multiplier`` None) CA_p serves both streams and nothing is scaled.
     """
-    B, N, _ = z.shape
     pre = f"blocks.{l}"
     znorm = nx.layer_norm(z, params[f"{pre}.ln_ca.gain"], params[f"{pre}.ln_ca.bias"])
-    q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm, cfg), views.kv_p[l]
+    q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm), views.kv_p[l]
     q_a, kv_a = (q_p, kv_p) if multiplier is None else \
-        (_ca_q(params, f"{pre}.ca_a", znorm, cfg), views.kv_a[l])
-    attn = nx.routed_attention(q_p, q_a, kv_p, kv_a, v_star, use_primary)
-    flat = nx.reshape(attn, (B, N, cfg.attn_width))
+        (_ca_q(params, f"{pre}.ca_a", znorm), views.kv_a[l])
+    attn = nx.routed_attention(q_p, q_a, kv_p, kv_a, v_star, use_primary, cfg.heads)
     if multiplier is None:
-        out = nx.matmul(flat, params[f"{pre}.ca_p.w_o"])
+        out = nx.matmul(attn, params[f"{pre}.ca_p.w_o"])
     else:
-        out = nx.dual_linear(flat, params[f"{pre}.ca_p.w_o"], params[f"{pre}.ca_a.w_o"],
+        out = nx.dual_linear(attn, params[f"{pre}.ca_p.w_o"], params[f"{pre}.ca_a.w_o"],
                              use_primary, multiplier)
-    return nx.add(z, nx.gate_mul(out, gate))
+    return nx.gated_add(z, out, gate)
 
 
 def forward_single(params: dict[str, Tensor], cfg: ModelConfig, z_t: np.ndarray,

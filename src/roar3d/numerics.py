@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode autodiff.
 
 Just enough operations for attention stacks: matmul, norms, softmax, SiLU,
-a couple of gather/broadcast helpers, and two fused attention kernels. The
-design goals are auditability and determinism, not generality:
+a couple of gather/broadcast helpers, the fused glue of an adaLN-zero block
+(``linear``, ``ada_layer_norm``, ``gated_add``) and two fused attention
+kernels. The design goals are auditability and determinism, not generality:
 
 * everything is float64, row-major;
 * no broadcasting beyond the documented cases (shared 2-D rhs in matmul,
@@ -14,6 +15,14 @@ Tensors are immutable after construction except through their owning graph;
 forward/backward of one graph is single-threaded, independent graphs may run
 on independent threads. ``no_grad`` acts on the current context only, so one
 thread's inference does not switch off another's graph.
+
+Backward consumes its graph: as the sweep passes an op output it drops that
+node's gradient, its parents and its backward closure, so the saved arrays
+of a step are freed while the sweep runs, not when the next step rebinds its
+variables. Leaves keep their gradients and every node keeps its ``data``; a
+second backward through a spent graph raises ``RuntimeError``. The sweep
+touches only the nodes of its own graph, so independent graphs stay
+thread-independent.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "add_bias",
+    "linear",
     "scale_rows",
     "dual_linear",
     "scale_batch",
@@ -46,8 +55,8 @@ __all__ = [
     "slice_last",
     "take_index_last",
     "ste_one",
-    "modulate",
-    "gate_mul",
+    "ada_layer_norm",
+    "gated_add",
     "head_mix",
     "self_attention",
     "routed_attention",
@@ -102,7 +111,11 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this (scalar) tensor."""
+        """Reverse-mode sweep from this (scalar) tensor; consumes its graph.
+
+        Afterwards the leaves hold their gradients and every op output has
+        dropped its gradient and graph edges (see :class:`ComputationTape`).
+        """
         ComputationTape.trace(self).backward(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -137,12 +150,24 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
+def _spent(g: np.ndarray) -> None:
+    raise RuntimeError("backward through a graph that an earlier backward consumed")
+
+
 class ComputationTape:
     """Reverse-topological schedule over a forward graph.
 
     ``trace`` collects every node reachable from the root exactly once, in a
     deterministic DFS order; ``backward`` walks the record in reverse so each
     node's backward fires exactly once, after all its consumers.
+
+    ``backward`` consumes the graph: it pops each node off the tape, and once
+    an op output's backward has run it sets the node's ``grad`` to None, its
+    parents to ``()`` and its backward to one that raises ``RuntimeError``.
+    Each saved array is freed as soon as the last node holding it is passed.
+    Leaves keep their gradients and every node keeps its ``data``. The tape
+    is local to one call, so sweeps of independent graphs on independent
+    threads never share state.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -171,9 +196,16 @@ class ComputationTape:
         if root.data.size != 1:
             raise ShapeError("backward root must be scalar, got shape %s" % (root.shape,))
         root.grad = np.ones_like(root.data)
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _spent
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +286,26 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _node(x.data * s, (x,), backward)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., d] + b[d]."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if b.ndim != 1 or b.shape[0] != x.shape[-1]:
-        raise ShapeError(f"bias {b.shape} does not match last axis of {x.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[..., k] @ w[k, n] + b[n] as one node.
+
+    It runs the expressions of ``matmul`` with a shared 2-D rhs followed by a
+    bias add, in the same order, so its value and every gradient equal, bit
+    for bit, those of that node pair.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear shapes: x {x.shape}, w {w.shape}, b {b.shape}")
+    k, n = w.shape
 
     def backward(g: np.ndarray) -> None:
-        x.accum_grad(g)
-        b.accum_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if x.requires_grad:
+            x.accum_grad(np.matmul(g, w.data.T))
+        if w.requires_grad:
+            w.accum_grad(x.data.reshape(-1, k).T @ g.reshape(-1, n))
+        b.accum_grad(g.reshape(-1, n).sum(axis=0))
 
-    return _node(x.data + b.data, (x, b), backward)
+    return _node(np.matmul(x.data, w.data) + b.data, (x, w, b), backward)
 
 
 def scale_rows(x: Tensor, m: Tensor) -> Tensor:
@@ -346,30 +387,45 @@ def softmax(x: Tensor) -> Tensor:
     return _node(y, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row zero mean / unit variance over the last axis, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+def _check_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> int:
     d = x.shape[-1]
     if d < 2:
         raise ShapeError("layer_norm needs last axis >= 2")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm affine shape mismatch")
+    return d
+
+
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, d: int):
+    """(y, xhat, inv) of a layer norm over the last axis of width ``d``."""
     # the sums and divisions of np.mean and np.var, without their Python overhead
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.add.reduce(np.square(xc), axis=-1, keepdims=True) / d + LN_EPS)
     xhat = xc * inv
-    y = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_backward(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
+                         xhat: np.ndarray, inv: np.ndarray, d: int) -> None:
+    if x.requires_grad:
+        dxhat = g * gain.data
+        mean_dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+        dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        dxhat -= xhat * mean_dot
+        dxhat *= inv
+        x.accum_grad(dxhat)
+    gain.accum_grad((g * xhat).reshape(-1, d).sum(axis=0))
+    bias.accum_grad(g.reshape(-1, d).sum(axis=0))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row zero mean / unit variance over the last axis, then affine."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    d = _check_layer_norm(x, gain, bias)
+    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, d)
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dxhat = g * gain.data
-            mean_dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-            dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-            dxhat -= xhat * mean_dot
-            dxhat *= inv
-            x.accum_grad(dxhat)
-        gain.accum_grad((g * xhat).reshape(-1, d).sum(axis=0))
-        bias.accum_grad(g.reshape(-1, d).sum(axis=0))
+        _layer_norm_backward(g, x, gain, bias, xhat, inv, d)
 
     return _node(y, (x, gain, bias), backward)
 
@@ -470,34 +526,48 @@ def ste_one(soft: Tensor) -> Tensor:
     return _node(np.ones_like(soft.data), (soft,), backward)
 
 
-def modulate(x: Tensor, sc: Tensor, sh: Tensor) -> Tensor:
-    """x[..., n, d] * (1 + sc[..., d]) + sh[..., d], broadcast over tokens."""
-    x, sc, sh = _as_tensor(x), _as_tensor(sc), _as_tensor(sh)
-    if sc.shape != x.shape[:-2] + (x.shape[-1],) or sh.shape != sc.shape:
-        raise ShapeError(f"modulate shapes: x {x.shape}, scale {sc.shape}, shift {sh.shape}")
-    scb = sc.data[..., None, :]
-    y = x.data * (1.0 + scb) + sh.data[..., None, :]
+def ada_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sc: Tensor, sh: Tensor) -> Tensor:
+    """``layer_norm(x, gain, bias) * (1 + sc) + sh`` as one node.
+
+    ``x`` is (..., n, d); the scale ``sc`` and shift ``sh`` are (..., d) and
+    broadcast over the n tokens (adaLN modulation). The value and every
+    gradient equal, bit for bit, those of a layer-norm node followed by a
+    modulation node.
+    """
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    sc, sh = _as_tensor(sc), _as_tensor(sh)
+    d = _check_layer_norm(x, gain, bias)
+    if sc.shape != x.shape[:-2] + (d,) or sh.shape != sc.shape:
+        raise ShapeError(f"ada_layer_norm shapes: x {x.shape}, scale {sc.shape}, shift {sh.shape}")
+    normed, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, d)
+    scale = 1.0 + sc.data[..., None, :]
 
     def backward(g: np.ndarray) -> None:
-        x.accum_grad(g * (1.0 + scb))
-        sc.accum_grad((g * x.data).sum(axis=-2))
+        sc.accum_grad((g * normed).sum(axis=-2))
         sh.accum_grad(g.sum(axis=-2))
+        _layer_norm_backward(g * scale, x, gain, bias, xhat, inv, d)
 
-    return _node(y, (x, sc, sh), backward)
+    return _node(normed * scale + sh.data[..., None, :], (x, gain, bias, sc, sh), backward)
 
 
-def gate_mul(x: Tensor, gate: Tensor) -> Tensor:
-    """x[..., n, d] * gate[..., d], broadcast over tokens."""
-    x, gate = _as_tensor(x), _as_tensor(gate)
-    if gate.shape != x.shape[:-2] + (x.shape[-1],):
-        raise ShapeError(f"gate {gate.shape} does not match {x.shape}")
+def gated_add(z: Tensor, x: Tensor, gate: Tensor) -> Tensor:
+    """Gated residual ``z + x * gate`` as one node.
+
+    ``z`` and ``x`` are (..., n, d); ``gate`` is (..., d) and broadcasts over
+    the n tokens. The value and every gradient equal, bit for bit, those of a
+    gating node followed by an add node.
+    """
+    z, x, gate = _as_tensor(z), _as_tensor(x), _as_tensor(gate)
+    if z.shape != x.shape or gate.shape != x.shape[:-2] + (x.shape[-1],):
+        raise ShapeError(f"gated_add shapes: z {z.shape}, x {x.shape}, gate {gate.shape}")
     gb = gate.data[..., None, :]
 
     def backward(g: np.ndarray) -> None:
+        z.accum_grad(g)
         x.accum_grad(g * gb)
         gate.accum_grad((g * x.data).sum(axis=-2))
 
-    return _node(x.data * gb, (x, gate), backward)
+    return _node(z.data + x.data * gb, (z, x, gate), backward)
 
 
 def head_mix(scores: Tensor, w: Tensor) -> Tensor:
@@ -544,11 +614,16 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, sc: float):
-    """softmax(q k^T * sc) v over (..., n, d) arrays; returns (out, attn)."""
-    scores = np.matmul(q, k.swapaxes(-1, -2)) * sc
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    """softmax(q k^T * sc) v over (..., n, d) arrays; returns (out, attn).
+
+    Like :func:`_attend_grad` it works in place on its own temporaries, which
+    gives the values of the out-of-place expressions with fewer large arrays.
+    """
+    attn = np.matmul(q, k.swapaxes(-1, -2))
+    attn *= sc
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     return np.matmul(attn, v), attn
 
 
@@ -557,30 +632,46 @@ def _attend_grad(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Backward of :func:`_attend` for output gradient ``g``; returns (gq, gk, gv)."""
     gattn = np.matmul(g, v.swapaxes(-1, -2))
     gv = np.matmul(attn.swapaxes(-1, -2), g)
-    gs = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
-    gq = np.matmul(gs, k) * sc
-    gk = np.matmul(gs.swapaxes(-1, -2), q) * sc
+    gattn -= (gattn * attn).sum(axis=-1, keepdims=True)
+    gattn *= attn
+    gq = np.matmul(gattn, k)
+    gq *= sc
+    gk = np.matmul(gattn.swapaxes(-1, -2), q)
+    gk *= sc
     return gq, gk, gv
 
 
-def self_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention, q/k/v shaped (B, H, N, d).
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, N, heads * d) -> contiguous (B, heads, N, d)."""
+    B, N, width = x.shape
+    return np.ascontiguousarray(x.reshape(B, N, heads, width // heads).transpose(0, 2, 1, 3))
 
-    Fused so one graph node covers scores, softmax and the value product.
+
+def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, N, heads * d) q/k/v.
+
+    Fused so one graph node covers the head split, scores, softmax, the
+    value product and the head merge; the output is (B, N, heads * d).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 4 or q.shape != k.shape or k.shape != v.shape:
-        raise ShapeError(f"self_attention shapes: {q.shape}, {k.shape}, {v.shape}")
-    sc = 1.0 / np.sqrt(q.shape[-1])
-    out, attn = _attend(q.data, k.data, v.data, sc)
+    if q.ndim != 3 or q.shape != k.shape or k.shape != v.shape or q.shape[-1] % heads:
+        raise ShapeError(f"self_attention shapes: {q.shape}, {k.shape}, {v.shape}, "
+                         f"{heads} heads")
+    B, N, width = q.shape
+    dh = width // heads
+    sc = 1.0 / np.sqrt(dh)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    out, attn = _attend(qh, kh, vh, sc)
 
     def backward(g: np.ndarray) -> None:
-        gq, gk, gv = _attend_grad(g, q.data, k.data, v.data, attn, sc)
-        v.accum_grad(gv)
-        q.accum_grad(gq)
-        k.accum_grad(gk)
+        gq, gk, gv = _attend_grad(g.reshape(B, N, heads, dh).transpose(0, 2, 1, 3),
+                                  qh, kh, vh, attn, sc)
+        v.accum_grad(gv.transpose(0, 2, 1, 3).reshape(B, N, width))
+        q.accum_grad(gq.transpose(0, 2, 1, 3).reshape(B, N, width))
+        k.accum_grad(gk.transpose(0, 2, 1, 3).reshape(B, N, width))
 
-    return _node(out, (q, k, v), backward)
+    merged = np.ascontiguousarray(out.transpose(0, 2, 1, 3)).reshape(B, N, width)
+    return _node(merged, (q, k, v), backward)
 
 
 def routed_attention(
@@ -590,27 +681,28 @@ def routed_attention(
     kv_a: tuple[Tensor, Tensor],
     view_index: np.ndarray,
     use_primary: np.ndarray,
+    heads: int,
 ) -> Tensor:
     """Per-token single-view cross attention with dual parameter streams.
 
     Each token n of sample b attends to exactly the S patch keys of its
     selected view ``view_index[b, n]``, through the primary stream where
-    ``use_primary[b, n]`` and the auxiliary stream otherwise. Queries are
-    (B, N, H, d); each stream's keys/values are (B, V, S, H, d). Tokens are
-    grouped by (sample, view, stream) so the kernel runs a handful of
-    medium-sized matmuls instead of one per token.
+    ``use_primary[b, n]`` and the auxiliary stream otherwise. Queries and the
+    output are (B, N, heads * d); each stream's keys/values are
+    (B, V, S, heads, d). Tokens are grouped by (sample, view, stream) so the
+    kernel runs a handful of medium-sized matmuls instead of one per token.
     """
     q_p, q_a = _as_tensor(q_p), _as_tensor(q_a)
     k_p, v_p = (_as_tensor(t) for t in kv_p)
     k_a, v_a = (_as_tensor(t) for t in kv_a)
-    if q_p.shape != q_a.shape or q_p.ndim != 4:
+    if q_p.shape != q_a.shape or q_p.ndim != 3:
         raise ShapeError(f"routed_attention query shapes: {q_p.shape}, {q_a.shape}")
     if k_p.shape != v_p.shape or k_a.shape != v_a.shape or k_p.shape != k_a.shape:
         raise ShapeError("routed_attention key/value shapes differ")
-    B, N, H, dh = q_p.shape
-    Bv, V, _, Hk, dk = k_p.shape
-    if (Bv, Hk, dk) != (B, H, dh):
-        raise ShapeError(f"routed_attention q {q_p.shape} vs k {k_p.shape}")
+    B, N, width = q_p.shape
+    Bv, V, _, H, dh = k_p.shape
+    if (Bv, H, H * dh) != (B, heads, width):
+        raise ShapeError(f"routed_attention q {q_p.shape} vs k {k_p.shape}, {heads} heads")
     view_index = np.asarray(view_index, dtype=np.int64)
     use_primary = np.asarray(use_primary, dtype=bool)
     if view_index.shape != (B, N) or use_primary.shape != (B, N):
@@ -619,12 +711,14 @@ def routed_attention(
         raise ShapeError("view index out of range")
     sc = 1.0 / np.sqrt(dh)
     streams = {True: (q_p, k_p, v_p), False: (q_a, k_a, v_a)}
+    arrays = {s: (q.data.reshape(B, N, H, dh), k.data, vv.data)
+              for s, (q, k, vv) in streams.items()}
 
     def operands(b, v, primary, idx):
         """The group's (H, G, d) queries and (H, S, d) keys and values."""
-        q, k, vv = streams[primary]
-        return (q.data[b, idx].transpose(1, 0, 2), k.data[b, v].transpose(1, 0, 2),
-                vv.data[b, v].transpose(1, 0, 2))
+        q, k, vv = arrays[primary]
+        return (q[b, idx].transpose(1, 0, 2), k[b, v].transpose(1, 0, 2),
+                vv[b, v].transpose(1, 0, 2))
 
     out = np.zeros((B, N, H, dh))
     groups: list[tuple[int, int, bool, np.ndarray, np.ndarray]] = []
@@ -640,7 +734,8 @@ def routed_attention(
                 groups.append((b, int(v), primary, idx, attn))
 
     def backward(g: np.ndarray) -> None:
-        grads = {s: [np.zeros_like(t.data) for t in ts] for s, ts in streams.items()}
+        g = g.reshape(B, N, H, dh)
+        grads = {s: [np.zeros_like(a) for a in arrs] for s, arrs in arrays.items()}
         for b, v, primary, idx, attn in groups:
             gq, gk, gv = _attend_grad(g[b, idx].transpose(1, 0, 2),
                                       *operands(b, v, primary, idx), attn, sc)
@@ -650,9 +745,10 @@ def routed_attention(
             gv_s[b, v] += gv.transpose(1, 0, 2)
         for i in range(3):  # q_p, q_a, k_p, k_a, v_p, v_a
             for primary in (True, False):
-                streams[primary][i].accum_grad(grads[primary][i])
+                t = streams[primary][i]
+                t.accum_grad(grads[primary][i].reshape(t.shape))
 
-    return _node(out, (q_p, q_a, k_p, v_p, k_a, v_a), backward)
+    return _node(out.reshape(B, N, width), (q_p, q_a, k_p, v_p, k_a, v_a), backward)
 
 
 # ---------------------------------------------------------------------------

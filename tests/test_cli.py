@@ -8,7 +8,9 @@ import pytest
 
 from roar3d import checkpoint as ckpt
 from roar3d.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
+from roar3d.config import ModelConfig
 from roar3d.evaluation import load_trace, save_trace
+from roar3d.model import Model
 
 
 def _write_micro_cfg(path: Path, seed: int = 0) -> Path:
@@ -289,6 +291,63 @@ def test_malformed_dataset_exit_code(pipeline, tmp_path, edit):
     data = _copy_data(pipeline["data"], tmp_path / "data")
     edit(data)
     assert _sample(pipeline, tmp_path / "y", data=data) == EXIT_MISSING
+
+
+def test_points_of_differing_length_exit_code(pipeline, tmp_path):
+    data = _copy_data(pipeline["data"], tmp_path / "data")
+    tensors = ckpt.load_tensors(data / "train.bin")
+    name = next(k for k in tensors if k.endswith("/points"))
+    tensors[name] = tensors[name][:-5]
+    ckpt.save_tensors(data / "train.bin", tensors)
+    code = main(["train-single", "--config", str(pipeline["cfg"]), "--data", str(data),
+                 "--out", str(tmp_path / "w")])
+    assert code == EXIT_MISSING
+
+
+def _checkpoint(tmp_path: Path, arch: str, **changes) -> Path:
+    """A fresh checkpoint of the micro model config with ``changes`` applied."""
+    micro = dict(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4, patches=4, feat_dim=8)
+    path = tmp_path / "other" / "checkpoint.bin"
+    path.parent.mkdir()
+    Model.create(ModelConfig(arch=arch, **{**micro, **changes}), 0).save(path)
+    return path
+
+
+def test_dataset_not_fitting_the_run_model_exit_code(pipeline, tmp_path, capsys):
+    """Without --config the run's model is the default one, not the micro dataset's."""
+    code = main(["train-single", "--data", str(pipeline["data"]), "--out", str(tmp_path / "w")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "(8, 16)" in err and "(64, 64)" in err
+
+
+def test_dataset_not_fitting_the_checkpoint_to_finetune_exit_code(pipeline, tmp_path, capsys):
+    ckpt_path = _checkpoint(tmp_path, "single", model_dim=12)
+    code = main(["train-mv", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(ckpt_path), "--out", str(tmp_path / "w")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "(8, 16)" in err and "(8, 12)" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_dataset_not_fitting_the_checkpoint_exit_code(pipeline, tmp_path, capsys, command):
+    ckpt_path = _checkpoint(tmp_path, "routed", grid=3)
+    code = main([command, "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(ckpt_path), "--out", str(tmp_path / "y")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "(8, 16)" in err and "(27, 16)" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_checkpoint_not_fitting_the_run_world_exit_code(pipeline, tmp_path, capsys, command):
+    """Without --config the run's world encodes 16 patches of width 32 per view."""
+    code = main([command, "--data", str(pipeline["data"]),
+                 "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(tmp_path / "y")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "(16, 32)" in err and "(4, 8)" in err
 
 
 @pytest.mark.parametrize("name, edit", [

@@ -189,7 +189,7 @@ def test_per_token_attended_keys_equal_patch_count(v):
     """Each token's output is a softmax over the S keys of its own view and stream."""
     rng = np.random.default_rng(3)
     B, N, S, H, d = 2, MICRO.tokens, MICRO.patches, MICRO.heads, MICRO.head_dim
-    q = {s: rng.normal(size=(B, N, H, d)) for s in (True, False)}
+    q = {s: rng.normal(size=(B, N, H * d)) for s in (True, False)}
     k = {s: rng.normal(size=(B, v, S, H, d)) for s in (True, False)}
     val = {s: rng.normal(size=(B, v, S, H, d)) for s in (True, False)}
     view_index = rng.integers(0, v, size=(B, N))
@@ -197,13 +197,16 @@ def test_per_token_attended_keys_equal_patch_count(v):
     out = nx.routed_attention(Tensor(q[True]), Tensor(q[False]),
                               (Tensor(k[True]), Tensor(val[True])),
                               (Tensor(k[False]), Tensor(val[False])),
-                              view_index, use_primary).data
+                              view_index, use_primary, H).data
+    assert out.shape == (B, N, H * d)
+    out = out.reshape(B, N, H, d)
     ref = np.zeros_like(out)
     for b in range(B):
         for n in range(N):
             s, w = bool(use_primary[b, n]), view_index[b, n]
             for h in range(H):
-                logits = k[s][b, w, :, h] @ q[s][b, n, h] / np.sqrt(d)   # (S,)
+                qh = q[s][b, n].reshape(H, d)[h]
+                logits = k[s][b, w, :, h] @ qh / np.sqrt(d)   # (S,)
                 p = np.exp(logits - logits.max())
                 ref[b, n, h] = (p / p.sum()) @ val[s][b, w, :, h]
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)

@@ -1,7 +1,9 @@
 """Autodiff core: oracle values, finite-difference checks, determinism."""
 
 import contextlib
+import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ import pytest
 import roar3d.numerics as nx
 from roar3d import checkpoint as ckpt
 from roar3d.numerics import Tensor, grad_check
+from roar3d.model import ForwardOptions, Model
 from roar3d.router import RoutingDecision
+from roar3d.trainer import Batch, flow_matching_loss
 
-from conftest import surrogate_multiplier
+from conftest import micro_run_config, surrogate_multiplier
 
 
 def _fd_scalar(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -256,15 +260,18 @@ def _primitive_cases(rng):
     shared = mk(4, 2)
     e1, e2 = mk(2, 5), mk(2, 5)
     bias = mk(5)
+    w54, b4 = mk(5, 4), mk(4)
     ln_bias = mk(5)
     rows = mk(B, N, 1)
-    x3 = mk(B, N, D)
+    x3, y3 = mk(B, N, D), mk(B, N, D)
     sc, sh = mk(B, D), mk(B, D)
+    ln_g, ln_b = mk(D), mk(D)
+    w44 = mk(D, 4)
     w_h = mk(H)
     scores = mk(B, H, N, V)
-    q4 = mk(B, H, N, dh)
-    k4, v4 = mk(B, H, N, dh), mk(B, H, N, dh)
-    qp, qa = mk(B, N, H, dh), mk(B, N, H, dh)
+    q3 = mk(B, N, H * dh)
+    k3, v3 = mk(B, N, H * dh), mk(B, N, H * dh)
+    qp, qa = mk(B, N, H * dh), mk(B, N, H * dh)
     kp, vp = mk(B, V, S, H, dh), mk(B, V, S, H, dh)
     ka, va = mk(B, V, S, H, dh), mk(B, V, S, H, dh)
     v_star = rng.integers(0, V, size=(B, N))
@@ -280,7 +287,8 @@ def _primitive_cases(rng):
         ("sub", {"a": e1, "b": e2}, lambda: nx.sub(e1, e2)),
         ("mul", {"a": e1, "b": e2}, lambda: nx.mul(e1, e2)),
         ("scale", {"a": e1}, lambda: nx.scale(e1, -1.7)),
-        ("add_bias", {"a": e1, "b": bias}, lambda: nx.add_bias(e1, bias)),
+        ("linear", {"x": e1, "w": w54, "b": b4}, lambda: nx.linear(e1, w54, b4)),
+        ("linear_3d", {"x": x3, "w": w44, "b": b4}, lambda: nx.linear(x3, w44, b4)),
         ("scale_rows", {"a": x3, "m": rows}, lambda: nx.scale_rows(x3, rows)),
         ("softmax", {"a": e1}, lambda: nx.softmax(e1)),
         ("layer_norm", {"a": e1, "g": bias, "b": ln_bias},
@@ -293,12 +301,14 @@ def _primitive_cases(rng):
         ("take_index_last", {"y": yv}, lambda: nx.take_index_last(yv, idx)),
         # ste_one is deliberately absent: its backward is the straight-through
         # surrogate, not the true (zero) derivative of its constant forward.
-        ("modulate", {"x": x3, "sc": sc, "sh": sh}, lambda: nx.modulate(x3, sc, sh)),
-        ("gate_mul", {"x": x3, "g": sc}, lambda: nx.gate_mul(x3, sc)),
+        ("ada_layer_norm", {"x": x3, "g": ln_g, "b": ln_b, "sc": sc, "sh": sh},
+         lambda: nx.ada_layer_norm(x3, ln_g, ln_b, sc, sh)),
+        ("gated_add", {"z": y3, "x": x3, "g": sc}, lambda: nx.gated_add(y3, x3, sc)),
         ("head_mix", {"s": scores, "w": w_h}, lambda: nx.head_mix(scores, w_h)),
-        ("self_attention", {"q": q4, "k": k4, "v": v4}, lambda: nx.self_attention(q4, k4, v4)),
+        ("self_attention", {"q": q3, "k": k3, "v": v3},
+         lambda: nx.self_attention(q3, k3, v3, H)),
         ("routed_attention", {"qp": qp, "qa": qa, "kp": kp, "vp": vp, "ka": ka, "va": va},
-         lambda: nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p)),
+         lambda: nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, H)),
         ("mean_all", {"a": e1}, lambda: nx.mean_all(e1)),
     ]
 
@@ -395,6 +405,188 @@ def test_dual_linear_bit_equal_to_masked_form(seed):
         nx.sum_all(nx.mul(out, g)).backward()
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# fused block kernels against the node pairs they replace
+# ---------------------------------------------------------------------------
+
+
+def _run_op(op, inputs, g):
+    """op(*inputs)'s output and the gradients of sum(out * g) w.r.t. ``inputs``."""
+    for t in inputs:
+        t.zero_grad()
+    out = op(*inputs)
+    nx.sum_all(nx.mul(out, Tensor(g))).backward()
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def _matmul_add_bias(x, w, b, g):
+    """A shared-rhs matmul node then a bias node, value and (x, w, b) gradients."""
+    k, n = w.shape
+    y = np.matmul(x, w) + b
+    gx = np.matmul(g, np.swapaxes(w, -1, -2))
+    gw = x.reshape(-1, k).T @ g.reshape(-1, n) if x.ndim > 2 else np.matmul(x.T, g)
+    return y, gx, gw, g.reshape(-1, n).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(16, 64), (16, 64, 64), (3, 5, 7)])
+def test_linear_bit_equal_to_matmul_and_bias(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    x, w, b = _leaves(rng, shape, (shape[-1], 24), (24,))
+    g = rng.normal(size=shape[:-1] + (24,))
+    got = _run_op(nx.linear, (x, w, b), g)
+    expect = _matmul_add_bias(x.data, w.data, b.data, g)
+    assert all(np.array_equal(a, e) for a, e in zip(got, expect))
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 64), (16, 64, 64)])
+def test_ada_layer_norm_bit_equal_to_layer_norm_and_modulate(shape):
+    rng = np.random.default_rng(shape[0] + 1)
+    d = shape[-1]
+    x, gain, bias = _leaves(rng, shape, (d,), (d,))
+    sc, sh = _leaves(rng, shape[:-2] + (d,), shape[:-2] + (d,))
+    x.data *= 3.0
+    g = rng.normal(size=shape)
+    got = _run_op(nx.ada_layer_norm, (x, gain, bias, sc, sh), g)
+    # layer_norm node (mean/var form, bit-equal to the kernel), then modulate node
+    scale = 1.0 + sc.data[..., None, :]
+    normed, gx, ggain, gbias = _layer_norm_mean_var_form(x.data, gain.data, bias.data, g * scale)
+    expect = [normed * scale + sh.data[..., None, :], gx, ggain, gbias,
+              (g * normed).sum(axis=-2), g.sum(axis=-2)]
+    assert all(np.array_equal(a, e) for a, e in zip(got, expect))
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 64), (16, 64, 64)])
+def test_gated_add_bit_equal_to_gate_and_add(shape):
+    rng = np.random.default_rng(shape[0] + 2)
+    z, x, gate = _leaves(rng, shape, shape, shape[:-2] + shape[-1:])
+    g = rng.normal(size=shape)
+    got = _run_op(nx.gated_add, (z, x, gate), g)
+    gb = gate.data[..., None, :]
+    expect = [z.data + x.data * gb, g, g * gb, (g * x.data).sum(axis=-2)]
+    assert all(np.array_equal(a, e) for a, e in zip(got, expect))
+
+
+def _split_attend_merge(q, k, v, heads, g):
+    """Head split nodes, a (B, H, N, d) attention node and merge nodes, in plain numpy."""
+    B, N, width = q.shape
+    dh = width // heads
+    qh, kh, vh = (np.ascontiguousarray(t.reshape(B, N, heads, dh).transpose(0, 2, 1, 3))
+                  for t in (q, k, v))
+    sc = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * sc
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = np.ascontiguousarray(np.matmul(attn, vh).transpose(0, 2, 1, 3)).reshape(B, N, width)
+    gh = g.reshape(B, N, heads, dh).transpose(0, 2, 1, 3)
+    gattn = np.matmul(gh, vh.swapaxes(-1, -2))
+    gv = np.matmul(attn.swapaxes(-1, -2), gh)
+    gs = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
+    gq = np.matmul(gs, kh) * sc
+    gk = np.matmul(gs.swapaxes(-1, -2), qh) * sc
+    return [out] + [t.transpose(0, 2, 1, 3).reshape(B, N, width) for t in (gq, gk, gv)]
+
+
+@pytest.mark.parametrize("shape,heads", [((16, 64, 64), 4), ((2, 8, 12), 3)])
+def test_self_attention_bit_equal_to_split_attend_merge(shape, heads):
+    rng = np.random.default_rng(shape[-1])
+    q, k, v = _leaves(rng, shape, shape, shape)
+    g = rng.normal(size=shape)
+    got = _run_op(lambda *a: nx.self_attention(*a, heads), (q, k, v), g)
+    expect = _split_attend_merge(q.data, k.data, v.data, heads, g)
+    assert all(np.array_equal(a, e) for a, e in zip(got, expect))
+
+
+# ---------------------------------------------------------------------------
+# backward consumes its graph
+# ---------------------------------------------------------------------------
+
+
+def _routed_model(seed: int = 0) -> Model:
+    return Model.create(dataclasses.replace(micro_run_config().model, arch="routed"), seed)
+
+
+def _routed_loss(model: Model, seed: int = 0):
+    """A routed flow-matching loss of ``model`` on the micro config and its info."""
+    cfg = micro_run_config()
+    rng = np.random.default_rng(seed)
+    B, V, m = cfg.train.batch, 3, cfg.model
+    batch = Batch(z0=rng.normal(size=(B, m.tokens, m.model_dim)),
+                  feats=rng.normal(size=(B, V, m.patches, m.feat_dim)),
+                  primary_index=np.array([0, 1, -1, 2])[:B], perturbed=np.zeros(B, bool))
+    opts = ForwardOptions(mode="train", run_seed=seed, step=3)
+    return flow_matching_loss(model, batch, rng.random(B), rng.normal(size=batch.z0.shape), opts)
+
+
+def _grad_bytes(model) -> int:
+    return sum(p.grad.nbytes for p in model.params.values() if p.grad is not None)
+
+
+def test_backward_consumes_its_graph():
+    """After backward little beyond the gradients stays alive, and the sweep never
+    holds much more than the forward did."""
+    model = _routed_model()
+    _routed_loss(model)  # fills the positional-embedding cache outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, info = _routed_loss(model)
+        forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = after - base - _grad_bytes(model)
+    assert held < 0.25 * forward, (held, forward)
+    assert peak - base < 1.25 * forward, (peak - base, forward)
+
+
+def _keep_graph_backward(root):
+    """The sweep without the release: every node keeps its gradient and edges."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(nx.ComputationTape.trace(root).nodes):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_backward_releases_op_outputs_and_keeps_leaf_gradients():
+    model = _routed_model()
+    loss, info = _routed_loss(model)
+    nodes = [n for n in nx.ComputationTape.trace(loss).nodes if n._parents]
+    assert nodes
+    loss.backward()
+    assert all(n.grad is None and n._parents == () for n in nodes)
+    grads = {k: p.grad for k, p in model.params.items()}
+    assert all(g is not None for g in grads.values())
+
+    kept_model = _routed_model()
+    kept_loss, kept_info = _routed_loss(kept_model)
+    _keep_graph_backward(kept_loss)
+    for k, p in kept_model.params.items():
+        assert np.array_equal(grads[k], p.grad), k
+    assert loss.data.tobytes() == kept_loss.data.tobytes()
+    assert info.mean_entropy() == kept_info.mean_entropy()
+    assert info.hard_trace().shape[0] == micro_run_config().model.blocks
+
+
+def test_second_backward_through_a_spent_graph_raises():
+    loss, _ = _routed_loss(_routed_model())
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = nx.scale(x, 2.0)
+    nx.sum_all(y).backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        nx.sum_all(nx.mul(y, y)).backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 # ---------------------------------------------------------------------------
