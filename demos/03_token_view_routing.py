@@ -3,7 +3,7 @@
 Pools view keys, scores every (token, view) pair through the multi-head
 router, selects hard views with Gumbel noise, and shows that the composite
 multiplier is exactly one in the forward pass while carrying soft gradients
-backward.
+backward. Without gradients (``no_grad``) the argmax is the whole decision.
 """
 
 import numpy as np
@@ -49,12 +49,16 @@ print("\n=== inference mode: deterministic ===")
 dec = gumbel_select(logits)
 print("hard choices:", dec.hard_index)
 print("soft weights row 0:", dec.y_soft.data[0].round(3), "sum", dec.y_soft.data[0].sum())
+with nx.no_grad():
+    bare = gumbel_select(logits)
+print("under no_grad: same choices", np.array_equal(bare.hard_index, dec.hard_index),
+      "| soft weights", bare.y_soft, "| multiplier", bare.ste_multiplier())
 
 multiplier = dec.ste_multiplier()
 print("\nSTE multiplier forward values:", multiplier.data.ravel())
 
 # backward: gradient reaches the router parameters through the soft weights
-downstream = Tensor(rng.normal(size=(N, 1)))
-nx.sum_all(nx.mul(multiplier, downstream)).backward()
+downstream = Tensor(rng.normal(size=(1, N)))
+nx.matmul(downstream, multiplier).backward()  # loss sum_n downstream[n] * multiplier[n]
 print("w_agg gradient:", params["w_agg"].grad.round(5))
 print("|dL/dW_q|:", float(np.abs(params["w_q"].grad).max()))

@@ -142,8 +142,8 @@ class TrainConfig:
             raise ConfigError("aux view range must satisfy 0 <= min <= max")
         if self.batch < 1 or self.steps_single < 0 or self.steps_mv < 0:
             raise ConfigError("batch and step counts must be positive")
-        if not self.tau > 0.0:
-            raise ConfigError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError("tau must be finite and positive")
 
 
 @dataclass

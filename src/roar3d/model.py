@@ -502,18 +502,20 @@ def _cross_attention(
 
     Token n of sample b attends the S patches of view ``v_star[b, n]``
     through CA_p where ``use_primary[b, n]``, otherwise through CA_a, and its
-    output is scaled by the straight-through ``multiplier``. Without a router
-    (``multiplier`` None) CA_p serves both streams and nothing is scaled.
+    output is scaled by the straight-through ``multiplier`` when there is one
+    (None under ``no_grad``). A view context without CA_a pairs means no
+    router: CA_p serves both streams and nothing is scaled.
     """
     pre = f"blocks.{l}"
     znorm = nx.layer_norm(z, params[f"{pre}.ln_ca.gain"], params[f"{pre}.ln_ca.bias"])
     q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm), views.kv_p[l]
-    q_a, kv_a = (q_p, kv_p) if multiplier is None else \
-        (_ca_q(params, f"{pre}.ca_a", znorm), views.kv_a[l])
-    attn = nx.routed_attention(q_p, q_a, kv_p, kv_a, v_star, use_primary, cfg.heads)
-    if multiplier is None:
+    if views.kv_a is None:
+        attn = nx.routed_attention(q_p, q_p, kv_p, kv_p, v_star, use_primary, cfg.heads)
         out = nx.matmul(attn, params[f"{pre}.ca_p.w_o"])
     else:
+        q_a = _ca_q(params, f"{pre}.ca_a", znorm)
+        attn = nx.routed_attention(q_p, q_a, kv_p, views.kv_a[l], v_star, use_primary,
+                                   cfg.heads)
         out = nx.dual_linear(attn, params[f"{pre}.ca_p.w_o"], params[f"{pre}.ca_a.w_o"],
                              use_primary, multiplier)
     return nx.gated_add(z, out, gate)

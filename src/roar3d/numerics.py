@@ -2,8 +2,9 @@
 
 Just enough operations for attention stacks: matmul, norms, softmax, SiLU,
 a couple of gather/broadcast helpers, the fused glue of an adaLN-zero block
-(``linear``, ``ada_layer_norm``, ``gated_add``) and two fused attention
-kernels. The design goals are auditability and determinism, not generality:
+(``linear``, ``ada_layer_norm``, ``gated_add``), the router's score kernel
+and two fused attention kernels. The design goals are auditability and
+determinism, not generality:
 
 * everything is float64, row-major;
 * no broadcasting beyond the documented cases (shared 2-D rhs in matmul,
@@ -37,13 +38,13 @@ __all__ = [
     "ComputationTape",
     "ShapeError",
     "no_grad",
+    "grad_enabled",
     "matmul",
     "add",
     "sub",
     "mul",
     "scale",
     "linear",
-    "scale_rows",
     "dual_linear",
     "scale_batch",
     "softmax",
@@ -51,17 +52,15 @@ __all__ = [
     "rms_norm",
     "silu",
     "reshape",
-    "transpose",
     "slice_last",
     "take_index_last",
     "ste_one",
     "ada_layer_norm",
     "gated_add",
-    "head_mix",
+    "router_scores",
     "self_attention",
     "routed_attention",
     "mean_all",
-    "sum_all",
     "mse",
     "grad_check",
 ]
@@ -139,6 +138,11 @@ class no_grad:
 
     def __exit__(self, *exc):
         _grad_enabled.reset(self._token)
+
+
+def grad_enabled() -> bool:
+    """True unless the current context is inside :class:`no_grad`."""
+    return _grad_enabled.get()
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -308,37 +312,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(np.matmul(x.data, w.data) + b.data, (x, w, b), backward)
 
 
-def scale_rows(x: Tensor, m: Tensor) -> Tensor:
-    """x[..., d] * m[..., 1], one scalar per row."""
-    x, m = _as_tensor(x), _as_tensor(m)
-    if m.shape != x.shape[:-1] + (1,):
-        raise ShapeError(f"row scale {m.shape} does not match {x.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        x.accum_grad(g * m.data)
-        m.accum_grad((g * x.data).sum(axis=-1, keepdims=True))
-
-    return _node(x.data * m.data, (x, m), backward)
-
-
 def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
-                multiplier: Tensor) -> Tensor:
-    """Two-stream linear map with a row scale, as one node.
+                multiplier: Tensor | None = None) -> Tensor:
+    """Two-stream linear map with an optional row scale, as one node.
 
     Row r of ``x[..., k]`` goes through ``w_p`` (k, n) where ``use_primary[r]``
     and through ``w_a`` otherwise, then is scaled by ``multiplier[r, 0]``. It
     runs the masked form ``(x * mask_p) @ w_p + (x * mask_a) @ w_a`` with
     full-size matmuls, so its value and every gradient equal, bit for bit,
-    those of the six nodes that spell it out with ``scale_rows``, ``matmul``
-    and ``add``.
+    those of the six nodes that spell it out with row scales, ``matmul`` and
+    ``add``. Without a multiplier no row is scaled, which equals a multiplier
+    of ones bit for bit (x * 1.0 == x).
     """
-    x, w_p, w_a, m = _as_tensor(x), _as_tensor(w_p), _as_tensor(w_a), _as_tensor(multiplier)
+    x, w_p, w_a = _as_tensor(x), _as_tensor(w_p), _as_tensor(w_a)
+    m = None if multiplier is None else _as_tensor(multiplier)
     use_primary = np.asarray(use_primary, dtype=bool)
     if w_p.ndim != 2 or w_p.shape != w_a.shape or x.shape[-1] != w_p.shape[0]:
         raise ShapeError(f"dual_linear weights {w_p.shape}, {w_a.shape} for x {x.shape}")
-    if use_primary.shape != x.shape[:-1] or m.shape != x.shape[:-1] + (1,):
-        raise ShapeError(f"dual_linear rows: mask {use_primary.shape}, multiplier {m.shape}, "
-                         f"x {x.shape}")
+    if use_primary.shape != x.shape[:-1] or (m is not None and m.shape != x.shape[:-1] + (1,)):
+        raise ShapeError(f"dual_linear rows: mask {use_primary.shape}, "
+                         f"multiplier {None if m is None else m.shape}, x {x.shape}")
     mask_p = use_primary[..., None].astype(np.float64)
     mask_a = (~use_primary)[..., None].astype(np.float64)
     x_p, x_a = x.data * mask_p, x.data * mask_a
@@ -346,7 +339,7 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
     k, n = w_p.shape
 
     def backward(g: np.ndarray) -> None:
-        gs = g * m.data
+        gs = g if m is None else g * m.data
         if x.requires_grad:
             gx = np.matmul(gs, w_p.data.T) * mask_p
             gx += np.matmul(gs, w_a.data.T) * mask_a
@@ -354,8 +347,11 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
         for w, xs in ((w_p, x_p), (w_a, x_a)):
             if w.requires_grad:
                 w.accum_grad(xs.reshape(-1, k).T @ gs.reshape(-1, n))
-        m.accum_grad((g * summed).sum(axis=-1, keepdims=True))
+        if m is not None:
+            m.accum_grad((g * summed).sum(axis=-1, keepdims=True))
 
+    if m is None:
+        return _node(summed, (x, w_p, w_a), backward)
     return _node(summed * m.data, (x, w_p, w_a, m), backward)
 
 
@@ -473,16 +469,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _node(x.data.reshape(shape), (x,), backward)
 
 
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(axes)
-
-    def backward(g: np.ndarray) -> None:
-        x.accum_grad(g.transpose(np.argsort(axes)))
-
-    return _node(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward)
-
-
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     x = _as_tensor(x)
 
@@ -570,18 +556,42 @@ def gated_add(z: Tensor, x: Tensor, gate: Tensor) -> Tensor:
     return _node(z.data + x.data * gb, (z, x, gate), backward)
 
 
-def head_mix(scores: Tensor, w: Tensor) -> Tensor:
-    """Aggregate per-head scores: out[b, n, v] = sum_h w[h] * scores[b, h, n, v]."""
-    scores, w = _as_tensor(scores), _as_tensor(w)
-    if scores.ndim != 4 or w.shape != (scores.shape[1],):
-        raise ShapeError(f"head_mix shapes: {scores.shape}, {w.shape}")
-    y = np.einsum("bhnv,h->bnv", scores.data, w.data)
+def router_scores(q: Tensor, keys: Tensor, w_agg: Tensor, heads: int) -> Tensor:
+    """Head-mixed scaled dot products of token queries and view keys, as one node.
+
+    ``q`` is (B, N, heads * dh), ``keys`` (B, V, heads * dh) and ``w_agg``
+    (heads,); the output is (B, N, V) with
+    ``out[b, n, v] = sum_h w_agg[h] * <q[b, n, h], keys[b, v, h]> / sqrt(dh)``.
+    It runs the expressions of the node chain it replaces (split both inputs
+    into contiguous per-head copies, batched matmul, scale, head mix), in the
+    same order, so its value and every gradient equal that chain's bit for bit.
+    """
+    q, keys, w_agg = _as_tensor(q), _as_tensor(keys), _as_tensor(w_agg)
+    if q.ndim != 3 or keys.ndim != 3 or q.shape[0] != keys.shape[0] \
+            or q.shape[-1] != keys.shape[-1] or q.shape[-1] % heads or w_agg.shape != (heads,):
+        raise ShapeError(f"router_scores shapes: q {q.shape}, keys {keys.shape}, "
+                         f"w_agg {w_agg.shape}, {heads} heads")
+    B, N, width = q.shape
+    V = keys.shape[1]
+    dh = width // heads
+    s = float(1.0 / np.sqrt(dh))
+    qh = _split_heads(q.data, heads)                                     # (B, H, N, dh)
+    kh = np.ascontiguousarray(keys.data.reshape(B, V, heads, dh).transpose(0, 2, 3, 1))
+    scores = np.matmul(qh, kh)                                           # (B, H, N, V)
+    scores *= s
 
     def backward(g: np.ndarray) -> None:
-        scores.accum_grad(g[:, None, :, :] * w.data[None, :, None, None])
-        w.accum_grad(np.einsum("bhnv,bnv->h", scores.data, g))
+        gs = g[:, None, :, :] * w_agg.data[None, :, None, None]
+        gs *= s
+        if q.requires_grad:
+            gq = np.matmul(gs, np.swapaxes(kh, -1, -2))
+            q.accum_grad(gq.transpose(0, 2, 1, 3).reshape(B, N, width))
+        if keys.requires_grad:
+            gk = np.matmul(np.swapaxes(qh, -1, -2), gs)
+            keys.accum_grad(gk.transpose(0, 3, 1, 2).reshape(B, V, width))
+        w_agg.accum_grad(np.einsum("bhnv,bnv->h", scores, g))
 
-    return _node(y, (scores, w), backward)
+    return _node(np.einsum("bhnv,h->bnv", scores, w_agg.data), (q, keys, w_agg), backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -592,15 +602,6 @@ def mean_all(x: Tensor) -> Tensor:
         x.accum_grad(np.full_like(x.data, float(g) / n))
 
     return _node(np.asarray(x.data.mean()), (x,), backward)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def backward(g: np.ndarray) -> None:
-        x.accum_grad(np.full_like(x.data, float(g)))
-
-    return _node(np.asarray(x.data.sum()), (x,), backward)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

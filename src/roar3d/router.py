@@ -4,7 +4,9 @@ Each 3D latent token scores every input view through pooled view keys and a
 multi-head query/key affinity, then commits to exactly one view. Selection
 is a hard argmax; during training Gumbel noise encourages exploration and a
 straight-through composite carries softmax gradients back to the router
-parameters. At inference the noise is dropped and routing is deterministic.
+parameters. At inference the noise is dropped and routing is deterministic;
+under ``no_grad`` the argmax is the whole decision and no soft weights are
+built.
 
 Ties at the argmax break toward the lowest view index, which keeps replays
 bit-reproducible.
@@ -12,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +28,27 @@ __all__ = ["RoutingDecision", "router_keys", "routing_logits_batched", "gumbel_s
 
 @dataclass
 class RoutingDecision:
-    """Hard per-token view choices plus the differentiable soft weights."""
+    """Hard per-token view choices plus the differentiable soft weights.
+
+    ``y_soft`` is None for a decision made under ``no_grad``: nothing reads
+    the soft weights without a backward pass.
+    """
 
     hard_index: np.ndarray        # (..., N) int64
-    y_soft: Tensor                # (..., N, V), rows sum to 1
+    y_soft: Tensor | None         # (..., N, V), rows sum to 1
 
-    def ste_multiplier(self) -> Tensor:
-        """(..., N, 1) multiplier: forward exactly 1, backward d(y_soft[v*])."""
+    def ste_multiplier(self) -> Tensor | None:
+        """(..., N, 1) multiplier: forward exactly 1, backward d(y_soft[v*]).
+
+        None without soft weights, where a multiplier of 1 would change no bit.
+        """
+        if self.y_soft is None:
+            return None
         return nx.ste_one(nx.take_index_last(self.y_soft, self.hard_index))
 
     def soft_entropy(self) -> float:
+        if self.y_soft is None:
+            raise ValueError("a decision made under no_grad has no soft weights")
         p = np.clip(self.y_soft.data, 1e-12, 1.0)
         return float(-(p * np.log(p)).sum(axis=-1).mean())
 
@@ -58,16 +72,9 @@ def routing_logits_batched(z: Tensor, keys: Tensor, p: dict[str, Tensor]) -> Ten
     projection, ``q_gain``/``k_gain`` are the post-projection RMSNorm gains,
     and ``w_agg`` mixes the per-head scores, one weight per head.
     """
-    B, N, _ = z.shape
-    V = keys.shape[1]
-    H = p["w_agg"].shape[0]
     zt = nx.layer_norm(z, p["ln_gain"], p["ln_bias"])
     q = nx.rms_norm(nx.matmul(zt, p["w_q"]), p["q_gain"])               # (B, N, H*dh)
-    dh = q.shape[-1] // H
-    qh = nx.transpose(nx.reshape(q, (B, N, H, dh)), (0, 2, 1, 3))       # (B, H, N, dh)
-    kh = nx.transpose(nx.reshape(keys, (B, V, H, dh)), (0, 2, 3, 1))    # (B, H, dh, V)
-    scores = nx.scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh))             # (B, H, N, V)
-    return nx.head_mix(scores, p["w_agg"])                              # (B, N, V)
+    return nx.router_scores(q, keys, p["w_agg"], p["w_agg"].shape[0])
 
 
 def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
@@ -87,13 +94,17 @@ def gumbel_select(logits: Tensor, tau: float = 1.0,
 
     ``logits`` may be (N, V) or batched (B, N, V). Training passes Gumbel
     ``noise`` of the same shape, which is added before the argmax and the
-    softmax; without it (inference) selection is the plain argmax.
+    softmax; without it (inference) selection is the plain argmax. Under
+    ``no_grad`` the decision carries no soft weights. ``tau`` must be finite
+    and positive.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     noisy = logits if noise is None else nx.add(logits, Tensor(noise))
     hard = np.argmax(noisy.data, axis=-1)
+    if not nx.grad_enabled():
+        return RoutingDecision(hard_index=hard, y_soft=None)
     y_soft = nx.softmax(nx.scale(noisy, 1.0 / tau))
     return RoutingDecision(hard_index=hard, y_soft=y_soft)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import roar3d.numerics as nx
@@ -31,6 +32,69 @@ def surrogate_multiplier(dec, offset):
     with it match the tape gradients of the straight-through network.
     """
     return nx.add(nx.take_index_last(dec.y_soft, dec.hard_index), Tensor(offset))
+
+
+# ---------------------------------------------------------------------------
+# graph ops that only tests use: scalar losses and the node chains that the
+# fused kernels of roar3d.numerics replace
+# ---------------------------------------------------------------------------
+
+
+def sum_all(x):
+    """Sum of every entry, the scalar loss of most gradient checks."""
+    x = nx._as_tensor(x)
+
+    def backward(g):
+        x.accum_grad(np.full_like(x.data, float(g)))
+
+    return nx._node(np.asarray(x.data.sum()), (x,), backward)
+
+
+def scale_rows(x, m):
+    """x[..., d] * m[..., 1], one scalar per row."""
+    x, m = nx._as_tensor(x), nx._as_tensor(m)
+    if m.shape != x.shape[:-1] + (1,):
+        raise nx.ShapeError(f"row scale {m.shape} does not match {x.shape}")
+
+    def backward(g):
+        x.accum_grad(g * m.data)
+        m.accum_grad((g * x.data).sum(axis=-1, keepdims=True))
+
+    return nx._node(x.data * m.data, (x, m), backward)
+
+
+def transpose(x, axes):
+    """Axis permutation into a contiguous copy."""
+    x = nx._as_tensor(x)
+    axes = tuple(axes)
+
+    def backward(g):
+        x.accum_grad(g.transpose(np.argsort(axes)))
+
+    return nx._node(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward)
+
+
+def head_mix(scores, w):
+    """Aggregate per-head scores: out[b, n, v] = sum_h w[h] * scores[b, h, n, v]."""
+    scores, w = nx._as_tensor(scores), nx._as_tensor(w)
+    if scores.ndim != 4 or w.shape != (scores.shape[1],):
+        raise nx.ShapeError(f"head_mix shapes: {scores.shape}, {w.shape}")
+    y = np.einsum("bhnv,h->bnv", scores.data, w.data)
+
+    def backward(g):
+        scores.accum_grad(g[:, None, :, :] * w.data[None, :, None, None])
+        w.accum_grad(np.einsum("bhnv,bnv->h", scores.data, g))
+
+    return nx._node(y, (scores, w), backward)
+
+
+def router_score_chain(q, keys, w_agg, heads):
+    """The seven-node spelling of ``nx.router_scores``: split, matmul, scale, mix."""
+    B, N, width = q.shape
+    V, dh = keys.shape[1], width // heads
+    qh = transpose(nx.reshape(q, (B, N, heads, dh)), (0, 2, 1, 3))       # (B, H, N, dh)
+    kh = transpose(nx.reshape(keys, (B, V, heads, dh)), (0, 2, 3, 1))    # (B, H, dh, V)
+    return head_mix(nx.scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,8 @@ def test_tracer_hooks_run_a_routed_step_and_a_sample(micro_dataset):
         "numerics.routed_attention.fwd", "numerics.routed_attention.bwd",
         "numerics.tape.backward",
     } <= spans
+    sample_spans = {tracer.names[i] for i, op in zip(tracer.name, tracer.op) if op == 1}
+    assert {"router.logits", "router.select"} <= sample_spans   # inference routing is traced
     for op in (0, 1):   # the forward wrapper found the view features in both ops
         assert tracer.counts[("numerics.matmul.view_side_calls", op)] > 0
         assert tracer.counts[("router.tokens", op)] > 0

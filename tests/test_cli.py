@@ -356,6 +356,7 @@ def test_checkpoint_not_fitting_the_run_world_exit_code(pipeline, tmp_path, caps
     ("bad.json", lambda text: '{"run": 5}'),
     ("bad.json", lambda text: '{"run": {"seed": "x"}}'),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\ntau = 0")),
+    ("bad.cfg", lambda text: text.replace("[train]", "[train]\ntau = inf")),
     ("bad.cfg", lambda text: text.replace("n_test = 4", "n_test = -1")),
     ("bad.cfg", lambda text: text.replace("views_per_bin = 2", "views_per_bin = 0")),
     ("bad.cfg", lambda text: text.replace("[world]", "[world]\nclasses = foo")),
@@ -371,7 +372,7 @@ def test_checkpoint_not_fitting_the_run_world_exit_code(pipeline, tmp_path, caps
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta2 = -0.5")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nadam_eps = 0")),
 ], ids=["section-not-object", "payload-not-object", "run-not-object", "seed-not-int",
-        "tau-zero", "split-size-negative", "views-per-bin-zero", "unknown-class",
+        "tau-zero", "tau-infinite", "split-size-negative", "views-per-bin-zero", "unknown-class",
         "lift-seed-negative", "points-below-16", "image-extent-zero",
         "occlusion-window-negative", "occupancy-scale-zero", "offset-scale-zero",
         "lr-infinite", "lr-final-negative", "beta1-one", "beta2-negative", "adam-eps-zero"])

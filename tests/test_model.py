@@ -416,6 +416,37 @@ def test_view_order_invariance_at_inference():
     assert np.abs(out0.data - out1.data).max() < 1e-10
 
 
+@pytest.mark.parametrize("arch, views, primary, mode", [
+    ("routed", 1, 0, "inference"), ("routed", 1, -1, "inference"),
+    ("routed", 2, 0, "inference"), ("routed", 2, -1, "inference"),
+    ("routed", 4, 0, "inference"), ("routed", 4, -1, "inference"),
+    ("routed", 4, 0, "train"), ("concat", 3, 0, "inference"), ("single", 1, 0, "inference"),
+])
+def test_inference_forward_without_soft_weights_bit_exact(arch, views, primary, mode):
+    """Under no_grad routing is the bare argmax; velocity and choices keep every bit."""
+    rng = np.random.default_rng(23)
+    cfg = dataclasses.replace(MICRO, arch=arch)
+    model = Model.create(cfg, 24)
+    _randomize_zero_init(model.params, rng)
+    B = 2
+    z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
+    t = rng.random(B)
+    feats = _rand_views(rng, cfg, views, batch=B)
+    prim = np.full(B, primary, dtype=np.int64)
+    opts = ForwardOptions(mode=mode, run_seed=2, step=1)
+    vel, info = model.velocity(z_t, t, feats, prim, opts)
+    with nx.no_grad():
+        bare_vel, bare = model.velocity(z_t, t, feats, prim, opts)
+    assert vel.data.tobytes() == bare_vel.data.tobytes()
+    assert len(bare.decisions) == (cfg.blocks if arch == "routed" else 0)
+    if bare.decisions:
+        assert info.hard_trace().tobytes() == bare.hard_trace().tobytes()
+        assert all(d.y_soft is not None for d in info.decisions)
+        assert all(d.y_soft is None and d.ste_multiplier() is None for d in bare.decisions)
+        with pytest.raises(ValueError, match="no_grad"):
+            bare.decisions[0].soft_entropy()
+
+
 def test_timestep_changes_output():
     rng = np.random.default_rng(9)
     params = init_multiview_params(MICRO, 10)

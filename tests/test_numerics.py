@@ -15,7 +15,15 @@ from roar3d.model import ForwardOptions, Model
 from roar3d.router import RoutingDecision
 from roar3d.trainer import Batch, flow_matching_loss
 
-from conftest import micro_run_config, surrogate_multiplier
+from conftest import (
+    head_mix,
+    micro_run_config,
+    router_score_chain,
+    scale_rows,
+    sum_all,
+    surrogate_multiplier,
+    transpose,
+)
 
 
 def _fd_scalar(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -57,7 +65,7 @@ def test_matmul_gradient_matches_finite_differences():
     b = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     w = rng.normal(size=(5, 3))  # fixed projection to a scalar
 
-    loss = nx.sum_all(nx.mul(nx.matmul(a, b), Tensor(w)))
+    loss = sum_all(nx.mul(nx.matmul(a, b), Tensor(w)))
     loss.backward()
 
     fd_a = _fd_scalar(lambda: float((a.data @ b.data * w).sum()), a.data)
@@ -200,7 +208,7 @@ def test_norms_bit_equal_to_mean_var_form(shape):
         for t in inputs:
             t.zero_grad()
         out = op(*inputs)
-        nx.sum_all(nx.mul(out, Tensor(g))).backward()
+        sum_all(nx.mul(out, Tensor(g))).backward()
         got = [out.data] + [t.grad for t in inputs]
         expect = reference(*(t.data for t in inputs), g)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], op.__name__
@@ -210,7 +218,7 @@ def test_accum_grad_keeps_sibling_gradients_apart():
     """``add`` hands both leaves one gradient array; a later one for ``a`` leaves ``b``'s alone."""
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
-    nx.sum_all(nx.add(nx.add(a, b), nx.scale(a, 2.0))).backward()
+    sum_all(nx.add(nx.add(a, b), nx.scale(a, 2.0))).backward()
     assert np.array_equal(a.grad, np.full((2, 3), 3.0))
     assert np.array_equal(b.grad, np.ones((2, 3)))
 
@@ -222,9 +230,9 @@ def test_accum_grad_keeps_sibling_gradients_apart():
 
 def test_grad_check_square():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    report = grad_check(lambda: nx.sum_all(nx.mul(x, x)), {"x": x})
+    report = grad_check(lambda: sum_all(nx.mul(x, x)), {"x": x})
     x.zero_grad()
-    loss = nx.sum_all(nx.mul(x, x))
+    loss = sum_all(nx.mul(x, x))
     loss.backward()
     assert np.allclose(x.grad, 6.0)
     assert report["x"] < 1e-8
@@ -233,16 +241,16 @@ def test_grad_check_square():
 def test_grad_check_softmax_sum_is_constant():
     x = Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
     x.zero_grad()
-    nx.sum_all(nx.softmax(x)).backward()
+    sum_all(nx.softmax(x)).backward()
     assert np.abs(x.grad).max() < 1e-15
-    report = grad_check(lambda: nx.sum_all(nx.softmax(x)), {"x": x})
+    report = grad_check(lambda: sum_all(nx.softmax(x)), {"x": x})
     assert report["x"] < 1e-4  # FD of a constant is pure roundoff noise
 
 
 def test_grad_check_rejects_bad_h():
     x = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ValueError):
-        grad_check(lambda: nx.sum_all(x), {"x": x}, h=1e-2)
+        grad_check(lambda: sum_all(x), {"x": x}, h=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +297,14 @@ def _primitive_cases(rng):
         ("scale", {"a": e1}, lambda: nx.scale(e1, -1.7)),
         ("linear", {"x": e1, "w": w54, "b": b4}, lambda: nx.linear(e1, w54, b4)),
         ("linear_3d", {"x": x3, "w": w44, "b": b4}, lambda: nx.linear(x3, w44, b4)),
-        ("scale_rows", {"a": x3, "m": rows}, lambda: nx.scale_rows(x3, rows)),
+        ("scale_rows", {"a": x3, "m": rows}, lambda: scale_rows(x3, rows)),
         ("softmax", {"a": e1}, lambda: nx.softmax(e1)),
         ("layer_norm", {"a": e1, "g": bias, "b": ln_bias},
          lambda: nx.layer_norm(e1, bias, ln_bias)),
         ("rms_norm", {"a": e1, "g": bias}, lambda: nx.rms_norm(e1, bias)),
         ("silu", {"a": e1}, lambda: nx.silu(e1)),
         ("reshape_transpose", {"a": x3},
-         lambda: nx.transpose(nx.reshape(x3, (B, N, 2, 2)), (0, 2, 1, 3))),
+         lambda: transpose(nx.reshape(x3, (B, N, 2, 2)), (0, 2, 1, 3))),
         ("slice_last", {"a": x3}, lambda: nx.slice_last(x3, 1, 3)),
         ("take_index_last", {"y": yv}, lambda: nx.take_index_last(yv, idx)),
         # ste_one is deliberately absent: its backward is the straight-through
@@ -304,7 +312,7 @@ def _primitive_cases(rng):
         ("ada_layer_norm", {"x": x3, "g": ln_g, "b": ln_b, "sc": sc, "sh": sh},
          lambda: nx.ada_layer_norm(x3, ln_g, ln_b, sc, sh)),
         ("gated_add", {"z": y3, "x": x3, "g": sc}, lambda: nx.gated_add(y3, x3, sc)),
-        ("head_mix", {"s": scores, "w": w_h}, lambda: nx.head_mix(scores, w_h)),
+        ("head_mix", {"s": scores, "w": w_h}, lambda: head_mix(scores, w_h)),
         ("self_attention", {"q": q3, "k": k3, "v": v3},
          lambda: nx.self_attention(q3, k3, v3, H)),
         ("routed_attention", {"qp": qp, "qa": qa, "kp": kp, "vp": vp, "ka": ka, "va": va},
@@ -321,7 +329,7 @@ def test_primitive_gradients_match_finite_differences_over_seeds():
         for name, params, build in _primitive_cases(rng):
             # random fixed projection makes the scalar sensitive to all outputs
             w = rng.normal(size=build().shape)
-            report = grad_check(lambda: nx.sum_all(nx.mul(build(), Tensor(w))),
+            report = grad_check(lambda: sum_all(nx.mul(build(), Tensor(w))),
                                 params, max_entries=4, rng=rng)
             err = max(report.values())
             worst[name] = max(worst.get(name, 0.0), err)
@@ -350,7 +358,7 @@ def test_ste_one_forward_is_exact_ones_backward_passthrough():
     out = nx.ste_one(picked)
     assert np.array_equal(out.data, np.ones((2, 1)))
     w = np.array([[2.0], [-3.0]])
-    nx.sum_all(nx.mul(out, Tensor(w))).backward()
+    sum_all(nx.mul(out, Tensor(w))).backward()
     expect = np.zeros((2, 2))
     expect[0, 1] = 2.0
     expect[1, 0] = -3.0
@@ -377,7 +385,7 @@ def test_dual_linear_gradients_match_finite_differences():
 
     def f():
         out = nx.dual_linear(x, w_p, w_a, use_p, surrogate_multiplier(dec, offset))
-        return nx.sum_all(nx.mul(out, Tensor(w)))
+        return sum_all(nx.mul(out, Tensor(w)))
 
     report = grad_check(f, {"x": x, "w_p": w_p, "w_a": w_a, "y_soft": dec.y_soft})
     assert max(report.values()) < 1e-4, report
@@ -387,8 +395,8 @@ def _masked_dual_linear(x, w_p, w_a, use_p, m):
     """The six-node masked form that ``dual_linear`` replaces."""
     mask_p = Tensor(use_p[..., None].astype(np.float64))
     mask_a = Tensor((~use_p)[..., None].astype(np.float64))
-    return nx.scale_rows(nx.add(nx.matmul(nx.scale_rows(x, mask_p), w_p),
-                                nx.matmul(nx.scale_rows(x, mask_a), w_a)), m)
+    return scale_rows(nx.add(nx.matmul(scale_rows(x, mask_p), w_p),
+                                nx.matmul(scale_rows(x, mask_a), w_a)), m)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -402,9 +410,20 @@ def test_dual_linear_bit_equal_to_masked_form(seed):
         for t in inputs:
             t.zero_grad()
         out = op(x, w_p, w_a, use_p, dec.ste_multiplier())
-        nx.sum_all(nx.mul(out, g)).backward()
+        sum_all(nx.mul(out, g)).backward()
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
     assert runs[0] == runs[1]
+
+
+def test_dual_linear_without_multiplier_equals_unit_multiplier():
+    """No multiplier gives the value and (x, w_p, w_a) gradients of a multiplier of ones."""
+    rng = np.random.default_rng(22)
+    x, w_p, w_a, _, use_p = _dual_linear_inputs(rng)
+    g = rng.normal(size=x.shape[:-1] + (w_p.shape[1],))
+    ones = Tensor(np.ones(x.shape[:-1] + (1,)), requires_grad=True)
+    bare = _run_op(lambda *a: nx.dual_linear(*a, use_p), (x, w_p, w_a), g)
+    unit = _run_op(lambda *a: nx.dual_linear(*a, use_p, ones), (x, w_p, w_a), g)
+    assert [a.tobytes() for a in bare] == [a.tobytes() for a in unit]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +436,7 @@ def _run_op(op, inputs, g):
     for t in inputs:
         t.zero_grad()
     out = op(*inputs)
-    nx.sum_all(nx.mul(out, Tensor(g))).backward()
+    sum_all(nx.mul(out, Tensor(g))).backward()
     return [out.data] + [t.grad for t in inputs]
 
 
@@ -503,6 +522,34 @@ def test_self_attention_bit_equal_to_split_attend_merge(shape, heads):
     assert all(np.array_equal(a, e) for a, e in zip(got, expect))
 
 
+def _router_score_inputs(rng, V, B=2, N=6, heads=3, dh=4):
+    return _leaves(rng, (B, N, heads * dh), (B, V, heads * dh), (heads,)), heads
+
+
+def test_router_scores_gradients_match_finite_differences():
+    rng = np.random.default_rng(23)
+    (q, keys, w_agg), heads = _router_score_inputs(rng, V=3)
+    w = rng.normal(size=(2, 6, 3))
+
+    def f():
+        return sum_all(nx.mul(nx.router_scores(q, keys, w_agg, heads), Tensor(w)))
+
+    report = grad_check(f, {"q": q, "keys": keys, "w_agg": w_agg})
+    assert max(report.values()) < 1e-4, report
+
+
+@pytest.mark.parametrize("V", [1, 2, 5])
+def test_router_scores_bit_equal_to_node_chain(V):
+    """Output and the q, keys, w_agg gradients byte-equal to the seven-node chain."""
+    rng = np.random.default_rng(30 + V)
+    B, N, heads, dh = (int(n) for n in rng.integers(1, 6, size=4))
+    (q, keys, w_agg), heads = _router_score_inputs(rng, V, B, N, heads, dh)
+    g = rng.normal(size=(B, N, V))
+    runs = [_run_op(lambda *a: op(*a, heads), (q, keys, w_agg), g)
+            for op in (nx.router_scores, router_score_chain)]
+    assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
+
+
 # ---------------------------------------------------------------------------
 # backward consumes its graph
 # ---------------------------------------------------------------------------
@@ -583,9 +630,9 @@ def test_second_backward_through_a_spent_graph_raises():
         loss.backward()
     x = Tensor(np.ones(3), requires_grad=True)
     y = nx.scale(x, 2.0)
-    nx.sum_all(y).backward()
+    sum_all(y).backward()
     with pytest.raises(RuntimeError, match="consumed"):
-        nx.sum_all(nx.mul(y, y)).backward()
+        sum_all(nx.mul(y, y)).backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
@@ -683,7 +730,7 @@ def _entered_in_other_thread(make):
 def test_no_grad_in_another_thread_keeps_this_threads_graph():
     with _entered_in_other_thread(nx.no_grad):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
-        nx.sum_all(nx.matmul(Tensor(np.eye(2)), w)).backward()
+        sum_all(nx.matmul(Tensor(np.eye(2)), w)).backward()
     assert w.grad is not None
     assert np.array_equal(w.grad, np.ones((2, 2)))
 

@@ -10,7 +10,7 @@ from roar3d.numerics import Tensor, grad_check
 from roar3d.router import gumbel_select, router_keys, routing_logits_batched, sample_gumbel
 from roar3d.rng import stream
 
-from conftest import surrogate_multiplier
+from conftest import sum_all, surrogate_multiplier
 
 
 def _params(rng, model_dim=8, feat_dim=8, heads=2, head_dim=4):
@@ -161,6 +161,13 @@ def test_invalid_arguments():
         gumbel_select(logits, tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_non_finite_tau_is_rejected(tau):
+    """NaN would make every soft weight NaN, inf every row uniform (no router gradient)."""
+    with pytest.raises(ValueError, match="finite"):
+        gumbel_select(Tensor(np.zeros((2, 3))), tau=tau)
+
+
 def test_ste_forward_identity_is_one_hot():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.normal(size=(6, 4)))
@@ -189,7 +196,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
     # real network: STE multiplier scales a fixed downstream value
     w.zero_grad()
     dec = decision()
-    loss = nx.sum_all(nx.mul(dec.ste_multiplier(), Tensor(downstream)))
+    loss = sum_all(nx.mul(dec.ste_multiplier(), Tensor(downstream)))
     loss.backward()
     analytic = w.grad.copy()
 
@@ -200,7 +207,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
     def surrogate():
         d2 = decision()
         d2.hard_index = hard0
-        return nx.sum_all(nx.mul(surrogate_multiplier(d2, offset), Tensor(downstream)))
+        return sum_all(nx.mul(surrogate_multiplier(d2, offset), Tensor(downstream)))
 
     report = grad_check(surrogate, {"w": w})
     assert report["w"] < 1e-4
