@@ -34,8 +34,10 @@ print("pooled keys:", pooled.shape)
 keys = router_keys(nx.reshape(pooled, (1, V, D)), params)
 print("projected keys:", keys.shape)
 
-# the router is batched: score a batch of one sample, then drop the batch axis
-batched = routing_logits_batched(Tensor(tokens[None]), keys, params)
+# the router scores pre-normed tokens, batched: score a batch of one sample,
+# then drop the batch axis
+normed = nx.layer_norm(Tensor(tokens[None]), params["ln_gain"], params["ln_bias"])
+batched = routing_logits_batched(normed, keys, params)
 logits = nx.reshape(batched, (N, V))
 print("routing logits (token x view):\n", logits.data.round(3))
 

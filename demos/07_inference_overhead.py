@@ -5,6 +5,8 @@ baseline. This times ``integrate_flow`` (batch 1, the desk config's 32 Euler
 steps) for the single-view model and for its routed upgrade at 1, 2, 4 and
 8 views of one shape, and prints the routed-to-single time ratio. Each
 figure is the median of a few interleaved rounds, with single-threaded BLAS.
+It also counts the router's score calls per request: none at one view,
+where the argmax of one column is known, and one per block and step above.
 """
 
 import os
@@ -17,6 +19,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import roar3d.model as model_module  # noqa: E402
 from roar3d.config import RunConfig  # noqa: E402
 from roar3d.evaluation import eval_cameras  # noqa: E402
 from roar3d.model import Model, integrate_flow  # noqa: E402
@@ -49,6 +52,24 @@ for v in VIEW_COUNTS:
     runs[v] = lambda v=v: integrate_flow(routed.params, routed.cfg, feats[v], primary,
                                          z_init, steps)
 
+# router score calls per request, counted in one untimed run per view count
+score = model_module.routing_logits_batched
+calls = []
+
+
+def counted_score(*args):
+    calls.append(1)
+    return score(*args)
+
+
+router_calls = {}
+model_module.routing_logits_batched = counted_score
+for v in VIEW_COUNTS:
+    calls.clear()
+    runs[v]()
+    router_calls[v] = len(calls)
+model_module.routing_logits_batched = score
+
 times = {key: [] for key in runs}
 for round_ in range(ROUNDS + 1):  # round 0 warms up and is not kept
     for key, run in runs.items():
@@ -62,4 +83,5 @@ print(f"integrate_flow, batch 1, {steps} Euler steps, median of {ROUNDS} rounds"
 print(f"single-view baseline: {base * 1e3:7.1f} ms")
 for v in VIEW_COUNTS:
     t = float(np.median(times[v]))
-    print(f"routed, {v} view(s):  {t * 1e3:7.1f} ms   routed/single {t / base:.2f}")
+    print(f"routed, {v} view(s):  {t * 1e3:7.1f} ms   routed/single {t / base:.2f}   "
+          f"router calls {router_calls[v]}")

@@ -72,31 +72,42 @@ def _nn_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.atleast_1d(d)
 
 
-def chamfer_distance(a, b) -> float:
-    """Symmetric mean nearest-neighbor distance (non-squared)."""
+def _both_ways(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-neighbor distances a -> b and b -> a: one KD tree per cloud."""
     pa, pb = _points(a), _points(b)
-    return float(np.mean(_nn_dists(pa, pb)) + np.mean(_nn_dists(pb, pa)))
+    return _nn_dists(pa, pb), _nn_dists(pb, pa)
 
 
-def f_score(a, b, threshold: float) -> float:
-    """Harmonic mean of NN precision/recall at ``threshold``, in percent."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    pa, pb = _points(a), _points(b)
-    precision = float(np.mean(_nn_dists(pa, pb) <= threshold))
-    recall = float(np.mean(_nn_dists(pb, pa) <= threshold))
+def _chamfer(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return float(np.mean(d_ab) + np.mean(d_ba))
+
+
+def _f_score(d_ab: np.ndarray, d_ba: np.ndarray, threshold: float) -> float:
+    precision = float(np.mean(d_ab <= threshold))
+    recall = float(np.mean(d_ba <= threshold))
     if precision + recall == 0.0:
         return 0.0
     # grouping keeps F1(A, B) == F1(B, A) bit-exact under the P/R swap
     return 200.0 * (precision * recall) / (precision + recall)
 
 
+def chamfer_distance(a, b) -> float:
+    """Symmetric mean nearest-neighbor distance (non-squared)."""
+    return _chamfer(*_both_ways(a, b))
+
+
+def f_score(a, b, threshold: float) -> float:
+    """Harmonic mean of NN precision/recall at ``threshold``, in percent."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    return _f_score(*_both_ways(a, b), threshold)
+
+
 def geo_metrics(pred, target) -> GeoMetrics:
-    return GeoMetrics(
-        cd=chamfer_distance(pred, target),
-        f1_at_0_1=f_score(pred, target, 0.1),
-        f1_at_0_05=f_score(pred, target, 0.05),
-    )
+    """CD and both F-scores from one pair of nearest-neighbor queries."""
+    d = _both_ways(pred, target)
+    return GeoMetrics(cd=_chamfer(*d), f1_at_0_1=_f_score(*d, 0.1),
+                      f1_at_0_05=_f_score(*d, 0.05))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from . import checkpoint as ckpt
 from . import numerics as nx
 from .config import ConfigError, ModelConfig, set_fields
 from .numerics import Tensor
-from .router import gumbel_select, router_keys, routing_logits_batched, routing_noise
+from .router import (RoutingDecision, gumbel_select, router_keys, routing_logits_batched,
+                     routing_noise)
 from .rng import stream
 from .world import _QUARTER, PointCloud
 
@@ -495,21 +496,24 @@ def view_context(params: dict[str, Tensor], cfg: ModelConfig, feats: np.ndarray,
 
 
 def _cross_attention(
-    params, l: int, z: Tensor, views: ViewContext, v_star: np.ndarray,
+    params, l: int, z: Tensor, znorm: Tensor, views: ViewContext, v_star: np.ndarray,
     use_primary: np.ndarray, multiplier: Tensor | None, gate: Tensor, cfg: ModelConfig,
 ) -> Tensor:
     """Dual-stream cross attention of block ``l`` over the views of ``views``.
 
+    ``znorm`` is the residual stream ``z`` after the block's ``ln_ca`` norm.
     Token n of sample b attends the S patches of view ``v_star[b, n]``
     through CA_p where ``use_primary[b, n]``, otherwise through CA_a, and its
     output is scaled by the straight-through ``multiplier`` when there is one
     (None under ``no_grad``). A view context without CA_a pairs means no
-    router: CA_p serves both streams and nothing is scaled.
+    router: CA_p serves both streams and nothing is scaled. Without a
+    multiplier a block whose tokens are all primary takes that branch too,
+    since CA_a would only add exact zeros; with one, CA_a's weights still get
+    their (zero) gradients.
     """
     pre = f"blocks.{l}"
-    znorm = nx.layer_norm(z, params[f"{pre}.ln_ca.gain"], params[f"{pre}.ln_ca.bias"])
     q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm), views.kv_p[l]
-    if views.kv_a is None:
+    if views.kv_a is None or (multiplier is None and use_primary.all()):
         attn = nx.routed_attention(q_p, q_p, kv_p, kv_p, v_star, use_primary, cfg.heads)
         out = nx.matmul(attn, params[f"{pre}.ca_p.w_o"])
     else:
@@ -582,7 +586,11 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
         raise ValueError("the time context was built for other timesteps")
     z = Tensor(z_t + grid_positional_embedding(cfg)[None])
     info = ForwardInfo(views=views)
-    # without a router every token takes view 0 through CA_p
+    V = feats.shape[1]
+    # without a router every token takes view 0 through CA_p; so does every
+    # token of a one-view router under no_grad, where the argmax of one column
+    # is 0 and nothing reads the scores
+    score = routed and (V > 1 or nx.grad_enabled())
     v_star = np.zeros((B, N), dtype=np.int64)
     use_p = np.ones((B, N), dtype=bool)
     multiplier = None
@@ -590,18 +598,25 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     for l in range(cfg.blocks):
         sc1, sh1, g1, g_ca, sc2, sh2, g2 = time.blocks[l]
         z = _self_attention_block(params, l, z, sc1, sh1, g1, cfg)
+        ln_ca = (params[f"blocks.{l}.ln_ca.gain"], params[f"blocks.{l}.ln_ca.bias"])
 
-        if routed:
-            logits = routing_logits_batched(z, views.router_keys[l], _router_params(params, l))
-            noise = (routing_noise(opts.run_seed, opts.step, l, (B, N, feats.shape[1]))
+        if score:
+            p = _router_params(params, l)
+            zt, znorm = nx.layer_norms(z, (p["ln_gain"], p["ln_bias"]), ln_ca)
+            logits = routing_logits_batched(zt, views.router_keys[l], p)
+            noise = (routing_noise(opts.run_seed, opts.step, l, (B, N, V))
                      if opts.mode == "train" else None)
             dec = gumbel_select(logits, opts.tau, noise)
+        else:
+            znorm = nx.layer_norm(z, *ln_ca)
+            dec = RoutingDecision(np.zeros((B, N), dtype=np.int64), None)
+        if routed:
             v_star = dec.hard_index
             multiplier = dec.ste_multiplier()
             use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
             info.decisions.append(dec)
 
-        z = _cross_attention(params, l, z, views, v_star, use_p, multiplier, g_ca, cfg)
+        z = _cross_attention(params, l, z, znorm, views, v_star, use_p, multiplier, g_ca, cfg)
         z = _mlp_block(params, l, z, sc2, sh2, g2)
 
     return _final_head(params, z, *time.final, z_t, t), info

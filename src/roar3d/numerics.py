@@ -49,6 +49,7 @@ __all__ = [
     "scale_batch",
     "softmax",
     "layer_norm",
+    "layer_norms",
     "rms_norm",
     "silu",
     "reshape",
@@ -322,7 +323,9 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
     full-size matmuls, so its value and every gradient equal, bit for bit,
     those of the six nodes that spell it out with row scales, ``matmul`` and
     ``add``. Without a multiplier no row is scaled, which equals a multiplier
-    of ones bit for bit (x * 1.0 == x).
+    of ones bit for bit (x * 1.0 == x), and each row is picked from ``x @ w_p``
+    or ``x @ w_a``: the masked form only adds exact zeros to it. The masked
+    copies of ``x`` are then built in the backward, for the weight gradients.
     """
     x, w_p, w_a = _as_tensor(x), _as_tensor(w_p), _as_tensor(w_a)
     m = None if multiplier is None else _as_tensor(multiplier)
@@ -334,8 +337,13 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
                          f"multiplier {None if m is None else m.shape}, x {x.shape}")
     mask_p = use_primary[..., None].astype(np.float64)
     mask_a = (~use_primary)[..., None].astype(np.float64)
-    x_p, x_a = x.data * mask_p, x.data * mask_a
-    summed = np.matmul(x_p, w_p.data) + np.matmul(x_a, w_a.data)
+    if m is None:
+        x_p = x_a = None
+        summed = np.where(use_primary[..., None], np.matmul(x.data, w_p.data),
+                          np.matmul(x.data, w_a.data))
+    else:
+        x_p, x_a = x.data * mask_p, x.data * mask_a
+        summed = np.matmul(x_p, w_p.data) + np.matmul(x_a, w_a.data)
     k, n = w_p.shape
 
     def backward(g: np.ndarray) -> None:
@@ -344,8 +352,9 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
             gx = np.matmul(gs, w_p.data.T) * mask_p
             gx += np.matmul(gs, w_a.data.T) * mask_a
             x.accum_grad(gx)
-        for w, xs in ((w_p, x_p), (w_a, x_a)):
+        for w, xs, mask in ((w_p, x_p, mask_p), (w_a, x_a, mask_a)):
             if w.requires_grad:
+                xs = x.data * mask if xs is None else xs
                 w.accum_grad(xs.reshape(-1, k).T @ gs.reshape(-1, n))
         if m is not None:
             m.accum_grad((g * summed).sum(axis=-1, keepdims=True))
@@ -392,13 +401,12 @@ def _check_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> int:
     return d
 
 
-def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, d: int):
-    """(y, xhat, inv) of a layer norm over the last axis of width ``d``."""
+def _layer_norm_stats(x: np.ndarray, d: int):
+    """(xhat, inv) of a layer norm over the last axis of width ``d``."""
     # the sums and divisions of np.mean and np.var, without their Python overhead
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.add.reduce(np.square(xc), axis=-1, keepdims=True) / d + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    return xc * inv, inv
 
 
 def _layer_norm_backward(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
@@ -416,14 +424,30 @@ def _layer_norm_backward(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row zero mean / unit variance over the last axis, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    d = _check_layer_norm(x, gain, bias)
-    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, d)
+    return layer_norms(x, (gain, bias))[0]
 
-    def backward(g: np.ndarray) -> None:
-        _layer_norm_backward(g, x, gain, bias, xhat, inv, d)
 
-    return _node(y, (x, gain, bias), backward)
+def layer_norms(x: Tensor, *affine: tuple[Tensor, Tensor]) -> tuple[Tensor, ...]:
+    """``layer_norm(x, gain, bias)`` for each (gain, bias) pair, one node each.
+
+    The statistics of ``x`` are computed once and shared by every node, so
+    each node's value and gradients equal, bit for bit, those of its own
+    ``layer_norm`` call.
+    """
+    x = _as_tensor(x)
+    pairs = [(_as_tensor(gain), _as_tensor(bias)) for gain, bias in affine]
+    d = x.shape[-1]
+    for gain, bias in pairs:
+        _check_layer_norm(x, gain, bias)
+    xhat, inv = _layer_norm_stats(x.data, d)
+
+    def node(gain: Tensor, bias: Tensor) -> Tensor:
+        def backward(g: np.ndarray) -> None:
+            _layer_norm_backward(g, x, gain, bias, xhat, inv, d)
+
+        return _node(xhat * gain.data + bias.data, (x, gain, bias), backward)
+
+    return tuple(node(gain, bias) for gain, bias in pairs)
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -525,7 +549,8 @@ def ada_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sc: Tensor, sh: Tensor
     d = _check_layer_norm(x, gain, bias)
     if sc.shape != x.shape[:-2] + (d,) or sh.shape != sc.shape:
         raise ShapeError(f"ada_layer_norm shapes: x {x.shape}, scale {sc.shape}, shift {sh.shape}")
-    normed, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, d)
+    xhat, inv = _layer_norm_stats(x.data, d)
+    normed = xhat * gain.data + bias.data
     scale = 1.0 + sc.data[..., None, :]
 
     def backward(g: np.ndarray) -> None:

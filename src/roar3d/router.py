@@ -62,17 +62,19 @@ def router_keys(pooled: Tensor, p: dict[str, Tensor]) -> Tensor:
     return nx.rms_norm(nx.matmul(pooled, p["w_k"]), p["k_gain"])
 
 
-def routing_logits_batched(z: Tensor, keys: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Batched routing scores: z (B, N, D), keys (B, V, H*dh) -> (B, N, V).
+def routing_logits_batched(zt: Tensor, keys: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Batched routing scores: zt (B, N, D), keys (B, V, H*dh) -> (B, N, V).
 
-    ``keys`` come from :func:`router_keys`. ``p`` holds one block's router
-    weights by short name. Projections are input-major (``z @ w_q``), so
-    ``w_q`` is (model_dim, heads * head_dim) and ``w_k`` is (feat_dim, heads *
-    head_dim). ``ln_gain``/``ln_bias`` normalize the raw token before
-    projection, ``q_gain``/``k_gain`` are the post-projection RMSNorm gains,
+    ``zt`` are the tokens after the router's pre-norm,
+    ``layer_norm(z, p["ln_gain"], p["ln_bias"])``; the forward computes it
+    together with the cross-attention norm of the same tokens
+    (:func:`roar3d.numerics.layer_norms`). ``keys`` come from
+    :func:`router_keys`. ``p`` holds one block's router weights by short
+    name. Projections are input-major (``zt @ w_q``), so ``w_q`` is
+    (model_dim, heads * head_dim) and ``w_k`` is (feat_dim, heads *
+    head_dim). ``q_gain``/``k_gain`` are the post-projection RMSNorm gains,
     and ``w_agg`` mixes the per-head scores, one weight per head.
     """
-    zt = nx.layer_norm(z, p["ln_gain"], p["ln_bias"])
     q = nx.rms_norm(nx.matmul(zt, p["w_q"]), p["q_gain"])               # (B, N, H*dh)
     return nx.router_scores(q, keys, p["w_agg"], p["w_agg"].shape[0])
 

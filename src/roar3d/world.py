@@ -304,10 +304,21 @@ def camera_basis(cam: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return right, up, d
 
 
+_LIFT_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
 def feature_lift_matrix(cfg: WorldConfig) -> np.ndarray:
-    """The fixed 5 -> feat_dim linear lift, identical for every view and run."""
-    rng = stream(cfg.lift_seed, "feature-lift")
-    return rng.normal(size=(cfg.feat_dim, 5)) / math.sqrt(5.0)
+    """The fixed 5 -> feat_dim linear lift, identical for every view and run.
+
+    It is drawn once per ``(lift_seed, feat_dim)`` and returned read-only.
+    """
+    key = (cfg.lift_seed, cfg.feat_dim)
+    if key not in _LIFT_CACHE:
+        lift = stream(cfg.lift_seed, "feature-lift").normal(size=(cfg.feat_dim, 5))
+        lift /= math.sqrt(5.0)
+        lift.flags.writeable = False
+        _LIFT_CACHE[key] = lift
+    return _LIFT_CACHE[key]
 
 
 # Fixed per-statistic scales bringing the five raw patch statistics to a

@@ -469,6 +469,21 @@ def test_sample_view_counts_both_work(pipeline, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_sample_one_view_trace_into_analyze_router(pipeline, tmp_path):
+    out = tmp_path / "v1"
+    assert main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(out),
+                 "--views", "1", "--trace"]) == EXIT_OK
+    trace, v = load_trace(out / "trace.rtrc")
+    assert v == 1
+    assert trace.shape == (8, 2, 8) and not trace.any()
+    report_path = tmp_path / "rep.json"
+    assert main(["analyze-router", "--out", str(report_path),
+                 str(out / "trace.rtrc")]) == EXIT_OK
+    rep = json.loads(report_path.read_text())
+    assert [rep[k]["mean"] for k in ("cross_block", "cross_timestep", "global")] == [1.0] * 3
+
+
 def test_eval_outputs_and_determinism(pipeline, tmp_path):
     outs = []
     for name in ("e1", "e2"):

@@ -16,6 +16,7 @@ from roar3d.evaluation import (
     cross_timestep_consistency,
     evaluate,
     f_score,
+    geo_metrics,
     global_consistency,
     load_trace,
     save_trace,
@@ -130,6 +131,18 @@ def test_fscore_symmetric_and_matches_brute_force():
         for thr in (0.05, 0.1):
             assert f_score(a, b, thr) == _brute_fscore(a, b, thr)
             assert f_score(a, b, thr) == f_score(b, a, thr)
+
+
+def test_geo_metrics_equal_chamfer_and_fscore_on_unequal_clouds():
+    """One pair of nearest-neighbor queries gives CD and both F-scores bit for bit."""
+    rng = np.random.default_rng(7)
+    for na, nb in ((1, 300), (57, 200), (400, 13)):
+        a = rng.uniform(-1, 1, (na, 3))
+        b = rng.uniform(-1, 1, (nb, 3))
+        m = geo_metrics(a, b)
+        assert m.cd == chamfer_distance(a, b)
+        assert m.f1_at_0_1 == f_score(a, b, 0.1)
+        assert m.f1_at_0_05 == f_score(a, b, 0.05)
 
 
 def test_fscore_nondecreasing_in_threshold():

@@ -116,9 +116,11 @@ def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
     z = Tensor(tokens[None])
     views = M.view_context(params, cfg, feats[None], routed=True)
     router = {k: params[f"blocks.{l}.router.{k}"] for k in M._ROUTER_KEYS}
-    dec = gumbel_select(routing_logits_batched(z, views.router_keys[l], router))
+    zt, znorm = nx.layer_norms(z, (router["ln_gain"], router["ln_bias"]),
+                               (params[f"blocks.{l}.ln_ca.gain"], params[f"blocks.{l}.ln_ca.bias"]))
+    dec = gumbel_select(routing_logits_batched(zt, views.router_keys[l], router))
     use_p = dec.hard_index == primary
-    return M._cross_attention(params, l, z, views, dec.hard_index, use_p,
+    return M._cross_attention(params, l, z, znorm, views, dec.hard_index, use_p,
                               dec.ste_multiplier(), UNIT_GATE, cfg)
 
 
@@ -130,7 +132,9 @@ def test_dispatch_single_view_reduces_to_primary_stream():
     out = _routed_cross_attention(params, 0, tokens, feats, 0, MICRO)
 
     N = MICRO.tokens
-    ref = M._cross_attention(params, 0, Tensor(tokens[None]),
+    z = Tensor(tokens[None])
+    znorm = nx.layer_norm(z, params["blocks.0.ln_ca.gain"], params["blocks.0.ln_ca.bias"])
+    ref = M._cross_attention(params, 0, z, znorm,
                              M.view_context(params, MICRO, feats[None], routed=False),
                              np.zeros((1, N), dtype=np.int64), np.ones((1, N), dtype=bool),
                              None, UNIT_GATE, MICRO)
@@ -445,6 +449,80 @@ def test_inference_forward_without_soft_weights_bit_exact(arch, views, primary, 
         assert all(d.y_soft is None and d.ste_multiplier() is None for d in bare.decisions)
         with pytest.raises(ValueError, match="no_grad"):
             bare.decisions[0].soft_entropy()
+
+
+@pytest.mark.parametrize("primary", [0, -1])
+def test_one_view_inference_forward_scores_nothing_bit_exactly(monkeypatch, primary):
+    """Under no_grad a one-view router is not scored; velocity and choices keep every bit."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return routing_logits_batched(*args)
+
+    monkeypatch.setattr(M, "routing_logits_batched", counting)
+    rng = np.random.default_rng(25)
+    model = Model.create(MICRO, 26)
+    _randomize_zero_init(model.params, rng)
+    B = 2
+    z_t = rng.normal(size=(B, MICRO.tokens, MICRO.model_dim))
+    t = rng.random(B)
+    feats = _rand_views(rng, MICRO, 1, batch=B)
+    prim = np.full(B, primary, dtype=np.int64)
+    vel, info = model.velocity(z_t, t, feats, prim)
+    assert len(calls) == MICRO.blocks
+    # with gradients on the router and CA_a still get their (zero) gradients:
+    # AdamW treats a zero gradient and a missing one differently
+    nx.mean_all(nx.mul(vel, Tensor(rng.normal(size=vel.shape)))).backward()
+    assert all(p.grad is not None for p in model.params.values())
+    with nx.no_grad():
+        bare_vel, bare = model.velocity(z_t, t, feats, prim)
+    assert len(calls) == MICRO.blocks
+    assert vel.data.tobytes() == bare_vel.data.tobytes()
+    assert info.hard_trace().tobytes() == bare.hard_trace().tobytes()
+    assert not bare.hard_trace().any() and all(d.y_soft is None for d in bare.decisions)
+
+
+def test_all_primary_block_bit_equal_to_the_dual_linear_path(monkeypatch):
+    """Without a multiplier an all-primary block runs CA_p alone, bit for bit."""
+    calls = []
+    dual_linear = nx.dual_linear
+
+    def counting(*args):
+        calls.append(args)
+        return dual_linear(*args)
+
+    monkeypatch.setattr(nx, "dual_linear", counting)
+    rng = np.random.default_rng(27)
+    params = init_multiview_params(MICRO, 28)
+    B, N, V = 2, MICRO.tokens, 3
+    z = Tensor(rng.normal(size=(B, N, MICRO.model_dim)))
+    feats = _rand_views(rng, MICRO, V, batch=B)
+    v_star = np.repeat([[1], [2]], N, axis=1)       # each sample's primary view
+    use_p = np.ones((B, N), dtype=bool)
+    gate = Tensor(rng.normal(size=(B, MICRO.model_dim)))
+    with nx.no_grad():
+        views = M.view_context(params, MICRO, feats, routed=True)
+        znorm = nx.layer_norm(z, params["blocks.1.ln_ca.gain"], params["blocks.1.ln_ca.bias"])
+        args = (params, 1, z, znorm, views, v_star, use_p)
+        plain = M._cross_attention(*args, None, gate, MICRO)
+        assert not calls
+        dual = M._cross_attention(*args, Tensor(np.ones((B, N, 1))), gate, MICRO)
+        assert len(calls) == 1
+    assert plain.data.tobytes() == dual.data.tobytes()
+
+
+def test_integrate_flow_one_view_trace_is_all_zero():
+    rng = np.random.default_rng(29)
+    model = Model.create(MICRO, 30)
+    _randomize_zero_init(model.params, rng)
+    B, steps = 2, 3
+    feats = _rand_views(rng, MICRO, 1, batch=B)
+    z_init = rng.normal(size=(B, MICRO.tokens, MICRO.model_dim))
+    _, trace = M.integrate_flow(model.params, MICRO, feats, np.zeros(B, dtype=np.int64),
+                                z_init, steps=steps, collect_trace=True)
+    assert trace.shape == (steps, MICRO.blocks, B, MICRO.tokens)
+    assert trace.dtype == np.int64 and not trace.any()
 
 
 def test_timestep_changes_output():

@@ -426,6 +426,21 @@ def test_dual_linear_without_multiplier_equals_unit_multiplier():
     assert [a.tobytes() for a in bare] == [a.tobytes() for a in unit]
 
 
+@pytest.mark.parametrize("rows", ["mixed", "all primary", "all auxiliary"])
+@pytest.mark.parametrize("sizes", [{}, {"B": 1, "N": 64, "k": 64, "n": 64}], ids=["tiny", "desk"])
+def test_dual_linear_without_multiplier_under_no_grad_bit_equal_to_masked_form(rows, sizes):
+    """Picking rows of x @ w_p and x @ w_a gives the masked form's value bit for bit."""
+    rng = np.random.default_rng(23)
+    x, w_p, w_a, _, use_p = _dual_linear_inputs(rng, **sizes)
+    use_p = {"mixed": use_p, "all primary": np.ones_like(use_p),
+             "all auxiliary": np.zeros_like(use_p)}[rows]
+    with nx.no_grad():
+        bare = nx.dual_linear(x, w_p, w_a, use_p)
+        masked = _masked_dual_linear(x, w_p, w_a, use_p, Tensor(np.ones(x.shape[:-1] + (1,))))
+    assert bare._backward is None
+    assert bare.data.tobytes() == masked.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fused block kernels against the node pairs they replace
 # ---------------------------------------------------------------------------
@@ -478,6 +493,36 @@ def test_ada_layer_norm_bit_equal_to_layer_norm_and_modulate(shape):
     expect = [normed * scale + sh.data[..., None, :], gx, ggain, gbias,
               (g * normed).sum(axis=-2), g.sum(axis=-2)]
     assert all(np.array_equal(a, e) for a, e in zip(got, expect))
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 64), (16, 64, 64)])
+def test_layer_norms_bit_equal_to_separate_layer_norms(shape):
+    """Shared statistics give the values and every gradient of one layer_norm per pair.
+
+    ``x`` is also read by a third node, as the residual stream of a routed
+    block is (router pre-norm, ``ln_ca``, residual add), so the order in
+    which its three gradient terms are summed is pinned too.
+    """
+    rng = np.random.default_rng(shape[0] + 3)
+    d = shape[-1]
+    x, g1, b1, g2, b2 = _leaves(rng, shape, (d,), (d,), (d,), (d,))
+    x.data *= 3.0
+    w1, w2, w3 = (Tensor(rng.normal(size=shape)) for _ in range(3))
+    runs = []
+    for norms in (lambda: nx.layer_norms(x, (g1, b1), (g2, b2)),
+                  lambda: (nx.layer_norm(x, g1, b1), nx.layer_norm(x, g2, b2))):
+        for t in (x, g1, b1, g2, b2):
+            t.zero_grad()
+        y1, y2 = norms()
+        loss = nx.add(nx.add(sum_all(nx.mul(y1, w1)), sum_all(nx.mul(y2, w2))),
+                      sum_all(nx.mul(x, w3)))
+        loss.backward()
+        runs.append([y1.data.tobytes(), y2.data.tobytes()]
+                    + [t.grad.tobytes() for t in (x, g1, b1, g2, b2)])
+    assert runs[0] == runs[1]
+    normed, _, ggain, gbias = _layer_norm_mean_var_form(x.data, g2.data, b2.data, w2.data)
+    assert runs[0][1] == normed.tobytes()
+    assert runs[0][5:] == [ggain.tobytes(), gbias.tobytes()]
 
 
 @pytest.mark.parametrize("shape", [(1, 64, 64), (16, 64, 64)])

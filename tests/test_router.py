@@ -68,10 +68,11 @@ def test_pool_matches_direct_summation(monkeypatch):
 
 
 def _one_sample_logits(z, pooled, p):
-    """(N, V) logits of one sample through the batched router, a batch of one."""
-    z, k = Tensor(z), Tensor(pooled)
+    """(N, V) logits of one sample through the router's pre-norm and the
+    batched router, a batch of one."""
+    z, k = Tensor(z[None]), Tensor(pooled)
     keys = router_keys(nx.reshape(k, (1,) + k.shape), p)
-    r = routing_logits_batched(nx.reshape(z, (1,) + z.shape), keys, p)
+    r = routing_logits_batched(nx.layer_norm(z, p["ln_gain"], p["ln_bias"]), keys, p)
     return nx.reshape(r, r.shape[1:])
 
 

@@ -14,6 +14,7 @@ from roar3d.world import (
     PointCloud,
     azimuth_bin,
     encode_view,
+    feature_lift_matrix,
     generate_shape,
     rotate_azimuth,
     sample_views,
@@ -155,6 +156,21 @@ def test_encode_view_deterministic():
     pc = generate_shape(13, "notched-box", points=512)
     cam = Camera(azimuth=30.0, elevation=-10.0)
     assert np.array_equal(encode_view(pc, cam, CFG), encode_view(pc, cam, CFG))
+
+
+@pytest.mark.parametrize("feat_dim", [8, 32])
+def test_feature_lift_is_drawn_once_and_read_only(feat_dim):
+    """One read-only lift per (lift_seed, feat_dim), equal to a fresh draw."""
+    cfg = WorldConfig(feat_dim=feat_dim)
+    lift = feature_lift_matrix(cfg)
+    fresh = stream(cfg.lift_seed, "feature-lift").normal(size=(feat_dim, 5)) / np.sqrt(5.0)
+    assert lift.tobytes() == fresh.tobytes()
+    assert feature_lift_matrix(WorldConfig(feat_dim=feat_dim)) is lift
+    assert not lift.flags.writeable
+    with pytest.raises(ValueError):
+        lift[0, 0] = 0.0
+    other = feature_lift_matrix(WorldConfig(feat_dim=feat_dim, lift_seed=cfg.lift_seed + 1))
+    assert not np.array_equal(other, lift)
 
 
 def test_encode_view_empty_patch_gives_zero_feature():
