@@ -28,29 +28,28 @@ params = {k[len(prefix):]: p for k, p in init_multiview_params(cfg, 0).items()
           if k.startswith(prefix)}
 print("router weights:", {k: p.shape for k, p in params.items()})
 
-pooled = Tensor(feats.mean(axis=1))  # one key per view: the mean over its patches
+# the router works on batches: this demo is a batch of one sample
+pooled = Tensor(feats.mean(axis=1)[None])  # one key per view: the mean over its patches
 print("pooled keys:", pooled.shape)
 # the keys depend on the views only: a sampling request projects them once
-keys = router_keys(nx.reshape(pooled, (1, V, D)), params)
+keys = router_keys(pooled, params)
 print("projected keys:", keys.shape)
 
-# the router scores pre-normed tokens, batched: score a batch of one sample,
-# then drop the batch axis
+# the router scores pre-normed tokens
 normed = nx.layer_norm(Tensor(tokens[None]), params["ln_gain"], params["ln_bias"])
-batched = routing_logits_batched(normed, keys, params)
-logits = nx.reshape(batched, (N, V))
-print("routing logits (token x view):\n", logits.data.round(3))
+logits = routing_logits_batched(normed, keys, params)
+print("routing logits (token x view):\n", logits.data[0].round(3))
 
 print("\n=== train mode: Gumbel exploration ===")
 for step in range(3):
-    noise = routing_noise(run_seed=0, step=step, block=0, shape=(N, V))
+    noise = routing_noise(run_seed=0, step=step, block=0, shape=(1, N, V))
     dec = gumbel_select(logits, tau=1.0, noise=noise)
-    print(f"step {step}: hard choices {dec.hard_index}")
+    print(f"step {step}: hard choices {dec.hard_index[0]}")
 
 print("\n=== inference mode: deterministic ===")
 dec = gumbel_select(logits)
-print("hard choices:", dec.hard_index)
-print("soft weights row 0:", dec.y_soft.data[0].round(3), "sum", dec.y_soft.data[0].sum())
+print("hard choices:", dec.hard_index[0])
+print("soft weights row 0:", dec.y_soft.data[0, 0].round(3), "sum", dec.y_soft.data[0, 0].sum())
 with nx.no_grad():
     bare = gumbel_select(logits)
 print("under no_grad: same choices", np.array_equal(bare.hard_index, dec.hard_index),
@@ -60,7 +59,7 @@ multiplier = dec.ste_multiplier()
 print("\nSTE multiplier forward values:", multiplier.data.ravel())
 
 # backward: gradient reaches the router parameters through the soft weights
-downstream = Tensor(rng.normal(size=(1, N)))
+downstream = Tensor(rng.normal(size=(1, 1, N)))
 nx.matmul(downstream, multiplier).backward()  # loss sum_n downstream[n] * multiplier[n]
 print("w_agg gradient:", params["w_agg"].grad.round(5))
 print("|dL/dW_q|:", float(np.abs(params["w_q"].grad).max()))

@@ -269,7 +269,10 @@ def _view_count(text: str) -> int:
 
 
 def _view_counts(text: str) -> tuple[int, ...]:
-    return tuple(_view_count(c) for c in text.split(","))
+    counts = tuple(_view_count(c) for c in text.split(","))
+    if len(set(counts)) != len(counts):
+        raise argparse.ArgumentTypeError("view counts must not repeat")
+    return counts
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

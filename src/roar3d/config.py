@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 SHAPE_CLASSES = ("notched-box", "l-prism", "asymmetric-cross", "stepped-pyramid")
+_SECTIONS = ("world", "model", "train", "sample")  # the dataclass sections of a RunConfig
 
 
 class ConfigError(ValueError):
@@ -218,12 +219,6 @@ class RunConfig:
     @staticmethod
     def from_dict(payload: dict) -> "RunConfig":
         cfg = RunConfig()
-        sections = {
-            "world": cfg.world,
-            "model": cfg.model,
-            "train": cfg.train,
-            "sample": cfg.sample,
-        }
         if not isinstance(payload, dict):
             raise ConfigError("config must be an object of sections")
         for section, values in payload.items():
@@ -233,9 +228,9 @@ class RunConfig:
                 if "seed" in values:
                     cfg.seed = _coerce(values["seed"], cfg.seed, "seed")
                 continue
-            if section not in sections:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
-            set_fields(sections[section], values, section)
+            set_fields(getattr(cfg, section), values, section)
         return cfg.validate()
 
     @staticmethod
@@ -269,12 +264,9 @@ class RunConfig:
                 self.seed = int(value)
                 continue
             section, _, key = dotted.partition(".")
-            target = getattr(self, section, None)
-            if target is None or not key:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown override {dotted!r}")
-            if not hasattr(target, key):
-                raise ConfigError(f"unknown override {dotted!r}")
-            setattr(target, key, _coerce(value, getattr(target, key), dotted))
+            set_fields(getattr(self, section), {key: value}, section)
         return self.validate()
 
 
@@ -292,14 +284,6 @@ def set_fields(target, values: dict, section: str) -> None:
 
 def _coerce(raw, template, key: str):
     """Coerce a string/JSON value to the type of the default it replaces."""
-    if isinstance(template, bool):
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("1", "true", "yes"):
-            return True
-        if str(raw).lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"bad boolean for {key!r}: {raw!r}")
     try:
         if isinstance(template, int):
             return int(raw)

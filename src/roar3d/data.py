@@ -123,6 +123,8 @@ def load_dataset(path: str | Path) -> DatasetStore:
         if not isinstance(rec, dict) or not {"shape_id", "class", "split"} <= rec.keys():
             raise ckpt.CheckpointError(
                 f"{manifest_path}:{n}: not an object with shape_id, class and split")
+        if rec["split"] not in SPLITS:
+            raise ckpt.CheckpointError(f"{manifest_path}:{n}: unknown split {rec['split']!r}")
         manifest.append(rec)
     splits: dict[str, SplitData] = {}
     for split in SPLITS:

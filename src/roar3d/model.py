@@ -66,11 +66,15 @@ def _cell_ids(points: np.ndarray, n: int) -> np.ndarray:
     return (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]
 
 
+def _cell_coords(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer (ix, iy, iz) of every cell of an n**3 grid, in cell-id order."""
+    ix, rem = divmod(np.arange(n**3), n * n)
+    return (ix, *divmod(rem, n))
+
+
 def _cell_centers(n: int) -> np.ndarray:
     h = 2.0 / n
-    ids = np.arange(n**3)
-    ix, rem = divmod(ids, n * n)
-    iy, iz = divmod(rem, n)
+    ix, iy, iz = _cell_coords(n)
     return np.stack([-1.0 + (ix + 0.5) * h, -1.0 + (iy + 0.5) * h, -1.0 + (iz + 0.5) * h], axis=1)
 
 
@@ -116,9 +120,7 @@ def latent_decode(tokens: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 def grid_permutation(n: int, quarters: int) -> np.ndarray:
     """dest[old_cell] = cell index after rotating the grid by 90 * quarters."""
     quarters %= 4
-    ids = np.arange(n**3)
-    ix, rem = divmod(ids, n * n)
-    iy, iz = divmod(rem, n)
+    ix, iy, iz = _cell_coords(n)
     for _ in range(quarters):
         ix, iy = n - 1 - iy, ix
     return (ix * n + iy) * n + iz
@@ -288,10 +290,11 @@ def count_parameters(params: dict[str, Tensor]) -> dict:
 class ViewContext:
     """The view-side tensors of a forward: everything that depends only on the views.
 
-    Per block ``l``: ``kv_p[l]`` is the CA_p (keys, values) pair shaped
-    (B, V, S, H, dh), keys RMS-normed; on a routed model ``kv_a[l]`` is the
-    CA_a pair and ``router_keys[l]`` the router's projected pooled keys
-    (B, V, H * dh), both None without a router. ``feats`` is the
+    Per block ``l``: ``kv_p[l]`` is the CA_p (keys, values) pair, each
+    (B, V, S, H * dh) with the heads unsplit like the queries, keys
+    RMS-normed; on a routed model ``kv_a[l]`` is the CA_a pair and
+    ``router_keys[l]`` the router's projected pooled keys (B, V, H * dh),
+    both None without a router. ``feats`` is the
     (B, V, S, feat_dim) array the context was built from.
     """
 
@@ -377,9 +380,7 @@ def grid_positional_embedding(cfg: ModelConfig) -> np.ndarray:
     key = (cfg.grid, cfg.model_dim)
     if key not in _POS_CACHE:
         n, d = cfg.grid, cfg.model_dim
-        ids = np.arange(n**3)
-        ix, rem = divmod(ids, n * n)
-        coords = np.stack([ix, rem // n, rem % n], axis=1).astype(np.float64)
+        coords = np.stack(_cell_coords(n), axis=1).astype(np.float64)
         pairs_per_axis = max(d // 6, 1)
         freqs = (np.pi / n) * (2.0 ** np.arange(pairs_per_axis))
         emb = np.zeros((n**3, d))
@@ -464,12 +465,10 @@ def _ca_q(params, prefix: str, znorm: Tensor) -> Tensor:
     return nx.rms_norm(nx.matmul(znorm, params[prefix + ".w_q"]), params[prefix + ".q_gain"])
 
 
-def _ca_kv(params, prefix: str, feats: Tensor, cfg: ModelConfig):
-    """One stream's keys and values per view patch, each (B, V, S, H, dh)."""
-    shape = feats.shape[:3] + (cfg.heads, cfg.head_dim)
+def _ca_kv(params, prefix: str, feats: Tensor):
+    """One stream's keys and values per view patch, each (B, V, S, H * dh)."""
     k = nx.rms_norm(nx.matmul(feats, params[prefix + ".w_k"]), params[prefix + ".k_gain"])
-    v = nx.matmul(feats, params[prefix + ".w_v"])
-    return nx.reshape(k, shape), nx.reshape(v, shape)
+    return k, nx.matmul(feats, params[prefix + ".w_v"])
 
 
 def _router_params(params, l: int) -> dict[str, Tensor]:
@@ -487,10 +486,10 @@ def view_context(params: dict[str, Tensor], cfg: ModelConfig, feats: np.ndarray,
     feats = np.asarray(feats)
     feats_t = Tensor(feats)
     blocks = range(cfg.blocks)
-    ctx = ViewContext(feats, [_ca_kv(params, f"blocks.{l}.ca_p", feats_t, cfg) for l in blocks])
+    ctx = ViewContext(feats, [_ca_kv(params, f"blocks.{l}.ca_p", feats_t) for l in blocks])
     if routed:
         pooled = Tensor(feats.mean(axis=2))
-        ctx.kv_a = [_ca_kv(params, f"blocks.{l}.ca_a", feats_t, cfg) for l in blocks]
+        ctx.kv_a = [_ca_kv(params, f"blocks.{l}.ca_a", feats_t) for l in blocks]
         ctx.router_keys = [router_keys(pooled, _router_params(params, l)) for l in blocks]
     return ctx
 
@@ -505,15 +504,14 @@ def _cross_attention(
     Token n of sample b attends the S patches of view ``v_star[b, n]``
     through CA_p where ``use_primary[b, n]``, otherwise through CA_a, and its
     output is scaled by the straight-through ``multiplier`` when there is one
-    (None under ``no_grad``). A view context without CA_a pairs means no
-    router: CA_p serves both streams and nothing is scaled. Without a
-    multiplier a block whose tokens are all primary takes that branch too,
-    since CA_a would only add exact zeros; with one, CA_a's weights still get
-    their (zero) gradients.
+    (None under ``no_grad`` and without a router). A block without a
+    multiplier whose tokens are all primary runs CA_p alone, as the
+    router-less forward always does: CA_a would only add exact zeros. With a
+    multiplier CA_a runs, so its weights still get their (zero) gradients.
     """
     pre = f"blocks.{l}"
     q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm), views.kv_p[l]
-    if views.kv_a is None or (multiplier is None and use_primary.all()):
+    if multiplier is None and use_primary.all():
         attn = nx.routed_attention(q_p, q_p, kv_p, kv_p, v_star, use_primary, cfg.heads)
         out = nx.matmul(attn, params[f"{pre}.ca_p.w_o"])
     else:

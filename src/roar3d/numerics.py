@@ -52,7 +52,6 @@ __all__ = [
     "layer_norms",
     "rms_norm",
     "silu",
-    "reshape",
     "slice_last",
     "take_index_last",
     "ste_one",
@@ -318,14 +317,13 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
     """Two-stream linear map with an optional row scale, as one node.
 
     Row r of ``x[..., k]`` goes through ``w_p`` (k, n) where ``use_primary[r]``
-    and through ``w_a`` otherwise, then is scaled by ``multiplier[r, 0]``. It
-    runs the masked form ``(x * mask_p) @ w_p + (x * mask_a) @ w_a`` with
-    full-size matmuls, so its value and every gradient equal, bit for bit,
-    those of the six nodes that spell it out with row scales, ``matmul`` and
-    ``add``. Without a multiplier no row is scaled, which equals a multiplier
-    of ones bit for bit (x * 1.0 == x), and each row is picked from ``x @ w_p``
-    or ``x @ w_a``: the masked form only adds exact zeros to it. The masked
-    copies of ``x`` are then built in the backward, for the weight gradients.
+    and through ``w_a`` otherwise, then is scaled by ``multiplier[r, 0]``. Each
+    row is picked from ``x @ w_p`` or ``x @ w_a``, so its value and every
+    gradient equal, bit for bit, those of the six nodes of the masked form
+    ``((x * mask_p) @ w_p + (x * mask_a) @ w_a) * multiplier``, which only
+    adds exact zeros to the picked row. Without a multiplier no row is scaled,
+    which equals a multiplier of ones bit for bit (x * 1.0 == x). The masked
+    copies of ``x`` are built in the backward, for the weight gradients.
     """
     x, w_p, w_a = _as_tensor(x), _as_tensor(w_p), _as_tensor(w_a)
     m = None if multiplier is None else _as_tensor(multiplier)
@@ -337,13 +335,8 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
                          f"multiplier {None if m is None else m.shape}, x {x.shape}")
     mask_p = use_primary[..., None].astype(np.float64)
     mask_a = (~use_primary)[..., None].astype(np.float64)
-    if m is None:
-        x_p = x_a = None
-        summed = np.where(use_primary[..., None], np.matmul(x.data, w_p.data),
-                          np.matmul(x.data, w_a.data))
-    else:
-        x_p, x_a = x.data * mask_p, x.data * mask_a
-        summed = np.matmul(x_p, w_p.data) + np.matmul(x_a, w_a.data)
+    summed = np.where(use_primary[..., None], np.matmul(x.data, w_p.data),
+                      np.matmul(x.data, w_a.data))
     k, n = w_p.shape
 
     def backward(g: np.ndarray) -> None:
@@ -352,10 +345,9 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
             gx = np.matmul(gs, w_p.data.T) * mask_p
             gx += np.matmul(gs, w_a.data.T) * mask_a
             x.accum_grad(gx)
-        for w, xs, mask in ((w_p, x_p, mask_p), (w_a, x_a, mask_a)):
+        for w, mask in ((w_p, mask_p), (w_a, mask_a)):
             if w.requires_grad:
-                xs = x.data * mask if xs is None else xs
-                w.accum_grad(xs.reshape(-1, k).T @ gs.reshape(-1, n))
+                w.accum_grad((x.data * mask).reshape(-1, k).T @ gs.reshape(-1, n))
         if m is not None:
             m.accum_grad((g * summed).sum(axis=-1, keepdims=True))
 
@@ -481,16 +473,6 @@ def silu(x: Tensor) -> Tensor:
         x.accum_grad(g * (s * (1.0 + x.data * (1.0 - s))))
 
     return _node(y, (x,), backward)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    old = x.shape
-
-    def backward(g: np.ndarray) -> None:
-        x.accum_grad(g.reshape(old))
-
-    return _node(x.data.reshape(shape), (x,), backward)
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
@@ -714,9 +696,11 @@ def routed_attention(
     Each token n of sample b attends to exactly the S patch keys of its
     selected view ``view_index[b, n]``, through the primary stream where
     ``use_primary[b, n]`` and the auxiliary stream otherwise. Queries and the
-    output are (B, N, heads * d); each stream's keys/values are
-    (B, V, S, heads, d). Tokens are grouped by (sample, view, stream) so the
-    kernel runs a handful of medium-sized matmuls instead of one per token.
+    output are (B, N, heads * d), each stream's keys and values
+    (B, V, S, heads * d); the kernel splits the heads inside. Tokens are
+    grouped by (sample, view, stream) so the kernel runs a handful of
+    medium-sized matmuls instead of one per token. A router-less call passes
+    its one stream twice.
     """
     q_p, q_a = _as_tensor(q_p), _as_tensor(q_a)
     k_p, v_p = (_as_tensor(t) for t in kv_p)
@@ -726,9 +710,10 @@ def routed_attention(
     if k_p.shape != v_p.shape or k_a.shape != v_a.shape or k_p.shape != k_a.shape:
         raise ShapeError("routed_attention key/value shapes differ")
     B, N, width = q_p.shape
-    Bv, V, _, H, dh = k_p.shape
-    if (Bv, H, H * dh) != (B, heads, width):
+    if k_p.ndim != 4 or (k_p.shape[0], k_p.shape[-1]) != (B, width) or width % heads:
         raise ShapeError(f"routed_attention q {q_p.shape} vs k {k_p.shape}, {heads} heads")
+    V, S = k_p.shape[1:3]
+    H, dh = heads, width // heads
     view_index = np.asarray(view_index, dtype=np.int64)
     use_primary = np.asarray(use_primary, dtype=bool)
     if view_index.shape != (B, N) or use_primary.shape != (B, N):
@@ -737,8 +722,8 @@ def routed_attention(
         raise ShapeError("view index out of range")
     sc = 1.0 / np.sqrt(dh)
     streams = {True: (q_p, k_p, v_p), False: (q_a, k_a, v_a)}
-    arrays = {s: (q.data.reshape(B, N, H, dh), k.data, vv.data)
-              for s, (q, k, vv) in streams.items()}
+    arrays = {s: (q.data.reshape(B, N, H, dh), k.data.reshape(B, V, S, H, dh),
+                  vv.data.reshape(B, V, S, H, dh)) for s, (q, k, vv) in streams.items()}
 
     def operands(b, v, primary, idx):
         """The group's (H, G, d) queries and (H, S, d) keys and values."""

@@ -63,6 +63,17 @@ def scale_rows(x, m):
     return nx._node(x.data * m.data, (x, m), backward)
 
 
+def reshape(x, shape):
+    """The same entries in another shape."""
+    x = nx._as_tensor(x)
+    old = x.shape
+
+    def backward(g):
+        x.accum_grad(g.reshape(old))
+
+    return nx._node(x.data.reshape(shape), (x,), backward)
+
+
 def transpose(x, axes):
     """Axis permutation into a contiguous copy."""
     x = nx._as_tensor(x)
@@ -92,8 +103,8 @@ def router_score_chain(q, keys, w_agg, heads):
     """The seven-node spelling of ``nx.router_scores``: split, matmul, scale, mix."""
     B, N, width = q.shape
     V, dh = keys.shape[1], width // heads
-    qh = transpose(nx.reshape(q, (B, N, heads, dh)), (0, 2, 1, 3))       # (B, H, N, dh)
-    kh = transpose(nx.reshape(keys, (B, V, heads, dh)), (0, 2, 3, 1))    # (B, H, dh, V)
+    qh = transpose(reshape(q, (B, N, heads, dh)), (0, 2, 1, 3))          # (B, H, N, dh)
+    kh = transpose(reshape(keys, (B, V, heads, dh)), (0, 2, 3, 1))       # (B, H, dh, V)
     return head_mix(nx.scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
 
 

@@ -261,11 +261,15 @@ def _edit_manifest(data: Path, edit) -> None:
     manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
 
 
-def _drop_first_class(text: str) -> str:
-    first, rest = text.split("\n", 1)
-    rec = json.loads(first)
-    del rec["class"]
-    return json.dumps(rec) + "\n" + rest
+def _first_record(change):
+    """A manifest text edit that applies ``change`` to the first record."""
+    def edit(text: str) -> str:
+        first, rest = text.split("\n", 1)
+        rec = json.loads(first)
+        change(rec)
+        return json.dumps(rec) + "\n" + rest
+
+    return edit
 
 
 def _drop_first_test_cams(data: Path) -> None:
@@ -282,11 +286,12 @@ def _train_container_to_directory(data: Path) -> None:
 @pytest.mark.parametrize("edit", [
     lambda data: _edit_manifest(data, lambda text: text[:-30]),
     lambda data: _edit_manifest(data, lambda text: "[1, 2]\n" + text),
-    lambda data: _edit_manifest(data, _drop_first_class),
+    lambda data: _edit_manifest(data, _first_record(lambda rec: rec.pop("class"))),
+    lambda data: _edit_manifest(data, _first_record(lambda rec: rec.update(split="tset"))),
     _drop_first_test_cams,
     _train_container_to_directory,
-], ids=["manifest-cut", "record-not-object", "record-without-class", "tensors-missing",
-        "split-container-is-directory"])
+], ids=["manifest-cut", "record-not-object", "record-without-class",
+        "record-with-unknown-split", "tensors-missing", "split-container-is-directory"])
 def test_malformed_dataset_exit_code(pipeline, tmp_path, edit):
     data = _copy_data(pipeline["data"], tmp_path / "data")
     edit(data)
@@ -404,6 +409,7 @@ def data_without_val(pipeline, tmp_path_factory):
     ("eval", ["--view-counts", "1,a"]),
     ("eval", ["--view-counts", "0"]),
     ("eval", ["--view-counts", "13"]),
+    ("eval", ["--view-counts", "1,1"]),
     ("sample", ["--seed", "-1"]),
     ("sample", ["--seed", str(2**64 - 1)]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v))

@@ -198,9 +198,10 @@ def test_per_token_attended_keys_equal_patch_count(v):
     val = {s: rng.normal(size=(B, v, S, H, d)) for s in (True, False)}
     view_index = rng.integers(0, v, size=(B, N))
     use_primary = rng.random((B, N)) < 0.5
+    flat = lambda x: Tensor(x.reshape(B, v, S, H * d))
     out = nx.routed_attention(Tensor(q[True]), Tensor(q[False]),
-                              (Tensor(k[True]), Tensor(val[True])),
-                              (Tensor(k[False]), Tensor(val[False])),
+                              (flat(k[True]), flat(val[True])),
+                              (flat(k[False]), flat(val[False])),
                               view_index, use_primary, H).data
     assert out.shape == (B, N, H * d)
     out = out.reshape(B, N, H, d)

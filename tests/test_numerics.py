@@ -18,6 +18,7 @@ from roar3d.trainer import Batch, flow_matching_loss
 from conftest import (
     head_mix,
     micro_run_config,
+    reshape,
     router_score_chain,
     scale_rows,
     sum_all,
@@ -280,8 +281,8 @@ def _primitive_cases(rng):
     q3 = mk(B, N, H * dh)
     k3, v3 = mk(B, N, H * dh), mk(B, N, H * dh)
     qp, qa = mk(B, N, H * dh), mk(B, N, H * dh)
-    kp, vp = mk(B, V, S, H, dh), mk(B, V, S, H, dh)
-    ka, va = mk(B, V, S, H, dh), mk(B, V, S, H, dh)
+    kp, vp = mk(B, V, S, H * dh), mk(B, V, S, H * dh)
+    ka, va = mk(B, V, S, H * dh), mk(B, V, S, H * dh)
     v_star = rng.integers(0, V, size=(B, N))
     use_p = rng.random((B, N)) < 0.5
     idx = rng.integers(0, V, size=(2, 3))
@@ -304,7 +305,7 @@ def _primitive_cases(rng):
         ("rms_norm", {"a": e1, "g": bias}, lambda: nx.rms_norm(e1, bias)),
         ("silu", {"a": e1}, lambda: nx.silu(e1)),
         ("reshape_transpose", {"a": x3},
-         lambda: transpose(nx.reshape(x3, (B, N, 2, 2)), (0, 2, 1, 3))),
+         lambda: transpose(reshape(x3, (B, N, 2, 2)), (0, 2, 1, 3))),
         ("slice_last", {"a": x3}, lambda: nx.slice_last(x3, 1, 3)),
         ("take_index_last", {"y": yv}, lambda: nx.take_index_last(yv, idx)),
         # ste_one is deliberately absent: its backward is the straight-through
@@ -399,10 +400,9 @@ def _masked_dual_linear(x, w_p, w_a, use_p, m):
                                 nx.matmul(scale_rows(x, mask_a), w_a)), m)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_dual_linear_bit_equal_to_masked_form(seed):
-    rng = np.random.default_rng(seed)
-    x, w_p, w_a, dec, use_p = _dual_linear_inputs(rng)
+def _straight_through_runs(rng, x, w_p, w_a, dec, use_p):
+    """Value and (x, w_p, w_a, y_soft) gradient bytes of ``dual_linear`` and of
+    the masked form, each with the straight-through multiplier of ``dec``."""
     inputs = (x, w_p, w_a, dec.y_soft)
     g = Tensor(rng.normal(size=x.shape[:-1] + (w_p.shape[1],)))
     runs = []
@@ -412,6 +412,13 @@ def test_dual_linear_bit_equal_to_masked_form(seed):
         out = op(x, w_p, w_a, use_p, dec.ste_multiplier())
         sum_all(nx.mul(out, g)).backward()
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dual_linear_bit_equal_to_masked_form(seed):
+    rng = np.random.default_rng(seed)
+    runs = _straight_through_runs(rng, *_dual_linear_inputs(rng))
     assert runs[0] == runs[1]
 
 
@@ -426,14 +433,23 @@ def test_dual_linear_without_multiplier_equals_unit_multiplier():
     assert [a.tobytes() for a in bare] == [a.tobytes() for a in unit]
 
 
+@pytest.mark.parametrize("grad", ["no_grad", "ste_one"])
 @pytest.mark.parametrize("rows", ["mixed", "all primary", "all auxiliary"])
 @pytest.mark.parametrize("sizes", [{}, {"B": 1, "N": 64, "k": 64, "n": 64}], ids=["tiny", "desk"])
-def test_dual_linear_without_multiplier_under_no_grad_bit_equal_to_masked_form(rows, sizes):
-    """Picking rows of x @ w_p and x @ w_a gives the masked form's value bit for bit."""
+def test_dual_linear_without_multiplier_under_no_grad_bit_equal_to_masked_form(rows, sizes, grad):
+    """Picking rows of x @ w_p and x @ w_a gives the masked form's value bit for bit.
+
+    With gradients on and a straight-through multiplier (``ste_one``) every
+    gradient is bit-equal to the masked form's too.
+    """
     rng = np.random.default_rng(23)
-    x, w_p, w_a, _, use_p = _dual_linear_inputs(rng, **sizes)
+    x, w_p, w_a, dec, use_p = _dual_linear_inputs(rng, **sizes)
     use_p = {"mixed": use_p, "all primary": np.ones_like(use_p),
              "all auxiliary": np.zeros_like(use_p)}[rows]
+    if grad == "ste_one":
+        runs = _straight_through_runs(rng, x, w_p, w_a, dec, use_p)
+        assert runs[0] == runs[1]
+        return
     with nx.no_grad():
         bare = nx.dual_linear(x, w_p, w_a, use_p)
         masked = _masked_dual_linear(x, w_p, w_a, use_p, Tensor(np.ones(x.shape[:-1] + (1,))))

@@ -10,7 +10,7 @@ from roar3d.numerics import Tensor, grad_check
 from roar3d.router import gumbel_select, router_keys, routing_logits_batched, sample_gumbel
 from roar3d.rng import stream
 
-from conftest import sum_all, surrogate_multiplier
+from conftest import reshape, sum_all, surrogate_multiplier
 
 
 def _params(rng, model_dim=8, feat_dim=8, heads=2, head_dim=4):
@@ -71,9 +71,9 @@ def _one_sample_logits(z, pooled, p):
     """(N, V) logits of one sample through the router's pre-norm and the
     batched router, a batch of one."""
     z, k = Tensor(z[None]), Tensor(pooled)
-    keys = router_keys(nx.reshape(k, (1,) + k.shape), p)
+    keys = router_keys(reshape(k, (1,) + k.shape), p)
     r = routing_logits_batched(nx.layer_norm(z, p["ln_gain"], p["ln_bias"]), keys, p)
-    return nx.reshape(r, r.shape[1:])
+    return reshape(r, r.shape[1:])
 
 
 def test_orthogonal_query_key_gives_zero_logit():
