@@ -24,6 +24,16 @@ variables. Leaves keep their gradients and every node keeps its ``data``; a
 second backward through a spent graph raises ``RuntimeError``. The sweep
 touches only the nodes of its own graph, so independent graphs stay
 thread-independent.
+
+A backward closure keeps only what it cannot rebuild in one elementwise pass
+over data the graph already holds: the norms keep per-row statistics (and
+``ada_layer_norm`` its modulation scale) and rebuild their normalized rows
+from the input, and the attention and router-score kernels split the heads
+of their inputs again instead of keeping the split copies. Arrays that cost
+an ``exp`` or a matmul to rebuild stay saved: ``silu``'s sigmoid, the
+attention probabilities, the router's unmixed scores and ``dual_linear``'s
+picked rows. Rebuilt arrays run the forward's own expressions, so every
+gradient is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -323,7 +333,9 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
     ``((x * mask_p) @ w_p + (x * mask_a) @ w_a) * multiplier``, which only
     adds exact zeros to the picked row. Without a multiplier no row is scaled,
     which equals a multiplier of ones bit for bit (x * 1.0 == x). The masked
-    copies of ``x`` are built in the backward, for the weight gradients.
+    copies of ``x`` are built in the backward, for the weight gradients; the
+    picked rows, which the multiplier's gradient reads, stay saved, as they
+    would take two matmuls to rebuild.
     """
     x, w_p, w_a = _as_tensor(x), _as_tensor(w_p), _as_tensor(w_a)
     m = None if multiplier is None else _as_tensor(multiplier)
@@ -394,11 +406,24 @@ def _check_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> int:
 
 
 def _layer_norm_stats(x: np.ndarray, d: int):
-    """(xhat, inv) of a layer norm over the last axis of width ``d``."""
+    """(xhat, mean, inv) of a layer norm over the last axis of width ``d``.
+
+    A backward keeps the per-row ``mean`` and ``inv`` only and rebuilds
+    ``xhat`` from ``x`` with :func:`_normalize`, which gives the same bits.
+    """
     # the sums and divisions of np.mean and np.var, without their Python overhead
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(np.square(xc), axis=-1, keepdims=True) / d + LN_EPS)
-    return xc * inv, inv
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xhat = x - mean
+    inv = 1.0 / np.sqrt(np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
+    return xhat, mean, inv
+
+
+def _normalize(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``xhat`` of :func:`_layer_norm_stats` from its per-row statistics."""
+    xhat = x - mean
+    xhat *= inv
+    return xhat
 
 
 def _layer_norm_backward(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
@@ -424,18 +449,18 @@ def layer_norms(x: Tensor, *affine: tuple[Tensor, Tensor]) -> tuple[Tensor, ...]
 
     The statistics of ``x`` are computed once and shared by every node, so
     each node's value and gradients equal, bit for bit, those of its own
-    ``layer_norm`` call.
+    ``layer_norm`` call. Each backward rebuilds ``xhat`` from them.
     """
     x = _as_tensor(x)
     pairs = [(_as_tensor(gain), _as_tensor(bias)) for gain, bias in affine]
     d = x.shape[-1]
     for gain, bias in pairs:
         _check_layer_norm(x, gain, bias)
-    xhat, inv = _layer_norm_stats(x.data, d)
+    xhat, mean, inv = _layer_norm_stats(x.data, d)
 
     def node(gain: Tensor, bias: Tensor) -> Tensor:
         def backward(g: np.ndarray) -> None:
-            _layer_norm_backward(g, x, gain, bias, xhat, inv, d)
+            _layer_norm_backward(g, x, gain, bias, _normalize(x.data, mean, inv), inv, d)
 
         return _node(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
@@ -443,14 +468,16 @@ def layer_norms(x: Tensor, *affine: tuple[Tensor, Tensor]) -> tuple[Tensor, ...]
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    """x / sqrt(mean(x^2) + RMS_EPS) * gain over the last axis."""
+    """x / sqrt(mean(x^2) + RMS_EPS) * gain over the last axis.
+
+    The backward keeps the per-row ``inv`` only and rebuilds ``x * inv``.
+    """
     x, gain = _as_tensor(x), _as_tensor(gain)
     d = x.shape[-1]
     if gain.shape != (d,):
         raise ShapeError("rms_norm gain shape mismatch")
     inv = 1.0 / np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d + RMS_EPS)
-    u = x.data * inv
-    y = u * gain.data
+    y = x.data * inv * gain.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -459,12 +486,13 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
             gg *= inv
             gg -= x.data * (dot * inv**3 / d)
             x.accum_grad(gg)
-        gain.accum_grad((g * u).reshape(-1, d).sum(axis=0))
+        gain.accum_grad((g * (x.data * inv)).reshape(-1, d).sum(axis=0))
 
     return _node(y, (x, gain), backward)
 
 
 def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x); the backward keeps the sigmoid, which costs an exp to rebuild."""
     x = _as_tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.data))
     y = x.data * s
@@ -524,19 +552,21 @@ def ada_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sc: Tensor, sh: Tensor
     ``x`` is (..., n, d); the scale ``sc`` and shift ``sh`` are (..., d) and
     broadcast over the n tokens (adaLN modulation). The value and every
     gradient equal, bit for bit, those of a layer-norm node followed by a
-    modulation node.
+    modulation node. The backward keeps the per-row statistics and the
+    modulation scale and rebuilds the normalized rows from ``x``.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     sc, sh = _as_tensor(sc), _as_tensor(sh)
     d = _check_layer_norm(x, gain, bias)
     if sc.shape != x.shape[:-2] + (d,) or sh.shape != sc.shape:
         raise ShapeError(f"ada_layer_norm shapes: x {x.shape}, scale {sc.shape}, shift {sh.shape}")
-    xhat, inv = _layer_norm_stats(x.data, d)
+    xhat, mean, inv = _layer_norm_stats(x.data, d)
     normed = xhat * gain.data + bias.data
     scale = 1.0 + sc.data[..., None, :]
 
     def backward(g: np.ndarray) -> None:
-        sc.accum_grad((g * normed).sum(axis=-2))
+        xhat = _normalize(x.data, mean, inv)
+        sc.accum_grad((g * (xhat * gain.data + bias.data)).sum(axis=-2))
         sh.accum_grad(g.sum(axis=-2))
         _layer_norm_backward(g * scale, x, gain, bias, xhat, inv, d)
 
@@ -572,6 +602,8 @@ def router_scores(q: Tensor, keys: Tensor, w_agg: Tensor, heads: int) -> Tensor:
     It runs the expressions of the node chain it replaces (split both inputs
     into contiguous per-head copies, batched matmul, scale, head mix), in the
     same order, so its value and every gradient equal that chain's bit for bit.
+    The backward keeps the split keys and the unmixed scores and splits ``q``
+    again.
     """
     q, keys, w_agg = _as_tensor(q), _as_tensor(keys), _as_tensor(w_agg)
     if q.ndim != 3 or keys.ndim != 3 or q.shape[0] != keys.shape[0] \
@@ -594,7 +626,7 @@ def router_scores(q: Tensor, keys: Tensor, w_agg: Tensor, heads: int) -> Tensor:
             gq = np.matmul(gs, np.swapaxes(kh, -1, -2))
             q.accum_grad(gq.transpose(0, 2, 1, 3).reshape(B, N, width))
         if keys.requires_grad:
-            gk = np.matmul(np.swapaxes(qh, -1, -2), gs)
+            gk = np.matmul(np.swapaxes(_split_heads(q.data, heads), -1, -2), gs)
             keys.accum_grad(gk.transpose(0, 3, 1, 2).reshape(B, V, width))
         w_agg.accum_grad(np.einsum("bhnv,bnv->h", scores, g))
 
@@ -659,7 +691,8 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over (B, N, heads * d) q/k/v.
 
     Fused so one graph node covers the head split, scores, softmax, the
-    value product and the head merge; the output is (B, N, heads * d).
+    value product and the head merge; the output is (B, N, heads * d). The
+    backward keeps the attention probabilities and splits q, k and v again.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or q.shape != k.shape or k.shape != v.shape or q.shape[-1] % heads:
@@ -668,12 +701,12 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     B, N, width = q.shape
     dh = width // heads
     sc = 1.0 / np.sqrt(dh)
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    out, attn = _attend(qh, kh, vh, sc)
+    out, attn = _attend(*(_split_heads(t.data, heads) for t in (q, k, v)), sc)
 
     def backward(g: np.ndarray) -> None:
         gq, gk, gv = _attend_grad(g.reshape(B, N, heads, dh).transpose(0, 2, 1, 3),
-                                  qh, kh, vh, attn, sc)
+                                  *(_split_heads(t.data, heads) for t in (q, k, v)),
+                                  attn, sc)
         v.accum_grad(gv.transpose(0, 2, 1, 3).reshape(B, N, width))
         q.accum_grad(gq.transpose(0, 2, 1, 3).reshape(B, N, width))
         k.accum_grad(gk.transpose(0, 2, 1, 3).reshape(B, N, width))
@@ -700,7 +733,8 @@ def routed_attention(
     (B, V, S, heads * d); the kernel splits the heads inside. Tokens are
     grouped by (sample, view, stream) so the kernel runs a handful of
     medium-sized matmuls instead of one per token. A router-less call passes
-    its one stream twice.
+    its one stream twice (``q_a is q_p`` and ``kv_a is kv_p``); its backward
+    then builds and accumulates one set of gradients.
     """
     q_p, q_a = _as_tensor(q_p), _as_tensor(q_a)
     k_p, v_p = (_as_tensor(t) for t in kv_p)
@@ -721,6 +755,7 @@ def routed_attention(
     if view_index.min() < 0 or view_index.max() >= V:
         raise ShapeError("view index out of range")
     sc = 1.0 / np.sqrt(dh)
+    one_stream = q_a is q_p and k_a is k_p and v_a is v_p
     streams = {True: (q_p, k_p, v_p), False: (q_a, k_a, v_a)}
     arrays = {s: (q.data.reshape(B, N, H, dh), k.data.reshape(B, V, S, H, dh),
                   vv.data.reshape(B, V, S, H, dh)) for s, (q, k, vv) in streams.items()}
@@ -746,7 +781,8 @@ def routed_attention(
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(B, N, H, dh)
-        grads = {s: [np.zeros_like(a) for a in arrs] for s, arrs in arrays.items()}
+        grads = {True: [np.zeros_like(a) for a in arrays[True]]}
+        grads[False] = grads[True] if one_stream else [np.zeros_like(a) for a in arrays[False]]
         for b, v, primary, idx, attn in groups:
             gq, gk, gv = _attend_grad(g[b, idx].transpose(1, 0, 2),
                                       *operands(b, v, primary, idx), attn, sc)
@@ -754,10 +790,9 @@ def routed_attention(
             gq_s[b, idx] += gq.transpose(1, 0, 2)
             gk_s[b, v] += gk.transpose(1, 0, 2)
             gv_s[b, v] += gv.transpose(1, 0, 2)
-        for i in range(3):  # q_p, q_a, k_p, k_a, v_p, v_a
-            for primary in (True, False):
-                t = streams[primary][i]
-                t.accum_grad(grads[primary][i].reshape(t.shape))
+        for primary in (True,) if one_stream else (True, False):
+            for t, gt in zip(streams[primary], grads[primary]):
+                t.accum_grad(gt.reshape(t.shape))
 
     return _node(out.reshape(B, N, width), (q_p, q_a, k_p, v_p, k_a, v_a), backward)
 

@@ -318,6 +318,8 @@ def _primitive_cases(rng):
          lambda: nx.self_attention(q3, k3, v3, H)),
         ("routed_attention", {"qp": qp, "qa": qa, "kp": kp, "vp": vp, "ka": ka, "va": va},
          lambda: nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, H)),
+        ("routed_attention_one_stream", {"q": qp, "k": kp, "v": vp},
+         lambda: nx.routed_attention(qp, qp, (kp, vp), (kp, vp), v_star, use_p, H)),
         ("mean_all", {"a": e1}, lambda: nx.mean_all(e1)),
     ]
 
@@ -611,6 +613,33 @@ def test_router_scores_bit_equal_to_node_chain(V):
     assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_routed_attention_one_stream_accumulates_one_gradient_set(monkeypatch, mixed):
+    """A call passing one stream twice makes one accum_grad per input, no zero
+    arrays, and the gradients of a two-stream call on equal copies, summed."""
+    rng = np.random.default_rng(41 + mixed)
+    B, N, V, S, H, dh = 2, 7, 3, 4, 2, 3
+    q, k, v = _leaves(rng, (B, N, H * dh), (B, V, S, H * dh), (B, V, S, H * dh))
+    v_star = rng.integers(0, V, size=(B, N))
+    use_p = rng.random((B, N)) < 0.5 if mixed else np.ones((B, N), dtype=bool)
+    g = rng.normal(size=(B, N, H * dh))
+    out = nx.routed_attention(q, q, (k, v), (k, v), v_star, use_p, H)
+    calls = []
+    accum = Tensor.accum_grad
+    monkeypatch.setattr(Tensor, "accum_grad", lambda t, a: (calls.append(a), accum(t, a))[1])
+    out._backward(g)
+    monkeypatch.undo()
+    assert len(calls) == 3 and all(a.any() for a in calls)
+
+    twin = [[Tensor(t.data.copy(), requires_grad=True) for t in (q, k, v)] for _ in range(2)]
+    (qp, kp, vp), (qa, ka, va) = twin
+    two = nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, H)
+    two._backward(g)
+    assert out.data.tobytes() == two.data.tobytes()
+    for one, p, a in zip((q, k, v), twin[0], twin[1]):
+        assert one.grad.tobytes() == (p.grad + a.grad).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward consumes its graph
 # ---------------------------------------------------------------------------
@@ -654,6 +683,43 @@ def test_backward_consumes_its_graph():
     held = after - base - _grad_bytes(model)
     assert held < 0.25 * forward, (held, forward)
     assert peak - base < 1.25 * forward, (peak - base, forward)
+
+
+def _closure_array_bytes(node) -> int:
+    """Bytes of the ndarrays a node's backward closure holds, apart from its parents' data."""
+    parents = {id(p.data) for p in node._parents}
+    held = []
+    for cell in node._backward.__closure__:
+        v = cell.cell_contents
+        held += v if isinstance(v, (list, tuple)) else [v]
+    return sum(a.nbytes for a in held if isinstance(a, np.ndarray) and id(a) not in parents)
+
+
+def test_backward_closures_keep_no_rebuildable_arrays():
+    """Norms keep per-row statistics (and the modulation scale), self_attention its
+    probabilities and router_scores its split keys and scores: nothing a backward
+    can rebuild in one pass over its inputs."""
+    rng = np.random.default_rng(7)
+    B, N, d, H, V = 16, 64, 64, 4, 4
+    x, gain, bias, gain2, bias2 = _leaves(rng, (B, N, d), (d,), (d,), (d,), (d,))
+    sc, sh = _leaves(rng, (B, d), (B, d))
+    q, k, v = _leaves(rng, (B, N, d), (B, N, d), (B, N, d))
+    keys, w_agg = _leaves(rng, (B, V, d), (H,))
+    row = B * N * 8                               # one float64 per row
+    probs = B * H * N * N * 8
+    kh_scores = B * H * (d // H) * V * 8 + B * H * N * V * 8
+    cases = [
+        ([nx.layer_norm(x, gain, bias)], 2 * row),
+        (list(nx.layer_norms(x, (gain, bias), (gain2, bias2))), 2 * row),
+        ([nx.ada_layer_norm(x, gain, bias, sc, sh)], 2 * row + B * d * 8),
+        ([nx.rms_norm(x, gain)], row),
+        ([nx.self_attention(q, k, v, H)], probs),
+        ([nx.router_scores(q, keys, w_agg, H)], kh_scores),
+    ]
+    for nodes, allowance in cases:
+        for node in nodes:
+            held = _closure_array_bytes(node)
+            assert held <= allowance, (node._backward.__qualname__, held, allowance)
 
 
 def _keep_graph_backward(root):
