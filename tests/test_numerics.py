@@ -688,10 +688,7 @@ def test_backward_consumes_its_graph():
 def _closure_array_bytes(node) -> int:
     """Bytes of the ndarrays a node's backward closure holds, apart from its parents' data."""
     parents = {id(p.data) for p in node._parents}
-    held = []
-    for cell in node._backward.__closure__:
-        v = cell.cell_contents
-        held += v if isinstance(v, (list, tuple)) else [v]
+    held = [cell.cell_contents for cell in node._backward.__closure__]
     return sum(a.nbytes for a in held if isinstance(a, np.ndarray) and id(a) not in parents)
 
 
