@@ -10,7 +10,7 @@ import numpy as np
 
 import roar3d.numerics as nx
 from roar3d.config import ModelConfig
-from roar3d.model import init_multiview_params
+from roar3d.model import init_params
 from roar3d.numerics import Tensor
 from roar3d.router import gumbel_select, router_keys, routing_logits_batched, routing_noise
 from roar3d.rng import stream
@@ -24,7 +24,7 @@ tokens = rng.normal(size=(N, D))
 # the router weights are block 0's "blocks.0.router.*" entries of the model's flat dict
 cfg = ModelConfig(blocks=1, model_dim=D, feat_dim=D, heads=4, head_dim=8)
 prefix = "blocks.0.router."
-params = {k[len(prefix):]: p for k, p in init_multiview_params(cfg, 0).items()
+params = {k[len(prefix):]: p for k, p in init_params(cfg, 0).items()
           if k.startswith(prefix)}
 print("router weights:", {k: p.shape for k, p in params.items()})
 

@@ -21,10 +21,10 @@ import numpy as np  # noqa: E402
 
 import roar3d.model as model_module  # noqa: E402
 from roar3d.config import RunConfig  # noqa: E402
-from roar3d.evaluation import eval_cameras  # noqa: E402
+from roar3d.evaluation import shape_features  # noqa: E402
 from roar3d.model import Model, integrate_flow  # noqa: E402
 from roar3d.trainer import upgrade_from_single  # noqa: E402
-from roar3d.world import encode_view, generate_shape  # noqa: E402
+from roar3d.world import generate_shape  # noqa: E402
 
 ROUNDS = 3
 VIEW_COUNTS = (1, 2, 4, 8)
@@ -41,8 +41,7 @@ for name, p in single.params.items():
 routed = upgrade_from_single(single)
 
 pc = generate_shape(0, "l-prism", cfg.world.points)
-feats = {v: np.stack([encode_view(pc, cam, cfg.world) for cam in eval_cameras(v)])[None]
-         for v in VIEW_COUNTS}
+feats = {v: shape_features(pc, v, cfg.world)[None] for v in VIEW_COUNTS}
 z_init = rng.normal(size=(1, cfg.model.tokens, cfg.model.model_dim))
 primary = np.zeros(1, dtype=np.int64)
 

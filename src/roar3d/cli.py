@@ -34,7 +34,7 @@ from .data import build_dataset, load_dataset
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
 from .trainer import TrainingDiverged, train, upgrade_from_single
-from .world import PointCloud, encode_view
+from .world import PointCloud
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,11 +172,6 @@ def cmd_train_mv(args) -> int:
     return EXIT_OK
 
 
-def _shape_features(points: np.ndarray, cfg: RunConfig, count: int) -> np.ndarray:
-    cams = evaluation.eval_cameras(count)
-    return np.stack([encode_view(PointCloud(points), cam, cfg.world) for cam in cams])
-
-
 def cmd_sample(args) -> int:
     cfg = _resolve_config(args)
     model = _load_model(args.ckpt)
@@ -190,7 +185,8 @@ def cmd_sample(args) -> int:
     _check_world(model, cfg)
     out = _out_dir(args)
 
-    feats = _shape_features(split.points[args.shape], cfg, args.views)[None]
+    feats = evaluation.shape_features(PointCloud(split.points[args.shape]), args.views,
+                                      cfg.world)[None]
     N, D = split.latents.shape[1:]
     z_init = stream(cfg.seed, "sample-noise", args.shape).normal(size=(1, N, D))
     z0, trace = integrate_flow(model.params, model.cfg, feats,
@@ -248,7 +244,8 @@ def cmd_analyze_router(args) -> int:
     report = evaluation.consistency_report(traces)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                   encoding="utf-8")
     print(f"consistency report at {out}: "
           f"cross-block {report['cross_block']['mean']:.4f}, "
           f"cross-timestep {report['cross_timestep']['mean']:.4f}, "

@@ -14,6 +14,7 @@ choices across blocks, timesteps, or both jointly; every value lies in
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .checkpoint import CheckpointError, save_sidecar
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, WorldConfig
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
 from .world import Camera, PointCloud, encode_view
@@ -36,6 +37,7 @@ __all__ = [
     "global_consistency",
     "consistency_report",
     "eval_cameras",
+    "shape_features",
     "evaluate",
     "save_trace",
     "load_trace",
@@ -124,43 +126,33 @@ def _check_trace(trace: np.ndarray) -> np.ndarray:
     return trace.astype(np.int64)
 
 
-def _pair_agreement(counts: np.ndarray, slots: int) -> np.ndarray:
-    """Agreement rate from per-view selection counts over ``slots`` choices."""
+def _agreement(trace: np.ndarray, axes: tuple[int, ...], slots: str) -> np.ndarray:
+    """Pairwise agreement rate of the view choices over the ``slots`` that ``axes``
+    of a (T, L, N) trace span, one rate per position along the other axes."""
+    trace = _check_trace(trace)
+    moved = np.moveaxis(trace, axes, range(len(axes)))
+    n = math.prod(moved.shape[:len(axes)])
+    if n < 2:
+        raise ValueError(f"need at least two {slots}")
+    flat = moved.reshape(n, *moved.shape[len(axes):])
+    counts = np.stack([(flat == v).sum(axis=0) for v in range(int(trace.max()) + 1)], axis=-1)
     agree = 0.5 * (counts * (counts - 1.0)).sum(axis=-1)
-    return agree / (0.5 * slots * (slots - 1.0))
-
-
-def _counts_along(trace: np.ndarray, axis: int) -> np.ndarray:
-    v_max = int(trace.max()) + 1
-    return np.stack([(trace == v).sum(axis=axis) for v in range(v_max)], axis=-1)
+    return agree / (0.5 * n * (n - 1.0))
 
 
 def cross_block_consistency(trace: np.ndarray) -> float:
     """Mean pairwise agreement of a token's view choice across blocks."""
-    trace = _check_trace(trace)
-    if trace.shape[1] < 2:
-        raise ValueError("need at least two blocks")
-    rates = _pair_agreement(_counts_along(trace, axis=1), trace.shape[1])
-    return float(rates.mean())
+    return float(_agreement(trace, (1,), "blocks").mean())
 
 
 def cross_timestep_consistency(trace: np.ndarray) -> float:
     """Mean pairwise agreement of a (block, token) choice across timesteps."""
-    trace = _check_trace(trace)
-    if trace.shape[0] < 2:
-        raise ValueError("need at least two timesteps")
-    rates = _pair_agreement(_counts_along(trace, axis=0), trace.shape[0])
-    return float(rates.mean())
+    return float(_agreement(trace, (0,), "timesteps").mean())
 
 
 def global_per_token(trace: np.ndarray) -> np.ndarray:
     """Per-token agreement over all (timestep, block) slot pairs."""
-    trace = _check_trace(trace)
-    T, L, N = trace.shape
-    if T * L < 2:
-        raise ValueError("need at least two (timestep, block) slots")
-    flat = trace.reshape(T * L, N)
-    return _pair_agreement(_counts_along(flat, axis=0), T * L)
+    return _agreement(trace, (0, 1), "(timestep, block) slots")
 
 
 def global_consistency(trace: np.ndarray) -> float:
@@ -178,8 +170,10 @@ def consistency_report(traces: list[np.ndarray]) -> dict:
     traces; the global std is across the pooled per-token values (tokens are
     the sampling unit there, which is why its spread is a lot larger).
     Early/mid/late split timesteps for cross-block and global, and blocks
-    for cross-timestep. Traces whose timestep or block counts differ, or
-    that have fewer than two of either, raise ConfigError.
+    for cross-timestep; a third with no timestep or block in it (fewer than
+    three to split) is None, which JSON writes as null. Traces whose
+    timestep or block counts differ, or that have fewer than two of either,
+    raise ConfigError.
     """
     if not traces:
         raise ValueError("no traces")
@@ -200,10 +194,8 @@ def consistency_report(traces: list[np.ndarray]) -> dict:
     def ranges(metric, splitter, parts):
         out = {}
         for name, rows in zip(("early", "mid", "late"), parts):
-            if rows.size == 0:
-                out[name] = float("nan")
-                continue
-            out[name] = float(np.mean([metric(splitter(t, rows)) for t in traces]))
+            out[name] = (float(np.mean([metric(splitter(t, rows)) for t in traces]))
+                         if rows.size else None)
         return out
 
     report = {
@@ -251,6 +243,11 @@ def eval_cameras(count: int) -> list[Camera]:
     return cams
 
 
+def shape_features(pc: PointCloud, count: int, world: WorldConfig) -> np.ndarray:
+    """(count, S, feat_dim) views of ``pc`` under the first ``count`` evaluation cameras."""
+    return np.stack([encode_view(pc, cam, world) for cam in eval_cameras(count)])
+
+
 def evaluate(
     model: Model,
     split,
@@ -270,12 +267,8 @@ def evaluate(
     n = len(split)
     N, D = split.latents.shape[1:]
     z_init = np.stack([stream(seed, "eval-noise", j).normal(size=(N, D)) for j in range(n)])
-    cams_all = eval_cameras(max(view_counts))
-    feats_all = np.stack([
-        np.stack([encode_view(PointCloud(split.points[j]), cam, cfg.world)
-                  for cam in cams_all])
-        for j in range(n)
-    ])
+    feats_all = np.stack([shape_features(PointCloud(split.points[j]), max(view_counts),
+                                         cfg.world) for j in range(n)])
 
     rows: list[dict] = []
     summary: dict[int, dict] = {}

@@ -15,7 +15,9 @@ no straight-through multiplier. The concatenation baseline is that case with
 all views flattened into one key set, which ``Model.velocity`` does.
 
 Parameters, the router's included, live in one flat name -> Tensor dict
-(checkpoint friendly); block ``l`` reads its weights by name.
+(checkpoint friendly); block ``l`` reads its weights by name. ``parameter_layout``
+declares every name, shape and init once: ``init_params`` draws from it and the
+checkpoint shape check compares against it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ __all__ = [
     "latent_encode",
     "latent_decode",
     "rotate_latent",
-    "init_single_params",
-    "init_multiview_params",
+    "parameter_layout",
+    "init_params",
     "Model",
     "mismatched_tensors",
     "forward_single",
@@ -151,115 +153,72 @@ def rotate_latent(z: np.ndarray, degrees: float, cfg: ModelConfig) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _linear(rng, d_in: int, d_out: int) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)), requires_grad=True)
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
-
-
-def _init_ca(rng, cfg: ModelConfig) -> dict[str, Tensor]:
-    hd = cfg.attn_width
-    return {
-        "w_q": _linear(rng, cfg.model_dim, hd),
-        "q_gain": _ones(hd),
-        "w_k": _linear(rng, cfg.feat_dim, hd),
-        "k_gain": _ones(hd),
-        "w_v": _linear(rng, cfg.feat_dim, hd),
-        "w_o": _linear(rng, hd, cfg.model_dim),
-    }
-
-
-def _init_router(rng, cfg: ModelConfig) -> dict[str, Tensor]:
-    d, hd = cfg.model_dim, cfg.attn_width
-    return {
-        "ln_gain": _ones(d),
-        "ln_bias": _zeros(d),
-        "w_q": _linear(rng, d, hd),
-        "w_k": _linear(rng, cfg.feat_dim, hd),
-        "q_gain": _ones(hd),
-        "k_gain": _ones(hd),
-        "w_agg": Tensor(np.full(cfg.heads, 1.0 / cfg.heads), requires_grad=True),
-    }
-
-
-_ROUTER_KEYS = ("ln_gain", "ln_bias", "w_q", "w_k", "q_gain", "k_gain", "w_agg")
-
-
-def _init_backbone_block(rng, cfg: ModelConfig) -> dict[str, Tensor]:
-    d = cfg.model_dim
-    hd = cfg.attn_width
-    hidden = cfg.mlp_ratio * d
-    block = {
-        "ln_sa.gain": _ones(d),
-        "ln_sa.bias": _zeros(d),
-        "sa.w_q": _linear(rng, d, hd),
-        "sa.w_k": _linear(rng, d, hd),
-        "sa.w_v": _linear(rng, d, hd),
-        "sa.w_o": _linear(rng, hd, d),
-        "ln_ca.gain": _ones(d),
-        "ln_ca.bias": _zeros(d),
-        "ln_mlp.gain": _ones(d),
-        "ln_mlp.bias": _zeros(d),
-        "mlp.w1": _linear(rng, d, hidden),
-        "mlp.b1": _zeros(hidden),
-        "mlp.w2": _linear(rng, hidden, d),
-        "mlp.b2": _zeros(d),
+# One block's tensors by group, in checkpoint order: short name -> (init, shape),
+# each shape spelled in the dimension names that parameter_layout resolves. The
+# backbone group "" and CA_p make the single-view model; a routed model adds CA_a
+# and the router, the "minimal trainable parameters" of the upgrade.
+_CA = {"w_q": ("linear", ("d", "hd")), "q_gain": ("ones", ("hd",)),
+       "w_k": ("linear", ("feat", "hd")), "k_gain": ("ones", ("hd",)),
+       "w_v": ("linear", ("feat", "hd")), "w_o": ("linear", ("hd", "d"))}
+_BLOCK_LAYOUT = {
+    "": {
+        "ln_sa.gain": ("ones", ("d",)), "ln_sa.bias": ("zeros", ("d",)),
+        "sa.w_q": ("linear", ("d", "hd")), "sa.w_k": ("linear", ("d", "hd")),
+        "sa.w_v": ("linear", ("d", "hd")), "sa.w_o": ("linear", ("hd", "d")),
+        "ln_ca.gain": ("ones", ("d",)), "ln_ca.bias": ("zeros", ("d",)),
+        "ln_mlp.gain": ("ones", ("d",)), "ln_mlp.bias": ("zeros", ("d",)),
+        "mlp.w1": ("linear", ("d", "hidden")), "mlp.b1": ("zeros", ("hidden",)),
+        "mlp.w2": ("linear", ("hidden", "d")), "mlp.b2": ("zeros", ("d",)),
         # adaLN-zero: scale/shift/gate for self-attention and MLP, plus a
         # gate for the cross-attention sublayer (7 vectors of width d)
-        "mod.w": _zeros(d, 7 * d),
-        "mod.b": _zeros(7 * d),
-    }
-    block.update({"ca_p." + k: v for k, v in _init_ca(rng, cfg).items()})
-    return block
+        "mod.w": ("zeros", ("d", "7d")), "mod.b": ("zeros", ("7d",)),
+    },
+    "ca_p.": _CA,
+    "ca_a.": _CA,
+    "router.": {
+        "ln_gain": ("ones", ("d",)), "ln_bias": ("zeros", ("d",)),
+        "w_q": ("linear", ("d", "hd")), "w_k": ("linear", ("feat", "hd")),
+        "q_gain": ("ones", ("hd",)), "k_gain": ("ones", ("hd",)),
+        "w_agg": ("mean", ("heads",)),
+    },
+}
+_HEAD_LAYOUT = {
+    "temb.w1": ("linear", ("d", "d")), "temb.b1": ("zeros", ("d",)),
+    "temb.w2": ("linear", ("d", "d")), "temb.b2": ("zeros", ("d",)),
+    "final.ln.gain": ("ones", ("d",)), "final.ln.bias": ("zeros", ("d",)),
+    "final.mod.w": ("zeros", ("d", "2d")), "final.mod.b": ("zeros", ("2d",)),
+    "xhead.w": ("linear", ("d", "d")), "xhead.b": ("zeros", ("d",)),
+    "head.w": ("zeros", ("d", "d")), "head.b": ("zeros", ("d",)),
+}
 
 
-def _init_common(rng, cfg: ModelConfig) -> dict[str, Tensor]:
+def parameter_layout(cfg: ModelConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Every tensor of a ``cfg.arch`` model: name -> (init, shape), in checkpoint order.
+
+    Per block ``blocks.{l}.`` the backbone and CA_p, plus CA_a and the router
+    on a routed model; the time embedding and the head come last. The init
+    is "linear" (N(0, 1/fan_in)), "zeros", "ones" or "mean" (1/heads).
+    """
     d = cfg.model_dim
-    return {
-        "temb.w1": _linear(rng, d, d),
-        "temb.b1": _zeros(d),
-        "temb.w2": _linear(rng, d, d),
-        "temb.b2": _zeros(d),
-        "final.ln.gain": _ones(d),
-        "final.ln.bias": _zeros(d),
-        "final.mod.w": _zeros(d, 2 * d),
-        "final.mod.b": _zeros(2 * d),
-        "xhead.w": _linear(rng, d, d),
-        "xhead.b": _zeros(d),
-        "head.w": _zeros(d, d),
-        "head.b": _zeros(d),
-    }
+    dims = {"d": d, "hd": cfg.attn_width, "feat": cfg.feat_dim, "heads": cfg.heads,
+            "hidden": cfg.mlp_ratio * d, "7d": 7 * d, "2d": 2 * d}
+    groups = ("", "ca_p.", "ca_a.", "router.") if cfg.arch == "routed" else ("", "ca_p.")
+    named = [(f"blocks.{l}.{g}{k}", spec) for l in range(cfg.blocks) for g in groups
+             for k, spec in _BLOCK_LAYOUT[g].items()]
+    named += _HEAD_LAYOUT.items()
+    return {name: (init, tuple(dims[n] for n in shape)) for name, (init, shape) in named}
 
 
-def init_single_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Single-stream baseline: backbone + CA_p only."""
+def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """A random ``cfg.arch`` model: its "linear" tensors drawn from
+    ``stream(seed, "init")`` in layout order."""
     rng = stream(seed, "init")
-    params: dict[str, Tensor] = {}
-    for l in range(cfg.blocks):
-        for k, v in _init_backbone_block(rng, cfg).items():
-            params[f"blocks.{l}.{k}"] = v
-    params.update(_init_common(rng, cfg))
-    return params
-
-
-def init_multiview_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Random multi-view model (router and CA_a included, not upgraded)."""
-    rng = stream(seed, "init")
-    params: dict[str, Tensor] = {}
-    for l in range(cfg.blocks):
-        for k, v in _init_backbone_block(rng, cfg).items():
-            params[f"blocks.{l}.{k}"] = v
-        for k, v in _init_ca(rng, cfg).items():
-            params[f"blocks.{l}.ca_a.{k}"] = v
-        for k, v in _init_router(rng, cfg).items():
-            params[f"blocks.{l}.router.{k}"] = v
-    params.update(_init_common(rng, cfg))
+    constant = {"zeros": 0.0, "ones": 1.0, "mean": 1.0 / cfg.heads}
+    params = {}
+    for name, (init, shape) in parameter_layout(cfg).items():
+        data = (rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape) if init == "linear"
+                else np.full(shape, constant[init]))
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -472,7 +431,7 @@ def _ca_kv(params, prefix: str, feats: Tensor):
 
 
 def _router_params(params, l: int) -> dict[str, Tensor]:
-    return {k: params[f"blocks.{l}.router.{k}"] for k in _ROUTER_KEYS}
+    return {k: params[f"blocks.{l}.router.{k}"] for k in _BLOCK_LAYOUT["router."]}
 
 
 def view_context(params: dict[str, Tensor], cfg: ModelConfig, feats: np.ndarray,
@@ -635,8 +594,7 @@ class Model:
 
     @staticmethod
     def create(cfg: ModelConfig, seed: int) -> "Model":
-        init = init_multiview_params if cfg.arch == "routed" else init_single_params
-        return Model(cfg, init(cfg, seed))
+        return Model(cfg, init_params(cfg, seed))
 
     def velocity(self, z_t, t, feats, primary_index=None,
                  opts: ForwardOptions | None = None) -> tuple[Tensor, ForwardInfo]:
@@ -690,7 +648,7 @@ class Model:
 
 def mismatched_tensors(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> list:
     """Sorted (name, shape) pairs in which ``tensors`` and a ``cfg`` model differ."""
-    expected = {k: p.shape for k, p in Model.create(cfg, 0).params.items()}
+    expected = {k: shape for k, (_, shape) in parameter_layout(cfg).items()}
     return sorted(set(expected.items()) ^ {(k, v.shape) for k, v in tensors.items()})
 
 

@@ -524,6 +524,23 @@ def test_analyze_router_constant_trace(tmp_path):
     assert rep["global"]["mean"] == 1.0
 
 
+def test_analyze_router_report_is_strict_json_when_a_third_is_empty(tmp_path):
+    """Two timesteps and two blocks leave the late third empty: it reads null, not NaN."""
+    rng = np.random.default_rng(0)
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"t{i}.rtrc"))
+        save_trace(paths[-1], rng.integers(0, 3, size=(2, 2, 8)), view_count=3)
+    out = tmp_path / "r.json"
+    assert main(["analyze-router", "--out", str(out), *paths]) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rep = json.loads(out.read_text(), parse_constant=reject)
+    assert [rep[k]["late"] for k in ("cross_block", "cross_timestep", "global")] == [None] * 3
+
+
 def test_analyze_router_truncated_trace_exit_code(tmp_path):
     p = tmp_path / "cut.rtrc"
     save_trace(p, np.zeros((4, 2, 6), dtype=int), view_count=2)

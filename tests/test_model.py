@@ -18,8 +18,7 @@ from roar3d.model import (
     count_parameters,
     forward_multiview,
     forward_single,
-    init_multiview_params,
-    init_single_params,
+    init_params,
     latent_decode,
     latent_encode,
     rotate_latent,
@@ -35,6 +34,7 @@ CFG = ModelConfig()
 
 MICRO = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4,
                     patches=4, feat_dim=8, mlp_ratio=2)
+SINGLE = dataclasses.replace(MICRO, arch="single")
 
 
 def _rand_views(rng, cfg, v, batch=None):
@@ -115,7 +115,7 @@ def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
     """Block-l cross attention of one sample, routed by the block's router."""
     z = Tensor(tokens[None])
     views = M.view_context(params, cfg, feats[None], routed=True)
-    router = {k: params[f"blocks.{l}.router.{k}"] for k in M._ROUTER_KEYS}
+    router = M._router_params(params, l)
     zt, znorm = nx.layer_norms(z, (router["ln_gain"], router["ln_bias"]),
                                (params[f"blocks.{l}.ln_ca.gain"], params[f"blocks.{l}.ln_ca.bias"]))
     dec = gumbel_select(routing_logits_batched(zt, views.router_keys[l], router))
@@ -126,7 +126,7 @@ def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
 
 def test_dispatch_single_view_reduces_to_primary_stream():
     rng = np.random.default_rng(0)
-    params = init_multiview_params(MICRO, 1)
+    params = init_params(MICRO, 1)
     tokens = rng.normal(size=(MICRO.tokens, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 1)
     out = _routed_cross_attention(params, 0, tokens, feats, 0, MICRO)
@@ -144,7 +144,7 @@ def test_dispatch_single_view_reduces_to_primary_stream():
 def test_dispatch_equal_streams_make_aux_equal_primary():
     """With CA_a == CA_p, a token routed to an aux view matches CA_p on it."""
     rng = np.random.default_rng(1)
-    params = init_multiview_params(MICRO, 2)
+    params = init_params(MICRO, 2)
     for k in ("w_q", "q_gain", "w_k", "k_gain", "w_v", "w_o"):
         params[f"blocks.0.ca_a.{k}"].data[...] = params[f"blocks.0.ca_p.{k}"].data
     tokens = rng.normal(size=(MICRO.tokens, MICRO.model_dim))
@@ -158,7 +158,7 @@ def test_dispatch_equal_streams_make_aux_equal_primary():
 
 def test_dispatch_rejects_bad_primary():
     rng = np.random.default_rng(2)
-    params = init_multiview_params(MICRO, 3)
+    params = init_params(MICRO, 3)
     tokens = rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 2, batch=1)
     with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ def test_dispatch_rejects_bad_primary():
 
 def test_forward_rejects_unknown_routing_mode():
     rng = np.random.default_rng(2)
-    params = init_multiview_params(MICRO, 3)
+    params = init_params(MICRO, 3)
     tokens = rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 2, batch=1)
     with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ def test_forward_rejects_unknown_routing_mode():
 def test_forward_rejects_primary_index_out_of_range(primary):
     """-1 means "no primary"; other negatives and view counts are no view at all."""
     rng = np.random.default_rng(2)
-    params = init_multiview_params(MICRO, 3)
+    params = init_params(MICRO, 3)
     tokens = rng.normal(size=(1, MICRO.tokens, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 2, batch=1)
     forward_multiview(params, MICRO, tokens, rng.random(1), feats, np.array([-1]))
@@ -224,7 +224,7 @@ def test_per_token_attended_keys_equal_patch_count(v):
 
 def test_zero_head_gives_zero_velocity():
     rng = np.random.default_rng(4)
-    params = init_multiview_params(MICRO, 5)  # head is zero-initialized
+    params = init_params(MICRO, 5)  # head is zero-initialized
     B, N = 2, MICRO.tokens
     vel, _ = forward_multiview(params, MICRO, rng.normal(size=(B, N, MICRO.model_dim)),
                                rng.random(B), _rand_views(rng, MICRO, 2, batch=B),
@@ -240,7 +240,7 @@ def _randomize_zero_init(params, rng):
 
 def test_forward_inference_deterministic():
     rng = np.random.default_rng(5)
-    params = init_multiview_params(MICRO, 6)
+    params = init_params(MICRO, 6)
     _randomize_zero_init(params, rng)
     B, N = 2, MICRO.tokens
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
@@ -255,9 +255,9 @@ def test_forward_inference_deterministic():
 def test_single_view_equivalence_with_baseline():
     """V=1 multi-view forward == single-stream forward, any CA_a/router."""
     rng = np.random.default_rng(6)
-    single = init_single_params(MICRO, 7)
+    single = init_params(SINGLE, 7)
     _randomize_zero_init(single, rng)
-    multi = init_multiview_params(MICRO, 99)  # different CA_a/router draws
+    multi = init_params(MICRO, 99)  # different CA_a/router draws
     for k, p in single.items():
         multi[k].data[...] = p.data
     B, N = 3, MICRO.tokens
@@ -273,7 +273,7 @@ def test_single_view_equivalence_with_baseline():
 
 def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch):
     rng = np.random.default_rng(7)
-    single_params = init_single_params(MICRO, 8)
+    single_params = init_params(SINGLE, 8)
     _randomize_zero_init(single_params, rng)
     single = Model(dataclasses.replace(MICRO, arch="single"), single_params)
     upgraded = upgrade_from_single(single)
@@ -407,7 +407,7 @@ def test_integrate_flow_rejects_non_finite_inputs(bad):
 def test_view_order_invariance_at_inference():
     """Permuting the auxiliary views leaves the output unchanged."""
     rng = np.random.default_rng(8)
-    params = init_multiview_params(MICRO, 9)
+    params = init_params(MICRO, 9)
     _randomize_zero_init(params, rng)
     B, N, V = 2, MICRO.tokens, 4
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
@@ -495,7 +495,7 @@ def test_all_primary_block_bit_equal_to_the_dual_linear_path(monkeypatch):
 
     monkeypatch.setattr(nx, "dual_linear", counting)
     rng = np.random.default_rng(27)
-    params = init_multiview_params(MICRO, 28)
+    params = init_params(MICRO, 28)
     B, N, V = 2, MICRO.tokens, 3
     z = Tensor(rng.normal(size=(B, N, MICRO.model_dim)))
     feats = _rand_views(rng, MICRO, V, batch=B)
@@ -528,7 +528,7 @@ def test_integrate_flow_one_view_trace_is_all_zero():
 
 def test_timestep_changes_output():
     rng = np.random.default_rng(9)
-    params = init_multiview_params(MICRO, 10)
+    params = init_params(MICRO, 10)
     _randomize_zero_init(params, rng)
     B, N = 2, MICRO.tokens
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
@@ -544,7 +544,7 @@ def test_timestep_changes_output():
 def test_forward_gradients_match_soft_surrogate(monkeypatch):
     """Micro version of the STE gradient acceptance check."""
     rng = np.random.default_rng(10)
-    params = init_multiview_params(MICRO, 11)
+    params = init_params(MICRO, 11)
     _randomize_zero_init(params, rng)
     B, N, V = 2, MICRO.tokens, 2
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
@@ -609,16 +609,21 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch):
 
 
 def test_init_multiview_params_pinned():
-    """Micro names, order and init draws hash to a fixed value (checkpoint layout)."""
-    h = hashlib.sha256()
-    for name, p in init_multiview_params(MICRO, 7).items():
-        h.update(name.encode())
-        h.update(p.data.tobytes())
-    assert h.hexdigest() == "89402d8a45a95ce46672954d2d74cd4d7b66c636bd8ce5e5c10396709dfed824"
+    """Micro names, order and init draws hash to a fixed value (checkpoint layout),
+    for the routed model and the single-view one."""
+    for cfg, digest in (
+        (MICRO, "89402d8a45a95ce46672954d2d74cd4d7b66c636bd8ce5e5c10396709dfed824"),
+        (SINGLE, "5387f6d5b5a25e3ccda3795aa680a86365222caae559aef443e6969f35971c0d"),
+    ):
+        h = hashlib.sha256()
+        for name, p in init_params(cfg, 7).items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest, cfg.arch
 
 
 def test_count_parameters_router_and_aux_formulas():
-    params = init_multiview_params(CFG, 0)
+    params = init_params(CFG, 0)
     counts = count_parameters(params)
     d, hd, h, df = CFG.model_dim, CFG.attn_width, CFG.heads, CFG.feat_dim
     router_expected = CFG.blocks * (d * hd + df * hd + h + 2 * hd + 2 * d)
@@ -631,7 +636,7 @@ def test_count_parameters_router_and_aux_formulas():
 
 def test_count_parameters_desk_ratio_frozen():
     """Desk-config added/baseline ratio, frozen as a regression value."""
-    counts = count_parameters(init_multiview_params(CFG, 0))
+    counts = count_parameters(init_params(CFG, 0))
     assert counts["added"] == 75280
     assert counts["baseline"] == 324608
     assert abs(counts["added_ratio"] - 0.23191) < 1e-4
@@ -647,6 +652,25 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.cfg == model.cfg
     for k, p in model.params.items():
         assert np.array_equal(loaded.params[k].data, p.data)
+
+
+def test_load_and_upgrade_draw_no_random_model(tmp_path, monkeypatch):
+    """``Model.load`` and ``upgrade_from_single`` check names and shapes against the
+    parameter layout; neither draws an init stream."""
+    routed = Model.create(MICRO, 13)
+    routed.save(tmp_path / "model.bin")
+    single = Model.create(SINGLE, 8)
+    upgrade = upgrade_from_single(single).named_data()
+
+    def no_draws(*args):
+        raise AssertionError("a random model was drawn")
+
+    monkeypatch.setattr(M, "stream", no_draws)
+    for got, want in ((Model.load(tmp_path / "model.bin"), routed.named_data()),
+                      (upgrade_from_single(single), upgrade)):
+        assert list(got.params) == list(want)
+        for k, arr in want.items():
+            assert np.array_equal(got.params[k].data, arr), k
 
 
 def test_model_load_rejects_tensors_that_do_not_fit_the_config(tmp_path):

@@ -13,9 +13,11 @@ from roar3d.rng import stream
 from conftest import reshape, sum_all, surrogate_multiplier
 
 
-def _params(rng, model_dim=8, feat_dim=8, heads=2, head_dim=4):
-    cfg = ModelConfig(model_dim=model_dim, feat_dim=feat_dim, heads=heads, head_dim=head_dim)
-    return M._init_router(rng, cfg)
+def _params(seed, model_dim=8, feat_dim=8, heads=2, head_dim=4):
+    """The router of a freshly initialised one-block routed model."""
+    cfg = ModelConfig(blocks=1, model_dim=model_dim, feat_dim=feat_dim, heads=heads,
+                      head_dim=head_dim)
+    return M._router_params(M.init_params(cfg, seed), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +38,7 @@ def _pooled_keys(monkeypatch, feats):
         return router_keys(pooled, p)
 
     monkeypatch.setattr(M, "router_keys", spy)
-    params = M.init_multiview_params(POOL_CFG, 0)
+    params = M.init_params(POOL_CFG, 0)
     z_t = np.zeros((1, POOL_CFG.tokens, POOL_CFG.model_dim))
     M.forward_multiview(params, POOL_CFG, z_t, np.ones(1), feats[None], np.zeros(1, int))
     return seen[0][0]
@@ -78,8 +80,7 @@ def _one_sample_logits(z, pooled, p):
 
 def test_orthogonal_query_key_gives_zero_logit():
     """Post-norm q and k orthogonal per head => logit is exactly w dot 0."""
-    rng = np.random.default_rng(1)
-    p = _params(rng, heads=1, head_dim=2, model_dim=2, feat_dim=2)
+    p = _params(1, heads=1, head_dim=2, model_dim=2, feat_dim=2)
     # engineer projections so q = (c, 0) and k = (0, c') before RMSNorm
     p["w_q"].data[...] = np.array([[1.0, 0.0], [1.0, 0.0]])
     p["w_k"].data[...] = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -91,7 +92,7 @@ def test_orthogonal_query_key_gives_zero_logit():
 
 def test_identical_pooled_keys_give_identical_columns():
     rng = np.random.default_rng(2)
-    p = _params(rng)
+    p = _params(2)
     z = rng.normal(size=(5, 8))
     key = rng.normal(size=8)
     pooled = np.tile(key, (4, 1))
@@ -104,7 +105,7 @@ def test_routing_logits_match_per_head_oracle():
     rng = np.random.default_rng(3)
     N, V, H, dh = 3, 2, 2, 4
     D = 8
-    p = _params(rng, model_dim=D, feat_dim=D, heads=H, head_dim=dh)
+    p = _params(3, model_dim=D, feat_dim=D, heads=H, head_dim=dh)
     z = rng.normal(size=(N, D))
     pooled = rng.normal(size=(V, D))
     r = _one_sample_logits(z, pooled, p).data
@@ -126,7 +127,7 @@ def test_routing_logits_match_per_head_oracle():
 
 
 def test_w_agg_initialized_uniform():
-    p = _params(np.random.default_rng(0), heads=4, head_dim=2)
+    p = _params(0, heads=4, head_dim=2)
     assert np.array_equal(p["w_agg"].data, np.full(4, 0.25))
 
 
