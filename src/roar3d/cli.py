@@ -141,6 +141,9 @@ def cmd_train_single(args) -> int:
 def cmd_upgrade(args) -> int:
     cfg = _resolve_config(args)
     single = _load_model(args.ckpt)
+    if single.cfg.arch == "routed":
+        raise ConfigError("upgrade must start from a single-stream checkpoint, "
+                          "got a routed one")
     out = _out_dir(args)
     model = upgrade_from_single(single)
     _save_run_model(model, cfg, out, "upgraded", 0)

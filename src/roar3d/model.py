@@ -47,6 +47,7 @@ __all__ = [
     "latent_decode",
     "rotate_latent",
     "parameter_layout",
+    "constant_init",
     "init_params",
     "Model",
     "mismatched_tensors",
@@ -209,15 +210,19 @@ def parameter_layout(cfg: ModelConfig) -> dict[str, tuple[str, tuple[int, ...]]]
     return {name: (init, tuple(dims[n] for n in shape)) for name, (init, shape) in named}
 
 
+def constant_init(cfg: ModelConfig, init: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The start value of a layout entry whose init is not "linear"."""
+    return np.full(shape, {"zeros": 0.0, "ones": 1.0, "mean": 1.0 / cfg.heads}[init])
+
+
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     """A random ``cfg.arch`` model: its "linear" tensors drawn from
     ``stream(seed, "init")`` in layout order."""
     rng = stream(seed, "init")
-    constant = {"zeros": 0.0, "ones": 1.0, "mean": 1.0 / cfg.heads}
     params = {}
     for name, (init, shape) in parameter_layout(cfg).items():
         data = (rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape) if init == "linear"
-                else np.full(shape, constant[init]))
+                else constant_init(cfg, init, shape))
         params[name] = Tensor(data, requires_grad=True)
     return params
 
@@ -291,6 +296,8 @@ class ForwardOptions:
     tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
+    shard: tuple[int, int] | None = None  # (first row, batch): this forward's rows of a
+                                          # larger batch, whose routing noise they take
     views: ViewContext | None = None   # built from the same feats; None builds it
     time: TimeContext | None = None    # built for the same t; None builds it
 
@@ -526,7 +533,10 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
 
     The view context comes from ``opts.views``, or is built here when that is
     None; either way it is returned in ``ForwardInfo.views``. The time context
-    comes from ``opts.time`` in the same way.
+    comes from ``opts.time`` in the same way. In training mode each routed
+    block draws Gumbel noise for the whole batch of ``opts.shard`` (this
+    forward's own batch when that is None) and takes this forward's rows, so
+    a sample's noise does not depend on how its batch was split.
     """
     B, N, d = z_t.shape
     routed = primary_index is not None
@@ -548,6 +558,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     # token of a one-view router under no_grad, where the argmax of one column
     # is 0 and nothing reads the scores
     score = routed and (V > 1 or nx.grad_enabled())
+    first, full = (opts and opts.shard) or (0, B)
     v_star = np.zeros((B, N), dtype=np.int64)
     use_p = np.ones((B, N), dtype=bool)
     multiplier = None
@@ -561,7 +572,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
             p = _router_params(params, l)
             zt, znorm = nx.layer_norms(z, (p["ln_gain"], p["ln_bias"]), ln_ca)
             logits = routing_logits_batched(zt, views.router_keys[l], p)
-            noise = (routing_noise(opts.run_seed, opts.step, l, (B, N, V))
+            noise = (routing_noise(opts.run_seed, opts.step, l, (full, N, V))[first:first + B]
                      if opts.mode == "train" else None)
             dec = gumbel_select(logits, opts.tau, noise)
         else:

@@ -17,6 +17,22 @@ forward/backward of one graph is single-threaded, independent graphs may run
 on independent threads. ``no_grad`` acts on the current context only, so one
 thread's inference does not switch off another's graph.
 
+``concurrent_sum`` is the one place that uses a second thread. Training
+builds two half-batch graphs, one after the other, on the calling thread:
+the first on the parameters themselves, the second on private leaf twins
+that share the parameters' ``data`` but hold their own ``grad``. The
+node's backward hands the second graph's sweep to the module's one worker
+thread, sweeps the first graph on the calling thread, waits for both, and
+then adds each twin's gradient to its parameter's in a fixed order. Both
+sweeps read the same parameter ``data`` and the batch arrays the forwards
+were given, and each writes only into its own graph's nodes and leaves, so
+the gradients do not depend on thread timing or on the number of CPUs.
+numpy releases the GIL inside its kernels, so the sweeps overlap there. The
+forwards stay on the calling thread: a forward is mostly Python op dispatch
+under the GIL, code that wraps the forwards by module name keeps
+per-forward state, and two forwards at once hold both graphs'
+intermediates at their peaks together.
+
 Backward consumes its graph: as the sweep passes an op output it drops that
 node's gradient, its parents and its backward closure, so the saved arrays
 of a step are freed while the sweep runs, not when the next step rebinds its
@@ -38,6 +54,7 @@ gradient is the same, bit for bit.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
@@ -72,6 +89,7 @@ __all__ = [
     "routed_attention",
     "mean_all",
     "mse",
+    "concurrent_sum",
     "grad_check",
 ]
 
@@ -181,7 +199,8 @@ class ComputationTape:
     Each saved array is freed as soon as the last node holding it is passed.
     Leaves keep their gradients and every node keeps its ``data``. The tape
     is local to one call, so sweeps of independent graphs on independent
-    threads never share state.
+    threads never share state; a ``concurrent_sum`` node, which has no
+    parents, runs two such sweeps from its own backward.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -646,6 +665,58 @@ def mean_all(x: Tensor) -> Tensor:
 def mse(pred: Tensor, target: Tensor) -> Tensor:
     d = sub(pred, target)
     return mean_all(mul(d, d))
+
+
+# ---------------------------------------------------------------------------
+# two independent graphs, swept on two threads
+# ---------------------------------------------------------------------------
+
+
+# the one worker thread of concurrent_sum's backward; it starts on first use
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="roar3d-sweep")
+
+
+def _sweep(root: Tensor, seed: float) -> None:
+    """Backward over ``root``'s graph from the gradient ``seed`` instead of 1."""
+    head = Tensor(root.data * seed, requires_grad=True)
+    head._parents = (root,)
+    head._backward = lambda g: root.accum_grad(g * seed)
+    ComputationTape.trace(head).backward(head)
+
+
+def concurrent_sum(first: Tensor, second: Tensor, weights: tuple[float, float],
+                   twins: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """``weights[0] * first + weights[1] * second`` of two scalar roots, as one node.
+
+    The two graphs must share no tensor that takes a gradient: ``second``'s
+    leaves are private twins of ``first``'s (the same ``data``, their own
+    ``grad``), and ``twins`` lists the (own, twin) pairs. The node has no
+    parents; its backward sweeps ``second``'s graph on the module's one
+    worker thread while it sweeps ``first``'s on the calling thread, waits
+    for both, and then adds each twin's gradient to its own leaf's, in
+    ``twins`` order. Both sweeps only read the shared leaf data and the
+    inputs the forwards were given, so the gradients do not depend on thread
+    timing or on the number of CPUs.
+    """
+    w0, w1 = map(float, weights)
+    out = Tensor(w0 * first.data + w1 * second.data)
+    if not (_grad_enabled.get() and (first.requires_grad or second.requires_grad)):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        pending = _WORKER.submit(_sweep, second, w1 * float(g))
+        try:
+            _sweep(first, w0 * float(g))
+        finally:
+            wait((pending,))
+        pending.result()
+        for own, twin in twins:
+            if twin.grad is not None:
+                own.accum_grad(twin.grad)
+
+    out.requires_grad = True
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------

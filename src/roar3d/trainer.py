@@ -26,9 +26,11 @@ import numpy as np
 from . import numerics as nx
 from .config import RunConfig, TrainConfig
 from .data import SplitData
-from .model import ForwardInfo, ForwardOptions, Model, mismatched_tensors, rotate_latent
+from .model import (ForwardInfo, ForwardOptions, Model, constant_init, mismatched_tensors,
+                    parameter_layout, rotate_latent)
 from .numerics import Tensor
 from .rng import stream
+from .router import RoutingDecision
 from .world import BIN_CENTERS, azimuth_bin
 
 __all__ = [
@@ -80,18 +82,57 @@ def flow_matching_loss(
     """MSE between predicted velocity and (noise - clean) on the straight path.
 
     z_t = (1 - t) * z_clean + t * noise, target velocity u = noise - z_clean.
+
+    A batch of B >= 2 becomes two graphs, both built on the calling thread,
+    one after the other: rows [0, B//2) on the model's own parameters, rows
+    [B//2, B) on private leaf twins that share the parameters' data. The
+    returned node is the size-weighted sum of the two mean losses
+    (:func:`roar3d.numerics.concurrent_sum`), the batch's mean loss up to
+    rounding. Its backward sweeps the second graph on numerics' worker
+    thread while the calling thread sweeps the first; both sweeps read only
+    the parameters' data and this batch's arrays, and the twins' gradients
+    are added to the parameters' own after both finish. The forwards stay
+    on the calling thread for the reasons the numerics module gives: they
+    are Python dispatch under the GIL, wrappers keep per-forward state, and
+    overlapping forwards raise peak memory. A batch of one is one graph.
+    The info holds the batch's routing decisions, soft weights as plain
+    data, and no view context.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if noise.shape != batch.z0.shape:
         raise ValueError(f"noise shape {noise.shape} vs latents {batch.z0.shape}")
+    B = batch.size
+    t = np.broadcast_to(t, (B,))
     tb = t[:, None, None]
     z_t = (1.0 - tb) * batch.z0 + tb * noise
     target = noise - batch.z0
-    vel, info = model.velocity(z_t, t, batch.feats, batch.primary_index, opts)
-    loss = nx.mse(vel, Tensor(target))
+
+    def rows_loss(m: Model, lo: int, hi: int) -> tuple[Tensor, ForwardInfo]:
+        o = None if opts is None else replace(opts, shard=(lo, B))
+        vel, info = m.velocity(z_t[lo:hi], t[lo:hi], batch.feats[lo:hi],
+                               batch.primary_index[lo:hi], o)
+        return nx.mse(vel, Tensor(target[lo:hi])), info
+
+    if B < 2:
+        loss, info = rows_loss(model, 0, B)
+    else:
+        h = B // 2
+        twins = {k: Tensor(p.data, requires_grad=p.requires_grad)
+                 for k, p in model.params.items()}
+        first, info = rows_loss(model, 0, h)
+        second, info2 = rows_loss(Model(model.cfg, twins), h, B)
+        loss = nx.concurrent_sum(first, second, (h / B, (B - h) / B),
+                                 [(p, twins[k]) for k, p in model.params.items()])
+        info = ForwardInfo([_joined(a, b) for a, b in zip(info.decisions, info2.decisions)])
     if not np.isfinite(loss.data):
         raise TrainingDiverged(opts.step if opts is not None else -1)
     return loss, info
+
+
+def _joined(a: RoutingDecision, b: RoutingDecision) -> RoutingDecision:
+    """One decision over the rows of ``a`` and then ``b``, soft weights as plain data."""
+    soft = None if a.y_soft is None else Tensor(np.concatenate([a.y_soft.data, b.y_soft.data]))
+    return RoutingDecision(np.concatenate([a.hard_index, b.hard_index]), soft)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +225,7 @@ def cosine_lr(cfg: TrainConfig, step: int, total: int) -> float:
 
 
 # per-block copy table of the upgrade: new parameter <- trained source, in
-# checkpoint order; router.w_agg has no source and starts at 1/heads
+# checkpoint order; router.w_agg has no source and starts at its layout init
 _UPGRADE_COPIES = (
     *((f"ca_a.{k}", f"ca_p.{k}") for k in ("w_q", "q_gain", "w_k", "k_gain", "w_v", "w_o")),
     *((f"router.{k}", f"ca_p.{k}") for k in ("w_q", "w_k", "q_gain", "k_gain")),
@@ -198,20 +239,21 @@ def upgrade_from_single(single: Model) -> Model:
 
     CA_a starts as a bit-exact copy of the trained CA_p; the router's
     query/key projections, QK gains and pre-norm are copied from the same
-    cross attention; head aggregation starts uniform at 1/heads. The
-    backbone is untouched, so forced-primary routing reproduces the source
-    model exactly.
+    cross attention; head aggregation starts at its layout init, uniform at
+    1/heads. The backbone is untouched, so forced-primary routing reproduces
+    the source model exactly.
     """
     cfg = single.cfg
     if cfg.arch == "routed":
         raise ValueError("model already has router/auxiliary parameters")
     new_cfg = replace(cfg, arch="routed")
+    layout = parameter_layout(new_cfg)
     data = {name: p.data for name, p in single.params.items()}
     for l in range(cfg.blocks):
         pre = f"blocks.{l}"
         for dst, src in _UPGRADE_COPIES:
             data[f"{pre}.{dst}"] = data[f"{pre}.{src}"]
-        data[f"{pre}.router.w_agg"] = np.full(cfg.heads, 1.0 / cfg.heads)
+        data[f"{pre}.router.w_agg"] = constant_init(new_cfg, *layout[f"{pre}.router.w_agg"])
     diff = mismatched_tensors(new_cfg, data)
     if diff:
         raise ValueError(f"checkpoint/config mismatch: {len(diff)} tensor names or shapes "

@@ -1,10 +1,13 @@
-"""The benchmark's tracer still fits the library it patches.
+"""The benchmark's tracer and step hooks still fit the library they patch.
 
 ``perfbench/tracing.py`` replaces roar3d functions by module name and reads
 their arguments by position (``feats`` is the fifth argument of both
 forwards). A rename or signature change in ``src/`` would break the
 benchmark first; this test runs one routed training step and one flow
 integration through the installed wrappers so that it breaks here too.
+``perfbench/workloads.py`` records one loss per training step from
+``trainer.flow_matching_loss`` and checks the gradients in
+``trainer.apply_freeze``; the second test holds ``train`` to that contract.
 """
 
 import dataclasses
@@ -19,7 +22,13 @@ from roar3d import trainer
 from roar3d.model import Model
 from roar3d.trainer import upgrade_from_single
 
-from conftest import micro_run_config
+from conftest import (
+    LOSS_RTOL,
+    assert_gradients_close,
+    micro_run_config,
+    randomize_zero_init,
+    single_graph_loss,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -79,3 +88,33 @@ def test_tracer_hooks_run_a_routed_step_and_a_sample(micro_dataset):
     for op in (0, 1):   # the forward wrapper found the view features in both ops
         assert tracer.counts[("numerics.matmul.view_side_calls", op)] > 0
         assert tracer.counts[("router.tokens", op)] > 0
+
+
+def test_each_step_reports_the_full_batch_loss_and_merged_gradients(micro_dataset,
+                                                                    monkeypatch):
+    cfg = micro_run_config(seed=2)
+    cfg.train = dataclasses.replace(cfg.train, steps_mv=3)
+    model = upgrade_from_single(Model.create(dataclasses.replace(cfg.model, arch="single"), 2))
+    randomize_zero_init(model.params, np.random.default_rng(2))
+    steps, checked = [], []
+    loss_fn, freeze = trainer.flow_matching_loss, trainer.apply_freeze
+
+    def flow_matching_loss(m, batch, t, noise, opts=None):
+        loss, info = loss_fn(m, batch, t, noise, opts)
+        ref_model = m.copy()
+        ref, _ = single_graph_loss(ref_model, batch, t, noise, opts)
+        ref.backward()
+        assert batch.size == cfg.train.batch
+        assert abs(float(loss.data) - float(ref.data)) <= LOSS_RTOL * abs(float(ref.data))
+        steps.append({k: p.grad for k, p in ref_model.params.items()})
+        return loss, info
+
+    def apply_freeze(params, perturbed):
+        assert_gradients_close({k: p.grad for k, p in params.items()}, steps[-1])
+        checked.append(len(steps))
+        return freeze(params, perturbed)
+
+    monkeypatch.setattr(trainer, "flow_matching_loss", flow_matching_loss)
+    monkeypatch.setattr(trainer, "apply_freeze", apply_freeze)
+    trainer.train(model, micro_dataset.split("train"), cfg, "mv")
+    assert checked == [1, 2, 3]

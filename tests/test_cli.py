@@ -133,6 +133,16 @@ def test_upgrade_marks_arch_routed(pipeline):
     assert meta["model"]["arch"] == "routed"
 
 
+def test_upgrade_of_a_routed_checkpoint_exit_code(pipeline, tmp_path, capsys):
+    out = tmp_path / "again"
+    code = main(["upgrade", "--config", str(pipeline["cfg"]),
+                 "--ckpt", str(pipeline["up"] / "checkpoint.bin"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "routed" in err
+    assert not out.exists()
+
+
 def test_train_mv_p_pert_zero_logs_zero_fraction(pipeline, tmp_path):
     out = tmp_path / "mv0"
     code = main(["train-mv", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),

@@ -28,7 +28,7 @@ from roar3d.router import RoutingDecision, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
-from conftest import surrogate_multiplier
+from conftest import randomize_zero_init, surrogate_multiplier
 
 CFG = ModelConfig()
 
@@ -166,6 +166,35 @@ def test_dispatch_rejects_bad_primary():
                           ForwardOptions(mode="inference"))
 
 
+def test_a_shard_takes_its_rows_of_the_full_batch_routing_noise(monkeypatch):
+    rng = np.random.default_rng(12)
+    B, V, N = 5, 3, MICRO.tokens
+    params = init_params(MICRO, 1)
+    randomize_zero_init(params, rng)
+    z, t = rng.normal(size=(B, N, MICRO.model_dim)), rng.random(B)
+    feats, primary = _rand_views(rng, MICRO, V, B), np.array([0, 1, -1, 2, 0])
+    drawn = []
+    select = M.gumbel_select
+
+    def recording(logits, tau, noise):
+        drawn.append(noise)
+        return select(logits, tau, noise)
+
+    monkeypatch.setattr(M, "gumbel_select", recording)
+    opts = ForwardOptions(mode="train", run_seed=3, step=7)
+    forward_multiview(params, MICRO, z, t, feats, primary, opts)
+    full = drawn[:]
+    assert [n.shape for n in full] == [(B, N, V)] * MICRO.blocks
+    for lo, hi in ((0, 2), (2, 5)):
+        drawn.clear()
+        forward_multiview(params, MICRO, z[lo:hi], t[lo:hi], feats[lo:hi], primary[lo:hi],
+                          dataclasses.replace(opts, shard=(lo, B)))
+        assert len(drawn) == MICRO.blocks
+        for l, noise in enumerate(drawn):
+            assert noise.tobytes() == full[l][lo:hi].tobytes()
+            assert noise.tobytes() == M.routing_noise(3, 7, l, (B, N, V))[lo:hi].tobytes()
+
+
 def test_forward_rejects_unknown_routing_mode():
     rng = np.random.default_rng(2)
     params = init_params(MICRO, 3)
@@ -232,16 +261,10 @@ def test_zero_head_gives_zero_velocity():
     assert np.array_equal(vel.data, np.zeros((B, N, MICRO.model_dim)))
 
 
-def _randomize_zero_init(params, rng):
-    for k, p in params.items():
-        if ".mod." in k or k.startswith("final.mod") or k.startswith("head."):
-            p.data[...] = rng.normal(0, 0.2, size=p.data.shape)
-
-
 def test_forward_inference_deterministic():
     rng = np.random.default_rng(5)
     params = init_params(MICRO, 6)
-    _randomize_zero_init(params, rng)
+    randomize_zero_init(params, rng)
     B, N = 2, MICRO.tokens
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
     t = rng.random(B)
@@ -256,7 +279,7 @@ def test_single_view_equivalence_with_baseline():
     """V=1 multi-view forward == single-stream forward, any CA_a/router."""
     rng = np.random.default_rng(6)
     single = init_params(SINGLE, 7)
-    _randomize_zero_init(single, rng)
+    randomize_zero_init(single, rng)
     multi = init_params(MICRO, 99)  # different CA_a/router draws
     for k, p in single.items():
         multi[k].data[...] = p.data
@@ -274,7 +297,7 @@ def test_single_view_equivalence_with_baseline():
 def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch):
     rng = np.random.default_rng(7)
     single_params = init_params(SINGLE, 8)
-    _randomize_zero_init(single_params, rng)
+    randomize_zero_init(single_params, rng)
     single = Model(dataclasses.replace(MICRO, arch="single"), single_params)
     upgraded = upgrade_from_single(single)
     B, N = 2, MICRO.tokens
@@ -301,7 +324,7 @@ def test_integrate_flow_without_router_is_euler_over_flattened_views(arch, views
     rng = np.random.default_rng(13)
     cfg = dataclasses.replace(MICRO, arch=arch)
     model = Model.create(cfg, 14)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     B, steps = 2, 4
     feats = _rand_views(rng, cfg, views, batch=B)
     z_init = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
@@ -323,7 +346,7 @@ def test_integrate_flow_reuses_its_view_context_bit_exactly(views):
     """One context per request gives the latents and trace of a fresh one per step."""
     rng = np.random.default_rng(17)
     model = Model.create(MICRO, 18)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     B, steps = 2, 4
     feats = _rand_views(rng, MICRO, views, batch=B)
     primary = np.zeros(B, dtype=np.int64)
@@ -368,7 +391,7 @@ def test_forward_rejects_a_time_context_of_other_timesteps(arch):
     rng = np.random.default_rng(21)
     cfg = dataclasses.replace(MICRO, arch=arch)
     model = Model.create(cfg, 22)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     B = 2
     feats = _rand_views(rng, cfg, 3, batch=B)
     z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
@@ -408,7 +431,7 @@ def test_view_order_invariance_at_inference():
     """Permuting the auxiliary views leaves the output unchanged."""
     rng = np.random.default_rng(8)
     params = init_params(MICRO, 9)
-    _randomize_zero_init(params, rng)
+    randomize_zero_init(params, rng)
     B, N, V = 2, MICRO.tokens, 4
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
     t = rng.random(B)
@@ -432,7 +455,7 @@ def test_inference_forward_without_soft_weights_bit_exact(arch, views, primary, 
     rng = np.random.default_rng(23)
     cfg = dataclasses.replace(MICRO, arch=arch)
     model = Model.create(cfg, 24)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     B = 2
     z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
     t = rng.random(B)
@@ -464,7 +487,7 @@ def test_one_view_inference_forward_scores_nothing_bit_exactly(monkeypatch, prim
     monkeypatch.setattr(M, "routing_logits_batched", counting)
     rng = np.random.default_rng(25)
     model = Model.create(MICRO, 26)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     B = 2
     z_t = rng.normal(size=(B, MICRO.tokens, MICRO.model_dim))
     t = rng.random(B)
@@ -516,7 +539,7 @@ def test_all_primary_block_bit_equal_to_the_dual_linear_path(monkeypatch):
 def test_integrate_flow_one_view_trace_is_all_zero():
     rng = np.random.default_rng(29)
     model = Model.create(MICRO, 30)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     B, steps = 2, 3
     feats = _rand_views(rng, MICRO, 1, batch=B)
     z_init = rng.normal(size=(B, MICRO.tokens, MICRO.model_dim))
@@ -529,7 +552,7 @@ def test_integrate_flow_one_view_trace_is_all_zero():
 def test_timestep_changes_output():
     rng = np.random.default_rng(9)
     params = init_params(MICRO, 10)
-    _randomize_zero_init(params, rng)
+    randomize_zero_init(params, rng)
     B, N = 2, MICRO.tokens
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
     feats = _rand_views(rng, MICRO, 2, batch=B)
@@ -545,7 +568,7 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch):
     """Micro version of the STE gradient acceptance check."""
     rng = np.random.default_rng(10)
     params = init_params(MICRO, 11)
-    _randomize_zero_init(params, rng)
+    randomize_zero_init(params, rng)
     B, N, V = 2, MICRO.tokens, 2
     z_t = rng.normal(size=(B, N, MICRO.model_dim))
     t = rng.random(B)
@@ -645,7 +668,7 @@ def test_count_parameters_desk_ratio_frozen():
 def test_model_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     model = Model.create(MICRO, 13)
-    _randomize_zero_init(model.params, rng)
+    randomize_zero_init(model.params, rng)
     path = tmp_path / "model.bin"
     model.save(path, meta={"phase": "test"})
     loaded = Model.load(path)

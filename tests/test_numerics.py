@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from roar3d.trainer import Batch, flow_matching_loss
 from conftest import (
     head_mix,
     micro_run_config,
+    randomize_zero_init,
     reshape,
     router_score_chain,
     scale_rows,
@@ -719,32 +721,89 @@ def test_backward_closures_keep_no_rebuildable_arrays():
             assert held <= allowance, (node._backward.__qualname__, held, allowance)
 
 
-def _keep_graph_backward(root):
-    """The sweep without the release: every node keeps its gradient and edges."""
+def _keep_graph_backward(tape, root):
+    """``ComputationTape.backward`` without the release: every node keeps its gradient
+    and edges."""
     root.grad = np.ones_like(root.data)
-    for node in reversed(nx.ComputationTape.trace(root).nodes):
+    for node in reversed(tape.nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
 
-def test_backward_releases_op_outputs_and_keeps_leaf_gradients():
+def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch):
     model = _routed_model()
     loss, info = _routed_loss(model)
-    nodes = [n for n in nx.ComputationTape.trace(loss).nodes if n._parents]
-    assert nodes
+    nodes = []   # the op outputs of every tape, the two half-batch graphs' included
+    sweep = nx.ComputationTape.backward
+
+    def recording(tape, root):
+        nodes.extend([n for n in tape.nodes if n._parents])
+        sweep(tape, root)
+
+    monkeypatch.setattr(nx.ComputationTape, "backward", recording)
     loss.backward()
+    assert nodes
     assert all(n.grad is None and n._parents == () for n in nodes)
     grads = {k: p.grad for k, p in model.params.items()}
     assert all(g is not None for g in grads.values())
 
     kept_model = _routed_model()
     kept_loss, kept_info = _routed_loss(kept_model)
-    _keep_graph_backward(kept_loss)
+    monkeypatch.setattr(nx.ComputationTape, "backward", _keep_graph_backward)
+    kept_loss.backward()
     for k, p in kept_model.params.items():
         assert np.array_equal(grads[k], p.grad), k
     assert loss.data.tobytes() == kept_loss.data.tobytes()
     assert info.mean_entropy() == kept_info.mean_entropy()
     assert info.hard_trace().shape[0] == micro_run_config().model.blocks
+
+
+class _Inline:
+    """An executor that runs each job at once, on the calling thread."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_concurrent_sum_sweeps_on_the_worker_as_inline_bit_exactly(monkeypatch):
+    """The second half-batch graph is swept on another thread, and the gradients are
+    the bytes of sweeping it inline."""
+    threads = set()
+    sweep = nx.ComputationTape.backward
+
+    def recording(tape, root):
+        threads.add(threading.get_ident())
+        sweep(tape, root)
+
+    monkeypatch.setattr(nx.ComputationTape, "backward", recording)
+    grads = []
+    for worker, sweeping_threads in ((nx._WORKER, 2), (_Inline(), 1)):
+        monkeypatch.setattr(nx, "_WORKER", worker)
+        model = _routed_model(seed=2)
+        randomize_zero_init(model.params, np.random.default_rng(2))
+        loss, _ = _routed_loss(model, seed=2)
+        loss.backward()
+        grads.append({k: p.grad.tobytes() for k, p in model.params.items()})
+        assert len(threads) == sweeping_threads
+        threads.clear()
+    assert grads[0] == grads[1]
+    assert sum(np.frombuffer(g).any() for g in grads[0].values()) > len(grads[0]) // 2
+
+
+def test_concurrent_sum_raises_a_failed_sweep_after_both_finish():
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+
+    def broken(g):
+        raise FloatingPointError("bad sweep")
+
+    bad = nx.scale(b, 2.0)
+    bad._backward = broken
+    loss = nx.concurrent_sum(sum_all(nx.scale(a, 3.0)), sum_all(bad), (0.5, 0.5), [])
+    with pytest.raises(FloatingPointError, match="bad sweep"):
+        loss.backward()
+    assert np.array_equal(a.grad, np.full(3, 1.5))   # the calling thread's sweep completed
 
 
 def test_second_backward_through_a_spent_graph_raises():

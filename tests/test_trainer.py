@@ -23,7 +23,13 @@ from roar3d.trainer import (
 )
 from roar3d.world import azimuth_bin
 
-from conftest import micro_run_config
+from conftest import (
+    LOSS_RTOL,
+    assert_gradients_close,
+    micro_run_config,
+    randomize_zero_init,
+    single_graph_loss,
+)
 
 CFG = micro_run_config()
 
@@ -81,6 +87,57 @@ def test_loss_rejects_bad_noise_shape():
     with pytest.raises(ValueError):
         flow_matching_loss(_StubModel(np.zeros((1, 2, 3)), np.zeros((1, 2, 3))),
                            s, np.array([0.5]), np.zeros((1, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the sharded loss: two half-batch graphs, one gradient
+# ---------------------------------------------------------------------------
+
+PRIMARY = {"mixed": (0, -1, 2, 1), "primary-absent": (-1, -1, -1, -1),
+           "all-primary": (0, 0, 0, 0)}
+
+
+def _loss_case(B: int, primary, seed: int = 0):
+    """A warm micro routed model, a B-row batch over 3 views, t, noise and options."""
+    rng = np.random.default_rng(seed)
+    model = Model.create(CFG.model, seed)
+    randomize_zero_init(model.params, rng)
+    primary = np.array(primary[:B])
+    batch = _batch(rng, CFG, views=3, perturbed=primary < 0)
+    batch.primary_index = primary
+    return (model, batch, rng.random(B), rng.normal(size=batch.z0.shape),
+            ForwardOptions(mode="train", run_seed=seed, step=5))
+
+
+def _loss_and_grads(loss_fn, model, batch, t, noise, opts):
+    model.zero_grads()
+    loss, info = loss_fn(model, batch, t, noise, opts)
+    loss.backward()
+    return loss, info, {k: p.grad for k, p in model.params.items()}
+
+
+@pytest.mark.parametrize("rows", sorted(PRIMARY))
+@pytest.mark.parametrize("B", (3, 4))
+def test_sharded_loss_matches_the_single_graph(B, rows):
+    case = _loss_case(B, PRIMARY[rows], seed=B)
+    loss, info, got = _loss_and_grads(flow_matching_loss, *case)
+    ref, ref_info, want = _loss_and_grads(single_graph_loss, *case)
+    assert abs(float(loss.data) - float(ref.data)) <= LOSS_RTOL * abs(float(ref.data))
+    assert np.array_equal(info.hard_trace(), ref_info.hard_trace())
+    assert abs(info.mean_entropy() - ref_info.mean_entropy()) <= 1e-12
+    assert sum(w is not None and w.any() for w in want.values()) > len(want) // 2
+    assert_gradients_close(got, want)
+
+
+def test_loss_of_one_row_is_the_single_graph_bit_exactly():
+    case = _loss_case(1, (-1,))
+    assert flow_matching_loss(*case)[0]._parents   # an op output, not a concurrent_sum root
+    loss, info, got = _loss_and_grads(flow_matching_loss, *case)
+    ref, ref_info, want = _loss_and_grads(single_graph_loss, *case)
+    assert loss.data.tobytes() == ref.data.tobytes()
+    assert info.mean_entropy() == ref_info.mean_entropy()
+    for k, w in want.items():
+        assert got[k].tobytes() == w.tobytes(), k
 
 
 # ---------------------------------------------------------------------------
