@@ -12,7 +12,9 @@ function. ``forward_multiview`` routes every token to one view and sends it
 through the primary (CA_p) or auxiliary (CA_a) stream. ``forward_single`` is
 the same loop without a router: every token attends view 0 through CA_p, with
 no straight-through multiplier. The concatenation baseline is that case with
-all views flattened into one key set, which ``Model.velocity`` does.
+all views flattened into one key set, which ``Model.velocity`` does. With
+gradients on, a forward over two or more samples runs that loop on two row
+shards at once, one per thread, and joins their velocities (``_forward``).
 
 Parameters, the router's included, live in one flat name -> Tensor dict
 (checkpoint friendly); block ``l`` reads its weights by name. ``parameter_layout``
@@ -296,8 +298,6 @@ class ForwardOptions:
     tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
-    shard: tuple[int, int] | None = None  # (first row, batch): this forward's rows of a
-                                          # larger batch, whose routing noise they take
     views: ViewContext | None = None   # built from the same feats; None builds it
     time: TimeContext | None = None    # built for the same t; None builds it
 
@@ -305,7 +305,8 @@ class ForwardOptions:
 @dataclass
 class ForwardInfo:
     decisions: list = field(default_factory=list)   # one RoutingDecision per routed block
-    views: ViewContext | None = None                # the context the forward used
+    views: ViewContext | None = None                # the context the forward used;
+                                                    # None after a two-shard forward
 
     def hard_trace(self) -> np.ndarray:
         """(L, B, N) hard routing indices of one forward pass."""
@@ -344,7 +345,8 @@ def grid_positional_embedding(cfg: ModelConfig) -> np.ndarray:
     every token a deterministic identity; no parameters involved.
     """
     key = (cfg.grid, cfg.model_dim)
-    if key not in _POS_CACHE:
+    emb = _POS_CACHE.get(key)
+    if emb is None:     # both shards of a training forward may get here at once
         n, d = cfg.grid, cfg.model_dim
         coords = np.stack(_cell_coords(n), axis=1).astype(np.float64)
         pairs_per_axis = max(d // 6, 1)
@@ -358,8 +360,8 @@ def grid_positional_embedding(cfg: ModelConfig) -> np.ndarray:
                 emb[:, col] = np.sin(coords[:, axis] * f)
                 emb[:, col + 1] = np.cos(coords[:, axis] * f)
                 col += 2
-        _POS_CACHE[key] = emb
-    return _POS_CACHE[key]
+        emb = _POS_CACHE.setdefault(key, emb)
+    return emb
 
 
 def _t_embed(params, t: np.ndarray, d: int) -> Tensor:
@@ -529,24 +531,71 @@ def forward_multiview(
 def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,
              primary_index: np.ndarray | None,
              opts: ForwardOptions | None) -> tuple[Tensor, ForwardInfo]:
-    """The block loop of both forwards; ``primary_index`` None runs without a router.
+    """Both forwards: one graph over the batch, or two row shards on two threads.
+
+    ``primary_index`` None runs without a router. In training mode each
+    routed block's Gumbel noise is drawn here, once for the whole batch, and
+    each shard takes its rows, so a sample's noise does not depend on how its
+    batch was split. With gradients on, a batch of B >= 2 that brings no view
+    or time context is split into rows [0, B//2) and [B//2, B): the first
+    shard runs :func:`_rows` on ``params`` on the calling thread, the second
+    on private leaf twins of them (the same ``data``, their own ``grad``) on
+    numerics' worker thread (:func:`roar3d.numerics.on_two_threads`). Each
+    shard builds its own view and time contexts. The velocity is the two
+    shards' rows (:func:`roar3d.numerics.gather_rows`), whose backward sweeps
+    each shard on its own thread and adds the twins' gradients to the
+    parameters'. The info then holds the batch's routing decisions, soft
+    weights as plain data, and no view context. Any other forward is one
+    graph on the calling thread.
+    """
+    opts = opts or ForwardOptions()
+    B, N, _ = z_t.shape
+    V = feats.shape[1]
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    noise = None
+    if primary_index is not None and opts.mode == "train":
+        noise = [routing_noise(opts.run_seed, opts.step, l, (B, N, V)) for l in range(cfg.blocks)]
+    if B < 2 or not nx.grad_enabled() or opts.views is not None or opts.time is not None:
+        return _rows(params, cfg, z_t, t, feats, primary_index, opts, noise)
+
+    twins = {k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in params.items()}
+
+    def shard(p: dict[str, Tensor], rows: slice) -> tuple[Tensor, ForwardInfo]:
+        return _rows(p, cfg, z_t[rows], t[rows], feats[rows],
+                     None if primary_index is None else primary_index[rows], opts,
+                     None if noise is None else [n[rows] for n in noise])
+
+    h = B // 2
+    (first, info), (second, info2) = nx.on_two_threads(lambda: shard(params, slice(0, h)),
+                                                       lambda: shard(twins, slice(h, B)))
+    vel = nx.gather_rows(first, second, [(p, twins[k]) for k, p in params.items()])
+    return vel, ForwardInfo([_joined(a, b) for a, b in zip(info.decisions, info2.decisions)])
+
+
+def _joined(a: RoutingDecision, b: RoutingDecision) -> RoutingDecision:
+    """One decision over the rows of ``a`` and then ``b``, soft weights as plain data."""
+    soft = None if a.y_soft is None else Tensor(np.concatenate([a.y_soft.data, b.y_soft.data]))
+    return RoutingDecision(np.concatenate([a.hard_index, b.hard_index]), soft)
+
+
+def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,
+          primary_index: np.ndarray | None, opts: ForwardOptions,
+          noise: list | None) -> tuple[Tensor, ForwardInfo]:
+    """The block loop over every row of ``z_t``, as one graph.
 
     The view context comes from ``opts.views``, or is built here when that is
     None; either way it is returned in ``ForwardInfo.views``. The time context
-    comes from ``opts.time`` in the same way. In training mode each routed
-    block draws Gumbel noise for the whole batch of ``opts.shard`` (this
-    forward's own batch when that is None) and takes this forward's rows, so
-    a sample's noise does not depend on how its batch was split.
+    comes from ``opts.time`` in the same way. ``noise`` holds each routed
+    block's Gumbel noise for these rows in training mode, None otherwise.
     """
     B, N, d = z_t.shape
     routed = primary_index is not None
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    views = opts.views if opts is not None else None
+    views = opts.views
     if views is None:
         views = view_context(params, cfg, feats, routed)
     elif (views.router_keys is not None) != routed or not np.array_equal(views.feats, feats):
         raise ValueError("the view context was built from other features or another arch")
-    time = opts.time if opts is not None else None
+    time = opts.time
     if time is None:
         time = time_context(params, cfg, t)
     elif not np.array_equal(time.t, t):
@@ -558,7 +607,6 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     # token of a one-view router under no_grad, where the argmax of one column
     # is 0 and nothing reads the scores
     score = routed and (V > 1 or nx.grad_enabled())
-    first, full = (opts and opts.shard) or (0, B)
     v_star = np.zeros((B, N), dtype=np.int64)
     use_p = np.ones((B, N), dtype=bool)
     multiplier = None
@@ -572,9 +620,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
             p = _router_params(params, l)
             zt, znorm = nx.layer_norms(z, (p["ln_gain"], p["ln_bias"]), ln_ca)
             logits = routing_logits_batched(zt, views.router_keys[l], p)
-            noise = (routing_noise(opts.run_seed, opts.step, l, (full, N, V))[first:first + B]
-                     if opts.mode == "train" else None)
-            dec = gumbel_select(logits, opts.tau, noise)
+            dec = gumbel_select(logits, opts.tau, None if noise is None else noise[l])
         else:
             znorm = nx.layer_norm(z, *ln_ca)
             dec = RoutingDecision(np.zeros((B, N), dtype=np.int64), None)

@@ -17,21 +17,22 @@ forward/backward of one graph is single-threaded, independent graphs may run
 on independent threads. ``no_grad`` acts on the current context only, so one
 thread's inference does not switch off another's graph.
 
-``concurrent_sum`` is the one place that uses a second thread. Training
-builds two half-batch graphs, one after the other, on the calling thread:
-the first on the parameters themselves, the second on private leaf twins
-that share the parameters' ``data`` but hold their own ``grad``. The
-node's backward hands the second graph's sweep to the module's one worker
-thread, sweeps the first graph on the calling thread, waits for both, and
-then adds each twin's gradient to its parameter's in a fixed order. Both
-sweeps read the same parameter ``data`` and the batch arrays the forwards
-were given, and each writes only into its own graph's nodes and leaves, so
-the gradients do not depend on thread timing or on the number of CPUs.
-numpy releases the GIL inside its kernels, so the sweeps overlap there. The
-forwards stay on the calling thread: a forward is mostly Python op dispatch
-under the GIL, code that wraps the forwards by module name keeps
-per-forward state, and two forwards at once hold both graphs'
-intermediates at their peaks together.
+``on_two_threads`` is the one place that uses a second thread, and
+``gather_rows`` its one graph node. A training forward of the model splits
+its batch into two row shards: the first runs on the parameters on the
+calling thread, the second on private leaf twins (the parameters' ``data``,
+their own ``grad``) on the module's one worker thread, and ``gather_rows``
+joins the two outputs. That node's backward sweeps the first shard's graph
+on the calling thread and the second's on the worker, waits for both, and
+then adds each twin's gradient to its parameter's in parameter order. The
+two threads share only the parameters' ``data`` and the batch arrays the
+forward was given; each writes only into its own graph's nodes and leaves,
+so values and gradients do not depend on thread timing or on the number of
+CPUs. numpy releases the GIL inside its kernels, so the two threads overlap
+there. The worker runs in a copy of the caller's context: a ``no_grad``
+entered on either thread stays on that thread. A shard never shards again:
+the worker is a single thread, so a job it submitted to itself would wait
+forever.
 
 Backward consumes its graph: as the sweep passes an op output it drops that
 node's gradient, its parents and its backward closure, so the saved arrays
@@ -55,7 +56,7 @@ gradient is the same, bit for bit.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,7 +90,8 @@ __all__ = [
     "routed_attention",
     "mean_all",
     "mse",
-    "concurrent_sum",
+    "on_two_threads",
+    "gather_rows",
     "grad_check",
 ]
 
@@ -199,8 +201,9 @@ class ComputationTape:
     Each saved array is freed as soon as the last node holding it is passed.
     Leaves keep their gradients and every node keeps its ``data``. The tape
     is local to one call, so sweeps of independent graphs on independent
-    threads never share state; a ``concurrent_sum`` node, which has no
-    parents, runs two such sweeps from its own backward.
+    threads never share state. A ``gather_rows`` node, which has no
+    parents, runs two such sweeps from its own backward: its first shard's
+    on the calling thread, its second's on the worker thread.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -668,48 +671,60 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# two independent graphs, swept on two threads
+# two row shards, run and swept on two threads
 # ---------------------------------------------------------------------------
 
 
-# the one worker thread of concurrent_sum's backward; it starts on first use
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="roar3d-sweep")
+# the one worker thread of on_two_threads; it starts on first use
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="roar3d-shard")
 
 
-def _sweep(root: Tensor, seed: float) -> None:
-    """Backward over ``root``'s graph from the gradient ``seed`` instead of 1."""
-    head = Tensor(root.data * seed, requires_grad=True)
+def on_two_threads(here: Callable[[], object], there: Callable[[], object]) -> tuple:
+    """``(here(), there())``, with ``there`` run on the worker thread meanwhile.
+
+    ``there`` runs inside a copy of the caller's context, so it sees the
+    caller's ``no_grad`` state and its own changes stay on the worker. Both
+    always run to the end, and an error of either is raised only once both
+    have finished; when both fail, the calling thread's error is raised.
+    Neither may call this function again: the one worker would wait for
+    itself.
+    """
+    pending = _WORKER.submit(copy_context().run, there)
+    try:
+        mine = here()
+    finally:
+        wait((pending,))
+    return mine, pending.result()
+
+
+def _sweep(root: Tensor, g: np.ndarray) -> None:
+    """Backward over ``root``'s graph from the incoming gradient ``g`` of its value."""
+    head = Tensor(np.zeros(()), requires_grad=True)
     head._parents = (root,)
-    head._backward = lambda g: root.accum_grad(g * seed)
+    head._backward = lambda _: root.accum_grad(g)
     ComputationTape.trace(head).backward(head)
 
 
-def concurrent_sum(first: Tensor, second: Tensor, weights: tuple[float, float],
-                   twins: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """``weights[0] * first + weights[1] * second`` of two scalar roots, as one node.
+def gather_rows(first: Tensor, second: Tensor,
+                twins: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """The rows of ``first`` and then those of ``second``, as one parent-less node.
 
     The two graphs must share no tensor that takes a gradient: ``second``'s
     leaves are private twins of ``first``'s (the same ``data``, their own
-    ``grad``), and ``twins`` lists the (own, twin) pairs. The node has no
-    parents; its backward sweeps ``second``'s graph on the module's one
-    worker thread while it sweeps ``first``'s on the calling thread, waits
-    for both, and then adds each twin's gradient to its own leaf's, in
-    ``twins`` order. Both sweeps only read the shared leaf data and the
-    inputs the forwards were given, so the gradients do not depend on thread
-    timing or on the number of CPUs.
+    ``grad``), and ``twins`` lists the (own, twin) pairs. The node's
+    backward sweeps ``first``'s graph from its rows of the incoming
+    gradient on the calling thread and ``second``'s from the rest on the
+    worker thread (:func:`on_two_threads`), then adds each twin's gradient
+    to its own leaf's, in ``twins`` order. If either sweep raises, no twin
+    gradient is added.
     """
-    w0, w1 = map(float, weights)
-    out = Tensor(w0 * first.data + w1 * second.data)
+    out = Tensor(np.concatenate([first.data, second.data]))
     if not (_grad_enabled.get() and (first.requires_grad or second.requires_grad)):
         return out
+    h = first.shape[0]
 
     def backward(g: np.ndarray) -> None:
-        pending = _WORKER.submit(_sweep, second, w1 * float(g))
-        try:
-            _sweep(first, w0 * float(g))
-        finally:
-            wait((pending,))
-        pending.result()
+        on_two_threads(lambda: _sweep(first, g[:h]), lambda: _sweep(second, g[h:]))
         for own, twin in twins:
             if twin.grad is not None:
                 own.accum_grad(twin.grad)

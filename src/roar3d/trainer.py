@@ -30,7 +30,6 @@ from .model import (ForwardInfo, ForwardOptions, Model, constant_init, mismatche
                     parameter_layout, rotate_latent)
 from .numerics import Tensor
 from .rng import stream
-from .router import RoutingDecision
 from .world import BIN_CENTERS, azimuth_bin
 
 __all__ = [
@@ -83,56 +82,24 @@ def flow_matching_loss(
 
     z_t = (1 - t) * z_clean + t * noise, target velocity u = noise - z_clean.
 
-    A batch of B >= 2 becomes two graphs, both built on the calling thread,
-    one after the other: rows [0, B//2) on the model's own parameters, rows
-    [B//2, B) on private leaf twins that share the parameters' data. The
-    returned node is the size-weighted sum of the two mean losses
-    (:func:`roar3d.numerics.concurrent_sum`), the batch's mean loss up to
-    rounding. Its backward sweeps the second graph on numerics' worker
-    thread while the calling thread sweeps the first; both sweeps read only
-    the parameters' data and this batch's arrays, and the twins' gradients
-    are added to the parameters' own after both finish. The forwards stay
-    on the calling thread for the reasons the numerics module gives: they
-    are Python dispatch under the GIL, wrappers keep per-forward state, and
-    overlapping forwards raise peak memory. A batch of one is one graph.
-    The info holds the batch's routing decisions, soft weights as plain
-    data, and no view context.
+    One ``model.velocity`` call over the whole batch. With gradients on, the
+    model runs a batch of B >= 2 as two row shards: rows [0, B//2) on the
+    calling thread, rows [B//2, B) on numerics' worker thread, each forward
+    and each backward sweep (see :func:`roar3d.model._forward`). The two
+    threads share only the parameters' data and this batch's arrays. The
+    info holds the batch's routing decisions.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if noise.shape != batch.z0.shape:
         raise ValueError(f"noise shape {noise.shape} vs latents {batch.z0.shape}")
-    B = batch.size
-    t = np.broadcast_to(t, (B,))
+    t = np.broadcast_to(t, (batch.size,))
     tb = t[:, None, None]
     z_t = (1.0 - tb) * batch.z0 + tb * noise
-    target = noise - batch.z0
-
-    def rows_loss(m: Model, lo: int, hi: int) -> tuple[Tensor, ForwardInfo]:
-        o = None if opts is None else replace(opts, shard=(lo, B))
-        vel, info = m.velocity(z_t[lo:hi], t[lo:hi], batch.feats[lo:hi],
-                               batch.primary_index[lo:hi], o)
-        return nx.mse(vel, Tensor(target[lo:hi])), info
-
-    if B < 2:
-        loss, info = rows_loss(model, 0, B)
-    else:
-        h = B // 2
-        twins = {k: Tensor(p.data, requires_grad=p.requires_grad)
-                 for k, p in model.params.items()}
-        first, info = rows_loss(model, 0, h)
-        second, info2 = rows_loss(Model(model.cfg, twins), h, B)
-        loss = nx.concurrent_sum(first, second, (h / B, (B - h) / B),
-                                 [(p, twins[k]) for k, p in model.params.items()])
-        info = ForwardInfo([_joined(a, b) for a, b in zip(info.decisions, info2.decisions)])
+    vel, info = model.velocity(z_t, t, batch.feats, batch.primary_index, opts)
+    loss = nx.mse(vel, Tensor(noise - batch.z0))
     if not np.isfinite(loss.data):
         raise TrainingDiverged(opts.step if opts is not None else -1)
     return loss, info
-
-
-def _joined(a: RoutingDecision, b: RoutingDecision) -> RoutingDecision:
-    """One decision over the rows of ``a`` and then ``b``, soft weights as plain data."""
-    soft = None if a.y_soft is None else Tensor(np.concatenate([a.y_soft.data, b.y_soft.data]))
-    return RoutingDecision(np.concatenate([a.hard_index, b.hard_index]), soft)
 
 
 # ---------------------------------------------------------------------------

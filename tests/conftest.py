@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import roar3d.model as M
 import roar3d.numerics as nx
 from roar3d.config import ModelConfig, RunConfig, SampleConfig, TrainConfig, WorldConfig
 from roar3d.data import build_dataset, load_dataset
+from roar3d.model import ForwardOptions
 from roar3d.numerics import Tensor
 
 
@@ -115,11 +117,10 @@ def router_score_chain(q, keys, w_agg, heads):
     return head_mix(nx.scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
 
 
-# ``trainer.flow_matching_loss`` sums its half-batch mean losses with weights
-# B0/B and B1/B and adds each parameter's two gradients after the sweeps, so it
-# equals the single graph's loss up to rounding. Measured on the micro and desk
-# configs: losses within 4e-16 relative, every gradient entry within 4e-15 of
-# that gradient's largest entry.
+# With gradients on, ``Model.velocity`` runs a batch as two row shards and joins
+# their velocities; the loss then differs from one graph over the whole batch by
+# rounding only. Measured on the micro and desk configs: losses within 4e-16
+# relative, every gradient entry within 4e-15 of that gradient's largest entry.
 LOSS_RTOL = 1e-14
 GRAD_RTOL = 1e-13
 
@@ -132,12 +133,30 @@ def assert_gradients_close(got: dict, want: dict) -> None:
             assert np.abs(got[k] - w).max() <= GRAD_RTOL * np.abs(w).max(), k
 
 
+def unsharded_velocity(model, z_t, t, feats, primary_index=None, opts=None):
+    """``model.velocity`` as one graph over the whole batch, never sharded.
+
+    It calls the model's block loop (``model._rows``), which each shard of a
+    training forward runs on its own rows, once on every row, with each routed
+    block's training noise drawn for the whole batch as the forward draws it.
+    """
+    cfg, opts = model.cfg, opts or ForwardOptions()
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if cfg.arch != "routed":   # the router-less forward reads one (flattened) view
+        feats, primary_index = feats.reshape(feats.shape[0], 1, -1, feats.shape[-1]), None
+    noise = None
+    if primary_index is not None and opts.mode == "train":
+        shape = z_t.shape[:2] + feats.shape[1:2]
+        noise = [M.routing_noise(opts.run_seed, opts.step, l, shape) for l in range(cfg.blocks)]
+    return M._rows(model.params, cfg, z_t, t, feats, primary_index, opts, noise)
+
+
 def single_graph_loss(model, batch, t, noise, opts=None):
     """``trainer.flow_matching_loss`` as one graph over the whole batch, unsharded."""
     t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (batch.size,))
     tb = t[:, None, None]
     z_t = (1.0 - tb) * batch.z0 + tb * noise
-    vel, info = model.velocity(z_t, t, batch.feats, batch.primary_index, opts)
+    vel, info = unsharded_velocity(model, z_t, t, batch.feats, batch.primary_index, opts)
     return nx.mse(vel, Tensor(noise - batch.z0)), info
 
 

@@ -8,6 +8,9 @@ integration through the installed wrappers so that it breaks here too.
 ``perfbench/workloads.py`` records one loss per training step from
 ``trainer.flow_matching_loss`` and checks the gradients in
 ``trainer.apply_freeze``; the second test holds ``train`` to that contract.
+The tracer keeps one per-forward state for every call of the wrapped
+forwards, so a training step must enter them once, whatever threads the
+forward uses inside; the third test holds the model to that.
 """
 
 import dataclasses
@@ -118,3 +121,29 @@ def test_each_step_reports_the_full_batch_loss_and_merged_gradients(micro_datase
     monkeypatch.setattr(trainer, "apply_freeze", apply_freeze)
     trainer.train(model, micro_dataset.split("train"), cfg, "mv")
     assert checked == [1, 2, 3]
+
+
+def test_a_traced_training_step_enters_the_forward_once(micro_dataset):
+    """One ``model.forward`` span per routed step, and equal counters run to run."""
+    tracing = _load_tracing()
+    cfg = micro_run_config(seed=3)
+    cfg.train = dataclasses.replace(cfg.train, steps_mv=1)
+    split = micro_dataset.split("train")
+    counts = []
+    for _ in range(2):
+        model = upgrade_from_single(Model.create(dataclasses.replace(cfg.model, arch="single"),
+                                                 3))
+        randomize_zero_init(model.params, np.random.default_rng(3))
+        tracer, patches = tracing.Tracer(), tracing.Patches()
+        tracing.install(tracer, patches)
+        try:
+            tracer.next_op(time.perf_counter())
+            trainer.train(model, split, cfg, "mv")
+            tracer.end_op(time.perf_counter())
+        finally:
+            patches.undo()
+        forward = tracer.name_id("model.forward")
+        assert [op for name, op in zip(tracer.name, tracer.op) if name == forward] == [0]
+        assert tracer.counts[("router.calls", 0)] > 0
+        counts.append(dict(tracer.counts))
+    assert counts[0] == counts[1]

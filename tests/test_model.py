@@ -2,7 +2,8 @@
 
 import dataclasses
 import hashlib
-import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from roar3d.router import RoutingDecision, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
-from conftest import randomize_zero_init, surrogate_multiplier
+from conftest import randomize_zero_init, surrogate_multiplier, unsharded_velocity
 
 CFG = ModelConfig()
 
@@ -166,33 +167,41 @@ def test_dispatch_rejects_bad_primary():
                           ForwardOptions(mode="inference"))
 
 
-def test_a_shard_takes_its_rows_of_the_full_batch_routing_noise(monkeypatch):
+def test_a_training_forward_draws_each_blocks_routing_noise_once(monkeypatch):
+    """One full-batch draw per routed block, on the calling thread; each shard routes
+    its rows with its rows of that draw, as the unsharded forward does."""
     rng = np.random.default_rng(12)
     B, V, N = 5, 3, MICRO.tokens
-    params = init_params(MICRO, 1)
-    randomize_zero_init(params, rng)
+    model = Model(MICRO, init_params(MICRO, 1))
+    randomize_zero_init(model.params, rng)
     z, t = rng.normal(size=(B, N, MICRO.model_dim)), rng.random(B)
     feats, primary = _rand_views(rng, MICRO, V, B), np.array([0, 1, -1, 2, 0])
     drawn = []
-    select = M.gumbel_select
+    draw = M.routing_noise
 
-    def recording(logits, tau, noise):
-        drawn.append(noise)
-        return select(logits, tau, noise)
+    def recording(run_seed, step, block, shape):
+        drawn.append((block, shape, threading.get_ident()))
+        return draw(run_seed, step, block, shape)
 
-    monkeypatch.setattr(M, "gumbel_select", recording)
+    monkeypatch.setattr(M, "routing_noise", recording)
     opts = ForwardOptions(mode="train", run_seed=3, step=7)
-    forward_multiview(params, MICRO, z, t, feats, primary, opts)
-    full = drawn[:]
-    assert [n.shape for n in full] == [(B, N, V)] * MICRO.blocks
-    for lo, hi in ((0, 2), (2, 5)):
-        drawn.clear()
-        forward_multiview(params, MICRO, z[lo:hi], t[lo:hi], feats[lo:hi], primary[lo:hi],
-                          dataclasses.replace(opts, shard=(lo, B)))
-        assert len(drawn) == MICRO.blocks
-        for l, noise in enumerate(drawn):
-            assert noise.tobytes() == full[l][lo:hi].tobytes()
-            assert noise.tobytes() == M.routing_noise(3, 7, l, (B, N, V))[lo:hi].tobytes()
+    _, info = model.velocity(z, t, feats, primary, opts)
+    here = threading.get_ident()
+    assert sorted(drawn) == [(l, (B, N, V), here) for l in range(MICRO.blocks)]
+
+    drawn.clear()
+    _, whole = unsharded_velocity(model, z, t, feats, primary, opts)
+    assert len(drawn) == MICRO.blocks
+    noise = [draw(3, 7, l, (B, N, V)) for l in range(MICRO.blocks)]
+    assert info.hard_trace().tobytes() == whole.hard_trace().tobytes()
+    for lo, hi in ((0, B // 2), (B // 2, B)):
+        _, part = M._rows(model.params, MICRO, z[lo:hi], t[lo:hi], feats[lo:hi],
+                          primary[lo:hi], opts, [n[lo:hi] for n in noise])
+        assert info.hard_trace()[:, lo:hi].tobytes() == part.hard_trace().tobytes()
+        for got, want in zip(info.decisions, part.decisions):
+            assert got.y_soft.data[lo:hi].tobytes() == want.y_soft.data.tobytes()
+    for got, want in zip(info.decisions, whole.decisions):
+        np.testing.assert_allclose(got.y_soft.data, want.y_soft.data, rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_unknown_routing_mode():
@@ -375,7 +384,8 @@ def test_forward_rejects_a_view_context_of_other_features(arch):
     feats = _rand_views(rng, cfg, 3, batch=B)
     z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
     t, primary = np.ones(B), np.zeros(B, dtype=np.int64)
-    _, info = model.velocity(z_t, t, feats, primary)
+    with nx.no_grad():   # a training forward of two or more rows returns no context
+        _, info = model.velocity(z_t, t, feats, primary)
     opts = ForwardOptions(views=info.views)
     model.velocity(z_t, t, feats.copy(), primary, opts)    # equal features are accepted
     with pytest.raises(ValueError, match="view context"):
@@ -396,7 +406,8 @@ def test_forward_rejects_a_time_context_of_other_timesteps(arch):
     feats = _rand_views(rng, cfg, 3, batch=B)
     z_t = rng.normal(size=(B, cfg.tokens, cfg.model_dim))
     t, primary = np.array([0.25, 0.75]), np.zeros(B, dtype=np.int64)
-    fresh, _ = model.velocity(z_t, t, feats, primary)
+    with nx.no_grad():   # one graph over both rows, like the forward given the context
+        fresh, _ = model.velocity(z_t, t, feats, primary)
     opts = ForwardOptions(time=M.time_context(model.params, cfg, t))
     out, _ = model.velocity(z_t, t.copy(), feats, primary, opts)   # equal timesteps are accepted
     assert np.array_equal(out.data, fresh.data)
@@ -462,7 +473,7 @@ def test_inference_forward_without_soft_weights_bit_exact(arch, views, primary, 
     feats = _rand_views(rng, cfg, views, batch=B)
     prim = np.full(B, primary, dtype=np.int64)
     opts = ForwardOptions(mode=mode, run_seed=2, step=1)
-    vel, info = model.velocity(z_t, t, feats, prim, opts)
+    vel, info = unsharded_velocity(model, z_t, t, feats, prim, opts)
     with nx.no_grad():
         bare_vel, bare = model.velocity(z_t, t, feats, prim, opts)
     assert vel.data.tobytes() == bare_vel.data.tobytes()
@@ -493,7 +504,7 @@ def test_one_view_inference_forward_scores_nothing_bit_exactly(monkeypatch, prim
     t = rng.random(B)
     feats = _rand_views(rng, MICRO, 1, batch=B)
     prim = np.full(B, primary, dtype=np.int64)
-    vel, info = model.velocity(z_t, t, feats, prim)
+    vel, info = unsharded_velocity(model, z_t, t, feats, prim)
     assert len(calls) == MICRO.blocks
     # with gradients on the router and CA_a still get their (zero) gradients:
     # AdamW treats a zero gradient and a missing one differently
@@ -549,6 +560,19 @@ def test_integrate_flow_one_view_trace_is_all_zero():
     assert trace.dtype == np.int64 and not trace.any()
 
 
+def test_two_shards_filling_the_position_cache_at_once_share_one_array(monkeypatch):
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            monkeypatch.setattr(M, "_POS_CACHE", {})
+            a, b = nx.on_two_threads(lambda: M.grid_positional_embedding(MICRO),
+                                     lambda: M.grid_positional_embedding(MICRO))
+            assert a is b is M._POS_CACHE[(MICRO.grid, MICRO.model_dim)]
+    finally:
+        sys.setswitchinterval(switch)
+
+
 def test_timestep_changes_output():
     rng = np.random.default_rng(9)
     params = init_params(MICRO, 10)
@@ -597,17 +621,22 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch):
     ste_loss.backward()
     ste_grads = {k: p.grad.copy() for k, p in checked.items()}
 
-    # the surrogate network replays each block's hard choice and swaps the
-    # straight-through multiplier for y_soft[v*] + (1 - y_soft0[v*])
+    # the surrogate network replays each (shard, block) hard choice and swaps
+    # the straight-through multiplier for y_soft[v*] + (1 - y_soft0[v*]); the
+    # calling thread routes rows [0, B//2), numerics' worker rows [B//2, B)
     overrides = [d.hard_index for d in info.decisions]
     offsets = [1.0 - np.take_along_axis(d.y_soft.data, d.hard_index[..., None], -1)
                for d in info.decisions]
-    calls = itertools.count()
+    here = threading.get_ident()
+    calls = {True: [], False: []}
 
     def replay(*args):
         dec = gumbel_select(*args)
-        block = next(calls) % MICRO.blocks
-        dec.hard_index, dec.offset = overrides[block], offsets[block]
+        first = threading.get_ident() == here
+        block = len(calls[first]) % MICRO.blocks
+        calls[first].append(block)
+        rows = slice(0, B // 2) if first else slice(B // 2, B)
+        dec.hard_index, dec.offset = overrides[block][rows], offsets[block][rows]
         return dec
 
     monkeypatch.setattr(M, "gumbel_select", replay)
@@ -624,6 +653,7 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch):
         assert np.array_equal(p.grad, ste_grads[k]), k
     report = nx.grad_check(surrogate, checked, max_entries=5)
     assert max(report.values()) < 1e-4, report
+    assert calls[True] == calls[False] and len(calls[True]) > MICRO.blocks
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import roar3d.model as M
 import roar3d.numerics as nx
 from roar3d import checkpoint as ckpt
 from roar3d.numerics import Tensor, grad_check
@@ -767,43 +768,87 @@ class _Inline:
         return done
 
 
-def test_concurrent_sum_sweeps_on_the_worker_as_inline_bit_exactly(monkeypatch):
-    """The second half-batch graph is swept on another thread, and the gradients are
-    the bytes of sweeping it inline."""
-    threads = set()
-    sweep = nx.ComputationTape.backward
+def test_two_thread_forward_and_sweep_match_inline_bit_exactly(monkeypatch):
+    """The second row shard runs its forward and its sweep on another thread, and the
+    velocity and every gradient are the bytes of running it inline."""
+    forward_threads, sweep_threads = set(), set()
+    rows, sweep = M._rows, nx.ComputationTape.backward
 
-    def recording(tape, root):
-        threads.add(threading.get_ident())
+    def recording_rows(*args):
+        forward_threads.add(threading.get_ident())
+        return rows(*args)
+
+    def recording_sweep(tape, root):
+        sweep_threads.add(threading.get_ident())
         sweep(tape, root)
 
-    monkeypatch.setattr(nx.ComputationTape, "backward", recording)
-    grads = []
-    for worker, sweeping_threads in ((nx._WORKER, 2), (_Inline(), 1)):
+    monkeypatch.setattr(M, "_rows", recording_rows)
+    monkeypatch.setattr(nx.ComputationTape, "backward", recording_sweep)
+    cfg = micro_run_config()
+    rng = np.random.default_rng(2)
+    B, V, m = cfg.train.batch, 3, cfg.model
+    z_t, t = rng.normal(size=(B, m.tokens, m.model_dim)), rng.random(B)
+    feats, target = rng.normal(size=(B, V, m.patches, m.feat_dim)), rng.normal(size=z_t.shape)
+    opts = ForwardOptions(mode="train", run_seed=2, step=3)
+    outputs = []
+    for worker, threads in ((nx._WORKER, 2), (_Inline(), 1)):
         monkeypatch.setattr(nx, "_WORKER", worker)
         model = _routed_model(seed=2)
         randomize_zero_init(model.params, np.random.default_rng(2))
-        loss, _ = _routed_loss(model, seed=2)
-        loss.backward()
-        grads.append({k: p.grad.tobytes() for k, p in model.params.items()})
-        assert len(threads) == sweeping_threads
-        threads.clear()
-    assert grads[0] == grads[1]
-    assert sum(np.frombuffer(g).any() for g in grads[0].values()) > len(grads[0]) // 2
+        vel, _ = model.velocity(z_t, t, feats, np.array([0, 1, -1, 2]), opts)
+        nx.mse(vel, Tensor(target)).backward()
+        outputs.append((vel.data.tobytes(), {k: p.grad.tobytes() for k, p in model.params.items()}))
+        assert len(forward_threads) == len(sweep_threads) == threads
+        forward_threads.clear()
+        sweep_threads.clear()
+    assert outputs[0] == outputs[1]
+    grads = outputs[0][1]
+    assert sum(np.frombuffer(g).any() for g in grads.values()) > len(grads) // 2
 
 
-def test_concurrent_sum_raises_a_failed_sweep_after_both_finish():
-    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypatch):
+    model = _routed_model()
+    rows, finished = M._rows, []
+
+    def failing_twin_rows(params, *args):
+        if params is not model.params:
+            raise FloatingPointError("bad shard")
+        out = rows(params, *args)
+        finished.append(threading.get_ident())
+        return out
+
+    monkeypatch.setattr(M, "_rows", failing_twin_rows)
+    with pytest.raises(FloatingPointError, match="bad shard"):
+        _routed_loss(model)
+    assert finished == [threading.get_ident()]
+
+
+def test_a_failed_worker_sweep_raises_after_both_finish_and_merges_nothing():
+    own = Tensor(np.ones((2, 3)), requires_grad=True)
+    twin = Tensor(own.data, requires_grad=True)
 
     def broken(g):
+        twin.accum_grad(g)
         raise FloatingPointError("bad sweep")
 
-    bad = nx.scale(b, 2.0)
+    bad = nx.scale(twin, 2.0)
     bad._backward = broken
-    loss = nx.concurrent_sum(sum_all(nx.scale(a, 3.0)), sum_all(bad), (0.5, 0.5), [])
+    out = nx.gather_rows(nx.scale(own, 3.0), bad, [(own, twin)])
     with pytest.raises(FloatingPointError, match="bad sweep"):
-        loss.backward()
-    assert np.array_equal(a.grad, np.full(3, 1.5))   # the calling thread's sweep completed
+        sum_all(out).backward()
+    assert np.array_equal(own.grad, np.full((2, 3), 3.0))   # the calling thread's sweep ran
+    assert twin.grad is not None                             # and the twin's was not merged
+
+
+def test_the_worker_runs_in_a_copy_of_the_callers_context():
+    def enter_no_grad():
+        nx.no_grad().__enter__()
+        return nx.grad_enabled()
+
+    with nx.no_grad():
+        assert nx.on_two_threads(nx.grad_enabled, nx.grad_enabled) == (False, False)
+    assert nx.on_two_threads(nx.grad_enabled, enter_no_grad) == (True, False)
+    assert nx.on_two_threads(nx.grad_enabled, nx.grad_enabled) == (True, True)
 
 
 def test_second_backward_through_a_spent_graph_raises():

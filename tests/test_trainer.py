@@ -90,7 +90,7 @@ def test_loss_rejects_bad_noise_shape():
 
 
 # ---------------------------------------------------------------------------
-# the sharded loss: two half-batch graphs, one gradient
+# the sharded loss: two row shards on two threads, one gradient
 # ---------------------------------------------------------------------------
 
 PRIMARY = {"mixed": (0, -1, 2, 1), "primary-absent": (-1, -1, -1, -1),
@@ -131,7 +131,9 @@ def test_sharded_loss_matches_the_single_graph(B, rows):
 
 def test_loss_of_one_row_is_the_single_graph_bit_exactly():
     case = _loss_case(1, (-1,))
-    assert flow_matching_loss(*case)[0]._parents   # an op output, not a concurrent_sum root
+    model, batch, t, _, opts = case
+    vel, _ = model.velocity(batch.z0, t, batch.feats, batch.primary_index, opts)
+    assert vel._parents   # an op output, not a gather_rows root
     loss, info, got = _loss_and_grads(flow_matching_loss, *case)
     ref, ref_info, want = _loss_and_grads(single_graph_loss, *case)
     assert loss.data.tobytes() == ref.data.tobytes()
