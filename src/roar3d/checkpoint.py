@@ -39,7 +39,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(tensors)))
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            arr = np.asarray(arr, dtype=np.float64, order="C")  # keeps a rank-0 array rank 0
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -12,8 +12,10 @@ Subcommands wire the library into reproducible runs:
 
 Every command resolves defaults < config file < flags, writes the resolved
 config into its output directory, and derives all randomness from one root
-seed. Exit codes: 0 ok, 2 config error, 3 missing or malformed input,
-4 divergence.
+seed. A command that creates or loads a model runs with, and records, the
+config whose [model] section is that model's, so a checkpoint and the
+``resolved.cfg`` and ``config_hash`` next to it name one model. Exit codes:
+0 ok, 2 config error, 3 missing or malformed input, 4 divergence.
 """
 
 from __future__ import annotations
@@ -82,13 +84,6 @@ def _load_model(path: str) -> Model:
     return Model.load(p)
 
 
-def _load_data(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"dataset not found: {p}")
-    return load_dataset(p)
-
-
 def _check_fit(split, mcfg: ModelConfig, features: bool = True) -> None:
     """ConfigError unless the split's latents (and features) fit model config ``mcfg``."""
     pairs = [("latents", split.latents.shape[1:], (mcfg.tokens, mcfg.model_dim))]
@@ -98,15 +93,6 @@ def _check_fit(split, mcfg: ModelConfig, features: bool = True) -> None:
         if tuple(have) != want:
             raise ConfigError(f"dataset {what} are {tuple(have)} per shape, "
                               f"the model expects {want}")
-
-
-def _check_world(model: Model, cfg: RunConfig) -> None:
-    """ConfigError unless the run's world encodes views the checkpoint can read."""
-    have = (cfg.world.patches, cfg.world.feat_dim)
-    want = (model.cfg.patches, model.cfg.feat_dim)
-    if have != want:
-        raise ConfigError(f"the run's world makes (patches, feat_dim) {have}, "
-                          f"the checkpoint expects {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +109,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_single(args) -> int:
     cfg = _resolve_config(args)
-    data = _load_data(args.data)
+    data = load_dataset(args.data)
     _check_fit(data.split("train"), cfg.model)
-    out = _out_dir(args)
     model = Model.create(dataclasses.replace(cfg.model, arch="single"), cfg.seed)
+    cfg = dataclasses.replace(cfg, model=model.cfg).validate()
+    out = _out_dir(args)
     try:
         log = train(model, data.split("train"), cfg, phase="single")
     except TrainingDiverged:
@@ -144,8 +131,9 @@ def cmd_upgrade(args) -> int:
     if single.cfg.arch == "routed":
         raise ConfigError("upgrade must start from a single-stream checkpoint, "
                           "got a routed one")
-    out = _out_dir(args)
     model = upgrade_from_single(single)
+    cfg = dataclasses.replace(cfg, model=model.cfg).validate()
+    out = _out_dir(args)
     _save_run_model(model, cfg, out, "upgraded", 0)
     print(f"upgraded checkpoint at {out / 'checkpoint.bin'}")
     return EXIT_OK
@@ -153,17 +141,17 @@ def cmd_upgrade(args) -> int:
 
 def cmd_train_mv(args) -> int:
     cfg = _resolve_config(args)
-    data = _load_data(args.data)
+    data = load_dataset(args.data)
     model = _load_model(args.ckpt)
-    for mcfg in (cfg.model, model.cfg):
-        _check_fit(data.split("train"), mcfg)
-    out = _out_dir(args)
     if args.arch == "routed" and model.cfg.arch != "routed":
         model = upgrade_from_single(model)
     elif args.arch == "concat":
         if model.cfg.arch == "routed":
             raise ConfigError("concat baseline must start from a single-stream checkpoint")
         model.cfg = dataclasses.replace(model.cfg, arch="concat")
+    cfg = dataclasses.replace(cfg, model=model.cfg).validate()
+    _check_fit(data.split("train"), cfg.model)
+    out = _out_dir(args)
     try:
         log = train(model, data.split("train"), cfg, phase="mv")
     except TrainingDiverged:
@@ -180,12 +168,12 @@ def cmd_sample(args) -> int:
     model = _load_model(args.ckpt)
     if args.trace and model.cfg.arch != "routed":
         raise ConfigError("--trace requires a routed checkpoint")
-    data = _load_data(args.data)
+    data = load_dataset(args.data)
     split = data.split(args.split)
     if not 0 <= args.shape < len(split):
         raise ConfigError(f"shape index {args.shape} out of range (split has {len(split)})")
     _check_fit(split, model.cfg, features=False)
-    _check_world(model, cfg)
+    cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     out = _out_dir(args)
 
     feats = evaluation.shape_features(PointCloud(split.points[args.shape]), args.views,
@@ -206,8 +194,9 @@ def cmd_sample(args) -> int:
         "empty": bool(points.shape[0] == 0),
         "config_hash": cfg.provenance,
     })
+    cfg.write(out / "resolved.cfg")
     if args.trace:
-        evaluation.save_trace(out / "trace.rtrc", trace[:, :, 0, :], args.views,
+        evaluation.save_trace(out / "trace.bin", trace[:, :, 0, :], args.views,
                               meta={"shape_id": split.ids[args.shape], "seed": cfg.seed})
     print(f"sample written to {out / 'sample.bin'} ({points.shape[0]} points)")
     return EXIT_OK
@@ -216,10 +205,10 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     model = _load_model(args.ckpt)
-    data = _load_data(args.data)
+    data = load_dataset(args.data)
     split = data.split(args.split)
     _check_fit(split, model.cfg, features=False)
-    _check_world(model, cfg)
+    cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     counts = args.view_counts
     out = _out_dir(args)
     result = evaluation.evaluate(model, split, cfg, view_counts=counts, seed=cfg.seed)
@@ -237,13 +226,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze_router(args) -> int:
-    traces = []
-    for path in args.traces:
-        p = Path(path)
-        if not p.is_file():
-            raise FileNotFoundError(f"trace not found: {p}")
-        trace, _ = evaluation.load_trace(p)
-        traces.append(trace)
+    traces = [evaluation.load_trace(path)[0] for path in args.traces]
     report = evaluation.consistency_report(traces)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

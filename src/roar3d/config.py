@@ -175,16 +175,19 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
+        """ConfigError unless each section is valid and the world makes the views the model
+        reads; returns self."""
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError("seed must lie in [0, 2**63)")
         self.world.validate()
         self.model.validate()
         self.train.validate()
         self.sample.validate()
-        if self.model.patches != self.world.patches:
-            raise ConfigError("model.patches must equal world.patch_grid**2")
-        if self.model.feat_dim != self.world.feat_dim:
-            raise ConfigError("model.feat_dim must equal world.feat_dim")
+        have = (self.world.patches, self.world.feat_dim)
+        want = (self.model.patches, self.model.feat_dim)
+        if have != want:
+            raise ConfigError(f"the world makes (patches, feat_dim) {have} per view, "
+                              f"the model reads {want}")
         return self
 
     # -- serialization ------------------------------------------------------
@@ -225,8 +228,10 @@ class RunConfig:
             if not isinstance(values, dict):
                 raise ConfigError(f"config section [{section}] must be an object")
             if section == "run":
-                if "seed" in values:
-                    cfg.seed = _coerce(values["seed"], cfg.seed, "seed")
+                for key, raw in values.items():
+                    if key != "seed":
+                        raise ConfigError(f"unknown key {key!r} in [run]")
+                    cfg.seed = _coerce(raw, cfg.seed, key)
                 continue
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -283,7 +288,12 @@ def set_fields(target, values: dict, section: str) -> None:
 
 
 def _coerce(raw, template, key: str):
-    """Coerce a string/JSON value to the type of the default it replaces."""
+    """Coerce a string/JSON value to the type of the default it replaces.
+
+    A JSON boolean is not a number here, although Python counts it as one.
+    """
+    if isinstance(raw, bool) and isinstance(template, (int, float)):
+        raise ConfigError(f"bad value for {key!r}: {raw!r} is not a number")
     try:
         if isinstance(template, int):
             return int(raw)

@@ -9,20 +9,19 @@ brute-force double loop exactly.
 
 Routing consistency is the pairwise agreement rate of a token's hard view
 choices across blocks, timesteps, or both jointly; every value lies in
-[0, 1] and equals 1 on a constant trace.
+[0, 1] and equals 1 on a constant trace. A routing trace file is the tensor
+container of checkpoint.py holding ``trace`` (T, L, N) and ``views``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .checkpoint import CheckpointError, save_sidecar
+from .checkpoint import CheckpointError, load_tensors, save_sidecar, save_tensors
 from .config import ConfigError, RunConfig, WorldConfig
 from .model import Model, integrate_flow, latent_decode
 from .rng import stream
@@ -47,9 +46,6 @@ __all__ = [
 # Worst-case sentinel for an empty decoded cloud: the diameter of the
 # canonical box, larger than any real Chamfer distance inside it.
 EMPTY_CLOUD_CD = 2.0 * np.sqrt(3.0)
-
-TRACE_MAGIC = b"RTRC"
-TRACE_VERSION = 1
 
 
 @dataclass
@@ -322,32 +318,33 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 
 
 def save_trace(path, trace: np.ndarray, view_count: int, meta: dict | None = None) -> None:
-    """Binary routing trace: header + u16 hard indices, metadata in a sidecar."""
+    """Tensor container of ``trace`` (T, L, N) hard view indices and their view
+    count ``views``; the caller's ``meta`` goes in the JSON sidecar."""
     trace = _check_trace(trace)
     if trace.max() >= view_count:
         raise ValueError("trace index exceeds view count")
-    T, L, N = trace.shape
-    with open(path, "wb") as fh:
-        fh.write(TRACE_MAGIC)
-        fh.write(struct.pack("<IIIII", TRACE_VERSION, T, L, N, view_count))
-        fh.write(trace.astype("<u2").tobytes(order="C"))
-    sidecar = {"timesteps": T, "blocks": L, "tokens": N, "views": view_count}
-    sidecar.update(meta or {})
-    save_sidecar(path, sidecar)
+    save_tensors(path, {"trace": trace, "views": np.array(view_count)})
+    save_sidecar(path, meta or {})
 
 
 def load_trace(path) -> tuple[np.ndarray, int]:
-    """Read a ``save_trace`` file; a bad header, payload length or index is a CheckpointError."""
-    blob = Path(path).read_bytes()
-    head = 24  # magic + five u32
-    if len(blob) < head or blob[:4] != TRACE_MAGIC:
-        raise CheckpointError(f"{path}: not a routing trace")
-    version, T, L, N, V = struct.unpack("<IIIII", blob[4:head])
-    if version != TRACE_VERSION:
-        raise CheckpointError(f"{path}: unsupported trace version {version}")
-    if T * L * N == 0 or len(blob) != head + 2 * T * L * N:
-        raise CheckpointError(f"{path}: {len(blob) - head} payload bytes for a {T}x{L}x{N} trace")
-    trace = np.frombuffer(blob, dtype="<u2", offset=head).reshape(T, L, N).astype(np.int64)
-    if trace.max() >= V:
-        raise CheckpointError(f"{path}: view index {trace.max()} with {V} views")
-    return trace, int(V)
+    """Read a ``save_trace`` file as (trace, views).
+
+    ``load_tensors`` checks the container. A missing ``trace`` or ``views``,
+    a ``views`` that is not one integer, or a trace that is not a non-empty
+    (T, L, N) array of integers in ``0..views-1`` (so ``views < 1`` too) is
+    a CheckpointError.
+    """
+    tensors = load_tensors(path)
+    if not {"trace", "views"} <= tensors.keys():
+        raise CheckpointError(f"{path}: not a routing trace (needs 'trace' and 'views')")
+    trace, views = tensors["trace"], tensors["views"]
+    if views.shape != () or views != np.floor(views):
+        raise CheckpointError(f"{path}: views must be one integer, got {views}")
+    if trace.ndim != 3 or trace.size == 0:
+        raise CheckpointError(f"{path}: trace must be a non-empty (T, L, N) array, "
+                              f"got {trace.shape}")
+    if not ((trace >= 0) & (trace < views) & (trace == np.floor(trace))).all():
+        raise CheckpointError(f"{path}: trace entries must be view indices in "
+                              f"0..{int(views) - 1}")
+    return trace.astype(np.int64), int(views)

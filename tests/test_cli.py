@@ -1,6 +1,9 @@
 """End-to-end CLI: dataset, training phases, sampling, eval, analytics."""
 
+import configparser
+import dataclasses
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from roar3d import checkpoint as ckpt
 from roar3d.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
-from roar3d.config import ModelConfig
+from roar3d.config import ModelConfig, RunConfig
 from roar3d.evaluation import load_trace, save_trace
 from roar3d.model import Model
 
@@ -116,6 +119,11 @@ def test_gen_data_class_filter(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _model_section(cfg: RunConfig) -> dict:
+    """``cfg``'s model as a checkpoint sidecar writes it."""
+    return {**dataclasses.asdict(cfg.model), "tokens": cfg.model.tokens}
+
+
 def test_training_artifacts_exist(pipeline):
     for run in ("single", "up", "mv"):
         out = pipeline[run]
@@ -126,6 +134,34 @@ def test_training_artifacts_exist(pipeline):
         lines = (pipeline[run] / "metrics.csv").read_text().splitlines()
         assert lines[0] == "step,loss,lr,pert_fraction,pert_skips,routing_entropy_mean"
         assert len(lines) == 26  # header + 25 steps
+
+
+def test_train_single_records_the_single_stream_model_it_trained(pipeline):
+    recorded = RunConfig.load(pipeline["single"] / "resolved.cfg")
+    meta = ckpt.load_sidecar(pipeline["single"] / "checkpoint.bin")
+    assert recorded.model.arch == "single"
+    assert _model_section(recorded) == meta["model"]
+    assert recorded.provenance == meta["config_hash"]
+
+
+@pytest.mark.parametrize("command", ["train-mv", "sample", "eval"])
+def test_a_run_records_the_checkpoints_model_not_the_configs(pipeline, tmp_path, command):
+    """--config asks for 5 blocks of 1 head; the checkpoint's 2 blocks of 2 heads are recorded."""
+    text = pipeline["cfg"].read_text(encoding="utf-8")
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(text.replace("blocks = 2", "blocks = 5").replace("heads = 2", "heads = 1"),
+                   encoding="utf-8")
+    source = pipeline["up" if command == "train-mv" else "mv"] / "checkpoint.bin"
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--data", str(pipeline["data"]),
+                 "--ckpt", str(source), "--out", str(out)]) == EXIT_OK
+    recorded = RunConfig.load(out / "resolved.cfg")
+    assert (recorded.model.blocks, recorded.model.heads) == (2, 2)
+    ran = out / "checkpoint.bin" if command == "train-mv" else source
+    assert _model_section(recorded) == ckpt.load_sidecar(ran)["model"]
+    if command != "eval":  # eval records no config hash
+        artifact = "checkpoint.bin" if command == "train-mv" else "sample.bin"
+        assert ckpt.load_sidecar(out / artifact)["config_hash"] == recorded.provenance
 
 
 def test_upgrade_marks_arch_routed(pipeline):
@@ -172,6 +208,8 @@ def test_missing_inputs_exit_code(pipeline, tmp_path):
     assert code == EXIT_MISSING
     code = main(["train-single", "--config", str(tmp_path / "absent.cfg"),
                  "--data", str(pipeline["data"]), "--out", str(tmp_path / "z")])
+    assert code == EXIT_MISSING
+    code = main(["analyze-router", "--out", str(tmp_path / "r.json"), str(tmp_path / "t.bin")])
     assert code == EXIT_MISSING
 
 
@@ -355,14 +393,30 @@ def test_dataset_not_fitting_the_checkpoint_exit_code(pipeline, tmp_path, capsys
     assert "(8, 16)" in err and "(27, 16)" in err
 
 
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample", "eval", "upgrade", "train-mv"])
 def test_checkpoint_not_fitting_the_run_world_exit_code(pipeline, tmp_path, capsys, command):
     """Without --config the run's world encodes 16 patches of width 32 per view."""
-    code = main([command, "--data", str(pipeline["data"]),
-                 "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(tmp_path / "y")])
-    assert code == EXIT_CONFIG
+    run = "single" if command == "upgrade" else "mv"
+    out = tmp_path / "y"
+    argv = [command, "--ckpt", str(pipeline[run] / "checkpoint.bin"), "--out", str(out)]
+    if command != "upgrade":
+        argv += ["--data", str(pipeline["data"])]
+    assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "(16, 32)" in err and "(4, 8)" in err
+    assert not out.exists()
+
+
+def _as_json(section: str, key: str, value):
+    """An edit that writes the micro config as JSON with ``[section] key`` set to ``value``."""
+    def edit(text: str) -> str:
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        payload = {s: dict(parser.items(s)) for s in parser.sections()}
+        payload[section][key] = value
+        return json.dumps(payload)
+
+    return edit
 
 
 @pytest.mark.parametrize("name, edit", [
@@ -386,11 +440,16 @@ def test_checkpoint_not_fitting_the_run_world_exit_code(pipeline, tmp_path, caps
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta1 = 1.0")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta2 = -0.5")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nadam_eps = 0")),
+    ("bad.cfg", lambda text: text.replace("[run]", "[run]\nsed = 4")),
+    ("bad.json", _as_json("train", "batch", True)),
+    ("bad.json", _as_json("train", "p_pert", False)),
+    ("bad.json", _as_json("run", "seed", True)),
 ], ids=["section-not-object", "payload-not-object", "run-not-object", "seed-not-int",
         "tau-zero", "tau-infinite", "split-size-negative", "views-per-bin-zero", "unknown-class",
         "lift-seed-negative", "points-below-16", "image-extent-zero",
         "occlusion-window-negative", "occupancy-scale-zero", "offset-scale-zero",
-        "lr-infinite", "lr-final-negative", "beta1-one", "beta2-negative", "adam-eps-zero"])
+        "lr-infinite", "lr-final-negative", "beta1-one", "beta2-negative", "adam-eps-zero",
+        "run-unknown-key", "batch-json-bool", "p-pert-json-bool", "seed-json-bool"])
 def test_bad_config_value_exit_code(pipeline, tmp_path, name, edit):
     text = pipeline["cfg"].read_text(encoding="utf-8")
     assert edit(text) != text
@@ -444,7 +503,7 @@ def test_sample_deterministic_bytes(pipeline, tmp_path):
                      "--views", "2", "--shape", "1", "--trace"])
         assert code == EXIT_OK
         outs.append(out)
-    for fname in ("sample.bin", "sample.bin.json", "trace.rtrc", "trace.rtrc.json"):
+    for fname in ("sample.bin", "sample.bin.json", "trace.bin", "trace.bin.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
@@ -453,7 +512,7 @@ def test_sample_trace_shape_contract(pipeline, tmp_path):
     assert main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
                  "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(out),
                  "--views", "3", "--trace"]) == EXIT_OK
-    trace, v = load_trace(out / "trace.rtrc")
+    trace, v = load_trace(out / "trace.bin")
     assert v == 3
     assert trace.shape == (8, 2, 8)  # euler_steps x blocks x tokens
     assert trace.max() < 3
@@ -490,12 +549,12 @@ def test_sample_one_view_trace_into_analyze_router(pipeline, tmp_path):
     assert main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
                  "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(out),
                  "--views", "1", "--trace"]) == EXIT_OK
-    trace, v = load_trace(out / "trace.rtrc")
+    trace, v = load_trace(out / "trace.bin")
     assert v == 1
     assert trace.shape == (8, 2, 8) and not trace.any()
     report_path = tmp_path / "rep.json"
     assert main(["analyze-router", "--out", str(report_path),
-                 str(out / "trace.rtrc")]) == EXIT_OK
+                 str(out / "trace.bin")]) == EXIT_OK
     rep = json.loads(report_path.read_text())
     assert [rep[k]["mean"] for k in ("cross_block", "cross_timestep", "global")] == [1.0] * 3
 
@@ -523,7 +582,7 @@ def test_analyze_router_constant_trace(tmp_path):
     trace = np.full((6, 3, 10), 1, dtype=int)
     paths = []
     for i in range(2):
-        p = tmp_path / f"t{i}.rtrc"
+        p = tmp_path / f"t{i}.bin"
         save_trace(p, trace, view_count=4)
         paths.append(str(p))
     out = tmp_path / "report.json"
@@ -539,7 +598,7 @@ def test_analyze_router_report_is_strict_json_when_a_third_is_empty(tmp_path):
     rng = np.random.default_rng(0)
     paths = []
     for i in range(2):
-        paths.append(str(tmp_path / f"t{i}.rtrc"))
+        paths.append(str(tmp_path / f"t{i}.bin"))
         save_trace(paths[-1], rng.integers(0, 3, size=(2, 2, 8)), view_count=3)
     out = tmp_path / "r.json"
     assert main(["analyze-router", "--out", str(out), *paths]) == EXIT_OK
@@ -551,8 +610,18 @@ def test_analyze_router_report_is_strict_json_when_a_third_is_empty(tmp_path):
     assert [rep[k]["late"] for k in ("cross_block", "cross_timestep", "global")] == [None] * 3
 
 
+def test_analyze_router_old_rtrc_trace_exit_code(tmp_path, capsys):
+    """A trace in the retired RTRC format (magic, five u32 header fields, u16 view
+    indices) is not a tensor container: bad magic, exit 3."""
+    p = tmp_path / "trace.rtrc"
+    header = struct.pack("<IIIII", 1, 2, 2, 3, 2)  # version, T, L, N, views
+    p.write_bytes(b"RTRC" + header + np.zeros(12, dtype="<u2").tobytes())
+    assert main(["analyze-router", "--out", str(tmp_path / "r.json"), str(p)]) == EXIT_MISSING
+    assert "bad magic" in capsys.readouterr().err
+
+
 def test_analyze_router_truncated_trace_exit_code(tmp_path):
-    p = tmp_path / "cut.rtrc"
+    p = tmp_path / "cut.bin"
     save_trace(p, np.zeros((4, 2, 6), dtype=int), view_count=2)
     p.write_bytes(p.read_bytes()[:-3])
     assert main(["analyze-router", "--out", str(tmp_path / "c.json"), str(p)]) == EXIT_MISSING
@@ -561,14 +630,14 @@ def test_analyze_router_truncated_trace_exit_code(tmp_path):
 def test_analyze_router_traces_of_different_lengths_exit_code(tmp_path):
     paths = []
     for i, shape in enumerate([(4, 2, 6), (3, 2, 5)]):
-        paths.append(str(tmp_path / f"t{i}.rtrc"))
+        paths.append(str(tmp_path / f"t{i}.bin"))
         save_trace(paths[-1], np.zeros(shape, dtype=int), view_count=2)
     assert main(["analyze-router", "--out", str(tmp_path / "r.json"), *paths]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 6), (3, 1, 6)], ids=["one-timestep", "one-block"])
 def test_analyze_router_short_trace_exit_code(tmp_path, shape):
-    p = tmp_path / "short.rtrc"
+    p = tmp_path / "short.bin"
     save_trace(p, np.zeros(shape, dtype=int), view_count=2)
     assert main(["analyze-router", "--out", str(tmp_path / "r.json"), str(p)]) == EXIT_CONFIG
 
@@ -580,11 +649,11 @@ def test_analyze_router_matches_library_metrics(pipeline, tmp_path):
                  "--views", "4", "--trace"]) == EXIT_OK
     report_path = tmp_path / "rep.json"
     assert main(["analyze-router", "--out", str(report_path),
-                 str(out / "trace.rtrc")]) == EXIT_OK
+                 str(out / "trace.bin")]) == EXIT_OK
     rep = json.loads(report_path.read_text())
     from roar3d.evaluation import (cross_block_consistency, cross_timestep_consistency,
                                    global_consistency)
-    trace, _ = load_trace(out / "trace.rtrc")
+    trace, _ = load_trace(out / "trace.bin")
     assert rep["cross_block"]["mean"] == cross_block_consistency(trace)
     assert rep["cross_timestep"]["mean"] == cross_timestep_consistency(trace)
     assert rep["global"]["mean"] == global_consistency(trace)

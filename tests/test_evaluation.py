@@ -2,12 +2,11 @@
 
 import dataclasses
 import itertools
-import struct
 
 import numpy as np
 import pytest
 
-from roar3d.checkpoint import CheckpointError
+from roar3d.checkpoint import CheckpointError, load_sidecar, load_tensors, save_tensors
 from roar3d.evaluation import (
     EMPTY_CLOUD_CD,
     chamfer_distance,
@@ -275,49 +274,43 @@ def test_consistency_report_structure():
 
 
 def test_trace_roundtrip(tmp_path):
+    """A trace file is a tensor container of the trace and its view count; the sidecar
+    holds the caller's meta and nothing else."""
     rng = np.random.default_rng(11)
     trace = rng.integers(0, 5, size=(7, 3, 9))
-    path = tmp_path / "run.rtrc"
-    save_trace(path, trace, view_count=5, meta={"shape_id": "x"})
+    path = tmp_path / "run.bin"
+    save_trace(path, trace, view_count=5, meta={"shape_id": "x", "seed": 4})
     loaded, v = load_trace(path)
     assert v == 5
     assert np.array_equal(loaded, trace)
-    assert (tmp_path / "run.rtrc.json").exists()
+    tensors = load_tensors(path)
+    assert list(tensors) == ["trace", "views"] and tensors["views"].shape == ()
+    assert load_sidecar(path) == {"shape_id": "x", "seed": 4}
 
 
-def test_trace_rejects_wrong_magic(tmp_path):
-    p = tmp_path / "bad.rtrc"
-    p.write_bytes(b"XXXX" + b"\x00" * 24)
-    with pytest.raises(IOError):
-        load_trace(p)
+_TRACE = {"trace": np.zeros((2, 2, 3)), "views": np.array(2.0)}
 
 
-def _trace_file(tmp_path):
-    path = tmp_path / "run.rtrc"
-    save_trace(path, np.random.default_rng(12).integers(0, 3, size=(2, 2, 3)), view_count=3)
-    return path, path.read_bytes()
-
-
-def test_trace_truncated_at_any_offset_raises_checkpoint_error(tmp_path):
-    """Every cut - magic, header fields or payload - is a CheckpointError."""
-    path, blob = _trace_file(tmp_path)
-    for cut in range(len(blob)):
-        path.write_bytes(blob[:cut])
-        with pytest.raises(CheckpointError):
-            load_trace(path)
-
-
-def test_trace_rejects_trailing_byte(tmp_path):
-    path, blob = _trace_file(tmp_path)
-    path.write_bytes(blob + b"\x00")
-    with pytest.raises(CheckpointError):
-        load_trace(path)
-
-
-def test_trace_rejects_index_outside_view_count(tmp_path):
-    path, blob = _trace_file(tmp_path)
-    header = struct.pack("<IIIII", 1, 2, 2, 3, 2)  # same trace, two views declared
-    path.write_bytes(blob[:4] + header + np.full(12, 2, dtype="<u2").tobytes())
+@pytest.mark.parametrize("change", [
+    lambda t: t.pop("trace"),
+    lambda t: t.pop("views"),
+    lambda t: t.update(trace=np.full((2, 2, 3), 0.5)),
+    lambda t: t.update(trace=np.full((2, 2, 3), -1.0)),
+    lambda t: t.update(trace=np.full((2, 2, 3), 2.0)),
+    lambda t: t.update(trace=np.zeros((2, 3))),
+    lambda t: t.update(trace=np.zeros((0, 2, 3))),
+    lambda t: t.update(views=np.array(0.0)),
+    lambda t: t.update(views=np.array(1.5)),
+    lambda t: t.update(views=np.array([2.0])),
+], ids=["no-trace", "no-views", "index-not-integer", "index-negative", "index-outside-views",
+        "trace-not-3d", "trace-empty", "views-zero", "views-not-integer", "views-not-scalar"])
+def test_load_trace_rejects_a_container_that_is_not_a_trace(tmp_path, change):
+    path = tmp_path / "t.bin"
+    save_tensors(path, _TRACE)
+    assert load_trace(path)[1] == 2  # the unchanged container is a trace
+    tensors = dict(_TRACE)
+    change(tensors)
+    save_tensors(path, tensors)
     with pytest.raises(CheckpointError):
         load_trace(path)
 

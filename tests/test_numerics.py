@@ -884,6 +884,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(loaded[k], tensors[k])
 
 
+def test_checkpoint_keeps_every_rank_and_empty_shape(tmp_path):
+    """A rank-0 array loads back rank 0, not as shape (1,)."""
+    tensors = {"scalar": np.array(3.0), "empty": np.zeros((0, 3)),
+               "matrix": np.arange(6.0).reshape(2, 3)}
+    ckpt.save_tensors(tmp_path / "shapes.bin", tensors)
+    loaded = ckpt.load_tensors(tmp_path / "shapes.bin")
+    assert {k: v.shape for k, v in loaded.items()} == {"scalar": (), "empty": (0, 3),
+                                                        "matrix": (2, 3)}
+    for k in tensors:
+        assert np.array_equal(loaded[k], tensors[k])
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
