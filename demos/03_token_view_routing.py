@@ -43,7 +43,7 @@ print("routing logits (token x view):\n", logits.data[0].round(3))
 print("\n=== train mode: Gumbel exploration ===")
 for step in range(3):
     noise = routing_noise(run_seed=0, step=step, block=0, shape=(1, N, V))
-    dec = gumbel_select(logits, tau=1.0, noise=noise)
+    dec = gumbel_select(logits, noise=noise)
     print(f"step {step}: hard choices {dec.hard_index[0]}")
 
 print("\n=== inference mode: deterministic ===")

@@ -77,13 +77,6 @@ def _save_run_model(model: Model, cfg: RunConfig, out: Path, phase: str, steps: 
     cfg.write(out / "resolved.cfg")
 
 
-def _load_model(path: str) -> Model:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"checkpoint not found: {p}")
-    return Model.load(p)
-
-
 def _check_fit(split, mcfg: ModelConfig, features: bool = True) -> None:
     """ConfigError unless the split's latents (and features) fit model config ``mcfg``."""
     pairs = [("latents", split.latents.shape[1:], (mcfg.tokens, mcfg.model_dim))]
@@ -127,11 +120,7 @@ def cmd_train_single(args) -> int:
 
 def cmd_upgrade(args) -> int:
     cfg = _resolve_config(args)
-    single = _load_model(args.ckpt)
-    if single.cfg.arch == "routed":
-        raise ConfigError("upgrade must start from a single-stream checkpoint, "
-                          "got a routed one")
-    model = upgrade_from_single(single)
+    model = upgrade_from_single(Model.load(args.ckpt))
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     out = _out_dir(args)
     _save_run_model(model, cfg, out, "upgraded", 0)
@@ -142,7 +131,7 @@ def cmd_upgrade(args) -> int:
 def cmd_train_mv(args) -> int:
     cfg = _resolve_config(args)
     data = load_dataset(args.data)
-    model = _load_model(args.ckpt)
+    model = Model.load(args.ckpt)
     if args.arch == "routed" and model.cfg.arch != "routed":
         model = upgrade_from_single(model)
     elif args.arch == "concat":
@@ -165,7 +154,7 @@ def cmd_train_mv(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _resolve_config(args)
-    model = _load_model(args.ckpt)
+    model = Model.load(args.ckpt)
     if args.trace and model.cfg.arch != "routed":
         raise ConfigError("--trace requires a routed checkpoint")
     data = load_dataset(args.data)
@@ -204,14 +193,14 @@ def cmd_sample(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    model = _load_model(args.ckpt)
+    model = Model.load(args.ckpt)
     data = load_dataset(args.data)
     split = data.split(args.split)
     _check_fit(split, model.cfg, features=False)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     counts = args.view_counts
     out = _out_dir(args)
-    result = evaluation.evaluate(model, split, cfg, view_counts=counts, seed=cfg.seed)
+    result = evaluation.evaluate(model, split, cfg, counts)
     evaluation.write_metrics_csv(out / "metrics.csv", result["rows"])
     summary = {str(k): v for k, v in result["summary"].items()}
     (out / "summary.json").write_text(

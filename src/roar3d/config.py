@@ -8,7 +8,9 @@ Config files are diff-friendly ``key = value`` text with ``[section]``
 headers (JSON with the same section/key structure is also accepted).
 
 The desk-scale defaults below are sized so a full two-phase training run
-finishes in minutes on a laptop CPU.
+finishes in minutes on a laptop CPU. Values the recipe fixes are module
+constants, not fields; a file may still name one, at its fixed value only
+(``RETIRED``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,34 @@ __all__ = [
 SHAPE_CLASSES = ("notched-box", "l-prism", "asymmetric-cross", "stepped-pyramid")
 _SECTIONS = ("world", "model", "train", "sample")  # the dataclass sections of a RunConfig
 
+# Fixed values of the recipe, read from here alone.
+IMAGE_EXTENT = 1.5            # orthographic half-extent of the view patch grid
+OCCLUSION_WINDOW = 0.15       # visible-shell depth window per patch
+LIFT_SEED = 2401              # seed of the shared 5 -> feat_dim feature lift
+# Latent channel scaling: flow matching needs the clean latent commensurate
+# with unit noise or the conditional signal drowns. Occupancy {0,1} and the
+# +/- quarter-cell offsets are stored multiplied by these (both powers of
+# two, so codec round trips and quarter-turn permutation stay bit-exact);
+# the decoder divides back before thresholding.
+OCCUPANCY_SCALE = 4.0
+OFFSET_SCALE = 8.0
+WEIGHT_DECAY = 0.01           # AdamW's decoupled weight decay
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+AUX_MIN = 1                   # fewest auxiliary views of a multi-view step
+TAU = 1.0                     # Gumbel-Softmax temperature: the router's softmax is unscaled
+
+# Keys that config files and checkpoint sidecars once set, with the one value
+# each may still hold.
+RETIRED = {
+    "world": {"image_extent": IMAGE_EXTENT, "occlusion_window": OCCLUSION_WINDOW,
+              "lift_seed": LIFT_SEED},
+    "model": {"occupancy_scale": OCCUPANCY_SCALE, "offset_scale": OFFSET_SCALE},
+    "train": {"weight_decay": WEIGHT_DECAY, "beta1": BETA1, "beta2": BETA2,
+              "adam_eps": ADAM_EPS, "aux_min": AUX_MIN, "tau": TAU},
+}
+
 
 class ConfigError(ValueError):
     """Bad config file or flag value."""
@@ -48,9 +78,6 @@ class WorldConfig:
     patch_grid: int = 4           # per-view patch grid is patch_grid x patch_grid
     feat_dim: int = 32            # lifted per-patch feature width
     elevation_max: float = 30.0   # cameras sample elevation in +/- this range
-    image_extent: float = 1.5     # orthographic half-extent of the patch grid
-    occlusion_window: float = 0.15  # visible-shell depth window per patch
-    lift_seed: int = 2401         # fixed seed of the shared 5 -> feat_dim lift
     classes: tuple = SHAPE_CLASSES
 
     @property
@@ -60,12 +87,6 @@ class WorldConfig:
     def validate(self) -> None:
         if self.points < 16:
             raise ConfigError("world.points must be at least 16")
-        if not self.image_extent > 0.0:
-            raise ConfigError("world.image_extent must be positive")
-        if not self.occlusion_window >= 0.0:
-            raise ConfigError("world.occlusion_window must not be negative")
-        if not 0 <= self.lift_seed < SEED_LIMIT:
-            raise ConfigError("world.lift_seed must lie in [0, 2**63)")
         if not self.classes or not set(self.classes) <= set(SHAPE_CLASSES):
             raise ConfigError(f"world.classes must be a non-empty subset of {SHAPE_CLASSES}, "
                               f"got {self.classes}")
@@ -83,13 +104,6 @@ class ModelConfig:
     patches: int = 16             # per-view patch tokens (world.patch_grid**2)
     feat_dim: int = 32            # per-view feature width (world.feat_dim)
     mlp_ratio: int = 2
-    # Latent channel scaling: flow matching needs the clean latent commensurate
-    # with unit noise or the conditional signal drowns. Occupancy {0,1} and the
-    # +/- quarter-cell offsets are stored multiplied by these (both powers of
-    # two, so codec round trips and quarter-turn permutation stay bit-exact);
-    # the decoder divides back before thresholding.
-    occupancy_scale: float = 4.0
-    offset_scale: float = 8.0
     arch: str = "routed"          # "routed" (dual-stream), "concat", or "single"
 
     @property
@@ -108,8 +122,6 @@ class ModelConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.model_dim < 4:
             raise ConfigError("model_dim must hold the 4 geometry channels")
-        if not (self.occupancy_scale > 0.0 and self.offset_scale > 0.0):
-            raise ConfigError("occupancy_scale and offset_scale must be positive")
 
 
 @dataclass
@@ -118,33 +130,21 @@ class TrainConfig:
 
     lr: float = 3e-4
     lr_final: float = 3e-5
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch: int = 16
     steps_single: int = 1200
     steps_mv: int = 1500
     p_pert: float = 0.2
-    aux_min: int = 1
     aux_max: int = 4
-    tau: float = 1.0              # Gumbel-Softmax temperature, fixed
 
     def validate(self) -> None:
         if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr, self.lr_final)):
             raise ConfigError("lr and lr_final must be finite and not negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0.0:
-            raise ConfigError("adam_eps must be positive")
         if not 0.0 <= self.p_pert <= 1.0:
             raise ConfigError("p_pert must lie in [0, 1]")
-        if not 0 <= self.aux_min <= self.aux_max:
-            raise ConfigError("aux view range must satisfy 0 <= min <= max")
+        if not self.aux_max >= AUX_MIN:
+            raise ConfigError(f"aux_max must be at least {AUX_MIN}")
         if self.batch < 1 or self.steps_single < 0 or self.steps_mv < 0:
             raise ConfigError("batch and step counts must be positive")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ConfigError("tau must be finite and positive")
 
 
 @dataclass
@@ -278,13 +278,21 @@ class RunConfig:
 def set_fields(target, values: dict, section: str) -> None:
     """Set ``values`` on the dataclass ``target``, each coerced to its default's type.
 
-    An unknown key or a value that does not coerce raises ConfigError.
+    A key of ``RETIRED[section]`` sets nothing and is accepted at its fixed
+    value only. An unknown key, a value that does not coerce or a retired key
+    at another value raises ConfigError.
     """
     valid = {f.name for f in fields(target)}
+    retired = RETIRED.get(section, {})
     for key, raw in values.items():
-        if key not in valid:
+        if key in retired:
+            if _coerce(raw, retired[key], key) != retired[key]:
+                raise ConfigError(f"{key!r} in [{section}] is fixed at {retired[key]}, "
+                                  f"got {raw!r}")
+        elif key in valid:
+            setattr(target, key, _coerce(raw, getattr(target, key), key))
+        else:
             raise ConfigError(f"unknown key {key!r} in [{section}]")
-        setattr(target, key, _coerce(raw, getattr(target, key), key))
 
 
 def _coerce(raw, template, key: str):

@@ -244,25 +244,19 @@ def shape_features(pc: PointCloud, count: int, world: WorldConfig) -> np.ndarray
     return np.stack([encode_view(pc, cam, world) for cam in eval_cameras(count)])
 
 
-def evaluate(
-    model: Model,
-    split,
-    cfg: RunConfig,
-    view_counts=(1, 2, 4),
-    seed: int = 0,
-) -> dict:
+def evaluate(model: Model, split, cfg: RunConfig, view_counts) -> dict:
     """Decode held-out shapes under each view count and score the geometry.
 
-    The initial noise is drawn once per shape and reused for every view
-    count, so per-shape comparisons across counts are paired. Empty decodes
-    score the worst-case sentinel and are counted separately. Non-finite
-    ``split.points`` raise ValueError.
+    The initial noise is drawn from ``cfg.seed`` once per shape and reused
+    for every view count, so per-shape comparisons across counts are paired.
+    Empty decodes score the worst-case sentinel and are counted separately.
+    Non-finite ``split.points`` raise ValueError.
     """
     if not np.isfinite(split.points).all():
         raise ValueError("evaluate needs finite split.points")
     n = len(split)
     N, D = split.latents.shape[1:]
-    z_init = np.stack([stream(seed, "eval-noise", j).normal(size=(N, D)) for j in range(n)])
+    z_init = np.stack([stream(cfg.seed, "eval-noise", j).normal(size=(N, D)) for j in range(n)])
     feats_all = np.stack([shape_features(PointCloud(split.points[j]), max(view_counts),
                                          cfg.world) for j in range(n)])
 

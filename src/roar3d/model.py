@@ -31,7 +31,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import numerics as nx
-from .config import ConfigError, ModelConfig, set_fields
+from .config import OCCUPANCY_SCALE, OFFSET_SCALE, ConfigError, ModelConfig, set_fields
 from .numerics import Tensor
 from .router import (RoutingDecision, gumbel_select, router_keys, routing_logits_batched,
                      routing_noise)
@@ -86,8 +86,8 @@ def _cell_centers(n: int) -> np.ndarray:
 def latent_encode(pc: PointCloud, cfg: ModelConfig) -> np.ndarray:
     """(N, D) occupancy + scaled centroid offsets on a grid**3 cell lattice.
 
-    Token = [occ, off_x, off_y, off_z, 0, ...]; offsets are (centroid - cell
-    center) * offset_scale, zero for empty cells.
+    Token = [occ * OCCUPANCY_SCALE, off_x, off_y, off_z, 0, ...]; offsets are
+    (centroid - cell center) * OFFSET_SCALE, zero for empty cells.
     """
     n = cfg.grid
     N = cfg.tokens
@@ -100,8 +100,8 @@ def latent_encode(pc: PointCloud, cfg: ModelConfig) -> np.ndarray:
     )
     offsets = np.where(counts[:, None] > 0, centroid - _cell_centers(n), 0.0)
     tokens = np.zeros((N, cfg.model_dim))
-    tokens[:, 0] = (counts > 0).astype(np.float64) * cfg.occupancy_scale
-    tokens[:, 1:4] = offsets * cfg.offset_scale
+    tokens[:, 0] = (counts > 0).astype(np.float64) * OCCUPANCY_SCALE
+    tokens[:, 1:4] = offsets * OFFSET_SCALE
     return tokens
 
 
@@ -115,10 +115,10 @@ def latent_decode(tokens: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     tokens = np.asarray(tokens)
     n = cfg.grid
     half = 1.0 / n
-    occupied = tokens[:, 0] / cfg.occupancy_scale >= 0.5
+    occupied = tokens[:, 0] / OCCUPANCY_SCALE >= 0.5
     if not occupied.any():
         return np.zeros((0, 3))
-    offsets = np.clip(tokens[occupied, 1:4] / cfg.offset_scale, -half, half)
+    offsets = np.clip(tokens[occupied, 1:4] / OFFSET_SCALE, -half, half)
     return _cell_centers(n)[occupied] + offsets
 
 
@@ -295,7 +295,6 @@ class TimeContext:
 @dataclass
 class ForwardOptions:
     mode: str = "inference"            # routing mode: "train" draws Gumbel noise
-    tau: float = 1.0
     run_seed: int = 0                  # keys the per-(step, block) noise stream
     step: int = 0
     views: ViewContext | None = None   # built from the same feats; None builds it
@@ -620,7 +619,7 @@ def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.nd
             p = _router_params(params, l)
             zt, znorm = nx.layer_norms(z, (p["ln_gain"], p["ln_bias"]), ln_ca)
             logits = routing_logits_batched(zt, views.router_keys[l], p)
-            dec = gumbel_select(logits, opts.tau, None if noise is None else noise[l])
+            dec = gumbel_select(logits, None if noise is None else noise[l])
         else:
             znorm = nx.layer_norm(z, *ln_ca)
             dec = RoutingDecision(np.zeros((B, N), dtype=np.int64), None)
@@ -715,7 +714,7 @@ def integrate_flow(
     feats: np.ndarray,
     primary_index: np.ndarray,
     z_init: np.ndarray,
-    steps: int = 32,
+    steps: int,
     collect_trace: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Euler integration of the learned velocity field from t=1 down to 0.

@@ -71,7 +71,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "scale",
     "linear",
     "dual_linear",
     "scale_batch",
@@ -310,16 +309,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         b.accum_grad(g * a.data)
 
     return _node(a.data * b.data, (a, b), backward)
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    x = _as_tensor(x)
-    s = float(s)
-
-    def backward(g: np.ndarray) -> None:
-        x.accum_grad(g * s)
-
-    return _node(x.data * s, (x,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -14,7 +14,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,24 +89,22 @@ def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gumbel_select(logits: Tensor, tau: float = 1.0,
-                  noise: np.ndarray | None = None) -> RoutingDecision:
+def gumbel_select(logits: Tensor, noise: np.ndarray | None = None) -> RoutingDecision:
     """Hard view selection with straight-through soft weights.
 
     ``logits`` may be (N, V) or batched (B, N, V). Training passes Gumbel
     ``noise`` of the same shape, which is added before the argmax and the
     softmax; without it (inference) selection is the plain argmax. Under
-    ``no_grad`` the decision carries no soft weights. ``tau`` must be finite
-    and positive.
+    ``no_grad`` the decision carries no soft weights. The soft weights are
+    the softmax at the fixed temperature ``config.TAU`` = 1, so the noisy
+    logits enter it unscaled.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     noisy = logits if noise is None else nx.add(logits, Tensor(noise))
     hard = np.argmax(noisy.data, axis=-1)
     if not nx.grad_enabled():
         return RoutingDecision(hard_index=hard, y_soft=None)
-    y_soft = nx.softmax(nx.scale(noisy, 1.0 / tau))
+    y_soft = nx.softmax(noisy)
     return RoutingDecision(hard_index=hard, y_soft=y_soft)
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nx
-from .config import RunConfig, TrainConfig
+from .config import (ADAM_EPS, AUX_MIN, BETA1, BETA2, WEIGHT_DECAY, ConfigError, RunConfig,
+                     TrainConfig)
 from .data import SplitData
 from .model import (ForwardInfo, ForwardOptions, Model, constant_init, mismatched_tensors,
                     parameter_layout, rotate_latent)
@@ -150,20 +151,20 @@ def apply_freeze(params: dict[str, Tensor], perturbed: np.ndarray) -> set[str]:
 class AdamW:
     """Decoupled weight decay Adam on a name -> Tensor dict.
 
+    The moments decay at ``BETA1`` and ``BETA2``, the denominator adds
+    ``ADAM_EPS`` and the decay is ``WEIGHT_DECAY``, all fixed in ``config``.
     Updates are deterministic functions of (gradients, step counts); frozen
     or gradient-less parameters are left completely untouched, including
     their moment buffers and decay.
     """
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.cfg = cfg
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = {k: 0 for k in params}
 
     def step(self, lr: float, frozen: set[str] = frozenset()) -> None:
-        c = self.cfg
         for name, p in self.params.items():
             if name in frozen or p.grad is None:
                 continue
@@ -172,11 +173,11 @@ class AdamW:
             tk = self.t[name]
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - c.beta1) * (g - m)
-            v += (1.0 - c.beta2) * (g * g - v)
-            mhat = m / (1.0 - c.beta1**tk)
-            vhat = v / (1.0 - c.beta2**tk)
-            p.data -= lr * (mhat / (np.sqrt(vhat) + c.adam_eps) + c.weight_decay * p.data)
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            mhat = m / (1.0 - BETA1**tk)
+            vhat = v / (1.0 - BETA2**tk)
+            p.data -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * p.data)
 
 
 def cosine_lr(cfg: TrainConfig, step: int, total: int) -> float:
@@ -208,11 +209,12 @@ def upgrade_from_single(single: Model) -> Model:
     query/key projections, QK gains and pre-norm are copied from the same
     cross attention; head aggregation starts at its layout init, uniform at
     1/heads. The backbone is untouched, so forced-primary routing reproduces
-    the source model exactly.
+    the source model exactly. A routed ``single`` raises ConfigError.
     """
     cfg = single.cfg
     if cfg.arch == "routed":
-        raise ValueError("model already has router/auxiliary parameters")
+        raise ConfigError("upgrade must start from a single-stream checkpoint, "
+                          "got a routed one")
     new_cfg = replace(cfg, arch="routed")
     layout = parameter_layout(new_cfg)
     data = {name: p.data for name, p in single.params.items()}
@@ -244,7 +246,7 @@ def assemble_batch(
     """Deterministic batch for one step, keyed by (run seed, "data", step).
 
     Multi-view batches share one auxiliary view count so sample tensors
-    stack; the count itself is uniform on [aux_min, aux_max] per step.
+    stack; the count itself is uniform on [AUX_MIN, aux_max] per step.
     """
     rng = stream(cfg.seed, "data", step)
     tc = cfg.train
@@ -252,7 +254,7 @@ def assemble_batch(
     K = split.feats.shape[2]
     picks = rng.integers(0, len(split), size=B)
     single_view = phase == "single"
-    n_aux = 0 if single_view else int(rng.integers(tc.aux_min, tc.aux_max + 1))
+    n_aux = 0 if single_view else int(rng.integers(AUX_MIN, tc.aux_max + 1))
 
     z0 = np.empty((B,) + split.latents.shape[1:])
     feats = np.empty((B, 1 + n_aux) + split.feats.shape[3:])
@@ -316,7 +318,7 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLo
     tc = cfg.train
     total = tc.steps_single if phase == "single" else tc.steps_mv
     p_pert = tc.p_pert if (phase == "mv" and model.cfg.arch == "routed") else 0.0
-    opt = AdamW(model.params, tc)
+    opt = AdamW(model.params)
     log = TrainLog()
     routed = model.cfg.arch == "routed" and phase == "mv"
 
@@ -327,7 +329,7 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLo
         # across the path and the high-noise (conditioning) regime is covered
         t = stream(cfg.seed, "time", step).random(batch.size) ** (1.0 / 3.0)
         noise = stream(cfg.seed, "noise", step).normal(size=batch.z0.shape)
-        opts = ForwardOptions(mode="train", tau=tc.tau, run_seed=cfg.seed, step=step)
+        opts = ForwardOptions(mode="train", run_seed=cfg.seed, step=step)
         model.zero_grads()
         loss, info = flow_matching_loss(model, batch, t, noise, opts)
         loss.backward()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SHAPE_CLASSES, WorldConfig
+from .config import IMAGE_EXTENT, LIFT_SEED, OCCLUSION_WINDOW, SHAPE_CLASSES, WorldConfig
 from .rng import stream
 
 __all__ = [
@@ -304,21 +304,20 @@ def camera_basis(cam: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return right, up, d
 
 
-_LIFT_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_LIFT_CACHE: dict[int, np.ndarray] = {}
 
 
 def feature_lift_matrix(cfg: WorldConfig) -> np.ndarray:
     """The fixed 5 -> feat_dim linear lift, identical for every view and run.
 
-    It is drawn once per ``(lift_seed, feat_dim)`` and returned read-only.
+    It is drawn from ``LIFT_SEED`` once per ``feat_dim`` and returned read-only.
     """
-    key = (cfg.lift_seed, cfg.feat_dim)
-    if key not in _LIFT_CACHE:
-        lift = stream(cfg.lift_seed, "feature-lift").normal(size=(cfg.feat_dim, 5))
+    if cfg.feat_dim not in _LIFT_CACHE:
+        lift = stream(LIFT_SEED, "feature-lift").normal(size=(cfg.feat_dim, 5))
         lift /= math.sqrt(5.0)
         lift.flags.writeable = False
-        _LIFT_CACHE[key] = lift
-    return _LIFT_CACHE[key]
+        _LIFT_CACHE[cfg.feat_dim] = lift
+    return _LIFT_CACHE[cfg.feat_dim]
 
 
 # Fixed per-statistic scales bringing the five raw patch statistics to a
@@ -331,9 +330,10 @@ def encode_view(pc: PointCloud, cam: Camera, cfg: WorldConfig) -> np.ndarray:
 
     A camera only sees surfaces: depth statistics and centroid offsets are
     computed over the visible shell of each patch column (points within
-    ``occlusion_window`` of the patch's nearest depth), while the occupancy
-    fraction keeps the full silhouette. Patches with no projected points
-    produce exactly zero features (the lift is linear with no bias).
+    ``OCCLUSION_WINDOW`` of the patch's nearest depth), while the occupancy
+    fraction keeps the full silhouette. The patch grid spans ``IMAGE_EXTENT``
+    either side of the view axis. Patches with no projected points produce
+    exactly zero features (the lift is linear with no bias).
     """
     right, up, d = camera_basis(cam)
     px = pc.points @ right
@@ -341,7 +341,7 @@ def encode_view(pc: PointCloud, cam: Camera, cfg: WorldConfig) -> np.ndarray:
     # depth measured toward the camera: smaller = nearer to the viewer
     depth = -(pc.points @ d)
     g = cfg.patch_grid
-    extent = cfg.image_extent
+    extent = IMAGE_EXTENT
     cell = 2.0 * extent / g
     gx = np.clip(np.floor((px + extent) / cell).astype(np.int64), 0, g - 1)
     gy = np.clip(np.floor((py + extent) / cell).astype(np.int64), 0, g - 1)
@@ -352,7 +352,7 @@ def encode_view(pc: PointCloud, cam: Camera, cfg: WorldConfig) -> np.ndarray:
 
     near = np.full(S, np.inf)
     np.minimum.at(near, pid, depth)
-    visible = depth <= near[pid] + cfg.occlusion_window
+    visible = depth <= near[pid] + OCCLUSION_WINDOW
     vid = pid[visible]
     vcounts = np.bincount(vid, minlength=S).astype(np.float64)
     safe = np.maximum(vcounts, 1.0)

@@ -94,6 +94,17 @@ def transpose(x, axes):
     return nx._node(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward)
 
 
+def scale(x, s):
+    """x * s for a constant float ``s``."""
+    x = nx._as_tensor(x)
+    s = float(s)
+
+    def backward(g):
+        x.accum_grad(g * s)
+
+    return nx._node(x.data * s, (x,), backward)
+
+
 def head_mix(scores, w):
     """Aggregate per-head scores: out[b, n, v] = sum_h w[h] * scores[b, h, n, v]."""
     scores, w = nx._as_tensor(scores), nx._as_tensor(w)
@@ -114,7 +125,7 @@ def router_score_chain(q, keys, w_agg, heads):
     V, dh = keys.shape[1], width // heads
     qh = transpose(reshape(q, (B, N, heads, dh)), (0, 2, 1, 3))          # (B, H, N, dh)
     kh = transpose(reshape(keys, (B, V, heads, dh)), (0, 2, 3, 1))       # (B, H, dh, V)
-    return head_mix(nx.scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
+    return head_mix(scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
 
 
 # With gradients on, ``Model.velocity`` runs a batch as two row shards and joins

@@ -233,6 +233,60 @@ def test_truncated_sidecar_exit_code(pipeline, tmp_path):
     assert code == EXIT_MISSING
 
 
+# the eleven keys that config files and checkpoint sidecars carried before their
+# values became constants, each at that value
+FIXED_KEYS = {
+    "world": {"image_extent": 1.5, "occlusion_window": 0.15, "lift_seed": 2401},
+    "model": {"occupancy_scale": 4.0, "offset_scale": 8.0},
+    "train": {"weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08,
+              "aux_min": 1, "tau": 1.0},
+}
+
+
+def _checkpoint_with_model_keys(pipeline, tmp_path: Path, run: str, **keys) -> Path:
+    """A copy of ``run``'s checkpoint whose sidecar [model] also holds ``keys``."""
+    src = pipeline[run] / "checkpoint.bin"
+    path = tmp_path / "keyed" / "checkpoint.bin"
+    path.parent.mkdir()
+    path.write_bytes(src.read_bytes())
+    meta = ckpt.load_sidecar(src)
+    meta["model"].update(keys)
+    ckpt.save_sidecar(path, meta)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "train-mv"])
+def test_checkpoint_with_another_codec_scale_exit_code(pipeline, tmp_path, capsys, command):
+    """The latent codec's scales are fixed, so a checkpoint asking for others is refused."""
+    path = _checkpoint_with_model_keys(pipeline, tmp_path, "single", occupancy_scale=1.0)
+    out = tmp_path / "y"
+    code = main([command, "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(path), "--out", str(out)])
+    assert code == EXIT_MISSING
+    assert "occupancy_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_and_checkpoint_spelling_out_the_fixed_keys_load(pipeline, tmp_path):
+    """A resolved.cfg with all 38 values and a sidecar with the codec scales run as before."""
+    parser = configparser.ConfigParser()
+    parser.read_string((pipeline["mv"] / "resolved.cfg").read_text(encoding="utf-8"))
+    for section, values in FIXED_KEYS.items():
+        parser[section].update({k: str(v) for k, v in values.items()})
+    assert sum(len(parser[s]) for s in parser.sections()) == 38
+    spelled = tmp_path / "spelled.cfg"
+    with open(spelled, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    keyed = _checkpoint_with_model_keys(pipeline, tmp_path, "mv", **FIXED_KEYS["model"])
+    outs = [tmp_path / "plain", tmp_path / "spelled"]
+    for cfg, path, out in [(pipeline["mv"] / "resolved.cfg", pipeline["mv"] / "checkpoint.bin",
+                            outs[0]), (spelled, keyed, outs[1])]:
+        assert main(["sample", "--config", str(cfg), "--data", str(pipeline["data"]),
+                     "--ckpt", str(path), "--out", str(out)]) == EXIT_OK
+    for name in ("sample.bin", "sample.bin.json", "resolved.cfg"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def _copy_data(src: Path, dst: Path) -> Path:
     dst.mkdir()
     for f in src.iterdir():

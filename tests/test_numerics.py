@@ -23,6 +23,7 @@ from conftest import (
     randomize_zero_init,
     reshape,
     router_score_chain,
+    scale,
     scale_rows,
     sum_all,
     surrogate_multiplier,
@@ -222,7 +223,7 @@ def test_accum_grad_keeps_sibling_gradients_apart():
     """``add`` hands both leaves one gradient array; a later one for ``a`` leaves ``b``'s alone."""
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
-    sum_all(nx.add(nx.add(a, b), nx.scale(a, 2.0))).backward()
+    sum_all(nx.add(nx.add(a, b), scale(a, 2.0))).backward()
     assert np.array_equal(a.grad, np.full((2, 3), 3.0))
     assert np.array_equal(b.grad, np.ones((2, 3)))
 
@@ -298,7 +299,7 @@ def _primitive_cases(rng):
         ("add", {"a": e1, "b": e2}, lambda: nx.add(e1, e2)),
         ("sub", {"a": e1, "b": e2}, lambda: nx.sub(e1, e2)),
         ("mul", {"a": e1, "b": e2}, lambda: nx.mul(e1, e2)),
-        ("scale", {"a": e1}, lambda: nx.scale(e1, -1.7)),
+        ("scale", {"a": e1}, lambda: scale(e1, -1.7)),
         ("linear", {"x": e1, "w": w54, "b": b4}, lambda: nx.linear(e1, w54, b4)),
         ("linear_3d", {"x": x3, "w": w44, "b": b4}, lambda: nx.linear(x3, w44, b4)),
         ("scale_rows", {"a": x3, "m": rows}, lambda: scale_rows(x3, rows)),
@@ -831,9 +832,9 @@ def test_a_failed_worker_sweep_raises_after_both_finish_and_merges_nothing():
         twin.accum_grad(g)
         raise FloatingPointError("bad sweep")
 
-    bad = nx.scale(twin, 2.0)
+    bad = scale(twin, 2.0)
     bad._backward = broken
-    out = nx.gather_rows(nx.scale(own, 3.0), bad, [(own, twin)])
+    out = nx.gather_rows(scale(own, 3.0), bad, [(own, twin)])
     with pytest.raises(FloatingPointError, match="bad sweep"):
         sum_all(out).backward()
     assert np.array_equal(own.grad, np.full((2, 3), 3.0))   # the calling thread's sweep ran
@@ -857,7 +858,7 @@ def test_second_backward_through_a_spent_graph_raises():
     with pytest.raises(RuntimeError, match="consumed"):
         loss.backward()
     x = Tensor(np.ones(3), requires_grad=True)
-    y = nx.scale(x, 2.0)
+    y = scale(x, 2.0)
     sum_all(y).backward()
     with pytest.raises(RuntimeError, match="consumed"):
         sum_all(nx.mul(y, y)).backward()

@@ -1,7 +1,6 @@
 """Token-wise view routing: pooling, logits, Gumbel selection, STE."""
 
 import numpy as np
-import pytest
 
 import roar3d.numerics as nx
 import roar3d.model as M
@@ -145,7 +144,7 @@ def test_single_view_selects_zero_in_both_modes():
 
 
 def test_inference_soft_weights_match_softmax():
-    dec = gumbel_select(Tensor(np.array([[2.0, 1.0, 1.0]])), tau=1.0)
+    dec = gumbel_select(Tensor(np.array([[2.0, 1.0, 1.0]])))
     assert dec.hard_index[0] == 0
     e = np.exp(np.array([2.0, 1.0, 1.0]))
     assert np.allclose(dec.y_soft.data[0], e / e.sum(), atol=1e-12)
@@ -155,19 +154,6 @@ def test_inference_soft_weights_match_softmax():
 def test_tie_breaks_to_lowest_index():
     dec = gumbel_select(Tensor(np.array([[1.0, 1.0]])))
     assert dec.hard_index[0] == 0
-
-
-def test_invalid_arguments():
-    logits = Tensor(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        gumbel_select(logits, tau=0.0)
-
-
-@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
-def test_non_finite_tau_is_rejected(tau):
-    """NaN would make every soft weight NaN, inf every row uniform (no router gradient)."""
-    with pytest.raises(ValueError, match="finite"):
-        gumbel_select(Tensor(np.zeros((2, 3))), tau=tau)
 
 
 def test_ste_forward_identity_is_one_hot():
@@ -193,7 +179,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
 
     def decision():
         logits = nx.matmul(Tensor(x), w)
-        return gumbel_select(logits, tau=1.0, noise=noise)
+        return gumbel_select(logits, noise=noise)
 
     # real network: STE multiplier scales a fixed downstream value
     w.zero_grad()

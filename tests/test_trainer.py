@@ -330,7 +330,7 @@ def test_upgrade_rejects_shape_mismatch():
 def test_adamw_deterministic():
     def run():
         model = Model.create(CFG.model, 6)
-        opt = AdamW(model.params, CFG.train)
+        opt = AdamW(model.params)
         rng = np.random.default_rng(0)
         for step in range(3):
             for p in model.params.values():
@@ -345,7 +345,7 @@ def test_adamw_deterministic():
 
 def test_adamw_skips_frozen_entirely():
     model = Model.create(CFG.model, 7)
-    opt = AdamW(model.params, CFG.train)
+    opt = AdamW(model.params)
     frozen = {k for k in model.params if ".ca_p." in k}
     before = {k: model.params[k].data.copy() for k in frozen}
     rng = np.random.default_rng(1)

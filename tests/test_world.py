@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from roar3d.config import WorldConfig
+from roar3d.config import IMAGE_EXTENT, LIFT_SEED, WorldConfig
 from roar3d.data import build_dataset
 from roar3d.evaluation import chamfer_distance
 from roar3d.rng import stream
@@ -160,17 +160,14 @@ def test_encode_view_deterministic():
 
 @pytest.mark.parametrize("feat_dim", [8, 32])
 def test_feature_lift_is_drawn_once_and_read_only(feat_dim):
-    """One read-only lift per (lift_seed, feat_dim), equal to a fresh draw."""
-    cfg = WorldConfig(feat_dim=feat_dim)
-    lift = feature_lift_matrix(cfg)
-    fresh = stream(cfg.lift_seed, "feature-lift").normal(size=(feat_dim, 5)) / np.sqrt(5.0)
+    """One read-only lift per feat_dim, equal to a fresh draw from LIFT_SEED."""
+    lift = feature_lift_matrix(WorldConfig(feat_dim=feat_dim))
+    fresh = stream(LIFT_SEED, "feature-lift").normal(size=(feat_dim, 5)) / np.sqrt(5.0)
     assert lift.tobytes() == fresh.tobytes()
     assert feature_lift_matrix(WorldConfig(feat_dim=feat_dim)) is lift
     assert not lift.flags.writeable
     with pytest.raises(ValueError):
         lift[0, 0] = 0.0
-    other = feature_lift_matrix(WorldConfig(feat_dim=feat_dim, lift_seed=cfg.lift_seed + 1))
-    assert not np.array_equal(other, lift)
 
 
 def test_encode_view_empty_patch_gives_zero_feature():
@@ -196,7 +193,7 @@ def test_encode_view_locality():
 
     right, up, _ = camera_basis(cam)
     px, py = pts @ right, pts @ up
-    g, extent = CFG.patch_grid, CFG.image_extent
+    g, extent = CFG.patch_grid, IMAGE_EXTENT
     cell = 2 * extent / g
     gx = np.clip(np.floor((px + extent) / cell).astype(int), 0, g - 1)
     gy = np.clip(np.floor((py + extent) / cell).astype(int), 0, g - 1)
