@@ -10,7 +10,8 @@ import numpy as np
 from roar3d.config import WorldConfig
 from roar3d.evaluation import chamfer_distance
 from roar3d.rng import stream
-from roar3d.world import Camera, encode_view, generate_shape, rotate_azimuth, sample_views
+from roar3d.world import (Camera, azimuth_bin, encode_view, generate_shape, rotate_azimuth,
+                          sample_views)
 
 cfg = WorldConfig()
 
@@ -26,7 +27,8 @@ print("\n=== cameras ===")
 cams = sample_views(stream(0, "views"), count=8, bins=(0, 1, 2, 3),
                     elevation_max=cfg.elevation_max)
 for cam in cams:
-    print(f"azimuth {cam.azimuth:7.2f}  elevation {cam.elevation:7.2f}  bin {cam.bin}")
+    print(f"azimuth {cam.azimuth:7.2f}  elevation {cam.elevation:7.2f}  "
+          f"bin {azimuth_bin(cam.azimuth)}")
 
 print("\n=== view encoding ===")
 pc = generate_shape(seed=7, klass="notched-box")

@@ -60,9 +60,13 @@ def _resolve_config(args) -> RunConfig:
     return cfg.apply_overrides(overrides)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """The directory ``path``, created if missing; ConfigError naming it if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as an output directory: {exc.strerror}") from None
     return out
 
 
@@ -95,8 +99,12 @@ def _check_fit(split, mcfg: ModelConfig, features: bool = True) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    build_dataset(cfg, args.out, force=args.force)
-    print(f"dataset written to {args.out}")
+    out = _out_dir(args.out)
+    try:
+        build_dataset(cfg, out, force=args.force)
+    except FileExistsError as exc:
+        raise ConfigError(f"refusing to overwrite: {exc} (use --force)") from None
+    print(f"dataset written to {out}")
     return EXIT_OK
 
 
@@ -106,7 +114,7 @@ def cmd_train_single(args) -> int:
     _check_fit(data.split("train"), cfg.model)
     model = Model.create(dataclasses.replace(cfg.model, arch="single"), cfg.seed)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     try:
         log = train(model, data.split("train"), cfg, phase="single")
     except TrainingDiverged:
@@ -122,7 +130,7 @@ def cmd_upgrade(args) -> int:
     cfg = _resolve_config(args)
     model = upgrade_from_single(Model.load(args.ckpt))
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     _save_run_model(model, cfg, out, "upgraded", 0)
     print(f"upgraded checkpoint at {out / 'checkpoint.bin'}")
     return EXIT_OK
@@ -140,7 +148,7 @@ def cmd_train_mv(args) -> int:
         model.cfg = dataclasses.replace(model.cfg, arch="concat")
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     _check_fit(data.split("train"), cfg.model)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     try:
         log = train(model, data.split("train"), cfg, phase="mv")
     except TrainingDiverged:
@@ -163,7 +171,7 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"shape index {args.shape} out of range (split has {len(split)})")
     _check_fit(split, model.cfg, features=False)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
-    out = _out_dir(args)
+    out = _out_dir(args.out)
 
     feats = evaluation.shape_features(PointCloud(split.points[args.shape]), args.views,
                                       cfg.world)[None]
@@ -199,7 +207,7 @@ def cmd_eval(args) -> int:
     _check_fit(split, model.cfg, features=False)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     counts = args.view_counts
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     result = evaluation.evaluate(model, split, cfg, counts)
     evaluation.write_metrics_csv(out / "metrics.csv", result["rows"])
     summary = {str(k): v for k, v in result["summary"].items()}
@@ -218,9 +226,12 @@ def cmd_analyze_router(args) -> int:
     traces = [evaluation.load_trace(path)[0] for path in args.traces]
     report = evaluation.consistency_report(traces)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                   encoding="utf-8")
+    _out_dir(out.parent)
+    try:
+        out.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                       encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from None
     print(f"consistency report at {out}: "
           f"cross-block {report['cross_block']['mean']:.4f}, "
           f"cross-timestep {report['cross_timestep']['mean']:.4f}, "
@@ -248,7 +259,7 @@ def _view_counts(text: str) -> tuple[int, ...]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (key = value sections, or JSON)")
+    p.add_argument("--config", help="config file: [section] key = value text, as resolved.cfg")
     p.add_argument("--seed", type=int, help="root seed for all sub-streams")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -324,9 +335,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileExistsError as exc:
-        print(f"refusing to overwrite: {exc} (use --force)", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ resolved config is written verbatim into every output directory so a run can
 be reproduced from its artifacts alone.
 
 Config files are diff-friendly ``key = value`` text with ``[section]``
-headers (JSON with the same section/key structure is also accepted).
+headers, the format :meth:`RunConfig.write` produces; no other format is read.
 
 The desk-scale defaults below are sized so a full two-phase training run
 finishes in minutes on a laptop CPU. Values the recipe fixes are module
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -87,6 +86,10 @@ class WorldConfig:
     def validate(self) -> None:
         if self.points < 16:
             raise ConfigError("world.points must be at least 16")
+        if self.patch_grid < 1:
+            raise ConfigError("world.patch_grid must be at least 1")
+        if not 0.0 <= self.elevation_max <= 90.0:  # also false for nan
+            raise ConfigError(f"world.elevation_max must lie in [0, 90], got {self.elevation_max}")
         if not self.classes or not set(self.classes) <= set(SHAPE_CLASSES):
             raise ConfigError(f"world.classes must be a non-empty subset of {SHAPE_CLASSES}, "
                               f"got {self.classes}")
@@ -220,45 +223,31 @@ class RunConfig:
         Path(path).write_text("\n".join(lines), encoding="utf-8")
 
     @staticmethod
-    def from_dict(payload: dict) -> "RunConfig":
+    def load(path: str | Path) -> "RunConfig":
+        """The defaults overlaid with the sectioned ``key = value`` file at ``path``."""
+        path = Path(path)
+        if not path.is_file():
+            raise FileNotFoundError(f"config file not found: {path}")
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
+        except configparser.Error as exc:
+            raise ConfigError(f"bad config file: {exc}") from exc
         cfg = RunConfig()
-        if not isinstance(payload, dict):
-            raise ConfigError("config must be an object of sections")
-        for section, values in payload.items():
-            if not isinstance(values, dict):
-                raise ConfigError(f"config section [{section}] must be an object")
+        for section in parser.sections():
+            values = dict(parser.items(section))
             if section == "run":
                 for key, raw in values.items():
                     if key != "seed":
                         raise ConfigError(f"unknown key {key!r} in [run]")
                     cfg.seed = _coerce(raw, cfg.seed, key)
-                continue
-            if section not in _SECTIONS:
+            elif section in _SECTIONS:
+                set_fields(getattr(cfg, section), values, section)
+            else:
                 raise ConfigError(f"unknown config section [{section}]")
-            set_fields(getattr(cfg, section), values, section)
         return cfg.validate()
-
-    @staticmethod
-    def load(path: str | Path) -> "RunConfig":
-        path = Path(path)
-        if not path.is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
-        if path.suffix == ".json" or text.lstrip().startswith("{"):
-            try:
-                return RunConfig.from_dict(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad JSON config: {exc}") from exc
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"bad config file: {exc}") from exc
-        payload = {s: dict(parser.items(s)) for s in parser.sections()}
-        return RunConfig.from_dict(payload)
 
     def apply_overrides(self, overrides: dict[str, object]) -> "RunConfig":
         """Apply dotted-path overrides like {"train.p_pert": 0.1, "seed": 3}."""
@@ -296,7 +285,7 @@ def set_fields(target, values: dict, section: str) -> None:
 
 
 def _coerce(raw, template, key: str):
-    """Coerce a string/JSON value to the type of the default it replaces.
+    """Coerce a config string or sidecar JSON value to the type of the default it replaces.
 
     A JSON boolean is not a number here, although Python counts it as one.
     """
@@ -307,9 +296,7 @@ def _coerce(raw, template, key: str):
             return int(raw)
         if isinstance(template, float):
             return float(raw)
-        if isinstance(template, (tuple, list)):
-            if isinstance(raw, (tuple, list)):
-                return tuple(str(v) for v in raw)
+        if isinstance(template, tuple):
             return tuple(s.strip() for s in str(raw).split(",") if s.strip())
         return str(raw)
     except (TypeError, ValueError) as exc:

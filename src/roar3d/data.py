@@ -77,11 +77,14 @@ def _build_shape(rec: dict, cfg: RunConfig) -> dict[str, np.ndarray]:
 
 
 def build_dataset(cfg: RunConfig, out_dir: str | Path, force: bool = False) -> Path:
-    """Generate manifest + per-split containers under ``out_dir``."""
+    """Generate manifest + per-split containers under ``out_dir``.
+
+    An existing manifest there is a FileExistsError unless ``force``.
+    """
     out = Path(out_dir)
     manifest_path = out / "manifest.jsonl"
     if manifest_path.exists() and not force:
-        raise FileExistsError(f"{manifest_path} exists (use force to overwrite)")
+        raise FileExistsError(f"{manifest_path} exists")
     out.mkdir(parents=True, exist_ok=True)
     total = cfg.sample.n_train + cfg.sample.n_val + cfg.sample.n_test
     records = [_shape_record(cfg, i) for i in range(total)]

@@ -5,8 +5,8 @@ two upgrades it (auxiliary stream and router initialized from the trained
 cross attention) and finetunes on 1 primary + 1..4 auxiliary views.
 
 A training sample is one row of a :class:`Batch`: the (N, D) clean latent,
-the (V, S, feat_dim) view features, the primary view index and the
-perturbed flag. With probability ``p_pert`` an eligible multi-view sample is
+the (V, S, feat_dim) view features and the primary view index (-1 when
+perturbed). With probability ``p_pert`` an eligible multi-view sample is
 perturbed (:func:`perturbation`): its latent is quarter-turned into an
 azimuth bin that no input view occupies, its primary index is set to -1 so
 every token runs through the auxiliary stream, and the primary-stream
@@ -59,12 +59,16 @@ class Batch:
     z0: np.ndarray               # (B, N, D)
     feats: np.ndarray            # (B, V, S, feat_dim)
     primary_index: np.ndarray    # (B,)
-    perturbed: np.ndarray        # (B,) bool
     skips: int = 0
 
     @property
     def size(self) -> int:
         return self.z0.shape[0]
+
+    @property
+    def perturbed(self) -> np.ndarray:
+        """(B,) bool: the samples that were quarter-turned and so lost their primary."""
+        return self.primary_index < 0
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +263,6 @@ def assemble_batch(
     z0 = np.empty((B,) + split.latents.shape[1:])
     feats = np.empty((B, 1 + n_aux) + split.feats.shape[3:])
     primary = np.zeros(B, dtype=np.int64)
-    perturbed = np.zeros(B, dtype=bool)
     skips = 0
 
     for b, i in enumerate(picks):
@@ -276,8 +279,7 @@ def assemble_batch(
         if turn is not None:
             z0[b] = rotate_latent(split.latents[i], turn, cfg.model)
             primary[b] = -1
-            perturbed[b] = True
-    return Batch(z0=z0, feats=feats, primary_index=primary, perturbed=perturbed, skips=skips)
+    return Batch(z0=z0, feats=feats, primary_index=primary, skips=skips)
 
 
 @dataclass

@@ -15,7 +15,7 @@ seeded linear map shared across all views and runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +47,10 @@ class PointCloud:
 class Camera:
     azimuth: float                # degrees in [0, 360)
     elevation: float              # degrees
-    bin: int = field(init=False)
 
     def __post_init__(self):
         self.azimuth = float(self.azimuth) % 360.0
         self.elevation = float(self.elevation)
-        self.bin = azimuth_bin(self.azimuth)
 
 
 def azimuth_bin(azimuth: float) -> int:

@@ -267,6 +267,15 @@ def test_checkpoint_with_another_codec_scale_exit_code(pipeline, tmp_path, capsy
     assert not out.exists()
 
 
+def test_checkpoint_with_a_boolean_dimension_exit_code(pipeline, tmp_path, capsys):
+    """A JSON true in a sidecar is not a number, although Python counts it as 1."""
+    path = _checkpoint_with_model_keys(pipeline, tmp_path, "mv", blocks=True)
+    code = main(["sample", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--ckpt", str(path), "--out", str(tmp_path / "y")])
+    assert code == EXIT_MISSING
+    assert "'blocks'" in capsys.readouterr().err
+
+
 def test_a_config_and_checkpoint_spelling_out_the_fixed_keys_load(pipeline, tmp_path):
     """A resolved.cfg with all 38 values and a sidecar with the codec scales run as before."""
     parser = configparser.ConfigParser()
@@ -298,6 +307,41 @@ def _sample(pipeline, out: Path, cfg=None, data=None) -> int:
     return main(["sample", "--config", str(cfg or pipeline["cfg"]),
                  "--data", str(data or pipeline["data"]),
                  "--ckpt", str(pipeline["mv"] / "checkpoint.bin"), "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-single", "upgrade", "train-mv",
+                                     "sample", "eval", "analyze-router"])
+@pytest.mark.parametrize("where", ["taken", "under-a-file"])
+def test_unusable_out_exit_code(pipeline, tmp_path, capsys, command, where):
+    """An --out that cannot be made is a config error naming it, and nothing is written.
+
+    "taken" is a regular file where the directory goes, or, for analyze-router,
+    whose --out is a file, a directory where the file goes.
+    """
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    out = afile / "sub" if where == "under-a-file" else afile
+    if where == "taken" and command == "analyze-router":
+        out = tmp_path / "adir"
+        out.mkdir()
+    if command == "analyze-router":
+        trace = tmp_path / "t.bin"
+        save_trace(trace, np.zeros((3, 2, 6), dtype=int), view_count=2)
+        argv = [command, "--out", str(out), str(trace)]
+    else:
+        argv = [command, "--config", str(pipeline["cfg"]), "--out", str(out)]
+    if command not in ("gen-data", "upgrade", "analyze-router"):
+        argv += ["--data", str(pipeline["data"])]
+    if command in ("upgrade", "train-mv", "sample", "eval"):
+        run = {"upgrade": "single", "train-mv": "up"}.get(command, "mv")
+        argv += ["--ckpt", str(pipeline[run] / "checkpoint.bin")]
+    assert main(argv) == EXIT_CONFIG
+    # the report's own directory is the one that cannot be made under a file
+    named = afile if (command, where) == ("analyze-router", "under-a-file") else out
+    err = capsys.readouterr().err
+    assert str(named) in err and "--force" not in err
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+    assert not out.is_dir() or not any(out.iterdir())
 
 
 def test_non_finite_dataset_exit_code(pipeline, tmp_path):
@@ -461,23 +505,15 @@ def test_checkpoint_not_fitting_the_run_world_exit_code(pipeline, tmp_path, caps
     assert not out.exists()
 
 
-def _as_json(section: str, key: str, value):
-    """An edit that writes the micro config as JSON with ``[section] key`` set to ``value``."""
-    def edit(text: str) -> str:
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        payload = {s: dict(parser.items(s)) for s in parser.sections()}
-        payload[section][key] = value
-        return json.dumps(payload)
-
-    return edit
+def _json_of(text: str) -> str:
+    """The config ``text`` as a JSON object of sections, a form that is not a config."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    return json.dumps({s: dict(parser[s]) for s in parser.sections()})
 
 
 @pytest.mark.parametrize("name, edit", [
-    ("bad.json", lambda text: '{"model": 5}'),
-    ("bad.json", lambda text: "[1, 2]"),
-    ("bad.json", lambda text: '{"run": 5}'),
-    ("bad.json", lambda text: '{"run": {"seed": "x"}}'),
+    ("micro.json", _json_of),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\ntau = 0")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\ntau = inf")),
     ("bad.cfg", lambda text: text.replace("n_test = 4", "n_test = -1")),
@@ -495,21 +531,31 @@ def _as_json(section: str, key: str, value):
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta2 = -0.5")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nadam_eps = 0")),
     ("bad.cfg", lambda text: text.replace("[run]", "[run]\nsed = 4")),
-    ("bad.json", _as_json("train", "batch", True)),
-    ("bad.json", _as_json("train", "p_pert", False)),
-    ("bad.json", _as_json("run", "seed", True)),
-], ids=["section-not-object", "payload-not-object", "run-not-object", "seed-not-int",
-        "tau-zero", "tau-infinite", "split-size-negative", "views-per-bin-zero", "unknown-class",
-        "lift-seed-negative", "points-below-16", "image-extent-zero",
+    ("bad.cfg", lambda text: text.replace("patch_grid = 2", "patch_grid = -2")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nelevation_max = nan")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nelevation_max = inf")),
+    ("bad.cfg", lambda text: text.replace("[world]", "[world]\nelevation_max = -30")),
+], ids=["json-config", "tau-zero", "tau-infinite", "split-size-negative", "views-per-bin-zero",
+        "unknown-class", "lift-seed-negative", "points-below-16", "image-extent-zero",
         "occlusion-window-negative", "occupancy-scale-zero", "offset-scale-zero",
         "lr-infinite", "lr-final-negative", "beta1-one", "beta2-negative", "adam-eps-zero",
-        "run-unknown-key", "batch-json-bool", "p-pert-json-bool", "seed-json-bool"])
+        "run-unknown-key", "patch-grid-negative", "elevation-max-nan", "elevation-max-inf",
+        "elevation-max-negative"])
 def test_bad_config_value_exit_code(pipeline, tmp_path, name, edit):
     text = pipeline["cfg"].read_text(encoding="utf-8")
     assert edit(text) != text
     bad = tmp_path / name
     bad.write_text(edit(text), encoding="utf-8")
     assert _sample(pipeline, tmp_path / "y", cfg=bad) == EXIT_CONFIG
+
+
+def test_gen_data_with_a_bad_world_value_exit_code(pipeline, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(pipeline["cfg"].read_text(encoding="utf-8")
+                   .replace("patch_grid = 2", "patch_grid = -2"), encoding="utf-8")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "manifest.jsonl").exists()
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,13 @@
 
 import contextlib
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -660,7 +664,7 @@ def _routed_loss(model: Model, seed: int = 0):
     B, V, m = cfg.train.batch, 3, cfg.model
     batch = Batch(z0=rng.normal(size=(B, m.tokens, m.model_dim)),
                   feats=rng.normal(size=(B, V, m.patches, m.feat_dim)),
-                  primary_index=np.array([0, 1, -1, 2])[:B], perturbed=np.zeros(B, bool))
+                  primary_index=np.array([0, 1, -1, 2])[:B])
     opts = ForwardOptions(mode="train", run_seed=seed, step=3)
     return flow_matching_loss(model, batch, rng.random(B), rng.normal(size=batch.z0.shape), opts)
 
@@ -975,3 +979,12 @@ def test_no_grad_in_another_thread_keeps_this_threads_graph():
     assert w.grad is not None
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
+
+def test_importing_numerics_loads_neither_scipy_nor_evaluation():
+    """The package itself imports nothing, so a submodule brings only its own imports."""
+    src = str(Path(nx.__file__).resolve().parents[1])
+    code = ("import roar3d.numerics, sys; "
+            "print([m for m in ('scipy', 'roar3d.evaluation') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout.strip() == "[]"

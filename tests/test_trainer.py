@@ -42,7 +42,6 @@ def _batch(rng, cfg, views=1, perturbed=(False,)):
         z0=rng.normal(size=(pert.size, m.tokens, m.model_dim)),
         feats=rng.normal(size=(pert.size, views, m.patches, m.feat_dim)),
         primary_index=np.where(pert, -1, 0),
-        perturbed=pert,
     )
 
 
@@ -268,8 +267,7 @@ def test_mixed_batch_ca_p_gradient_equals_unperturbed_subset():
     mixed_grads = {k: p.grad.copy() for k, p in model.params.items()
                    if ".ca_p." in k and p.grad is not None}
 
-    clean_batch = Batch(mixed.z0[:2], mixed.feats[:2], mixed.primary_index[:2],
-                        mixed.perturbed[:2])
+    clean_batch = Batch(mixed.z0[:2], mixed.feats[:2], mixed.primary_index[:2])
     model.zero_grads()
     loss2, _ = flow_matching_loss(model, clean_batch, t[:2], noise[:2],
                                   ForwardOptions(mode="train", run_seed=0, step=0))

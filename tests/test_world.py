@@ -110,14 +110,14 @@ def test_azimuth_bin_boundaries():
 def test_sample_views_single_bin_range():
     cams = sample_views(stream(0, "views"), count=64, bins=(0,))
     for cam in cams:
-        assert cam.bin == 0
+        assert azimuth_bin(cam.azimuth) == 0
         folded = (cam.azimuth + 45.0) % 360.0
         assert 0.0 <= folded < 90.0
 
 
 def test_sample_views_bin_frequencies():
     cams = sample_views(stream(7, "views"), count=10_000, bins=(0, 1, 2, 3))
-    freq = np.bincount([c.bin for c in cams], minlength=4) / 10_000
+    freq = np.bincount([azimuth_bin(c.azimuth) for c in cams], minlength=4) / 10_000
     assert np.abs(freq - 0.25).max() < 0.02
 
 
@@ -139,12 +139,6 @@ def test_stream_rejects_root_seed_outside_range():
         with pytest.raises(ValueError, match="root seed"):
             stream(seed, "views")
     assert stream(2**63 - 1, "views").random() != stream(0, "views").random()
-
-
-def test_camera_bin_invariant_holds_for_samples():
-    cams = sample_views(stream(11, "views"), count=500, bins=(0, 1, 2, 3))
-    for cam in cams:
-        assert cam.bin == azimuth_bin(cam.azimuth)
 
 
 # ---------------------------------------------------------------------------
