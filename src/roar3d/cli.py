@@ -60,13 +60,25 @@ def _resolve_config(args) -> RunConfig:
     return cfg.apply_overrides(overrides)
 
 
-def _out_dir(path) -> Path:
-    """The directory ``path``, created if missing; ConfigError naming it if it cannot be."""
+# the files a command writes into its output directory
+_RUN_FILES = ("checkpoint.bin", "checkpoint.bin.json", "resolved.cfg")
+_TRAIN_FILES = _RUN_FILES + ("metrics.csv",)
+
+
+def _out_dir(path, files: tuple[str, ...] = ()) -> Path:
+    """The directory ``path``, created if missing, with room for ``files``.
+
+    A ConfigError names the directory if it cannot be made, or the first of
+    ``files`` that is a directory there; a command checks this before its work.
+    """
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as an output directory: {exc.strerror}") from None
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write {out / name}: it is a directory")
     return out
 
 
@@ -114,7 +126,7 @@ def cmd_train_single(args) -> int:
     _check_fit(data.split("train"), cfg.model)
     model = Model.create(dataclasses.replace(cfg.model, arch="single"), cfg.seed)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, _TRAIN_FILES)
     try:
         log = train(model, data.split("train"), cfg, phase="single")
     except TrainingDiverged:
@@ -130,7 +142,7 @@ def cmd_upgrade(args) -> int:
     cfg = _resolve_config(args)
     model = upgrade_from_single(Model.load(args.ckpt))
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, _RUN_FILES)
     _save_run_model(model, cfg, out, "upgraded", 0)
     print(f"upgraded checkpoint at {out / 'checkpoint.bin'}")
     return EXIT_OK
@@ -148,7 +160,7 @@ def cmd_train_mv(args) -> int:
         model.cfg = dataclasses.replace(model.cfg, arch="concat")
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     _check_fit(data.split("train"), cfg.model)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, _TRAIN_FILES)
     try:
         log = train(model, data.split("train"), cfg, phase="mv")
     except TrainingDiverged:
@@ -171,7 +183,8 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"shape index {args.shape} out of range (split has {len(split)})")
     _check_fit(split, model.cfg, features=False)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, ("sample.bin", "sample.bin.json", "resolved.cfg")
+                   + (("trace.bin", "trace.bin.json") if args.trace else ()))
 
     feats = evaluation.shape_features(PointCloud(split.points[args.shape]), args.views,
                                       cfg.world)[None]
@@ -207,7 +220,7 @@ def cmd_eval(args) -> int:
     _check_fit(split, model.cfg, features=False)
     cfg = dataclasses.replace(cfg, model=model.cfg).validate()
     counts = args.view_counts
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, ("metrics.csv", "summary.json", "resolved.cfg"))
     result = evaluation.evaluate(model, split, cfg, counts)
     evaluation.write_metrics_csv(out / "metrics.csv", result["rows"])
     summary = {str(k): v for k, v in result["summary"].items()}

@@ -14,7 +14,8 @@ the same loop without a router: every token attends view 0 through CA_p, with
 no straight-through multiplier. The concatenation baseline is that case with
 all views flattened into one key set, which ``Model.velocity`` does. With
 gradients on, a forward over two or more samples runs that loop on two row
-shards at once, one per thread, and joins their velocities (``_forward``).
+shards at once, the second in a worker process, and joins their velocities
+(``_forward``).
 
 Parameters, the router's included, live in one flat name -> Tensor dict
 (checkpoint friendly); block ``l`` reads its weights by name. ``parameter_layout``
@@ -25,6 +26,10 @@ checkpoint shape check compares against it.
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import signal
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -345,7 +350,7 @@ def grid_positional_embedding(cfg: ModelConfig) -> np.ndarray:
     """
     key = (cfg.grid, cfg.model_dim)
     emb = _POS_CACHE.get(key)
-    if emb is None:     # both shards of a training forward may get here at once
+    if emb is None:
         n, d = cfg.grid, cfg.model_dim
         coords = np.stack(_cell_coords(n), axis=1).astype(np.float64)
         pairs_per_axis = max(d // 6, 1)
@@ -530,22 +535,24 @@ def forward_multiview(
 def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,
              primary_index: np.ndarray | None,
              opts: ForwardOptions | None) -> tuple[Tensor, ForwardInfo]:
-    """Both forwards: one graph over the batch, or two row shards on two threads.
+    """Both forwards: one graph over the batch, or two row shards in two processes.
 
     ``primary_index`` None runs without a router. In training mode each
     routed block's Gumbel noise is drawn here, once for the whole batch, and
     each shard takes its rows, so a sample's noise does not depend on how its
     batch was split. With gradients on, a batch of B >= 2 that brings no view
     or time context is split into rows [0, B//2) and [B//2, B): the first
-    shard runs :func:`_rows` on ``params`` on the calling thread, the second
-    on private leaf twins of them (the same ``data``, their own ``grad``) on
-    numerics' worker thread (:func:`roar3d.numerics.on_two_threads`). Each
-    shard builds its own view and time contexts. The velocity is the two
-    shards' rows (:func:`roar3d.numerics.gather_rows`), whose backward sweeps
-    each shard on its own thread and adds the twins' gradients to the
-    parameters'. The info then holds the batch's routing decisions, soft
-    weights as plain data, and no view context. Any other forward is one
-    graph on the calling thread.
+    shard runs :func:`_rows` on ``params`` in the calling process, the second
+    in the worker process (:class:`_ShardWorker`) on leaf twins over a copy
+    of the parameters' data. Each shard builds its own view and time
+    contexts. The velocity is the two shards' rows
+    (:func:`roar3d.numerics.gather_rows`), whose backward sweeps each shard
+    in its own process and adds the worker's gradients to the parameters'.
+    The info then holds the batch's routing decisions, soft weights as plain
+    data, and no view context. Any other forward is one graph in the calling
+    process. The worker holds the graph of the last sharded forward only,
+    so the backward of an earlier one raises ``RuntimeError``; one thread at
+    a time may run sharded forwards.
     """
     opts = opts or ForwardOptions()
     B, N, _ = z_t.shape
@@ -557,24 +564,207 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     if B < 2 or not nx.grad_enabled() or opts.views is not None or opts.time is not None:
         return _rows(params, cfg, z_t, t, feats, primary_index, opts, noise)
 
-    twins = {k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in params.items()}
-
-    def shard(p: dict[str, Tensor], rows: slice) -> tuple[Tensor, ForwardInfo]:
-        return _rows(p, cfg, z_t[rows], t[rows], feats[rows],
-                     None if primary_index is None else primary_index[rows], opts,
-                     None if noise is None else [n[rows] for n in noise])
+    def shard(rows: slice) -> tuple:
+        return (cfg, z_t[rows], t[rows], feats[rows],
+                None if primary_index is None else primary_index[rows], opts,
+                None if noise is None else [n[rows] for n in noise])
 
     h = B // 2
-    (first, info), (second, info2) = nx.on_two_threads(lambda: shard(params, slice(0, h)),
-                                                       lambda: shard(twins, slice(h, B)))
-    vel = nx.gather_rows(first, second, [(p, twins[k]) for k, p in params.items()])
-    return vel, ForwardInfo([_joined(a, b) for a, b in zip(info.decisions, info2.decisions)])
+    worker = _shard_worker(params)
+    worker.start_forward(params, shard(slice(h, B)))
+    try:
+        first, info = _rows(params, *shard(slice(0, h)))
+    except BaseException:
+        worker.drop_forward()
+        raise
+    second, decisions = worker.finish_forward()
+    vel = nx.gather_rows(first, second, worker.sweeper(params))
+    return vel, ForwardInfo([_joined(a, *b) for a, b in zip(info.decisions, decisions)])
 
 
-def _joined(a: RoutingDecision, b: RoutingDecision) -> RoutingDecision:
-    """One decision over the rows of ``a`` and then ``b``, soft weights as plain data."""
-    soft = None if a.y_soft is None else Tensor(np.concatenate([a.y_soft.data, b.y_soft.data]))
-    return RoutingDecision(np.concatenate([a.hard_index, b.hard_index]), soft)
+def _joined(a: RoutingDecision, hard_index: np.ndarray,
+            y_soft: np.ndarray | None) -> RoutingDecision:
+    """One decision over the rows of ``a`` and then the worker's, soft weights as plain data."""
+    soft = None if a.y_soft is None else Tensor(np.concatenate([a.y_soft.data, y_soft]))
+    return RoutingDecision(np.concatenate([a.hard_index, hard_index]), soft)
+
+
+_ALIGN = 64   # bytes; each parameter's slot in the shared mappings starts on this boundary
+
+
+class _ShardWorker:
+    """The forked process that runs and sweeps the second row shard of training forwards.
+
+    It serves one parameter layout (names and shapes, in order). Two
+    anonymous shared mappings, made before the fork, hold a slot per
+    parameter: the caller copies every parameter's data into the first on
+    each forward, and the worker's twins are Tensors over views of it; the
+    worker writes its twins' gradients into the second after a sweep, and
+    the caller copies them out. The pipe carries the shard's inputs and the
+    ``requires_grad`` flags in, and the velocity rows, the routing decisions
+    and the flags of which twins got a gradient back. The worker holds one
+    graph at a time: a new forward replaces the last one, swept or not. It
+    exits when its pipe reaches end of file, so it does not outlive the
+    process that started it; it is a daemon as well, so a normal exit stops
+    it at once.
+    """
+
+    def __init__(self, layout: list):
+        self.layout = layout
+        self.owner = os.getpid()
+        slots, size = [], 0
+        for _, shape in layout:
+            slots.append((size, shape))
+            size += -(-8 * math.prod(shape) // _ALIGN) * _ALIGN
+        self.data, self.grads = ([np.ndarray(shape, np.float64, buffer=m, offset=off)
+                                  for off, shape in slots]
+                                 for m in (mmap.mmap(-1, size), mmap.mmap(-1, size)))
+        self.graph = None      # a token of the forward whose graph the worker holds
+        fork = multiprocessing.get_context("fork")
+        self.conn, child = fork.Pipe()
+        self.process = fork.Process(target=self._serve, args=(child,), daemon=True,
+                                    name="roar3d-shard")
+        self.process.start()
+        child.close()
+
+    # -- the worker process ----------------------------------------------------
+
+    def _serve(self, conn) -> None:
+        self.conn.close()                       # the caller's end: EOF once the caller is gone
+        signal.signal(signal.SIGINT, signal.SIG_IGN)    # an interrupt is the caller's to handle
+        twins = [Tensor(view) for view in self.data]
+        named = dict(zip((name for name, _ in self.layout), twins))
+        root = None
+        while True:
+            try:
+                request = conn.recv()
+            except EOFError:
+                return
+            try:
+                if request[0] == "forward":
+                    root = None
+                    for twin, flag in zip(twins, request[1]):
+                        twin.requires_grad, twin.grad = flag, None
+                    vel, info = _rows(named, *request[2])
+                    root = vel
+                    reply = (vel.data, [(d.hard_index, None if d.y_soft is None
+                                         else d.y_soft.data) for d in info.decisions])
+                else:
+                    swept, root = root, None
+                    nx.sweep(swept, request[1])
+                    reply = []
+                    for twin, view in zip(twins, self.grads):
+                        reply.append(twin.grad is not None)
+                        if twin.grad is not None:
+                            view[...] = twin.grad
+                        twin.grad = None
+                message = ("ok", reply)
+            except Exception as exc:
+                root = None
+                message = ("error", exc)
+            try:
+                conn.send(message)
+            except OSError:                     # the caller is gone
+                return
+
+    # -- the calling process ---------------------------------------------------
+
+    def _send(self, request) -> None:
+        try:
+            self.conn.send(request)
+        except OSError:
+            self._died()
+        except BaseException:           # interrupted mid-request: the pipe is out of step
+            self.stop()
+            raise
+
+    def _receive(self):
+        try:
+            status, payload = self.conn.recv()
+        except (EOFError, OSError):
+            self._died()
+        except BaseException:           # interrupted mid-reply: the pipe is out of step
+            self.stop()
+            raise
+        if status == "error":
+            raise payload
+        return payload
+
+    def _died(self):
+        self.stop()
+        raise RuntimeError(f"the shard worker process (pid {self.process.pid}) died; "
+                           "the next sharded forward starts a new one")
+
+    def start_forward(self, params: dict[str, Tensor], args: tuple) -> None:
+        """Copy the parameters' data into the shared mapping and send the shard's inputs."""
+        self.graph = None
+        for view, p in zip(self.data, params.values()):
+            np.copyto(view, p.data)
+        self._send(("forward", [p.requires_grad for p in params.values()], args))
+
+    def finish_forward(self) -> tuple[np.ndarray, list]:
+        """The shard's velocity rows and each routed block's (hard_index, y_soft data)."""
+        vel, decisions = self._receive()
+        self.graph = object()
+        return vel, decisions
+
+    def drop_forward(self) -> None:
+        """Wait for a forward whose result is not wanted; its error is not raised."""
+        try:
+            self._receive()
+        except Exception:
+            pass
+
+    def sweeper(self, params: dict[str, Tensor]):
+        """``sweep_second`` of :func:`roar3d.numerics.gather_rows` for the graph just built."""
+        token = self.graph
+
+        def start(g: np.ndarray):
+            if token is None or self.graph is not token:
+                raise RuntimeError("the shard worker no longer holds this graph: "
+                                   "a later forward replaced it")
+            self.graph = None
+            self._send(("sweep", g))
+
+            def finish(merge: bool) -> None:
+                flags = self._receive()
+                if not merge:
+                    return
+                for p, view, got in zip(params.values(), self.grads, flags):
+                    if got:   # accum_grad keeps a first gradient: copy it out of the mapping
+                        p.accum_grad(view.copy() if p.grad is None else view)
+
+            return finish
+
+        return start
+
+    def stop(self) -> None:
+        """End the worker process and forget it; the next sharded forward starts another."""
+        global _SHARD_WORKER
+        if _SHARD_WORKER is self:
+            _SHARD_WORKER = None
+        self.graph = None
+        self.conn.close()
+        self.process.kill()
+        self.process.join()
+
+
+_SHARD_WORKER: _ShardWorker | None = None
+
+
+def _shard_worker(params: dict[str, Tensor]) -> _ShardWorker:
+    """This process's worker for ``params``' layout, started (or restarted) as needed."""
+    global _SHARD_WORKER
+    layout = [(name, p.shape) for name, p in params.items()]
+    worker = _SHARD_WORKER
+    if worker is not None and worker.owner != os.getpid():
+        worker = None           # a forked copy of another process's worker: not ours to use
+    if worker is not None and worker.layout != layout:
+        worker.stop()
+        worker = None
+    if worker is None:
+        worker = _SHARD_WORKER = _ShardWorker(layout)
+    return worker
 
 
 def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,

@@ -15,24 +15,24 @@ determinism, not generality:
 Tensors are immutable after construction except through their owning graph;
 forward/backward of one graph is single-threaded, independent graphs may run
 on independent threads. ``no_grad`` acts on the current context only, so one
-thread's inference does not switch off another's graph.
+thread's inference does not switch off another's graph. This module starts
+no thread and no process.
 
-``on_two_threads`` is the one place that uses a second thread, and
-``gather_rows`` its one graph node. A training forward of the model splits
-its batch into two row shards: the first runs on the parameters on the
-calling thread, the second on private leaf twins (the parameters' ``data``,
-their own ``grad``) on the module's one worker thread, and ``gather_rows``
-joins the two outputs. That node's backward sweeps the first shard's graph
-on the calling thread and the second's on the worker, waits for both, and
-then adds each twin's gradient to its parameter's in parameter order. The
-two threads share only the parameters' ``data`` and the batch arrays the
-forward was given; each writes only into its own graph's nodes and leaves,
-so values and gradients do not depend on thread timing or on the number of
-CPUs. numpy releases the GIL inside its kernels, so the two threads overlap
-there. The worker runs in a copy of the caller's context: a ``no_grad``
-entered on either thread stays on that thread. A shard never shards again:
-the worker is a single thread, so a job it submitted to itself would wait
-forever.
+``gather_rows`` is the one node whose graph spans two processes. A training
+forward of the model (``roar3d.model._forward``) splits its batch into two
+row shards: the first runs on the parameters in the calling process, the
+second in the model's one worker process, on leaf twins over a shared copy
+of the parameters' data, and ``gather_rows`` joins the calling shard's
+output with the worker's rows. Its backward hands the worker its rows of
+the incoming gradient, sweeps the first shard's graph meanwhile, waits for
+the worker and then adds the worker's gradients to the parameters' in
+parameter order. The two processes share the parameters' data (the caller
+copies it into a shared mapping on every forward, the worker only reads it)
+and the worker's gradients (the worker writes them into a second mapping,
+the caller only reads them after the sweep); the batch arrays, the shard's
+outputs and small flags travel as messages over a pipe. Nothing else is
+shared: every graph, tape and gradient buffer lives in one process, so
+values and gradients do not depend on timing or on the number of CPUs.
 
 Backward consumes its graph: as the sweep passes an op output it drops that
 node's gradient, its parents and its backward closure, so the saved arrays
@@ -55,8 +55,7 @@ gradient is the same, bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextvars import ContextVar, copy_context
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,7 +88,7 @@ __all__ = [
     "routed_attention",
     "mean_all",
     "mse",
-    "on_two_threads",
+    "sweep",
     "gather_rows",
     "grad_check",
 ]
@@ -201,8 +200,8 @@ class ComputationTape:
     Leaves keep their gradients and every node keeps its ``data``. The tape
     is local to one call, so sweeps of independent graphs on independent
     threads never share state. A ``gather_rows`` node, which has no
-    parents, runs two such sweeps from its own backward: its first shard's
-    on the calling thread, its second's on the worker thread.
+    parents, runs its first shard's sweep from its own backward, while the
+    process that holds its second shard's graph runs that one.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -660,33 +659,11 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# two row shards, run and swept on two threads
+# two row shards, the second one's graph held elsewhere
 # ---------------------------------------------------------------------------
 
 
-# the one worker thread of on_two_threads; it starts on first use
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="roar3d-shard")
-
-
-def on_two_threads(here: Callable[[], object], there: Callable[[], object]) -> tuple:
-    """``(here(), there())``, with ``there`` run on the worker thread meanwhile.
-
-    ``there`` runs inside a copy of the caller's context, so it sees the
-    caller's ``no_grad`` state and its own changes stay on the worker. Both
-    always run to the end, and an error of either is raised only once both
-    have finished; when both fail, the calling thread's error is raised.
-    Neither may call this function again: the one worker would wait for
-    itself.
-    """
-    pending = _WORKER.submit(copy_context().run, there)
-    try:
-        mine = here()
-    finally:
-        wait((pending,))
-    return mine, pending.result()
-
-
-def _sweep(root: Tensor, g: np.ndarray) -> None:
+def sweep(root: Tensor, g: np.ndarray) -> None:
     """Backward over ``root``'s graph from the incoming gradient ``g`` of its value."""
     head = Tensor(np.zeros(()), requires_grad=True)
     head._parents = (root,)
@@ -694,29 +671,36 @@ def _sweep(root: Tensor, g: np.ndarray) -> None:
     ComputationTape.trace(head).backward(head)
 
 
-def gather_rows(first: Tensor, second: Tensor,
-                twins: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+def gather_rows(first: Tensor, second: np.ndarray,
+                sweep_second: Callable[[np.ndarray], Callable[[bool], None]]) -> Tensor:
     """The rows of ``first`` and then those of ``second``, as one parent-less node.
 
-    The two graphs must share no tensor that takes a gradient: ``second``'s
-    leaves are private twins of ``first``'s (the same ``data``, their own
-    ``grad``), and ``twins`` lists the (own, twin) pairs. The node's
-    backward sweeps ``first``'s graph from its rows of the incoming
-    gradient on the calling thread and ``second``'s from the rest on the
-    worker thread (:func:`on_two_threads`), then adds each twin's gradient
-    to its own leaf's, in ``twins`` order. If either sweep raises, no twin
-    gradient is added.
+    ``second`` is the value of a graph that another process holds.
+    ``sweep_second(g)`` starts that graph's sweep from its rows ``g`` of the
+    incoming gradient and returns ``finish(merge)``, which waits for the
+    sweep and, if ``merge``, adds its gradients to the leaves they belong to.
+    The node's backward starts the other sweep, sweeps ``first``'s graph
+    from its own rows meanwhile, and then finishes the other one. An error
+    of either sweep is raised only once both have ended, the calling
+    process's first; after an error no gradient of the other sweep is
+    added.
     """
-    out = Tensor(np.concatenate([first.data, second.data]))
-    if not (_grad_enabled.get() and (first.requires_grad or second.requires_grad)):
+    out = Tensor(np.concatenate([first.data, second]))
+    if not (_grad_enabled.get() and first.requires_grad):
         return out
     h = first.shape[0]
 
     def backward(g: np.ndarray) -> None:
-        on_two_threads(lambda: _sweep(first, g[:h]), lambda: _sweep(second, g[h:]))
-        for own, twin in twins:
-            if twin.grad is not None:
-                own.accum_grad(twin.grad)
+        finish = sweep_second(g[h:])
+        try:
+            sweep(first, g[:h])
+        except BaseException:
+            try:
+                finish(False)
+            except Exception:   # the calling process's error is the one raised
+                pass
+            raise
+        finish(True)
 
     out.requires_grad = True
     out._backward = backward

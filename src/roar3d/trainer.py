@@ -88,11 +88,12 @@ def flow_matching_loss(
     z_t = (1 - t) * z_clean + t * noise, target velocity u = noise - z_clean.
 
     One ``model.velocity`` call over the whole batch. With gradients on, the
-    model runs a batch of B >= 2 as two row shards: rows [0, B//2) on the
-    calling thread, rows [B//2, B) on numerics' worker thread, each forward
-    and each backward sweep (see :func:`roar3d.model._forward`). The two
-    threads share only the parameters' data and this batch's arrays. The
-    info holds the batch's routing decisions.
+    model runs a batch of B >= 2 as two row shards: rows [0, B//2) in the
+    calling process, rows [B//2, B) in the model's worker process, each
+    forward and each backward sweep (see :func:`roar3d.model._forward`). The
+    worker gets the parameters' data through a shared mapping and its rows
+    of this batch as a message. The info holds the batch's routing
+    decisions.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if noise.shape != batch.z0.shape:

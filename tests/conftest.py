@@ -171,6 +171,24 @@ def single_graph_loss(model, batch, t, noise, opts=None):
     return nx.mse(vel, Tensor(noise - batch.z0)), info
 
 
+def stop_shard_worker():
+    """End this process's shard worker; the next sharded forward forks a new one."""
+    if M._SHARD_WORKER is not None:
+        M._SHARD_WORKER.stop()
+
+
+@pytest.fixture
+def restart_worker():
+    """``stop_shard_worker``, for a test that patches what the worker process runs.
+
+    A worker keeps the code it was forked with, so such a test calls this after
+    patching; the fixture calls it again after the test, so no later test meets
+    a patched worker.
+    """
+    yield stop_shard_worker
+    stop_shard_worker()
+
+
 @pytest.fixture(scope="session")
 def micro_cfg():
     return micro_run_config()

@@ -9,7 +9,7 @@ integration through the installed wrappers so that it breaks here too.
 ``trainer.flow_matching_loss`` and checks the gradients in
 ``trainer.apply_freeze``; the second test holds ``train`` to that contract.
 The tracer keeps one per-forward state for every call of the wrapped
-forwards, so a training step must enter them once, whatever threads the
+forwards, so a training step must enter them once, whatever processes the
 forward uses inside; the third test holds the model to that.
 """
 

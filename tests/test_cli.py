@@ -344,6 +344,24 @@ def test_unusable_out_exit_code(pipeline, tmp_path, capsys, command, where):
     assert not out.is_dir() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, taken", [("train-single", "resolved.cfg"),
+                                            ("sample", "sample.bin.json"),
+                                            ("eval", "summary.json")])
+def test_output_file_taken_by_a_directory_exit_code(pipeline, tmp_path, capsys, command, taken):
+    """A directory where the command would write a file is a config error naming it,
+    raised before any work: nothing is written."""
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    argv = [command, "--config", str(pipeline["cfg"]), "--out", str(out),
+            "--data", str(pipeline["data"])]
+    if command != "train-single":
+        argv += ["--ckpt", str(pipeline["mv"] / "checkpoint.bin")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out / taken) in err and "directory" in err
+    assert [p.name for p in out.iterdir()] == [taken] and not any((out / taken).iterdir())
+
+
 def test_non_finite_dataset_exit_code(pipeline, tmp_path):
     data = _copy_data(pipeline["data"], tmp_path / "data")
     tensors = ckpt.load_tensors(data / "test.bin")

@@ -3,11 +3,12 @@
 import contextlib
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -739,7 +740,7 @@ def _keep_graph_backward(tape, root):
 def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch):
     model = _routed_model()
     loss, info = _routed_loss(model)
-    nodes = []   # the op outputs of every tape, the two half-batch graphs' included
+    nodes = []   # the op outputs of every tape swept in this process
     sweep = nx.ComputationTape.backward
 
     def recording(tape, root):
@@ -764,96 +765,243 @@ def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch):
     assert info.hard_trace().shape[0] == micro_run_config().model.blocks
 
 
-class _Inline:
-    """An executor that runs each job at once, on the calling thread."""
+def _step_bytes(model, seed: int = 0):
+    """One swept step of ``_routed_loss`` on ``model``: loss, routing and gradient bytes."""
+    model.zero_grads()
+    loss, info = _routed_loss(model, seed)
+    loss.backward()
+    return (loss.data.tobytes(), info.hard_trace().tobytes(),
+            {k: None if p.grad is None else p.grad.tobytes() for k, p in model.params.items()})
 
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
+
+def _inline_velocity(model, z_t, t, feats, primary, opts, merge: bool = True):
+    """The two row shards of a training forward, both run here one after the other.
+
+    The second runs on leaf twins of the parameters (their ``data``, their own
+    ``grad``), and its sweep adds the twins' gradients to the parameters' in
+    parameter order when ``merge``, as the worker's gradients are added.
+    """
+    cfg, (B, N, _), V = model.cfg, z_t.shape, feats.shape[1]
+    noise = [M.routing_noise(opts.run_seed, opts.step, l, (B, N, V)) for l in range(cfg.blocks)]
+    twins = {k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in model.params.items()}
+    (first, _), (second, _) = (
+        M._rows(params, cfg, z_t[r], t[r], feats[r], primary[r], opts, [n[r] for n in noise])
+        for params, r in ((model.params, slice(0, B // 2)), (twins, slice(B // 2, B))))
+
+    def sweep_second(g):
+        nx.sweep(second, g)
+
+        def finish(merge_now):
+            for k, p in model.params.items():
+                if merge and merge_now and twins[k].grad is not None:
+                    p.accum_grad(twins[k].grad)
+
+        return finish
+
+    return nx.gather_rows(first, second.data, sweep_second)
 
 
-def test_two_thread_forward_and_sweep_match_inline_bit_exactly(monkeypatch):
-    """The second row shard runs its forward and its sweep on another thread, and the
-    velocity and every gradient are the bytes of running it inline."""
-    forward_threads, sweep_threads = set(), set()
-    rows, sweep = M._rows, nx.ComputationTape.backward
-
-    def recording_rows(*args):
-        forward_threads.add(threading.get_ident())
-        return rows(*args)
-
-    def recording_sweep(tape, root):
-        sweep_threads.add(threading.get_ident())
-        sweep(tape, root)
-
-    monkeypatch.setattr(M, "_rows", recording_rows)
-    monkeypatch.setattr(nx.ComputationTape, "backward", recording_sweep)
+def _micro_case(seed: int = 2):
     cfg = micro_run_config()
-    rng = np.random.default_rng(2)
+    rng = np.random.default_rng(seed)
     B, V, m = cfg.train.batch, 3, cfg.model
     z_t, t = rng.normal(size=(B, m.tokens, m.model_dim)), rng.random(B)
     feats, target = rng.normal(size=(B, V, m.patches, m.feat_dim)), rng.normal(size=z_t.shape)
-    opts = ForwardOptions(mode="train", run_seed=2, step=3)
+    model = _routed_model(seed=seed)
+    randomize_zero_init(model.params, rng)
+    opts = ForwardOptions(mode="train", run_seed=seed, step=3)
+    return model, (z_t, t, feats, np.array([0, 1, -1, 2]), opts), target
+
+
+def test_worker_process_forward_and_sweep_match_inline_bit_exactly():
+    """The second row shard runs its forward and its sweep in another process, and the
+    velocity and every gradient are the bytes of running both shards here."""
     outputs = []
-    for worker, threads in ((nx._WORKER, 2), (_Inline(), 1)):
-        monkeypatch.setattr(nx, "_WORKER", worker)
-        model = _routed_model(seed=2)
-        randomize_zero_init(model.params, np.random.default_rng(2))
-        vel, _ = model.velocity(z_t, t, feats, np.array([0, 1, -1, 2]), opts)
+    for run in ("worker", "inline"):
+        model, args, target = _micro_case()
+        if run == "worker":
+            vel, _ = model.velocity(*args)
+            assert M._SHARD_WORKER.process.pid != os.getpid()
+            assert not vel._parents and vel._backward is not None   # a gather_rows root
+        else:
+            vel = _inline_velocity(model, *args)
         nx.mse(vel, Tensor(target)).backward()
         outputs.append((vel.data.tobytes(), {k: p.grad.tobytes() for k, p in model.params.items()}))
-        assert len(forward_threads) == len(sweep_threads) == threads
-        forward_threads.clear()
-        sweep_threads.clear()
     assert outputs[0] == outputs[1]
     grads = outputs[0][1]
     assert sum(np.frombuffer(g).any() for g in grads.values()) > len(grads) // 2
 
 
-def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypatch):
-    model = _routed_model()
-    rows, finished = M._rows, []
+def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypatch,
+                                                                       restart_worker):
+    want = _step_bytes(_routed_model())
+    model, here, rows, finished, failed = _routed_model(), os.getpid(), M._rows, [], []
 
-    def failing_twin_rows(params, *args):
-        if params is not model.params:
+    def rows_failing_once_in_the_worker(*args):
+        if os.getpid() != here and not failed:
+            failed.append(True)          # the worker's copy of the list
             raise FloatingPointError("bad shard")
-        out = rows(params, *args)
-        finished.append(threading.get_ident())
+        out = rows(*args)
+        finished.append(os.getpid())
         return out
 
-    monkeypatch.setattr(M, "_rows", failing_twin_rows)
+    monkeypatch.setattr(M, "_rows", rows_failing_once_in_the_worker)
+    restart_worker()
     with pytest.raises(FloatingPointError, match="bad shard"):
         _routed_loss(model)
-    assert finished == [threading.get_ident()]
+    assert finished == [here]
+    assert _step_bytes(model) == want     # the same worker runs the next step as a fresh one
 
 
-def test_a_failed_worker_sweep_raises_after_both_finish_and_merges_nothing():
-    own = Tensor(np.ones((2, 3)), requires_grad=True)
-    twin = Tensor(own.data, requires_grad=True)
+def test_a_failed_worker_sweep_raises_after_the_calling_sweep_and_merges_nothing(
+        monkeypatch, restart_worker):
+    model, args, target = _micro_case()
+    nx.mse(_inline_velocity(model, *args, merge=False), Tensor(target)).backward()
+    calling_shard_only = {k: p.grad for k, p in model.params.items()}
+    want = _step_bytes(_routed_model())
+    here, sweep, finished, failed = os.getpid(), nx.sweep, [], []
 
-    def broken(g):
-        twin.accum_grad(g)
-        raise FloatingPointError("bad sweep")
+    def sweep_failing_once_in_the_worker(root, g):
+        if os.getpid() != here and not failed:
+            failed.append(True)
+            raise FloatingPointError("bad sweep")
+        sweep(root, g)
+        finished.append(os.getpid())
 
-    bad = scale(twin, 2.0)
-    bad._backward = broken
-    out = nx.gather_rows(scale(own, 3.0), bad, [(own, twin)])
+    monkeypatch.setattr(nx, "sweep", sweep_failing_once_in_the_worker)
+    restart_worker()
+    model, args, target = _micro_case()
+    vel, _ = model.velocity(*args)
     with pytest.raises(FloatingPointError, match="bad sweep"):
-        sum_all(out).backward()
-    assert np.array_equal(own.grad, np.full((2, 3), 3.0))   # the calling thread's sweep ran
-    assert twin.grad is not None                             # and the twin's was not merged
+        nx.mse(vel, Tensor(target)).backward()
+    assert finished == [here]
+    for k, p in model.params.items():    # the calling shard's gradients, none of the worker's
+        want_k = calling_shard_only[k]
+        assert (p.grad is None) == (want_k is None), k
+        assert want_k is None or p.grad.tobytes() == want_k.tobytes(), k
+    assert _step_bytes(_routed_model()) == want
 
 
-def test_the_worker_runs_in_a_copy_of_the_callers_context():
-    def enter_no_grad():
-        nx.no_grad().__enter__()
-        return nx.grad_enabled()
+def test_a_failed_calling_sweep_waits_for_the_worker_and_merges_nothing(monkeypatch,
+                                                                        restart_worker):
+    want = _step_bytes(_routed_model())
+    here, sweep, failed = os.getpid(), nx.sweep, []
 
-    with nx.no_grad():
-        assert nx.on_two_threads(nx.grad_enabled, nx.grad_enabled) == (False, False)
-    assert nx.on_two_threads(nx.grad_enabled, enter_no_grad) == (True, False)
-    assert nx.on_two_threads(nx.grad_enabled, nx.grad_enabled) == (True, True)
+    def sweep_failing_once_here(root, g):
+        if os.getpid() == here and not failed:
+            failed.append(True)
+            raise FloatingPointError("bad sweep")
+        sweep(root, g)
+
+    monkeypatch.setattr(nx, "sweep", sweep_failing_once_here)
+    restart_worker()
+    model, args, target = _micro_case()
+    vel, _ = model.velocity(*args)
+    with pytest.raises(FloatingPointError, match="bad sweep"):
+        nx.mse(vel, Tensor(target)).backward()
+    assert all(p.grad is None for p in model.params.values())
+    assert _step_bytes(_routed_model()) == want    # the worker's reply was taken: in step
+
+
+def test_forwards_without_a_backward_leave_the_worker_usable():
+    """A diverged step and a finite-difference probe never sweep their forward: the
+    worker drops that graph at the next forward."""
+    want = _step_bytes(_routed_model())
+    model = _routed_model()
+    for _ in range(3):
+        _routed_loss(model)
+    assert _step_bytes(model) == want
+
+
+def test_a_backward_through_a_replaced_graph_raises_and_sweeps_nothing():
+    want = _step_bytes(_routed_model())
+    model = _routed_model()
+    old, _ = _routed_loss(model)
+    new, _ = _routed_loss(model)
+    with pytest.raises(RuntimeError, match="no longer holds"):
+        old.backward()
+    assert all(p.grad is None for p in model.params.values())
+    new.backward()
+    assert {k: None if p.grad is None else p.grad.tobytes()
+            for k, p in model.params.items()} == want[2]
+
+
+def test_a_dead_worker_fails_the_step_and_the_next_forward_starts_another():
+    want = _step_bytes(_routed_model())
+    model = _routed_model()
+    loss, _ = _routed_loss(model)
+    dead = M._SHARD_WORKER.process
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(10)
+    with pytest.raises(RuntimeError, match=f"pid {dead.pid}\\) died"):
+        loss.backward()
+    assert M._SHARD_WORKER is None and all(p.grad is None for p in model.params.values())
+    assert _step_bytes(model) == want
+    assert M._SHARD_WORKER.process.pid != dead.pid
+
+
+# a training loop in a fresh interpreter: argv[1] steps (or forever if negative),
+# printing the worker's pid after the first
+_TRAINING = """
+import itertools, sys
+import numpy as np
+from roar3d import model as M
+from roar3d.config import ModelConfig
+from roar3d.model import ForwardOptions, Model
+from roar3d.trainer import AdamW, Batch, flow_matching_loss
+cfg = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4, patches=4,
+                  feat_dim=8, mlp_ratio=2)
+model, rng = Model.create(cfg, 0), np.random.default_rng(0)
+opt, steps = AdamW(model.params), int(sys.argv[1])
+for step in range(steps) if steps >= 0 else itertools.count():
+    batch = Batch(rng.normal(size=(4, cfg.tokens, cfg.model_dim)),
+                  rng.normal(size=(4, 2, cfg.patches, cfg.feat_dim)), np.array([0, 1, -1, 0]))
+    model.zero_grads()
+    loss, _ = flow_matching_loss(model, batch, rng.random(4), rng.normal(size=batch.z0.shape),
+                                 ForwardOptions(mode="train", step=step))
+    loss.backward()
+    opt.step(1e-3)
+    if step == 0:
+        print(M._SHARD_WORKER.process.pid, flush=True)
+"""
+
+
+def _training(steps: int, **kwargs):
+    src = str(Path(M.__file__).resolve().parents[1])
+    return [sys.executable, "-c", _TRAINING, str(steps)], {
+        "env": {**os.environ, "PYTHONPATH": src}, "text": True, **kwargs}
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def test_a_process_that_trains_and_exits_leaves_no_worker():
+    cmd, kwargs = _training(2, capture_output=True, timeout=120, check=True)
+    pid = int(subprocess.run(cmd, **kwargs).stdout.split()[0])
+    assert pid > 0 and not _running(pid)
+
+
+def test_a_killed_caller_leaves_no_worker():
+    cmd, kwargs = _training(-1, stdout=subprocess.PIPE)
+    caller = subprocess.Popen(cmd, **kwargs)
+    try:
+        pid = int(caller.stdout.readline())
+        assert _running(pid)
+        time.sleep(0.3)                   # mid-training
+    finally:
+        caller.kill()
+        caller.wait(30)
+        caller.stdout.close()
+    deadline = time.monotonic() + 10
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
 
 
 def test_second_backward_through_a_spent_graph_raises():

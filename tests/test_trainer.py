@@ -89,7 +89,7 @@ def test_loss_rejects_bad_noise_shape():
 
 
 # ---------------------------------------------------------------------------
-# the sharded loss: two row shards on two threads, one gradient
+# the sharded loss: two row shards in two processes, one gradient
 # ---------------------------------------------------------------------------
 
 PRIMARY = {"mixed": (0, -1, 2, 1), "primary-absent": (-1, -1, -1, -1),
