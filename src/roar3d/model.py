@@ -30,6 +30,9 @@ import mmap
 import multiprocessing
 import os
 import signal
+import sys
+import threading
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -551,8 +554,9 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     The info then holds the batch's routing decisions, soft weights as plain
     data, and no view context. Any other forward is one graph in the calling
     process. The worker holds the graph of the last sharded forward only,
-    so the backward of an earlier one raises ``RuntimeError``; one thread at
-    a time may run sharded forwards.
+    so the backward of an earlier one raises ``RuntimeError``; threads that
+    run sharded forwards take turns on it. The worker is a forked process,
+    so sharded forwards run on Linux only (:class:`_ShardWorker`).
     """
     opts = opts or ForwardOptions()
     B, N, _ = z_t.shape
@@ -577,8 +581,8 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     except BaseException:
         worker.drop_forward()
         raise
-    second, decisions = worker.finish_forward()
-    vel = nx.gather_rows(first, second, worker.sweeper(params))
+    second, decisions, sweep_second = worker.finish_forward(params)
+    vel = nx.gather_rows(first, second, sweep_second)
     return vel, ForwardInfo([_joined(a, *b) for a, b in zip(info.decisions, decisions)])
 
 
@@ -589,36 +593,42 @@ def _joined(a: RoutingDecision, hard_index: np.ndarray,
     return RoutingDecision(np.concatenate([a.hard_index, hard_index]), soft)
 
 
-_ALIGN = 64   # bytes; each parameter's slot in the shared mappings starts on this boundary
-
-
 class _ShardWorker:
     """The forked process that runs and sweeps the second row shard of training forwards.
 
     It serves one parameter layout (names and shapes, in order). Two
-    anonymous shared mappings, made before the fork, hold a slot per
-    parameter: the caller copies every parameter's data into the first on
-    each forward, and the worker's twins are Tensors over views of it; the
-    worker writes its twins' gradients into the second after a sweep, and
-    the caller copies them out. The pipe carries the shard's inputs and the
-    ``requires_grad`` flags in, and the velocity rows, the routing decisions
-    and the flags of which twins got a gradient back. The worker holds one
-    graph at a time: a new forward replaces the last one, swept or not. It
-    exits when its pipe reaches end of file, so it does not outlive the
-    process that started it; it is a daemon as well, so a normal exit stops
-    it at once.
+    anonymous shared mappings, made before the fork, each hold one flat
+    float64 array with a slice per parameter: the caller copies every
+    parameter's data into the first on each forward, and the worker's twins
+    are Tensors over views of it; the worker writes its twins' gradients
+    into the second after a sweep, and the caller copies them out. The pipe
+    carries the shard's inputs and the ``requires_grad`` flags in, and the
+    velocity rows, the routing decisions and the flags of which twins got a
+    gradient back. The worker holds one graph at a time: a new forward
+    replaces the last one, swept or not. It exits when its pipe reaches end
+    of file, so it does not outlive the process that started it; it is a
+    daemon as well, so a normal exit stops it at once.
+
+    One exchange (a forward, or a sweep) holds ``lock`` from its request to
+    its reply, so threads of one process that run sharded forwards take
+    turns and never read each other's replies. The worker is forked, so it
+    runs on Linux only; elsewhere starting one raises ``RuntimeError``.
     """
 
     def __init__(self, layout: list):
+        if not sys.platform.startswith("linux"):
+            raise RuntimeError("training a batch of two or more rows forks a shard worker "
+                               f"process, which roar3d supports on Linux only, not {sys.platform}")
         self.layout = layout
         self.owner = os.getpid()
-        slots, size = [], 0
-        for _, shape in layout:
-            slots.append((size, shape))
-            size += -(-8 * math.prod(shape) // _ALIGN) * _ALIGN
-        self.data, self.grads = ([np.ndarray(shape, np.float64, buffer=m, offset=off)
-                                  for off, shape in slots]
-                                 for m in (mmap.mmap(-1, size), mmap.mmap(-1, size)))
+        self.lock = threading.Lock()
+        ends = np.cumsum([0] + [math.prod(shape) for _, shape in layout])
+
+        def views() -> list[np.ndarray]:
+            flat = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])))
+            return [flat[a:b].reshape(shape) for a, b, (_, shape) in zip(ends, ends[1:], layout)]
+
+        self.data, self.grads = views(), views()
         self.graph = None      # a token of the forward whose graph the worker holds
         fork = multiprocessing.get_context("fork")
         self.conn, child = fork.Pipe()
@@ -696,17 +706,27 @@ class _ShardWorker:
                            "the next sharded forward starts a new one")
 
     def start_forward(self, params: dict[str, Tensor], args: tuple) -> None:
-        """Copy the parameters' data into the shared mapping and send the shard's inputs."""
-        self.graph = None
-        for view, p in zip(self.data, params.values()):
-            np.copyto(view, p.data)
-        self._send(("forward", [p.requires_grad for p in params.values()], args))
+        """Take the lock, copy the parameters' data into the shared mapping and send
+        the shard's inputs; :meth:`finish_forward` or :meth:`drop_forward` releases it."""
+        self.lock.acquire()
+        try:
+            self.graph = None
+            for view, p in zip(self.data, params.values()):
+                np.copyto(view, p.data)
+            self._send(("forward", [p.requires_grad for p in params.values()], args))
+        except BaseException:
+            self.lock.release()
+            raise
 
-    def finish_forward(self) -> tuple[np.ndarray, list]:
-        """The shard's velocity rows and each routed block's (hard_index, y_soft data)."""
-        vel, decisions = self._receive()
-        self.graph = object()
-        return vel, decisions
+    def finish_forward(self, params: dict[str, Tensor]) -> tuple[np.ndarray, list, Callable]:
+        """The shard's velocity rows, each routed block's (hard_index, y_soft data),
+        and ``sweep_second`` of :func:`roar3d.numerics.gather_rows` for its graph."""
+        try:
+            vel, decisions = self._receive()
+            token = self.graph = object()
+        finally:
+            self.lock.release()
+        return vel, decisions, self._sweeper(params, token)
 
     def drop_forward(self) -> None:
         """Wait for a forward whose result is not wanted; its error is not raised."""
@@ -714,25 +734,32 @@ class _ShardWorker:
             self._receive()
         except Exception:
             pass
+        finally:
+            self.lock.release()
 
-    def sweeper(self, params: dict[str, Tensor]):
-        """``sweep_second`` of :func:`roar3d.numerics.gather_rows` for the graph just built."""
-        token = self.graph
-
+    def _sweeper(self, params: dict[str, Tensor], token: object):
         def start(g: np.ndarray):
-            if token is None or self.graph is not token:
-                raise RuntimeError("the shard worker no longer holds this graph: "
-                                   "a later forward replaced it")
-            self.graph = None
-            self._send(("sweep", g))
+            self.lock.acquire()
+            try:
+                if self.graph is not token:
+                    raise RuntimeError("the shard worker no longer holds this graph: "
+                                       "a later forward replaced it")
+                self.graph = None
+                self._send(("sweep", g))
+            except BaseException:
+                self.lock.release()
+                raise
 
             def finish(merge: bool) -> None:
-                flags = self._receive()
-                if not merge:
-                    return
-                for p, view, got in zip(params.values(), self.grads, flags):
-                    if got:   # accum_grad keeps a first gradient: copy it out of the mapping
-                        p.accum_grad(view.copy() if p.grad is None else view)
+                try:
+                    flags = self._receive()
+                    if not merge:
+                        return
+                    for p, view, got in zip(params.values(), self.grads, flags):
+                        if got:   # accum_grad keeps a first gradient: copy it out of the mapping
+                            p.accum_grad(view.copy() if p.grad is None else view)
+                finally:
+                    self.lock.release()
 
             return finish
 
@@ -750,21 +777,24 @@ class _ShardWorker:
 
 
 _SHARD_WORKER: _ShardWorker | None = None
+_SHARD_WORKER_LOCK = threading.Lock()   # held while a thread picks, stops or starts the worker
 
 
 def _shard_worker(params: dict[str, Tensor]) -> _ShardWorker:
     """This process's worker for ``params``' layout, started (or restarted) as needed."""
     global _SHARD_WORKER
     layout = [(name, p.shape) for name, p in params.items()]
-    worker = _SHARD_WORKER
-    if worker is not None and worker.owner != os.getpid():
-        worker = None           # a forked copy of another process's worker: not ours to use
-    if worker is not None and worker.layout != layout:
-        worker.stop()
-        worker = None
-    if worker is None:
-        worker = _SHARD_WORKER = _ShardWorker(layout)
-    return worker
+    with _SHARD_WORKER_LOCK:
+        worker = _SHARD_WORKER
+        if worker is not None and worker.owner != os.getpid():
+            worker = None       # a forked copy of another process's worker: not ours to use
+        if worker is not None and worker.layout != layout:
+            with worker.lock:   # once an exchange another thread is in has ended
+                worker.stop()
+            worker = None
+        if worker is None:
+            worker = _SHARD_WORKER = _ShardWorker(layout)
+        return worker
 
 
 def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,

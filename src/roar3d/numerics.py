@@ -13,10 +13,11 @@ determinism, not generality:
   finite differences (see :func:`grad_check` and the test suite).
 
 Tensors are immutable after construction except through their owning graph;
-forward/backward of one graph is single-threaded, independent graphs may run
-on independent threads. ``no_grad`` acts on the current context only, so one
-thread's inference does not switch off another's graph. This module starts
-no thread and no process.
+forward/backward of one graph is single-threaded. Independent graphs may run
+on independent threads, except that the graphs ``gather_rows`` joins share
+one worker process (below). ``no_grad`` acts on the current context only, so
+one thread's inference does not switch off another's graph. This module
+starts no thread and no process.
 
 ``gather_rows`` is the one node whose graph spans two processes. A training
 forward of the model (``roar3d.model._forward``) splits its batch into two
@@ -32,7 +33,12 @@ and the worker's gradients (the worker writes them into a second mapping,
 the caller only reads them after the sweep); the batch arrays, the shard's
 outputs and small flags travel as messages over a pipe. Nothing else is
 shared: every graph, tape and gradient buffer lives in one process, so
-values and gradients do not depend on timing or on the number of CPUs.
+values and gradients do not depend on timing or on the number of CPUs. The
+worker serves one exchange (a shard's forward, or its sweep) at a time, so
+threads that run sharded forwards take turns on it; it holds the graph of
+the last sharded forward only, so the backward of a graph that a later
+forward, of any thread, has replaced raises ``RuntimeError`` and sweeps
+nothing.
 
 Backward consumes its graph: as the sweep passes an op output it drops that
 node's gradient, its parents and its backward closure, so the saved arrays

@@ -1,6 +1,8 @@
 """Shared fixtures: a micro config and dataset small enough for unit tests."""
 
 import dataclasses
+import mmap
+import math
 
 import numpy as np
 import pytest
@@ -175,6 +177,13 @@ def stop_shard_worker():
     """End this process's shard worker; the next sharded forward forks a new one."""
     if M._SHARD_WORKER is not None:
         M._SHARD_WORKER.stop()
+
+
+def shared_ints(shape) -> np.ndarray:
+    """Zeroed int64s in an anonymous shared mapping: a shard worker forked after
+    this call writes into the same memory, so a test reads what the worker saw."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(np.atleast_1d(shape))),
+                         dtype=np.int64).reshape(shape)
 
 
 @pytest.fixture

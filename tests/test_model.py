@@ -29,7 +29,7 @@ from roar3d.router import RoutingDecision, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
-from conftest import randomize_zero_init, surrogate_multiplier, unsharded_velocity
+from conftest import randomize_zero_init, shared_ints, surrogate_multiplier, unsharded_velocity
 
 CFG = ModelConfig()
 
@@ -612,26 +612,28 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch, restart_worker):
     # the surrogate network replays each (shard, block) hard choice and swaps
     # the straight-through multiplier for y_soft[v*] + (1 - y_soft0[v*]); the
     # calling process routes rows [0, B//2), the worker process rows [B//2, B),
-    # each counting its own calls
+    # each recording the blocks it replays in memory the worker shares
     overrides = [d.hard_index for d in info.decisions]
     offsets = [1.0 - np.take_along_axis(d.y_soft.data, d.hard_index[..., None], -1)
                for d in info.decisions]
     here = os.getpid()
-    calls = []
+    calls = shared_ints((2, 4096))    # row 0: the calling process's blocks, row 1: the worker's
+    made = shared_ints(2)
 
     def replay(*args):
         dec = gumbel_select(*args)
-        block = len(calls) % MICRO.blocks
-        calls.append(block)
-        rows = slice(0, B // 2) if os.getpid() == here else slice(B // 2, B)
+        shard = int(os.getpid() != here)
+        block = made[shard] % MICRO.blocks
+        calls[shard, made[shard]] = block
+        made[shard] += 1
+        rows = slice(0, B // 2) if shard == 0 else slice(B // 2, B)
         dec.hard_index, dec.offset = overrides[block][rows], offsets[block][rows]
         return dec
 
     monkeypatch.setattr(M, "gumbel_select", replay)
     monkeypatch.setattr(RoutingDecision, "ste_multiplier",
                         lambda dec: surrogate_multiplier(dec, dec.offset))
-    restart_worker()      # so the worker replays too; a straight-through worker shard
-                          # would fail the finite-difference check below
+    restart_worker()      # so the worker replays too
 
     def surrogate():
         return loss()[0]
@@ -643,7 +645,8 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch, restart_worker):
         assert np.array_equal(p.grad, ste_grads[k]), k
     report = nx.grad_check(surrogate, checked, max_entries=5)
     assert max(report.values()) < 1e-4, report
-    assert len(calls) > MICRO.blocks and len(calls) % MICRO.blocks == 0
+    assert made[0] == made[1] > MICRO.blocks, made
+    assert np.array_equal(calls[0, :made[0]], calls[1, :made[1]])
 
 
 # ---------------------------------------------------------------------------

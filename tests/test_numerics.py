@@ -30,6 +30,7 @@ from conftest import (
     router_score_chain,
     scale,
     scale_rows,
+    shared_ints,
     sum_all,
     surrogate_multiplier,
     transpose,
@@ -737,26 +738,33 @@ def _keep_graph_backward(tape, root):
             node._backward(node.grad)
 
 
-def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch):
-    model = _routed_model()
-    loss, info = _routed_loss(model)
-    nodes = []   # the op outputs of every tape swept in this process
+def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch, restart_worker):
+    here = os.getpid()
+    # per process (calling, worker), in memory the worker shares: the op outputs
+    # of the tapes it swept, and how many of them still hold a gradient or edges
+    swept, held = shared_ints((2, 2))
     sweep = nx.ComputationTape.backward
 
     def recording(tape, root):
-        nodes.extend([n for n in tape.nodes if n._parents])
+        nodes = [n for n in tape.nodes if n._parents]
         sweep(tape, root)
+        shard = int(os.getpid() != here)
+        swept[shard] += len(nodes)
+        held[shard] += sum(n.grad is not None or n._parents != () for n in nodes)
 
     monkeypatch.setattr(nx.ComputationTape, "backward", recording)
+    restart_worker()      # so the worker's sweeps record too
+    model = _routed_model()
+    loss, info = _routed_loss(model)
     loss.backward()
-    assert nodes
-    assert all(n.grad is None and n._parents == () for n in nodes)
+    assert swept.all() and not held.any(), (swept, held)
     grads = {k: p.grad for k, p in model.params.items()}
     assert all(g is not None for g in grads.values())
 
+    monkeypatch.setattr(nx.ComputationTape, "backward", _keep_graph_backward)
+    restart_worker()      # so the worker keeps its graph too
     kept_model = _routed_model()
     kept_loss, kept_info = _routed_loss(kept_model)
-    monkeypatch.setattr(nx.ComputationTape, "backward", _keep_graph_backward)
     kept_loss.backward()
     for k, p in kept_model.params.items():
         assert np.array_equal(grads[k], p.grad), k
@@ -938,6 +946,43 @@ def test_a_dead_worker_fails_the_step_and_the_next_forward_starts_another():
     assert M._SHARD_WORKER is None and all(p.grad is None for p in model.params.values())
     assert _step_bytes(model) == want
     assert M._SHARD_WORKER.process.pid != dead.pid
+
+
+def test_threads_training_at_once_get_their_own_gradients_or_a_clear_error():
+    """Threads take turns on the one worker: each step's gradients are its own, or
+    its backward raises because another thread's forward replaced its graph."""
+    want = _step_bytes(_routed_model())
+    outcomes = []
+
+    def train():
+        model = _routed_model()
+        for _ in range(6):
+            try:
+                outcomes.append(_step_bytes(model) == want)
+            except RuntimeError as exc:
+                outcomes.append("no longer holds" in str(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=train) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(outcomes) == 12 and all(outcomes), outcomes
+    assert _step_bytes(_routed_model()) == want
+
+
+def test_sharded_training_forwards_need_linux(monkeypatch, restart_worker):
+    restart_worker()
+    monkeypatch.setattr(sys, "platform", "darwin")
+    with pytest.raises(RuntimeError, match="Linux only, not darwin"):
+        _routed_loss(_routed_model())
+    assert M._SHARD_WORKER is None
 
 
 # a training loop in a fresh interpreter: argv[1] steps (or forever if negative),
