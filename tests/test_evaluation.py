@@ -38,6 +38,23 @@ def _brute_fscore(a, b, thr):
     return 0.0 if p + r == 0 else 200.0 * (p * r) / (p + r)
 
 
+def _grid(n, spacing):
+    axis = spacing * (np.arange(n) - (n - 1) / 2)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _edge_pairs():
+    """Cloud pairs at the edges of the blocked nearest-neighbor pass: decoded-cloud
+    sizes (1 to 64 points) against one 2048-point shape, 130 points crossing block
+    boundaries in both argument orders, and a 4^3 grid inside an 8^3 grid, where
+    every coarse point has eight nearest neighbors at exactly the same distance."""
+    rng = np.random.default_rng(8)
+    shape = rng.uniform(-1, 1, (2048, 3))
+    pairs = [(rng.uniform(-1, 1, (n, 3)), shape) for n in (1, 2, 16, 17, 20, 63, 64)]
+    cloud = rng.uniform(-1, 1, (130, 3))
+    return pairs + [(cloud, shape), (shape, cloud), (_grid(4, 0.125), _grid(8, 0.0625))]
+
+
 # ---------------------------------------------------------------------------
 # chamfer distance
 # ---------------------------------------------------------------------------
@@ -66,6 +83,8 @@ def test_chamfer_matches_brute_force_exactly():
     for _ in range(30):
         a = rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3))
         b = rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3))
+        assert chamfer_distance(a, b) == _brute_chamfer(a, b)
+    for a, b in _edge_pairs():
         assert chamfer_distance(a, b) == _brute_chamfer(a, b)
 
 
@@ -105,6 +124,16 @@ def test_chamfer_matches_pure_python_double_loop():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_metrics_reject_non_finite_points(side, bad):
+    clouds = [np.zeros((4, 3)), np.ones((5, 3))]
+    clouds[side][2, 1] = bad
+    for metric in (chamfer_distance, lambda a, b: f_score(a, b, 0.1), geo_metrics):
+        with pytest.raises(ValueError, match="finite"):
+            metric(*clouds)
+
+
 def test_fscore_identical_clouds():
     pts = np.random.default_rng(4).uniform(-1, 1, (32, 3))
     assert f_score(pts, pts, 0.05) == 100.0
@@ -130,14 +159,18 @@ def test_fscore_symmetric_and_matches_brute_force():
         for thr in (0.05, 0.1):
             assert f_score(a, b, thr) == _brute_fscore(a, b, thr)
             assert f_score(a, b, thr) == f_score(b, a, thr)
+    for a, b in _edge_pairs():
+        for thr in (0.05, 0.1):
+            assert f_score(a, b, thr) == _brute_fscore(a, b, thr)
+            assert f_score(a, b, thr) == f_score(b, a, thr)
 
 
 def test_geo_metrics_equal_chamfer_and_fscore_on_unequal_clouds():
-    """One pair of nearest-neighbor queries gives CD and both F-scores bit for bit."""
+    """One nearest-neighbor pass gives CD and both F-scores bit for bit."""
     rng = np.random.default_rng(7)
-    for na, nb in ((1, 300), (57, 200), (400, 13)):
-        a = rng.uniform(-1, 1, (na, 3))
-        b = rng.uniform(-1, 1, (nb, 3))
+    pairs = [(rng.uniform(-1, 1, (na, 3)), rng.uniform(-1, 1, (nb, 3)))
+             for na, nb in ((1, 300), (57, 200), (400, 13))]
+    for a, b in pairs + _edge_pairs():
         m = geo_metrics(a, b)
         assert m.cd == chamfer_distance(a, b)
         assert m.f1_at_0_1 == f_score(a, b, 0.1)

@@ -1,8 +1,10 @@
 """Autodiff core: oracle values, finite-difference checks, determinism."""
 
+import ast
 import contextlib
 import dataclasses
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -1173,11 +1175,34 @@ def test_no_grad_in_another_thread_keeps_this_threads_graph():
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
 
-def test_importing_numerics_loads_neither_scipy_nor_evaluation():
-    """The package itself imports nothing, so a submodule brings only its own imports."""
+@pytest.mark.parametrize("module, absent", [
+    ("roar3d.numerics", ("roar3d.evaluation",)),  # the package itself imports nothing
+    ("roar3d.cli", ()),                           # imports every module
+], ids=["numerics", "cli"])
+def test_importing_loads_no_scipy(module, absent):
+    """A submodule brings only its own imports, and no module of roar3d imports scipy."""
     src = str(Path(nx.__file__).resolve().parents[1])
-    code = ("import roar3d.numerics, sys; "
-            "print([m for m in ('scipy', 'roar3d.evaluation') if m in sys.modules])")
+    code = (f"import {module}, sys; "
+            f"print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == 'scipy' or m in {absent!r}))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_third_party_imports_equal_declared_dependencies():
+    """``[project] dependencies`` names exactly the packages that ``src/roar3d`` imports."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(nx.__file__).resolve().parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"roar3d"}
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
+                for dep in project["dependencies"]}
+    assert sorted(third_party) == sorted(declared)
