@@ -80,11 +80,9 @@ def test_chamfer_rejects_empty():
 
 def test_chamfer_matches_brute_force_exactly():
     rng = np.random.default_rng(1)
-    for _ in range(30):
-        a = rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3))
-        b = rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3))
-        assert chamfer_distance(a, b) == _brute_chamfer(a, b)
-    for a, b in _edge_pairs():
+    pairs = [(rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3)),
+              rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3))) for _ in range(30)]
+    for a, b in pairs + _edge_pairs():
         assert chamfer_distance(a, b) == _brute_chamfer(a, b)
 
 
@@ -153,13 +151,9 @@ def test_fscore_boundary_inclusive():
 
 def test_fscore_symmetric_and_matches_brute_force():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rng.uniform(-1, 1, (int(rng.integers(5, 200)), 3))
-        b = rng.uniform(-1, 1, (int(rng.integers(5, 200)), 3))
-        for thr in (0.05, 0.1):
-            assert f_score(a, b, thr) == _brute_fscore(a, b, thr)
-            assert f_score(a, b, thr) == f_score(b, a, thr)
-    for a, b in _edge_pairs():
+    pairs = [(rng.uniform(-1, 1, (int(rng.integers(5, 200)), 3)),
+              rng.uniform(-1, 1, (int(rng.integers(5, 200)), 3))) for _ in range(20)]
+    for a, b in pairs + _edge_pairs():
         for thr in (0.05, 0.1):
             assert f_score(a, b, thr) == _brute_fscore(a, b, thr)
             assert f_score(a, b, thr) == f_score(b, a, thr)
