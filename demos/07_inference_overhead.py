@@ -7,6 +7,9 @@ steps) for the single-view model and for its routed upgrade at 1, 2, 4 and
 figure is the median of a few interleaved rounds, with single-threaded BLAS.
 It also counts the router's score calls per request: none at one view,
 where the argmax of one column is known, and one per block and step above.
+Each request routes through the router's folded score matrices; the demo
+checks that its routing decisions equal those of the same request routed
+with the exact logits, and exits 1 if any differ.
 """
 
 import os
@@ -15,6 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import dataclasses  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -48,8 +52,17 @@ primary = np.zeros(1, dtype=np.int64)
 runs = {"single": lambda: integrate_flow(single.params, single.cfg, feats[1], primary,
                                          z_init, steps)}
 for v in VIEW_COUNTS:
-    runs[v] = lambda v=v: integrate_flow(routed.params, routed.cfg, feats[v], primary,
-                                         z_init, steps)
+    runs[v] = lambda v=v, trace=False: integrate_flow(routed.params, routed.cfg, feats[v],
+                                                      primary, z_init, steps, trace)
+
+# hard traces of each request, routed through the score matrices and then with
+# the exact logits: the view context hands the router its keys unfolded
+traces = {v: runs[v](trace=True)[1] for v in VIEW_COUNTS}
+fold = model_module.score_matrix
+model_module.score_matrix = lambda keys, p: keys
+exact = {v: runs[v](trace=True)[1] for v in VIEW_COUNTS}
+model_module.score_matrix = fold
+equal = {v: np.array_equal(traces[v], exact[v]) for v in VIEW_COUNTS}
 
 # router score calls per request, counted in one untimed run per view count
 score = model_module.routing_logits_batched
@@ -83,4 +96,6 @@ print(f"single-view baseline: {base * 1e3:7.1f} ms")
 for v in VIEW_COUNTS:
     t = float(np.median(times[v]))
     print(f"routed, {v} view(s):  {t * 1e3:7.1f} ms   routed/single {t / base:.2f}   "
-          f"router calls {router_calls[v]}")
+          f"router calls {router_calls[v]}   decisions equal: {equal[v]}")
+if not all(equal.values()):
+    sys.exit(1)

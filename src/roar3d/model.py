@@ -42,7 +42,7 @@ from . import numerics as nx
 from .config import OCCUPANCY_SCALE, OFFSET_SCALE, ConfigError, ModelConfig, set_fields
 from .numerics import Tensor
 from .router import (RoutingDecision, gumbel_select, router_keys, routing_logits_batched,
-                     routing_noise)
+                     routing_noise, score_matrix)
 from .rng import stream
 from .world import _QUARTER, PointCloud
 
@@ -268,14 +268,19 @@ class ViewContext:
     (B, V, S, H * dh) with the heads unsplit like the queries, keys
     RMS-normed; on a routed model ``kv_a[l]`` is the CA_a pair and
     ``router_keys[l]`` the router's projected pooled keys (B, V, H * dh),
-    both None without a router. ``feats`` is the
-    (B, V, S, feat_dim) array the context was built from.
+    both None without a router. A routed context built under ``no_grad``
+    over two or more views also holds ``scores[l]``, the router's folded
+    :class:`roar3d.router.ScoreMatrix` (B, D, V), which a forward without
+    gradients or Gumbel noise routes with; every other forward routes with
+    the exact logits of ``router_keys``. ``feats`` is the (B, V, S,
+    feat_dim) array the context was built from.
     """
 
     feats: np.ndarray
     kv_p: list
     kv_a: list | None = None
     router_keys: list | None = None
+    scores: list | None = None
 
 
 @dataclass
@@ -455,7 +460,8 @@ def view_context(params: dict[str, Tensor], cfg: ModelConfig, feats: np.ndarray,
     """Build every block's view-side tensors from (B, V, S, feat_dim) ``feats``.
 
     ``routed`` adds the CA_a pairs and the router keys. Under ``no_grad`` the
-    context is plain data that every step of one request can reuse; with
+    context is plain data that every step of one request can reuse, and a
+    routed one over two or more views adds the router's score matrices; with
     gradients on it is part of the graph of the forward that builds it.
     """
     feats = np.asarray(feats)
@@ -465,7 +471,10 @@ def view_context(params: dict[str, Tensor], cfg: ModelConfig, feats: np.ndarray,
     if routed:
         pooled = Tensor(feats.mean(axis=2))
         ctx.kv_a = [_ca_kv(params, f"blocks.{l}.ca_a", feats_t) for l in blocks]
-        ctx.router_keys = [router_keys(pooled, _router_params(params, l)) for l in blocks]
+        routers = [_router_params(params, l) for l in blocks]
+        ctx.router_keys = [router_keys(pooled, p) for p in routers]
+        if not nx.grad_enabled() and feats.shape[1] > 1:
+            ctx.scores = [score_matrix(k, p) for k, p in zip(ctx.router_keys, routers)]
     return ctx
 
 
@@ -806,6 +815,8 @@ def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.nd
     None; either way it is returned in ``ForwardInfo.views``. The time context
     comes from ``opts.time`` in the same way. ``noise`` holds each routed
     block's Gumbel noise for these rows in training mode, None otherwise.
+    Without gradients or noise only the argmax of the logits is read, so the
+    router scores through the context's score matrices when it has them.
     """
     B, N, d = z_t.shape
     routed = primary_index is not None
@@ -826,6 +837,7 @@ def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.nd
     # token of a one-view router under no_grad, where the argmax of one column
     # is 0 and nothing reads the scores
     score = routed and (V > 1 or nx.grad_enabled())
+    folded = noise is None and not nx.grad_enabled() and views.scores is not None
     v_star = np.zeros((B, N), dtype=np.int64)
     use_p = np.ones((B, N), dtype=bool)
     multiplier = None
@@ -838,7 +850,8 @@ def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.nd
         if score:
             p = _router_params(params, l)
             zt, znorm = nx.layer_norms(z, (p["ln_gain"], p["ln_bias"]), ln_ca)
-            logits = routing_logits_batched(zt, views.router_keys[l], p)
+            keys = views.scores[l] if folded else views.router_keys[l]
+            logits = routing_logits_batched(zt, keys, p)
             dec = gumbel_select(logits, None if noise is None else noise[l])
         else:
             znorm = nx.layer_norm(z, *ln_ca)

@@ -348,8 +348,9 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
     gradient equal, bit for bit, those of the six nodes of the masked form
     ``((x * mask_p) @ w_p + (x * mask_a) @ w_a) * multiplier``, which only
     adds exact zeros to the picked row. Without a multiplier no row is scaled,
-    which equals a multiplier of ones bit for bit (x * 1.0 == x). The masked
-    copies of ``x`` are built in the backward, for the weight gradients; the
+    which equals a multiplier of ones bit for bit (x * 1.0 == x). The row
+    masks and the masked copies of ``x`` are built in the backward, for the
+    input and weight gradients, so a forward without a graph builds none; the
     picked rows, which the multiplier's gradient reads, stay saved, as they
     would take two matmuls to rebuild.
     """
@@ -361,13 +362,13 @@ def dual_linear(x: Tensor, w_p: Tensor, w_a: Tensor, use_primary: np.ndarray,
     if use_primary.shape != x.shape[:-1] or (m is not None and m.shape != x.shape[:-1] + (1,)):
         raise ShapeError(f"dual_linear rows: mask {use_primary.shape}, "
                          f"multiplier {None if m is None else m.shape}, x {x.shape}")
-    mask_p = use_primary[..., None].astype(np.float64)
-    mask_a = (~use_primary)[..., None].astype(np.float64)
     summed = np.where(use_primary[..., None], np.matmul(x.data, w_p.data),
                       np.matmul(x.data, w_a.data))
     k, n = w_p.shape
 
     def backward(g: np.ndarray) -> None:
+        mask_p = use_primary[..., None].astype(np.float64)
+        mask_a = (~use_primary)[..., None].astype(np.float64)
         gs = g if m is None else g * m.data
         if x.requires_grad:
             gx = np.matmul(gs, w_p.data.T) * mask_p

@@ -8,6 +8,14 @@ parameters. At inference the noise is dropped and routing is deterministic;
 under ``no_grad`` the argmax is the whole decision and no soft weights are
 built.
 
+An inference request that reads only the argmax scores through a
+:class:`ScoreMatrix` (:func:`score_matrix`), which folds the query
+projection, its RMSNorm gain and the head mix into one (D, V) matrix per
+sample: ``zt @ R`` is the logits times a positive factor per token (the
+token's query RMSNorm factor over sqrt(head_dim)), so its argmax is the
+logits' argmax. The two can differ only where two exact logits agree to
+rounding.
+
 Ties at the argmax break toward the lowest view index, which keeps replays
 bit-reproducible.
 """
@@ -22,7 +30,8 @@ from . import numerics as nx
 from .numerics import Tensor
 from .rng import stream
 
-__all__ = ["RoutingDecision", "router_keys", "routing_logits_batched", "gumbel_select"]
+__all__ = ["RoutingDecision", "ScoreMatrix", "router_keys", "score_matrix",
+           "routing_logits_batched", "gumbel_select"]
 
 
 @dataclass
@@ -61,6 +70,25 @@ def router_keys(pooled: Tensor, p: dict[str, Tensor]) -> Tensor:
     return nx.rms_norm(nx.matmul(pooled, p["w_k"]), p["k_gain"])
 
 
+class ScoreMatrix(Tensor):
+    """One block's folded router scores for one request, (B, D, V) plain data."""
+
+    __slots__ = ()
+
+
+def score_matrix(keys: Tensor, p: dict[str, Tensor]) -> ScoreMatrix:
+    """``w_q @ diag(q_gain * repeat(w_agg, dh)) @ keys^T``: keys (B, V, H*dh) -> (B, D, V).
+
+    Routing ``zt`` through it gives the logits of :func:`routing_logits_batched`
+    times each token's positive query RMSNorm factor over sqrt(dh), with
+    nothing to differentiate: it is built from plain data for a request whose
+    routing reads only the argmax.
+    """
+    heads = p["w_agg"].shape[0]
+    fold = p["q_gain"].data * np.repeat(p["w_agg"].data, p["w_q"].shape[1] // heads)
+    return ScoreMatrix(np.matmul(p["w_q"].data * fold, np.swapaxes(keys.data, -1, -2)))
+
+
 def routing_logits_batched(zt: Tensor, keys: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Batched routing scores: zt (B, N, D), keys (B, V, H*dh) -> (B, N, V).
 
@@ -73,7 +101,13 @@ def routing_logits_batched(zt: Tensor, keys: Tensor, p: dict[str, Tensor]) -> Te
     (model_dim, heads * head_dim) and ``w_k`` is (feat_dim, heads *
     head_dim). ``q_gain``/``k_gain`` are the post-projection RMSNorm gains,
     and ``w_agg`` mixes the per-head scores, one weight per head.
+
+    Given the :class:`ScoreMatrix` of the keys instead, it returns
+    ``zt @ R`` as plain data: the logits times a positive factor per token,
+    whose argmax is the logits' argmax up to rounding ties.
     """
+    if isinstance(keys, ScoreMatrix):
+        return Tensor(np.matmul(zt.data, keys.data))
     q = nx.rms_norm(nx.matmul(zt, p["w_q"]), p["q_gain"])               # (B, N, H*dh)
     return nx.router_scores(q, keys, p["w_agg"], p["w_agg"].shape[0])
 

@@ -25,7 +25,7 @@ from roar3d.model import (
     rotate_latent,
 )
 from roar3d.numerics import Tensor
-from roar3d.router import RoutingDecision, gumbel_select, routing_logits_batched
+from roar3d.router import RoutingDecision, ScoreMatrix, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
@@ -376,6 +376,48 @@ def test_integrate_flow_reuses_its_view_context_bit_exactly(views):
     assert np.array_equal(trace, np.stack(ref_trace))
 
 
+@pytest.mark.parametrize("views, primary", [(2, 0), (2, -1), (4, 0), (4, -1), (12, 0), (12, -1)])
+def test_integrate_flow_folded_routing_equals_exact_logits(monkeypatch, views, primary):
+    """A request routed through score matrices keeps the latents and trace of exact logits.
+
+    The reference runs every step with a context whose score matrices are
+    dropped, so every block routes with ``routing_logits_batched`` over the
+    router keys.
+    """
+    folded = []
+
+    def spy(zt, keys, p):
+        folded.append(isinstance(keys, ScoreMatrix))
+        return routing_logits_batched(zt, keys, p)
+
+    monkeypatch.setattr(M, "routing_logits_batched", spy)
+    rng = np.random.default_rng(31)
+    model = Model.create(MICRO, 32)
+    randomize_zero_init(model.params, rng)
+    B, steps = 3, 4
+    feats = _rand_views(rng, MICRO, views, batch=B)
+    prim = np.full(B, primary, dtype=np.int64)
+    z_init = rng.normal(size=(B, MICRO.tokens, MICRO.model_dim))
+    z, trace = M.integrate_flow(model.params, MICRO, feats, prim, z_init, steps=steps,
+                                collect_trace=True)
+    assert folded == [True] * (steps * MICRO.blocks)
+
+    folded.clear()
+    ref, dt, ref_trace = z_init.copy(), 1.0 / steps, []
+    with nx.no_grad():
+        exact = dataclasses.replace(M.view_context(model.params, MICRO, feats, routed=True),
+                                    scores=None)
+        for k in range(steps):
+            vel, info = forward_multiview(model.params, MICRO, ref, np.full(B, 1.0 - k * dt),
+                                          feats, prim, ForwardOptions(views=exact))
+            ref = ref - dt * vel.data
+            ref_trace.append(info.hard_trace())
+    assert folded == [False] * (steps * MICRO.blocks)
+    assert z.tobytes() == ref.tobytes()
+    assert trace.tobytes() == np.stack(ref_trace).tobytes()
+    assert len(np.unique(trace)) > 1
+
+
 @pytest.mark.parametrize("arch", ["routed", "concat"])
 def test_forward_rejects_a_view_context_of_other_features(arch):
     rng = np.random.default_rng(19)
@@ -462,8 +504,20 @@ def test_view_order_invariance_at_inference():
     ("routed", 4, 0, "inference"), ("routed", 4, -1, "inference"),
     ("routed", 4, 0, "train"), ("concat", 3, 0, "inference"), ("single", 1, 0, "inference"),
 ])
-def test_inference_forward_without_soft_weights_bit_exact(arch, views, primary, mode):
-    """Under no_grad routing is the bare argmax; velocity and choices keep every bit."""
+def test_inference_forward_without_soft_weights_bit_exact(monkeypatch, arch, views, primary,
+                                                          mode):
+    """Under no_grad routing is the bare argmax; velocity and choices keep every bit.
+
+    Without noise a routed block over two or more views scores through its
+    score matrix; training mode adds its noise to the exact logits.
+    """
+    folded = []
+
+    def spy(zt, keys, p):
+        folded.append(isinstance(keys, ScoreMatrix))
+        return routing_logits_batched(zt, keys, p)
+
+    monkeypatch.setattr(M, "routing_logits_batched", spy)
     rng = np.random.default_rng(23)
     cfg = dataclasses.replace(MICRO, arch=arch)
     model = Model.create(cfg, 24)
@@ -475,8 +529,12 @@ def test_inference_forward_without_soft_weights_bit_exact(arch, views, primary, 
     prim = np.full(B, primary, dtype=np.int64)
     opts = ForwardOptions(mode=mode, run_seed=2, step=1)
     vel, info = unsharded_velocity(model, z_t, t, feats, prim, opts)
+    assert not any(folded)
+    folded.clear()
     with nx.no_grad():
         bare_vel, bare = model.velocity(z_t, t, feats, prim, opts)
+    scored = arch == "routed" and views > 1
+    assert folded == [scored and mode == "inference"] * (cfg.blocks * scored)
     assert vel.data.tobytes() == bare_vel.data.tobytes()
     assert len(bare.decisions) == (cfg.blocks if arch == "routed" else 0)
     if bare.decisions:

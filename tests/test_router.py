@@ -1,12 +1,14 @@
 """Token-wise view routing: pooling, logits, Gumbel selection, STE."""
 
 import numpy as np
+import pytest
 
 import roar3d.numerics as nx
 import roar3d.model as M
 from roar3d.config import ModelConfig
 from roar3d.numerics import Tensor, grad_check
-from roar3d.router import gumbel_select, router_keys, routing_logits_batched, sample_gumbel
+from roar3d.router import (gumbel_select, router_keys, routing_logits_batched, sample_gumbel,
+                           score_matrix)
 from roar3d.rng import stream
 
 from conftest import reshape, sum_all, surrogate_multiplier
@@ -128,6 +130,43 @@ def test_routing_logits_match_per_head_oracle():
 def test_w_agg_initialized_uniform():
     p = _params(0, heads=4, head_dim=2)
     assert np.array_equal(p["w_agg"].data, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("views", [2, 5, 12])
+def test_score_matrix_picks_the_exact_argmax(views):
+    """zt @ R is the exact logits times a positive factor per token, and has their argmax.
+
+    The exact side runs with gradients on, as a training forward does. The
+    router has a negative head weight and zeroed and negative query gains;
+    sample 1 repeats view 0 as its last view, sample 2 view 1, so those
+    views tie exactly on both sides and the lower index wins.
+    """
+    rng = np.random.default_rng(40 + views)
+    B, N, D, H, dh = 3, 40, 8, 3, 4
+    p = _params(views, model_dim=D, feat_dim=D, heads=H, head_dim=dh)
+    p["w_agg"].data[...] = [0.9, -0.6, 0.3]
+    p["q_gain"].data[...] = rng.normal(size=H * dh)
+    p["q_gain"].data[::5] = 0.0
+    p["q_gain"].data[1] = -abs(p["q_gain"].data[1])
+    pooled = rng.normal(size=(B, views, D))
+    pooled[1, -1] = pooled[1, 0]
+    pooled[2, -1] = pooled[2, 1 % (views - 1)]
+    zt = nx.layer_norm(Tensor(rng.normal(size=(B, N, D))), p["ln_gain"], p["ln_bias"])
+    keys = router_keys(Tensor(pooled), p)
+    logits = routing_logits_batched(zt, keys, p)
+    exact = gumbel_select(logits)
+    assert exact.y_soft is not None
+
+    with nx.no_grad():
+        folded = routing_logits_batched(zt, score_matrix(keys, p), p)
+        decision = gumbel_select(folded)
+    q = zt.data @ p["w_q"].data
+    factor = 1.0 / np.sqrt((q * q).mean(axis=-1, keepdims=True) + nx.RMS_EPS) / np.sqrt(dh)
+    assert np.allclose(folded.data * factor, logits.data, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(decision.hard_index, exact.hard_index)
+    assert (exact.hard_index[1:] != views - 1).all()
+    assert (exact.hard_index[1] == 0).any() and (exact.hard_index[2] == 1 % (views - 1)).any()
+    assert len(np.unique(exact.hard_index)) > 1
 
 
 # ---------------------------------------------------------------------------
