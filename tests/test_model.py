@@ -376,14 +376,9 @@ def test_integrate_flow_reuses_its_view_context_bit_exactly(views):
     assert np.array_equal(trace, np.stack(ref_trace))
 
 
-@pytest.mark.parametrize("views, primary", [(2, 0), (2, -1), (4, 0), (4, -1), (12, 0), (12, -1)])
-def test_integrate_flow_folded_routing_equals_exact_logits(monkeypatch, views, primary):
-    """A request routed through score matrices keeps the latents and trace of exact logits.
-
-    The reference runs every step with a context whose score matrices are
-    dropped, so every block routes with ``routing_logits_batched`` over the
-    router keys.
-    """
+def _record_folded(monkeypatch) -> list:
+    """Per ``routing_logits_batched`` call from the forward, whether it scored
+    through a score matrix."""
     folded = []
 
     def spy(zt, keys, p):
@@ -391,9 +386,26 @@ def test_integrate_flow_folded_routing_equals_exact_logits(monkeypatch, views, p
         return routing_logits_batched(zt, keys, p)
 
     monkeypatch.setattr(M, "routing_logits_batched", spy)
+    return folded
+
+
+@pytest.mark.parametrize("views, primary", [(2, 0), (2, -1), (4, 0), (4, -1), (12, 0), (12, -1)])
+def test_integrate_flow_folded_routing_equals_exact_logits(monkeypatch, views, primary):
+    """A request routed through score matrices keeps the latents and trace of exact logits.
+
+    The reference runs every step with a context whose score matrices are
+    dropped, so every block routes with ``routing_logits_batched`` over the
+    router keys. The router's head weights and query gains are random, with
+    either sign.
+    """
+    folded = _record_folded(monkeypatch)
     rng = np.random.default_rng(31)
     model = Model.create(MICRO, 32)
     randomize_zero_init(model.params, rng)
+    for l in range(MICRO.blocks):   # signed, unequal head weights and query gains
+        for name in ("w_agg", "q_gain"):
+            p = model.params[f"blocks.{l}.router.{name}"]
+            p.data[...] = rng.normal(size=p.shape)
     B, steps = 3, 4
     feats = _rand_views(rng, MICRO, views, batch=B)
     prim = np.full(B, primary, dtype=np.int64)
@@ -511,13 +523,7 @@ def test_inference_forward_without_soft_weights_bit_exact(monkeypatch, arch, vie
     Without noise a routed block over two or more views scores through its
     score matrix; training mode adds its noise to the exact logits.
     """
-    folded = []
-
-    def spy(zt, keys, p):
-        folded.append(isinstance(keys, ScoreMatrix))
-        return routing_logits_batched(zt, keys, p)
-
-    monkeypatch.setattr(M, "routing_logits_batched", spy)
+    folded = _record_folded(monkeypatch)
     rng = np.random.default_rng(23)
     cfg = dataclasses.replace(MICRO, arch=arch)
     model = Model.create(cfg, 24)
