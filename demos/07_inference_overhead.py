@@ -7,9 +7,9 @@ steps) for the single-view model and for its routed upgrade at 1, 2, 4 and
 figure is the median of a few interleaved rounds, with single-threaded BLAS.
 It also counts the router's score calls per request: none at one view,
 where the argmax of one column is known, and one per block and step above.
-Each request routes through the router's folded score matrices; the demo
-checks that its routing decisions equal those of the same request routed
-with the exact logits, and exits 1 if any differ.
+Above one view each request routes through the router's folded score
+matrices; the demo checks that its routing decisions equal those of the
+same request routed with the exact logits, and exits 1 if any differ.
 """
 
 import os

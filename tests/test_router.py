@@ -138,8 +138,8 @@ def test_score_matrix_picks_the_exact_argmax(views):
 
     The exact side runs with gradients on, as a training forward does. The
     router has a negative head weight and zeroed and negative query gains;
-    sample 1 repeats view 0 as its last view, sample 2 view 1, so those
-    views tie exactly on both sides and the lower index wins.
+    sample 1 repeats view 0 as its last view, sample 2 view 1 (view 0 at two
+    views), so those views tie exactly on both sides and the lower index wins.
     """
     rng = np.random.default_rng(40 + views)
     B, N, D, H, dh = 3, 40, 8, 3, 4
