@@ -1,9 +1,9 @@
 """Token-wise view routing and the straight-through estimator.
 
 Pools view keys, scores every (token, view) pair through the multi-head
-router, selects hard views with Gumbel noise, and shows that the composite
-multiplier is exactly one in the forward pass while carrying soft gradients
-backward. Without gradients (``no_grad``) the argmax is the whole decision.
+router, selects hard views with Gumbel noise, and shows that the
+straight-through multiplier is exactly one in the forward pass while carrying
+soft gradients backward. Without gradients (``no_grad``) the argmax is the whole decision.
 """
 
 import numpy as np
@@ -49,13 +49,13 @@ for step in range(3):
 print("\n=== inference mode: deterministic ===")
 dec = gumbel_select(logits)
 print("hard choices:", dec.hard_index[0])
-print("soft weights row 0:", dec.y_soft.data[0, 0].round(3), "sum", dec.y_soft.data[0, 0].sum())
+print("soft weights row 0:", dec.y_soft[0, 0].round(3), "sum", dec.y_soft[0, 0].sum())
 with nx.no_grad():
     bare = gumbel_select(logits)
 print("under no_grad: same choices", np.array_equal(bare.hard_index, dec.hard_index),
-      "| soft weights", bare.y_soft, "| multiplier", bare.ste_multiplier())
+      "| soft weights", bare.y_soft, "| multiplier", bare.multiplier)
 
-multiplier = dec.ste_multiplier()
+multiplier = dec.multiplier
 print("\nSTE multiplier forward values:", multiplier.data.ravel())
 
 # backward: gradient reaches the router parameters through the soft weights

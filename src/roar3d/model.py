@@ -560,8 +560,8 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     contexts. The velocity is the two shards' rows
     (:func:`roar3d.numerics.gather_rows`), whose backward sweeps each shard
     in its own process and adds the worker's gradients to the parameters'.
-    The info then holds the batch's routing decisions, soft weights as plain
-    data, and no view context. Any other forward is one graph in the calling
+    The info then holds the batch's routing decisions, without multipliers,
+    and no view context. Any other forward is one graph in the calling
     process. The worker holds the graph of the last sharded forward only,
     so the backward of an earlier one raises ``RuntimeError``; threads that
     run sharded forwards take turns on it. The worker is a forked process,
@@ -597,9 +597,9 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
 
 def _joined(a: RoutingDecision, hard_index: np.ndarray,
             y_soft: np.ndarray | None) -> RoutingDecision:
-    """One decision over the rows of ``a`` and then the worker's, soft weights as plain data."""
-    soft = None if a.y_soft is None else Tensor(np.concatenate([a.y_soft.data, y_soft]))
-    return RoutingDecision(np.concatenate([a.hard_index, hard_index]), soft)
+    """One decision over the rows of ``a`` and then the worker's, with no multiplier."""
+    soft = None if a.y_soft is None else np.concatenate([a.y_soft, y_soft])
+    return RoutingDecision(np.concatenate([a.hard_index, hard_index]), soft, None)
 
 
 class _ShardWorker:
@@ -666,8 +666,7 @@ class _ShardWorker:
                         twin.requires_grad, twin.grad = flag, None
                     vel, info = _rows(named, *request[2])
                     root = vel
-                    reply = (vel.data, [(d.hard_index, None if d.y_soft is None
-                                         else d.y_soft.data) for d in info.decisions])
+                    reply = (vel.data, [(d.hard_index, d.y_soft) for d in info.decisions])
                 else:
                     swept, root = root, None
                     nx.sweep(swept, request[1])
@@ -728,7 +727,7 @@ class _ShardWorker:
             raise
 
     def finish_forward(self, params: dict[str, Tensor]) -> tuple[np.ndarray, list, Callable]:
-        """The shard's velocity rows, each routed block's (hard_index, y_soft data),
+        """The shard's velocity rows, each routed block's (hard_index, y_soft),
         and ``sweep_second`` of :func:`roar3d.numerics.gather_rows` for its graph."""
         try:
             vel, decisions = self._receive()
@@ -855,10 +854,10 @@ def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.nd
             dec = gumbel_select(logits, None if noise is None else noise[l])
         else:
             znorm = nx.layer_norm(z, *ln_ca)
-            dec = RoutingDecision(np.zeros((B, N), dtype=np.int64), None)
+            dec = RoutingDecision(np.zeros((B, N), dtype=np.int64), None, None)
         if routed:
             v_star = dec.hard_index
-            multiplier = dec.ste_multiplier()
+            multiplier = dec.multiplier
             use_p = (primary_index[:, None] >= 0) & (v_star == primary_index[:, None])
             info.decisions.append(dec)
 

@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode autodiff.
 
-Just enough operations for attention stacks: matmul, norms, softmax, SiLU,
-a couple of gather/broadcast helpers, the fused glue of an adaLN-zero block
-(``linear``, ``ada_layer_norm``, ``gated_add``), the router's score kernel
-and two fused attention kernels. The design goals are auditability and
-determinism, not generality:
+Just enough operations for attention stacks: matmul, norms, SiLU, a slice
+and a per-sample scale, the fused glue of an adaLN-zero block (``linear``,
+``ada_layer_norm``, ``gated_add``), the router's score kernel and its
+straight-through hard choice (``straight_through``), and two fused
+attention kernels. The design goals are auditability and determinism, not
+generality:
 
 * everything is float64, row-major;
 * no broadcasting beyond the documented cases (shared 2-D rhs in matmul,
@@ -54,9 +55,9 @@ over data the graph already holds: the norms keep per-row statistics (and
 from the input, and the attention and router-score kernels split the heads
 of their inputs again instead of keeping the split copies. Arrays that cost
 an ``exp`` or a matmul to rebuild stay saved: ``silu``'s sigmoid, the
-attention probabilities, the router's unmixed scores and ``dual_linear``'s
-picked rows. Rebuilt arrays run the forward's own expressions, so every
-gradient is the same, bit for bit.
+attention probabilities, the router's unmixed scores, the soft weights of
+``straight_through`` and ``dual_linear``'s picked rows. Rebuilt arrays run
+the forward's own expressions, so every gradient is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,20 +74,17 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "matmul",
-    "add",
     "sub",
     "mul",
     "linear",
     "dual_linear",
     "scale_batch",
-    "softmax",
     "layer_norm",
     "layer_norms",
     "rms_norm",
     "silu",
     "slice_last",
-    "take_index_last",
-    "ste_one",
+    "straight_through",
     "ada_layer_norm",
     "gated_add",
     "router_scores",
@@ -280,18 +278,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        a.accum_grad(g)
-        b.accum_grad(g)
-
-    return _node(a.data + b.data, (a, b), backward)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -397,20 +383,6 @@ def scale_batch(x: Tensor, s: np.ndarray) -> Tensor:
         x.accum_grad(g * view)
 
     return _node(x.data * view, (x,), backward)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax (max-subtracted) over the last axis."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        x.accum_grad(y * (g - dot))
-
-    return _node(y, (x,), backward)
 
 
 def _check_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> int:
@@ -531,36 +503,36 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     return _node(np.ascontiguousarray(x.data[..., start:stop]), (x,), backward)
 
 
-def take_index_last(y: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather one entry per row from the last axis: out[..., 0] = y[..., idx]."""
-    y = _as_tensor(y)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != y.shape[:-1]:
-        raise ShapeError(f"index shape {idx.shape} does not match {y.shape}")
-    picked = np.take_along_axis(y.data, idx[..., None], axis=-1)
+def straight_through(logits: Tensor, noisy: np.ndarray,
+                     hard: np.ndarray) -> tuple[np.ndarray, Tensor]:
+    """A hard choice per row with a straight-through gradient, as one node.
 
-    def backward(g: np.ndarray) -> None:
-        gy = np.zeros_like(y.data)
-        np.put_along_axis(gy, idx[..., None], g, axis=-1)
-        y.accum_grad(gy)
-
-    return _node(picked, (y,), backward)
-
-
-def ste_one(soft: Tensor) -> Tensor:
-    """Straight-through unit multiplier.
-
-    Forward value is exactly 1 everywhere; the backward pass hands the
-    incoming gradient to ``soft`` unchanged. Composing ``scale_rows(x,
-    ste_one(p))`` therefore leaves x untouched in the forward pass while
-    routing x-weighted gradient into p.
+    ``noisy`` is the data of ``logits`` (..., N, V) plus any Gumbel noise and
+    ``hard`` (..., N) the chosen index of each row. Returns ``y_soft``, the
+    softmax of ``noisy`` as plain data, and the (..., N, 1) multiplier, whose
+    value is exactly 1 and whose backward hands ``logits`` the gradient of
+    ``y_soft[..., hard]``: the softmax Jacobian applied to the incoming
+    gradient placed at ``hard`` (Jang et al. 2017; Bengio et al. 2013). It
+    runs the expressions of the chain it replaces (noise add, max-subtracted
+    softmax, a gather at ``hard`` and a unit straight-through node), in the
+    same order, so its value and every gradient equal that chain's bit for
+    bit. The backward keeps ``y_soft``.
     """
-    soft = _as_tensor(soft)
+    logits = _as_tensor(logits)
+    hard = np.asarray(hard, dtype=np.int64)
+    if noisy.shape != logits.shape or hard.shape != logits.shape[:-1]:
+        raise ShapeError(f"straight_through shapes: logits {logits.shape}, "
+                         f"noisy {noisy.shape}, hard {hard.shape}")
+    e = np.exp(noisy - noisy.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        soft.accum_grad(g)
+        gy = np.zeros_like(y)
+        np.put_along_axis(gy, hard[..., None], g, axis=-1)
+        dot = (gy * y).sum(axis=-1, keepdims=True)
+        logits.accum_grad(y * (gy - dot))
 
-    return _node(np.ones_like(soft.data), (soft,), backward)
+    return y, _node(np.ones(hard.shape + (1,)), (logits,), backward)
 
 
 def ada_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sc: Tensor, sh: Tensor) -> Tensor:

@@ -2,11 +2,12 @@
 
 Each 3D latent token scores every input view through pooled view keys and a
 multi-head query/key affinity, then commits to exactly one view. Selection
-is a hard argmax; during training Gumbel noise encourages exploration and a
-straight-through composite carries softmax gradients back to the router
-parameters. At inference the noise is dropped and routing is deterministic;
-under ``no_grad`` the argmax is the whole decision and no soft weights are
-built.
+is a hard argmax; during training Gumbel noise encourages exploration and
+one straight-through node (:func:`roar3d.numerics.straight_through`) carries
+softmax gradients back to the router parameters through a multiplier whose
+value is exactly 1. At inference the noise is dropped and routing is
+deterministic; under ``no_grad`` the argmax is the whole decision and no
+soft weights are built.
 
 An inference request that reads only the argmax scores through a
 :class:`ScoreMatrix` (:func:`score_matrix`), which folds the query
@@ -36,28 +37,23 @@ __all__ = ["RoutingDecision", "ScoreMatrix", "router_keys", "score_matrix",
 
 @dataclass
 class RoutingDecision:
-    """Hard per-token view choices plus the differentiable soft weights.
+    """Hard per-token view choices, the soft weights and the straight-through multiplier.
 
-    ``y_soft`` is None for a decision made under ``no_grad``: nothing reads
-    the soft weights without a backward pass.
+    ``y_soft`` is the softmax of the (noisy) logits as plain data, for the
+    entropy log; ``multiplier`` is the graph node that carries the router's
+    gradient. A decision made under ``no_grad`` has neither: nothing reads
+    them without a backward pass. A decision joined from two row shards has
+    no multiplier: each shard's graph holds its own.
     """
 
-    hard_index: np.ndarray        # (..., N) int64
-    y_soft: Tensor | None         # (..., N, V), rows sum to 1
-
-    def ste_multiplier(self) -> Tensor | None:
-        """(..., N, 1) multiplier: forward exactly 1, backward d(y_soft[v*]).
-
-        None without soft weights, where a multiplier of 1 would change no bit.
-        """
-        if self.y_soft is None:
-            return None
-        return nx.ste_one(nx.take_index_last(self.y_soft, self.hard_index))
+    hard_index: np.ndarray          # (..., N) int64
+    y_soft: np.ndarray | None       # (..., N, V), rows sum to 1
+    multiplier: Tensor | None       # (..., N, 1), value exactly 1
 
     def soft_entropy(self) -> float:
         if self.y_soft is None:
             raise ValueError("a decision made under no_grad has no soft weights")
-        p = np.clip(self.y_soft.data, 1e-12, 1.0)
+        p = np.clip(self.y_soft, 1e-12, 1.0)
         return float(-(p * np.log(p)).sum(axis=-1).mean())
 
 
@@ -124,22 +120,23 @@ def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def gumbel_select(logits: Tensor, noise: np.ndarray | None = None) -> RoutingDecision:
-    """Hard view selection with straight-through soft weights.
+    """Hard view selection with a straight-through multiplier.
 
     ``logits`` may be (N, V) or batched (B, N, V). Training passes Gumbel
     ``noise`` of the same shape, which is added before the argmax and the
     softmax; without it (inference) selection is the plain argmax. Under
-    ``no_grad`` the decision carries no soft weights. The soft weights are
-    the softmax at the fixed temperature ``config.TAU`` = 1, so the noisy
-    logits enter it unscaled.
+    ``no_grad`` the decision is the argmax alone. The soft weights are the
+    softmax at the fixed temperature ``config.TAU`` = 1, so the noisy logits
+    enter it unscaled.
     """
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    noisy = logits if noise is None else nx.add(logits, Tensor(noise))
-    hard = np.argmax(noisy.data, axis=-1)
+    if noise is not None and np.shape(noise) != logits.shape:
+        raise nx.ShapeError(f"noise shape {np.shape(noise)} vs logits {logits.shape}")
+    noisy = logits.data if noise is None else logits.data + noise
+    hard = np.argmax(noisy, axis=-1)
     if not nx.grad_enabled():
-        return RoutingDecision(hard_index=hard, y_soft=None)
-    y_soft = nx.softmax(noisy)
-    return RoutingDecision(hard_index=hard, y_soft=y_soft)
+        return RoutingDecision(hard, None, None)
+    return RoutingDecision(hard, *nx.straight_through(logits, noisy, hard))
 
 
 def routing_noise(run_seed: int, step: int, block: int, shape) -> np.ndarray:

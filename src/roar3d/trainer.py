@@ -197,10 +197,10 @@ def cosine_lr(cfg: TrainConfig, step: int, total: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-# per-block copy table of the upgrade: new parameter <- trained source, in
-# checkpoint order; router.w_agg has no source and starts at its layout init
-_UPGRADE_COPIES = (
-    *((f"ca_a.{k}", f"ca_p.{k}") for k in ("w_q", "q_gain", "w_k", "k_gain", "w_v", "w_o")),
+# the router's per-block copies of the upgrade: new parameter <- trained source;
+# every CA_a tensor takes its CA_p twin (``parameter_layout`` names them), and
+# router.w_agg has no source and starts at its layout init
+_ROUTER_COPIES = (
     *((f"router.{k}", f"ca_p.{k}") for k in ("w_q", "w_k", "q_gain", "k_gain")),
     ("router.ln_gain", "ln_ca.gain"),
     ("router.ln_bias", "ln_ca.bias"),
@@ -225,7 +225,10 @@ def upgrade_from_single(single: Model) -> Model:
     data = {name: p.data for name, p in single.params.items()}
     for l in range(cfg.blocks):
         pre = f"blocks.{l}"
-        for dst, src in _UPGRADE_COPIES:
+        for name in layout:
+            if name.startswith(f"{pre}.ca_a."):
+                data[name] = data[name.replace(".ca_a.", ".ca_p.")]
+        for dst, src in _ROUTER_COPIES:
             data[f"{pre}.{dst}"] = data[f"{pre}.{src}"]
         data[f"{pre}.router.w_agg"] = constant_init(new_cfg, *layout[f"{pre}.router.w_agg"])
     diff = mismatched_tensors(new_cfg, data)
@@ -320,10 +323,10 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLo
         raise ValueError(f"unknown phase {phase!r}")
     tc = cfg.train
     total = tc.steps_single if phase == "single" else tc.steps_mv
-    p_pert = tc.p_pert if (phase == "mv" and model.cfg.arch == "routed") else 0.0
+    routed = phase == "mv" and model.cfg.arch == "routed"
+    p_pert = tc.p_pert if routed else 0.0
     opt = AdamW(model.params)
     log = TrainLog()
-    routed = model.cfg.arch == "routed" and phase == "mv"
 
     for step in range(total):
         batch = assemble_batch(split, cfg, step, phase, p_pert)
@@ -337,7 +340,7 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLo
         loss, info = flow_matching_loss(model, batch, t, noise, opts)
         loss.backward()
         frozen = apply_freeze(model.params, batch.perturbed)
-        opt.step(cosine_lr(tc, step, total), frozen)
-        log.add(step, float(loss.data), cosine_lr(tc, step, total), batch,
-                info.mean_entropy() if routed else 0.0)
+        lr = cosine_lr(tc, step, total)
+        opt.step(lr, frozen)
+        log.add(step, float(loss.data), lr, batch, info.mean_entropy() if routed else 0.0)
     return log

@@ -13,6 +13,7 @@ from roar3d.config import ModelConfig, RunConfig, SampleConfig, TrainConfig, Wor
 from roar3d.data import build_dataset, load_dataset
 from roar3d.model import ForwardOptions
 from roar3d.numerics import Tensor
+from roar3d.router import RoutingDecision
 
 
 def micro_run_config(seed: int = 0) -> RunConfig:
@@ -34,21 +35,94 @@ def randomize_zero_init(params, rng):
             p.data[...] = rng.normal(0, 0.2, size=p.data.shape)
 
 
-def surrogate_multiplier(dec, offset):
-    """Differentiable stand-in y_soft[v*] + offset for a RoutingDecision ``dec``.
+# ---------------------------------------------------------------------------
+# graph ops that only tests use: scalar losses and the node chains that the
+# fused kernels of roar3d.numerics replace
+# ---------------------------------------------------------------------------
+
+
+def add(a, b):
+    """a + b of one shape."""
+    a, b = nx._as_tensor(a), nx._as_tensor(b)
+    if a.shape != b.shape:
+        raise nx.ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accum_grad(g)
+        b.accum_grad(g)
+
+    return nx._node(a.data + b.data, (a, b), backward)
+
+
+def softmax(x):
+    """Numerically stable softmax (max-subtracted) over the last axis."""
+    x = nx._as_tensor(x)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        x.accum_grad(y * (g - dot))
+
+    return nx._node(y, (x,), backward)
+
+
+def take_index_last(y, idx):
+    """Gather one entry per row from the last axis: out[..., 0] = y[..., idx]."""
+    y = nx._as_tensor(y)
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.shape != y.shape[:-1]:
+        raise nx.ShapeError(f"index shape {idx.shape} does not match {y.shape}")
+    picked = np.take_along_axis(y.data, idx[..., None], axis=-1)
+
+    def backward(g):
+        gy = np.zeros_like(y.data)
+        np.put_along_axis(gy, idx[..., None], g, axis=-1)
+        y.accum_grad(gy)
+
+    return nx._node(picked, (y,), backward)
+
+
+def ste_one(soft):
+    """Straight-through unit multiplier: value exactly 1, gradient handed to ``soft`` unchanged."""
+    soft = nx._as_tensor(soft)
+
+    def backward(g):
+        soft.accum_grad(g)
+
+    return nx._node(np.ones_like(soft.data), (soft,), backward)
+
+
+def straight_through_chain(logits, noise, hard):
+    """The four-node spelling of ``nx.straight_through``: (y_soft node, multiplier).
+
+    ``softmax(logits + noise)``, its entry at ``hard`` and a unit
+    straight-through node on that entry; without noise the softmax reads
+    ``logits`` itself.
+    """
+    y_soft = softmax(logits if noise is None else add(logits, Tensor(noise)))
+    return y_soft, ste_one(take_index_last(y_soft, hard))
+
+
+def surrogate_multiplier(y_soft, hard_index, offset):
+    """Differentiable stand-in ``y_soft[v*] + offset`` for the straight-through multiplier.
 
     With ``offset = 1 - y_soft[v*]`` captured at the evaluation point this
     equals the straight-through multiplier as a plain function of the
     parameters (no stop-gradient), so central differences of a network built
     with it match the tape gradients of the straight-through network.
     """
-    return nx.add(nx.take_index_last(dec.y_soft, dec.hard_index), Tensor(offset))
+    return add(take_index_last(y_soft, hard_index), Tensor(offset))
 
 
-# ---------------------------------------------------------------------------
-# graph ops that only tests use: scalar losses and the node chains that the
-# fused kernels of roar3d.numerics replace
-# ---------------------------------------------------------------------------
+def surrogate_select(logits, noise, hard_index, offset):
+    """A ``gumbel_select`` stand-in: the decision ``hard_index`` whose multiplier is
+    :func:`surrogate_multiplier` of ``softmax(logits + noise)``, built from the
+    chain above."""
+    y_soft, _ = straight_through_chain(logits, noise, hard_index)
+    return RoutingDecision(hard_index, y_soft.data,
+                           surrogate_multiplier(y_soft, hard_index, offset))
 
 
 def sum_all(x):

@@ -25,11 +25,11 @@ from roar3d.model import (
     rotate_latent,
 )
 from roar3d.numerics import Tensor
-from roar3d.router import RoutingDecision, ScoreMatrix, gumbel_select, routing_logits_batched
+from roar3d.router import ScoreMatrix, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
-from conftest import randomize_zero_init, shared_ints, surrogate_multiplier, unsharded_velocity
+from conftest import randomize_zero_init, shared_ints, surrogate_select, unsharded_velocity
 
 CFG = ModelConfig()
 
@@ -122,7 +122,7 @@ def _routed_cross_attention(params, l, tokens, feats, primary, cfg):
     dec = gumbel_select(routing_logits_batched(zt, views.router_keys[l], router))
     use_p = dec.hard_index == primary
     return M._cross_attention(params, l, z, znorm, views, dec.hard_index, use_p,
-                              dec.ste_multiplier(), UNIT_GATE, cfg)
+                              dec.multiplier, UNIT_GATE, cfg)
 
 
 def test_dispatch_single_view_reduces_to_primary_stream():
@@ -199,9 +199,9 @@ def test_a_training_forward_draws_each_blocks_routing_noise_once(monkeypatch):
                           primary[lo:hi], opts, [n[lo:hi] for n in noise])
         assert info.hard_trace()[:, lo:hi].tobytes() == part.hard_trace().tobytes()
         for got, want in zip(info.decisions, part.decisions):
-            assert got.y_soft.data[lo:hi].tobytes() == want.y_soft.data.tobytes()
+            assert got.y_soft[lo:hi].tobytes() == want.y_soft.tobytes()
     for got, want in zip(info.decisions, whole.decisions):
-        np.testing.assert_allclose(got.y_soft.data, want.y_soft.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.y_soft, want.y_soft, rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_unknown_routing_mode():
@@ -546,7 +546,7 @@ def test_inference_forward_without_soft_weights_bit_exact(monkeypatch, arch, vie
     if bare.decisions:
         assert info.hard_trace().tobytes() == bare.hard_trace().tobytes()
         assert all(d.y_soft is not None for d in info.decisions)
-        assert all(d.y_soft is None and d.ste_multiplier() is None for d in bare.decisions)
+        assert all(d.y_soft is None and d.multiplier is None for d in bare.decisions)
         with pytest.raises(ValueError, match="no_grad"):
             bare.decisions[0].soft_entropy()
 
@@ -674,29 +674,26 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch, restart_worker):
     ste_grads = {k: p.grad.copy() for k, p in checked.items()}
 
     # the surrogate network replays each (shard, block) hard choice and swaps
-    # the straight-through multiplier for y_soft[v*] + (1 - y_soft0[v*]); the
-    # calling process routes rows [0, B//2), the worker process rows [B//2, B),
-    # each recording the blocks it replays in memory the worker shares
+    # the straight-through multiplier for y_soft[v*] + (1 - y_soft0[v*]), built
+    # from the reference node chain; the calling process routes rows [0, B//2),
+    # the worker process rows [B//2, B), each recording the blocks it replays
+    # in memory the worker shares
     overrides = [d.hard_index for d in info.decisions]
-    offsets = [1.0 - np.take_along_axis(d.y_soft.data, d.hard_index[..., None], -1)
+    offsets = [1.0 - np.take_along_axis(d.y_soft, d.hard_index[..., None], -1)
                for d in info.decisions]
     here = os.getpid()
     calls = shared_ints((2, 4096))    # row 0: the calling process's blocks, row 1: the worker's
     made = shared_ints(2)
 
-    def replay(*args):
-        dec = gumbel_select(*args)
+    def replay(logits, noise):
         shard = int(os.getpid() != here)
         block = made[shard] % MICRO.blocks
         calls[shard, made[shard]] = block
         made[shard] += 1
         rows = slice(0, B // 2) if shard == 0 else slice(B // 2, B)
-        dec.hard_index, dec.offset = overrides[block][rows], offsets[block][rows]
-        return dec
+        return surrogate_select(logits, noise, overrides[block][rows], offsets[block][rows])
 
     monkeypatch.setattr(M, "gumbel_select", replay)
-    monkeypatch.setattr(RoutingDecision, "ste_multiplier",
-                        lambda dec: surrogate_multiplier(dec, dec.offset))
     restart_worker()      # so the worker replays too
 
     def surrogate():

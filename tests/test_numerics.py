@@ -21,10 +21,11 @@ import roar3d.numerics as nx
 from roar3d import checkpoint as ckpt
 from roar3d.numerics import Tensor, grad_check
 from roar3d.model import ForwardOptions, Model
-from roar3d.router import RoutingDecision
+from roar3d.router import gumbel_select, sample_gumbel
 from roar3d.trainer import Batch, flow_matching_loss
 
 from conftest import (
+    add,
     head_mix,
     micro_run_config,
     randomize_zero_init,
@@ -33,8 +34,12 @@ from conftest import (
     scale,
     scale_rows,
     shared_ints,
+    softmax,
+    ste_one,
+    straight_through_chain,
     sum_all,
     surrogate_multiplier,
+    take_index_last,
     transpose,
 )
 
@@ -97,32 +102,48 @@ def test_matmul_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def test_softmax_symmetry():
-    out = nx.softmax(Tensor([0.0, 0.0]))
-    assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
+def _straight_through_soft(x):
+    """``y_soft`` of ``nx.straight_through`` with the logits as their own noisy copy."""
+    x = np.asarray(x, dtype=np.float64)
+    return nx.straight_through(Tensor(x), x, np.argmax(x, axis=-1))[0]
 
 
-def test_softmax_large_inputs_stable():
-    out = nx.softmax(Tensor([1000.0, 1000.0, 1000.0]))
-    assert np.all(np.isfinite(out.data))
-    assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
+# the router's softmax, inside the straight-through node, and the reference op
+SOFTMAXES = pytest.mark.parametrize("softmax_of", [
+    _straight_through_soft, lambda x: softmax(Tensor(x)).data,
+], ids=["straight_through", "reference"])
 
 
-def test_softmax_against_longdouble_oracle():
+@SOFTMAXES
+def test_softmax_symmetry(softmax_of):
+    out = softmax_of([0.0, 0.0])
+    assert np.allclose(out, [0.5, 0.5], atol=1e-15)
+
+
+@SOFTMAXES
+def test_softmax_large_inputs_stable(softmax_of):
+    out = softmax_of([1000.0, 1000.0, 1000.0])
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
+
+
+@SOFTMAXES
+def test_softmax_against_longdouble_oracle(softmax_of):
     x = np.array([1.0, 2.0, 3.0])
     hi = np.exp(x.astype(np.longdouble))
     expect = (hi / hi.sum()).astype(np.float64)
-    out = nx.softmax(Tensor(x))
-    assert np.allclose(out.data, expect, rtol=1e-12, atol=0)
+    out = softmax_of(x)
+    assert np.allclose(out, expect, rtol=1e-12, atol=0)
 
 
-def test_softmax_rows_sum_to_one_and_shift_invariant():
+@SOFTMAXES
+def test_softmax_rows_sum_to_one_and_shift_invariant(softmax_of):
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.normal(scale=5.0, size=(4, 6))
-        y = nx.softmax(Tensor(x)).data
+        y = softmax_of(x)
         assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-12
-        shifted = nx.softmax(Tensor(x + rng.normal() * np.ones((4, 6)))).data
+        shifted = softmax_of(x + rng.normal() * np.ones((4, 6)))
         assert np.abs(y - shifted).max() < 1e-12
 
 
@@ -231,7 +252,7 @@ def test_accum_grad_keeps_sibling_gradients_apart():
     """``add`` hands both leaves one gradient array; a later one for ``a`` leaves ``b``'s alone."""
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
-    sum_all(nx.add(nx.add(a, b), scale(a, 2.0))).backward()
+    sum_all(add(add(a, b), scale(a, 2.0))).backward()
     assert np.array_equal(a.grad, np.full((2, 3), 3.0))
     assert np.array_equal(b.grad, np.ones((2, 3)))
 
@@ -254,9 +275,9 @@ def test_grad_check_square():
 def test_grad_check_softmax_sum_is_constant():
     x = Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
     x.zero_grad()
-    sum_all(nx.softmax(x)).backward()
+    sum_all(softmax(x)).backward()
     assert np.abs(x.grad).max() < 1e-15
-    report = grad_check(lambda: sum_all(nx.softmax(x)), {"x": x})
+    report = grad_check(lambda: sum_all(softmax(x)), {"x": x})
     assert report["x"] < 1e-4  # FD of a constant is pure roundoff noise
 
 
@@ -304,14 +325,14 @@ def _primitive_cases(rng):
         ("matmul", {"a": a2, "b": b2}, lambda: nx.matmul(a2, b2)),
         ("matmul_batched", {"a": ab, "b": bb}, lambda: nx.matmul(ab, bb)),
         ("matmul_shared_rhs", {"a": ab, "b": shared}, lambda: nx.matmul(ab, shared)),
-        ("add", {"a": e1, "b": e2}, lambda: nx.add(e1, e2)),
+        ("add", {"a": e1, "b": e2}, lambda: add(e1, e2)),
         ("sub", {"a": e1, "b": e2}, lambda: nx.sub(e1, e2)),
         ("mul", {"a": e1, "b": e2}, lambda: nx.mul(e1, e2)),
         ("scale", {"a": e1}, lambda: scale(e1, -1.7)),
         ("linear", {"x": e1, "w": w54, "b": b4}, lambda: nx.linear(e1, w54, b4)),
         ("linear_3d", {"x": x3, "w": w44, "b": b4}, lambda: nx.linear(x3, w44, b4)),
         ("scale_rows", {"a": x3, "m": rows}, lambda: scale_rows(x3, rows)),
-        ("softmax", {"a": e1}, lambda: nx.softmax(e1)),
+        ("softmax", {"a": e1}, lambda: softmax(e1)),
         ("layer_norm", {"a": e1, "g": bias, "b": ln_bias},
          lambda: nx.layer_norm(e1, bias, ln_bias)),
         ("rms_norm", {"a": e1, "g": bias}, lambda: nx.rms_norm(e1, bias)),
@@ -319,9 +340,10 @@ def _primitive_cases(rng):
         ("reshape_transpose", {"a": x3},
          lambda: transpose(reshape(x3, (B, N, 2, 2)), (0, 2, 1, 3))),
         ("slice_last", {"a": x3}, lambda: nx.slice_last(x3, 1, 3)),
-        ("take_index_last", {"y": yv}, lambda: nx.take_index_last(yv, idx)),
-        # ste_one is deliberately absent: its backward is the straight-through
-        # surrogate, not the true (zero) derivative of its constant forward.
+        ("take_index_last", {"y": yv}, lambda: take_index_last(yv, idx)),
+        # ste_one and nx.straight_through are deliberately absent: their backward
+        # is the straight-through surrogate, not the true (zero) derivative of
+        # their constant forward.
         ("ada_layer_norm", {"x": x3, "g": ln_g, "b": ln_b, "sc": sc, "sh": sh},
          lambda: nx.ada_layer_norm(x3, ln_g, ln_b, sc, sh)),
         ("gated_add", {"z": y3, "x": x3, "g": sc}, lambda: nx.gated_add(y3, x3, sc)),
@@ -357,7 +379,7 @@ def test_backward_deterministic_bit_identical():
         rng = np.random.default_rng(11)
         a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        h = nx.softmax(nx.matmul(a, b))
+        h = softmax(nx.matmul(a, b))
         loss = nx.mean_all(nx.mul(h, h))
         loss.backward()
         return a.grad.copy(), b.grad.copy()
@@ -369,8 +391,8 @@ def test_backward_deterministic_bit_identical():
 
 def test_ste_one_forward_is_exact_ones_backward_passthrough():
     y = Tensor(np.array([[0.3, 0.7], [0.9, 0.1]]), requires_grad=True)
-    picked = nx.take_index_last(y, np.array([1, 0]))
-    out = nx.ste_one(picked)
+    picked = take_index_last(y, np.array([1, 0]))
+    out = ste_one(picked)
     assert np.array_equal(out.data, np.ones((2, 1)))
     w = np.array([[2.0], [-3.0]])
     sum_all(nx.mul(out, Tensor(w))).backward()
@@ -380,29 +402,73 @@ def test_ste_one_forward_is_exact_ones_backward_passthrough():
     assert np.array_equal(y.grad, expect)
 
 
+def _node_and_chain_bytes(logits, noise, g):
+    """Hard index, y_soft, multiplier value and ``logits`` gradient bytes of
+    ``gumbel_select``'s straight-through node and of the reference chain, for
+    the loss sum(multiplier * g)."""
+    runs = []
+    for chain in (False, True):
+        logits.zero_grad()
+        if chain:
+            hard = np.argmax(logits.data if noise is None else logits.data + noise, axis=-1)
+            y_soft, m = straight_through_chain(logits, noise, hard)
+            y_soft = y_soft.data
+        else:
+            dec = gumbel_select(logits, noise)
+            hard, y_soft, m = dec.hard_index, dec.y_soft, dec.multiplier
+            assert len(nx.ComputationTape.trace(m).nodes) == 2    # the node and its logits
+        assert np.array_equal(m.data, np.ones(logits.shape[:-1] + (1,)))
+        sum_all(nx.mul(m, Tensor(g))).backward()
+        runs.append([hard.tobytes(), y_soft.tobytes(), m.data.tobytes(), logits.grad.tobytes()])
+    return runs
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["bare", "noise"])
+@pytest.mark.parametrize("shape", [(7, 4), (3, 5, 4), (6, 1)], ids=["N,V", "B,N,V", "V=1"])
+def test_straight_through_bit_equal_to_reference_chain(shape, noisy):
+    """Value, y_soft, hard index and logits gradient of the one node equal the
+    four-node chain's (noise add, softmax, gather, unit straight-through), bit for bit."""
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        logits = Tensor(rng.normal(scale=3.0, size=shape), requires_grad=True)
+        noise = sample_gumbel(rng, shape) if noisy else None
+        runs = _node_and_chain_bytes(logits, noise, rng.normal(size=shape[:-1] + (1,)))
+        assert runs[0] == runs[1]
+
+
+def test_straight_through_exact_tie_takes_lowest_index_on_both_paths():
+    """Noisy logits that tie exactly pick the lowest tied view through the node and the chain."""
+    logits = Tensor(np.array([[0.5, 1.0, 0.25], [0.25, 1.0, 0.5], [0.0, 0.5, 0.5]]),
+                    requires_grad=True)
+    noise = np.array([[0.5, 0.0, 0.75], [1.0, 0.25, 0.0], [0.0, 0.25, 0.25]])
+    runs = _node_and_chain_bytes(logits, noise, np.array([[1.5], [-2.0], [0.5]]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == np.array([0, 0, 1], dtype=np.int64).tobytes()
+
+
 def _dual_linear_inputs(rng, B=2, N=8, k=4, n=3, V=3):
-    """x, w_p, w_a, a soft routing row per token, hard picks and a mixed stream mask."""
+    """x, w_p, w_a, (a soft routing row per token, hard picks) and a mixed stream mask."""
     x = Tensor(rng.normal(size=(B, N, k)), requires_grad=True)
     w_p = Tensor(rng.normal(size=(k, n)), requires_grad=True)
     w_a = Tensor(rng.normal(size=(k, n)), requires_grad=True)
-    y_soft = Tensor(nx.softmax(Tensor(rng.normal(size=(B, N, V)))).data, requires_grad=True)
+    y_soft = Tensor(softmax(Tensor(rng.normal(size=(B, N, V)))).data, requires_grad=True)
     hard = rng.integers(0, V, size=(B, N))
     use_p = np.arange(B * N).reshape(B, N) % 2 == 0
     rng.shuffle(use_p.reshape(-1))
-    return x, w_p, w_a, RoutingDecision(hard, y_soft), use_p
+    return x, w_p, w_a, (y_soft, hard), use_p
 
 
 def test_dual_linear_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
-    x, w_p, w_a, dec, use_p = _dual_linear_inputs(rng)
-    offset = 1.0 - np.take_along_axis(dec.y_soft.data, dec.hard_index[..., None], -1)
+    x, w_p, w_a, (y_soft, hard), use_p = _dual_linear_inputs(rng)
+    offset = 1.0 - np.take_along_axis(y_soft.data, hard[..., None], -1)
     w = rng.normal(size=x.shape[:-1] + (w_p.shape[1],))
 
     def f():
-        out = nx.dual_linear(x, w_p, w_a, use_p, surrogate_multiplier(dec, offset))
+        out = nx.dual_linear(x, w_p, w_a, use_p, surrogate_multiplier(y_soft, hard, offset))
         return sum_all(nx.mul(out, Tensor(w)))
 
-    report = grad_check(f, {"x": x, "w_p": w_p, "w_a": w_a, "y_soft": dec.y_soft})
+    report = grad_check(f, {"x": x, "w_p": w_p, "w_a": w_a, "y_soft": y_soft})
     assert max(report.values()) < 1e-4, report
 
 
@@ -410,20 +476,22 @@ def _masked_dual_linear(x, w_p, w_a, use_p, m):
     """The six-node masked form that ``dual_linear`` replaces."""
     mask_p = Tensor(use_p[..., None].astype(np.float64))
     mask_a = Tensor((~use_p)[..., None].astype(np.float64))
-    return scale_rows(nx.add(nx.matmul(scale_rows(x, mask_p), w_p),
+    return scale_rows(add(nx.matmul(scale_rows(x, mask_p), w_p),
                                 nx.matmul(scale_rows(x, mask_a), w_a)), m)
 
 
-def _straight_through_runs(rng, x, w_p, w_a, dec, use_p):
+def _straight_through_runs(rng, x, w_p, w_a, routing, use_p):
     """Value and (x, w_p, w_a, y_soft) gradient bytes of ``dual_linear`` and of
-    the masked form, each with the straight-through multiplier of ``dec``."""
-    inputs = (x, w_p, w_a, dec.y_soft)
+    the masked form, each with the straight-through multiplier of ``routing``,
+    a (y_soft, hard) pair."""
+    y_soft, hard = routing
+    inputs = (x, w_p, w_a, y_soft)
     g = Tensor(rng.normal(size=x.shape[:-1] + (w_p.shape[1],)))
     runs = []
     for op in (nx.dual_linear, _masked_dual_linear):
         for t in inputs:
             t.zero_grad()
-        out = op(x, w_p, w_a, use_p, dec.ste_multiplier())
+        out = op(x, w_p, w_a, use_p, ste_one(take_index_last(y_soft, hard)))
         sum_all(nx.mul(out, g)).backward()
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
     return runs
@@ -457,11 +525,11 @@ def test_dual_linear_without_multiplier_under_no_grad_bit_equal_to_masked_form(r
     gradient is bit-equal to the masked form's too.
     """
     rng = np.random.default_rng(23)
-    x, w_p, w_a, dec, use_p = _dual_linear_inputs(rng, **sizes)
+    x, w_p, w_a, routing, use_p = _dual_linear_inputs(rng, **sizes)
     use_p = {"mixed": use_p, "all primary": np.ones_like(use_p),
              "all auxiliary": np.zeros_like(use_p)}[rows]
     if grad == "ste_one":
-        runs = _straight_through_runs(rng, x, w_p, w_a, dec, use_p)
+        runs = _straight_through_runs(rng, x, w_p, w_a, routing, use_p)
         assert runs[0] == runs[1]
         return
     with nx.no_grad():
@@ -544,7 +612,7 @@ def test_layer_norms_bit_equal_to_separate_layer_norms(shape):
         for t in (x, g1, b1, g2, b2):
             t.zero_grad()
         y1, y2 = norms()
-        loss = nx.add(nx.add(sum_all(nx.mul(y1, w1)), sum_all(nx.mul(y2, w2))),
+        loss = add(add(sum_all(nx.mul(y1, w1)), sum_all(nx.mul(y2, w2))),
                       sum_all(nx.mul(x, w3)))
         loss.backward()
         runs.append([y1.data.tobytes(), y2.data.tobytes()]
@@ -995,6 +1063,7 @@ import numpy as np
 from roar3d import model as M
 from roar3d.config import ModelConfig
 from roar3d.model import ForwardOptions, Model
+from roar3d.router import gumbel_select, sample_gumbel
 from roar3d.trainer import AdamW, Batch, flow_matching_loss
 cfg = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4, patches=4,
                   feat_dim=8, mlp_ratio=2)
@@ -1206,3 +1275,39 @@ def test_third_party_imports_equal_declared_dependencies():
     declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
                 for dep in project["dependencies"]}
     assert sorted(third_party) == sorted(declared)
+
+
+# grad_check is the finite-difference ground truth that demo 01 and the tests run
+_UNUSED_EXPORTS = {"grad_check"}
+
+
+def test_every_numerics_export_is_used_in_src():
+    """Each name of ``numerics.__all__`` is read by ``src/roar3d`` outside its own definition.
+
+    A read is a bare name in ``numerics.py`` outside the top-level definition
+    of that name, or, in another module, an attribute of the imported module
+    (``nx.matmul``) or a name imported from it.
+    """
+    package = Path(nx.__file__).resolve().parent
+    used = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        home = path.name == "numerics.py"
+        modules, names = set(), {n: n for n in nx.__all__} if home else {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "numerics":
+                        modules.add(alias.asname or alias.name)
+                    elif node.module == "numerics":
+                        names[alias.asname or alias.name] = alias.name
+        for top in tree.body:
+            reads = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in names:
+                    reads.add(names[node.id])
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in modules):
+                    reads.add(node.attr)
+            used |= reads - {getattr(top, "name", None) if home else None}
+    assert sorted(set(nx.__all__) - used) == sorted(_UNUSED_EXPORTS)

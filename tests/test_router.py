@@ -1,5 +1,7 @@
 """Token-wise view routing: pooling, logits, Gumbel selection, STE."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from roar3d.router import (gumbel_select, router_keys, routing_logits_batched, s
                            score_matrix)
 from roar3d.rng import stream
 
-from conftest import reshape, sum_all, surrogate_multiplier
+from conftest import reshape, sum_all, surrogate_select
 
 
 def _params(seed, model_dim=8, feat_dim=8, heads=2, head_dim=4):
@@ -179,15 +181,22 @@ def test_single_view_selects_zero_in_both_modes():
     for noise in (sample_gumbel(np.random.default_rng(0), logits.shape), None):
         dec = gumbel_select(logits, noise=noise)
         assert np.array_equal(dec.hard_index, np.zeros(3, dtype=np.int64))
-        assert np.allclose(dec.y_soft.data, 1.0, atol=1e-15)
+        assert np.allclose(dec.y_soft, 1.0, atol=1e-15)
 
 
 def test_inference_soft_weights_match_softmax():
     dec = gumbel_select(Tensor(np.array([[2.0, 1.0, 1.0]])))
     assert dec.hard_index[0] == 0
     e = np.exp(np.array([2.0, 1.0, 1.0]))
-    assert np.allclose(dec.y_soft.data[0], e / e.sum(), atol=1e-12)
-    assert np.allclose(dec.y_soft.data[0], [0.576, 0.212, 0.212], atol=5e-4)
+    assert np.allclose(dec.y_soft[0], e / e.sum(), atol=1e-12)
+    assert np.allclose(dec.y_soft[0], [0.576, 0.212, 0.212], atol=5e-4)
+
+
+def test_noise_of_another_shape_is_rejected():
+    logits = Tensor(np.zeros((3, 2)))
+    for grad in (nx.no_grad, contextlib.nullcontext):
+        with grad(), pytest.raises(nx.ShapeError, match="noise shape"):
+            gumbel_select(logits, noise=np.zeros((1, 2)))
 
 
 def test_tie_breaks_to_lowest_index():
@@ -199,8 +208,7 @@ def test_ste_forward_identity_is_one_hot():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.normal(size=(6, 4)))
     dec = gumbel_select(logits, noise=sample_gumbel(rng, logits.shape))
-    m = dec.ste_multiplier()
-    assert np.array_equal(m.data, np.ones((6, 1)))
+    assert np.array_equal(dec.multiplier.data, np.ones((6, 1)))
     # the one-hot at hard_index: all rows sum to 1 with entries in {0, 1}
     one_hot = np.zeros((6, 4))
     one_hot[np.arange(6), dec.hard_index] = 1.0
@@ -223,18 +231,18 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
     # real network: STE multiplier scales a fixed downstream value
     w.zero_grad()
     dec = decision()
-    loss = sum_all(nx.mul(dec.ste_multiplier(), Tensor(downstream)))
+    loss = sum_all(nx.mul(dec.multiplier, Tensor(downstream)))
     loss.backward()
     analytic = w.grad.copy()
 
-    # surrogate: multiplier replaced by y_soft[v*] + (1 - y_soft0[v*]), v* frozen
+    # surrogate: multiplier replaced by y_soft[v*] + (1 - y_soft0[v*]), v* frozen,
+    # built from the reference node chain
     hard0 = dec.hard_index.copy()
-    offset = 1.0 - np.take_along_axis(dec.y_soft.data, hard0[:, None], axis=-1)
+    offset = 1.0 - np.take_along_axis(dec.y_soft, hard0[:, None], axis=-1)
 
     def surrogate():
-        d2 = decision()
-        d2.hard_index = hard0
-        return sum_all(nx.mul(surrogate_multiplier(d2, offset), Tensor(downstream)))
+        d2 = surrogate_select(nx.matmul(Tensor(x), w), noise, hard0, offset)
+        return sum_all(nx.mul(d2.multiplier, Tensor(downstream)))
 
     report = grad_check(surrogate, {"w": w})
     assert report["w"] < 1e-4
@@ -255,7 +263,7 @@ def test_view_permutation_equivariance():
     permuted = gumbel_select(Tensor(logits[:, perm]), noise=noise[:, perm])
     inv = np.argsort(perm)
     assert np.array_equal(inv[base.hard_index], permuted.hard_index)
-    assert np.allclose(permuted.y_soft.data, base.y_soft.data[:, perm], atol=1e-12)
+    assert np.allclose(permuted.y_soft, base.y_soft[:, perm], atol=1e-12)
 
     # inference mode needs no noise coupling at all
     b2 = gumbel_select(Tensor(logits))
@@ -269,7 +277,7 @@ def test_inference_determinism_bit_exact():
     a = gumbel_select(Tensor(logits))
     b = gumbel_select(Tensor(logits))
     assert np.array_equal(a.hard_index, b.hard_index)
-    assert np.array_equal(a.y_soft.data, b.y_soft.data)
+    assert np.array_equal(a.y_soft, b.y_soft)
 
 
 def test_gumbel_marginals_uniform_logits():
