@@ -23,7 +23,8 @@ act = nx.silu(h)
 print("silu of row 0:", act.data[0].round(4))
 
 # --- backward -------------------------------------------------------------
-loss = nx.mean_all(nx.mul(act, act))
+target = Tensor(rng.normal(size=act.shape), name="target")
+loss = nx.mse(act, target)
 loss.backward()
 print("loss:", float(loss.data))
 print("dL/dw has shape", w.grad.shape, "and norm %.4f" % np.linalg.norm(w.grad))
@@ -31,7 +32,7 @@ print("dL/dw has shape", w.grad.shape, "and norm %.4f" % np.linalg.norm(w.grad))
 # --- finite-difference verification ----------------------------------------
 def f():
     h = nx.layer_norm(nx.matmul(x, w), gain, bias)
-    return nx.mean_all(nx.mul(nx.silu(h), nx.silu(h)))
+    return nx.mse(nx.silu(h), target)
 
 report = grad_check(f, {"x": x, "w": w, "gain": gain}, max_entries=8)
 for name, err in report.items():

@@ -12,7 +12,7 @@ from roar3d.config import ModelConfig
 from roar3d.model import ForwardOptions, Model, count_parameters, forward_multiview
 
 cfg = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4,
-                  patches=4, feat_dim=8, mlp_ratio=2)
+                  patches=4, feat_dim=8)
 model = Model.create(cfg, seed=0)
 rng = np.random.default_rng(0)
 B, N = 2, cfg.tokens

@@ -21,7 +21,7 @@ from roar3d.trainer import train, upgrade_from_single
 cfg = RunConfig(
     world=WorldConfig(points=512, patch_grid=3, feat_dim=16),
     model=ModelConfig(blocks=2, grid=3, model_dim=32, heads=2, head_dim=8,
-                      patches=9, feat_dim=16, mlp_ratio=2),
+                      patches=9, feat_dim=16),
     train=TrainConfig(batch=8, lr=1e-3, lr_final=1e-4, steps_single=300, steps_mv=300),
     sample=SampleConfig(euler_steps=16, n_train=96, n_val=8, n_test=16, views_per_bin=3),
     seed=0,

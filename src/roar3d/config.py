@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 
 from .checkpoint import content_hash
@@ -52,6 +52,7 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 AUX_MIN = 1                   # fewest auxiliary views of a multi-view step
+MLP_RATIO = 2                 # MLP hidden width per model_dim
 TAU = 1.0                     # Gumbel-Softmax temperature: the router's softmax is unscaled
 
 # Keys that config files and checkpoint sidecars once set, with the one value
@@ -59,7 +60,8 @@ TAU = 1.0                     # Gumbel-Softmax temperature: the router's softmax
 RETIRED = {
     "world": {"image_extent": IMAGE_EXTENT, "occlusion_window": OCCLUSION_WINDOW,
               "lift_seed": LIFT_SEED},
-    "model": {"occupancy_scale": OCCUPANCY_SCALE, "offset_scale": OFFSET_SCALE},
+    "model": {"occupancy_scale": OCCUPANCY_SCALE, "offset_scale": OFFSET_SCALE,
+              "mlp_ratio": MLP_RATIO},
     "train": {"weight_decay": WEIGHT_DECAY, "beta1": BETA1, "beta2": BETA2,
               "adam_eps": ADAM_EPS, "aux_min": AUX_MIN, "tau": TAU},
 }
@@ -106,8 +108,12 @@ class ModelConfig:
     head_dim: int = 16
     patches: int = 16             # per-view patch tokens (world.patch_grid**2)
     feat_dim: int = 32            # per-view feature width (world.feat_dim)
-    mlp_ratio: int = 2
     arch: str = "routed"          # "routed" (dual-stream), "concat", or "single"
+    mlp_ratio: InitVar[int] = MLP_RATIO   # retired: accepted at MLP_RATIO only, not a field
+
+    def __post_init__(self, mlp_ratio: int) -> None:
+        if mlp_ratio != MLP_RATIO:
+            raise ConfigError(f"mlp_ratio is fixed at {MLP_RATIO}, got {mlp_ratio!r}")
 
     @property
     def tokens(self) -> int:
@@ -119,7 +125,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         if min(self.blocks, self.grid, self.model_dim, self.heads, self.head_dim,
-               self.patches, self.feat_dim, self.mlp_ratio) <= 0:
+               self.patches, self.feat_dim) <= 0:
             raise ConfigError("model dims must be positive")
         if self.arch not in ("routed", "concat", "single"):
             raise ConfigError(f"unknown arch {self.arch!r}")

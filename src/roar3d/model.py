@@ -12,10 +12,11 @@ function. ``forward_multiview`` routes every token to one view and sends it
 through the primary (CA_p) or auxiliary (CA_a) stream. ``forward_single`` is
 the same loop without a router: every token attends view 0 through CA_p, with
 no straight-through multiplier. The concatenation baseline is that case with
-all views flattened into one key set, which ``Model.velocity`` does. With
-gradients on, a forward over two or more samples runs that loop on two row
-shards at once, the second in a worker process, and joins their velocities
-(``_forward``).
+all views flattened into one key set, which ``Model.velocity`` does. Inside
+a ``sharding`` scope, which ``trainer.train`` opens, a forward of the scope's
+parameters over two or more samples with gradients on runs that loop on two
+row shards at once, the second in the scope's worker process, and joins their
+velocities (``_forward``).
 
 Parameters, the router's included, live in one flat name -> Tensor dict
 (checkpoint friendly); block ``l`` reads its weights by name. ``parameter_layout``
@@ -32,14 +33,17 @@ import os
 import signal
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import numerics as nx
-from .config import OCCUPANCY_SCALE, OFFSET_SCALE, ConfigError, ModelConfig, set_fields
+from .config import (MLP_RATIO, OCCUPANCY_SCALE, OFFSET_SCALE, ConfigError, ModelConfig,
+                     set_fields)
 from .numerics import Tensor
 from .router import (RoutingDecision, gumbel_select, router_keys, routing_logits_batched,
                      routing_noise, score_matrix)
@@ -65,6 +69,7 @@ __all__ = [
     "forward_multiview",
     "integrate_flow",
     "count_parameters",
+    "sharding",
 ]
 
 
@@ -212,7 +217,7 @@ def parameter_layout(cfg: ModelConfig) -> dict[str, tuple[str, tuple[int, ...]]]
     """
     d = cfg.model_dim
     dims = {"d": d, "hd": cfg.attn_width, "feat": cfg.feat_dim, "heads": cfg.heads,
-            "hidden": cfg.mlp_ratio * d, "7d": 7 * d, "2d": 2 * d}
+            "hidden": MLP_RATIO * d, "7d": 7 * d, "2d": 2 * d}
     groups = ("", "ca_p.", "ca_a.", "router.") if cfg.arch == "routed" else ("", "ca_p.")
     named = [(f"blocks.{l}.{g}{k}", spec) for l in range(cfg.blocks) for g in groups
              for k, spec in _BLOCK_LAYOUT[g].items()]
@@ -552,10 +557,11 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     ``primary_index`` None runs without a router. In training mode each
     routed block's Gumbel noise is drawn here, once for the whole batch, and
     each shard takes its rows, so a sample's noise does not depend on how its
-    batch was split. With gradients on, a batch of B >= 2 that brings no view
-    or time context is split into rows [0, B//2) and [B//2, B): the first
-    shard runs :func:`_rows` on ``params`` in the calling process, the second
-    in the worker process (:class:`_ShardWorker`) on leaf twins over a copy
+    batch was split. Inside :func:`sharding` for these same ``params``, with
+    gradients on, a batch of B >= 2 that brings no view or time context is
+    split into rows [0, B//2) and [B//2, B): the first shard runs
+    :func:`_rows` on ``params`` in the calling process, the second in the
+    scope's worker process (:class:`_ShardWorker`) on leaf twins over a copy
     of the parameters' data. Each shard builds its own view and time
     contexts. The velocity is the two shards' rows
     (:func:`roar3d.numerics.gather_rows`), whose backward sweeps each shard
@@ -563,9 +569,7 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     The info then holds the batch's routing decisions, without multipliers,
     and no view context. Any other forward is one graph in the calling
     process. The worker holds the graph of the last sharded forward only,
-    so the backward of an earlier one raises ``RuntimeError``; threads that
-    run sharded forwards take turns on it. The worker is a forked process,
-    so sharded forwards run on Linux only (:class:`_ShardWorker`).
+    so the backward of an earlier one raises ``RuntimeError``.
     """
     opts = opts or ForwardOptions()
     B, N, _ = z_t.shape
@@ -574,7 +578,9 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     noise = None
     if primary_index is not None and opts.mode == "train":
         noise = [routing_noise(opts.run_seed, opts.step, l, (B, N, V)) for l in range(cfg.blocks)]
-    if B < 2 or not nx.grad_enabled() or opts.views is not None or opts.time is not None:
+    worker = _SCOPE.get()
+    if (B < 2 or not nx.grad_enabled() or opts.views is not None or opts.time is not None
+            or worker is None or worker.params is not params or worker.owner != os.getpid()):
         return _rows(params, cfg, z_t, t, feats, primary_index, opts, noise)
 
     def shard(rows: slice) -> tuple:
@@ -583,14 +589,13 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
                 None if noise is None else [n[rows] for n in noise])
 
     h = B // 2
-    worker = _shard_worker(params)
-    worker.start_forward(params, shard(slice(h, B)))
+    worker.start_forward(shard(slice(h, B)))
     try:
         first, info = _rows(params, *shard(slice(0, h)))
     except BaseException:
         worker.drop_forward()
         raise
-    second, decisions, sweep_second = worker.finish_forward(params)
+    second, decisions, sweep_second = worker.finish_forward()
     vel = nx.gather_rows(first, second, sweep_second)
     return vel, ForwardInfo([_joined(a, *b) for a, b in zip(info.decisions, decisions)])
 
@@ -603,10 +608,9 @@ def _joined(a: RoutingDecision, hard_index: np.ndarray,
 
 
 class _ShardWorker:
-    """The forked process that runs and sweeps the second row shard of training forwards.
+    """The forked process that runs and sweeps the second row shard of ``params``' forwards.
 
-    It serves one parameter layout (names and shapes, in order). Two
-    anonymous shared mappings, made before the fork, each hold one flat
+    Two anonymous shared mappings, made before the fork, each hold one flat
     float64 array with a slice per parameter: the caller copies every
     parameter's data into the first on each forward, and the worker's twins
     are Tensors over views of it; the worker writes its twins' gradients
@@ -616,26 +620,29 @@ class _ShardWorker:
     gradient back. The worker holds one graph at a time: a new forward
     replaces the last one, swept or not. It exits when its pipe reaches end
     of file, so it does not outlive the process that started it; it is a
-    daemon as well, so a normal exit stops it at once.
+    daemon as well, so a normal exit stops it at once. Once it has died,
+    every exchange raises ``RuntimeError``.
 
     One exchange (a forward, or a sweep) holds ``lock`` from its request to
-    its reply, so threads of one process that run sharded forwards take
-    turns and never read each other's replies. The worker is forked, so it
-    runs on Linux only; elsewhere starting one raises ``RuntimeError``.
+    its reply, so threads that reach the worker through copies of one
+    context take turns and never read each other's replies. The worker is
+    forked, so it runs on Linux only; elsewhere starting one raises
+    ``RuntimeError``.
     """
 
-    def __init__(self, layout: list):
+    def __init__(self, params: dict[str, Tensor]):
         if not sys.platform.startswith("linux"):
             raise RuntimeError("training a batch of two or more rows forks a shard worker "
                                f"process, which roar3d supports on Linux only, not {sys.platform}")
-        self.layout = layout
+        self.params = params
         self.owner = os.getpid()
         self.lock = threading.Lock()
-        ends = np.cumsum([0] + [math.prod(shape) for _, shape in layout])
+        shapes = [p.shape for p in params.values()]
+        ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
 
         def views() -> list[np.ndarray]:
             flat = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])))
-            return [flat[a:b].reshape(shape) for a, b, (_, shape) in zip(ends, ends[1:], layout)]
+            return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
         self.data, self.grads = views(), views()
         self.graph = None      # a token of the forward whose graph the worker holds
@@ -652,7 +659,7 @@ class _ShardWorker:
         self.conn.close()                       # the caller's end: EOF once the caller is gone
         signal.signal(signal.SIGINT, signal.SIG_IGN)    # an interrupt is the caller's to handle
         twins = [Tensor(view) for view in self.data]
-        named = dict(zip((name for name, _ in self.layout), twins))
+        named = dict(zip(self.params, twins))
         root = None
         while True:
             try:
@@ -710,23 +717,22 @@ class _ShardWorker:
 
     def _died(self):
         self.stop()
-        raise RuntimeError(f"the shard worker process (pid {self.process.pid}) died; "
-                           "the next sharded forward starts a new one")
+        raise RuntimeError(f"the shard worker process (pid {self.process.pid}) died")
 
-    def start_forward(self, params: dict[str, Tensor], args: tuple) -> None:
+    def start_forward(self, args: tuple) -> None:
         """Take the lock, copy the parameters' data into the shared mapping and send
         the shard's inputs; :meth:`finish_forward` or :meth:`drop_forward` releases it."""
         self.lock.acquire()
         try:
             self.graph = None
-            for view, p in zip(self.data, params.values()):
+            for view, p in zip(self.data, self.params.values()):
                 np.copyto(view, p.data)
-            self._send(("forward", [p.requires_grad for p in params.values()], args))
+            self._send(("forward", [p.requires_grad for p in self.params.values()], args))
         except BaseException:
             self.lock.release()
             raise
 
-    def finish_forward(self, params: dict[str, Tensor]) -> tuple[np.ndarray, list, Callable]:
+    def finish_forward(self) -> tuple[np.ndarray, list, Callable]:
         """The shard's velocity rows, each routed block's (hard_index, y_soft),
         and ``sweep_second`` of :func:`roar3d.numerics.gather_rows` for its graph."""
         try:
@@ -734,7 +740,7 @@ class _ShardWorker:
             token = self.graph = object()
         finally:
             self.lock.release()
-        return vel, decisions, self._sweeper(params, token)
+        return vel, decisions, self._sweeper(token)
 
     def drop_forward(self) -> None:
         """Wait for a forward whose result is not wanted; its error is not raised."""
@@ -745,7 +751,7 @@ class _ShardWorker:
         finally:
             self.lock.release()
 
-    def _sweeper(self, params: dict[str, Tensor], token: object):
+    def _sweeper(self, token: object):
         def start(g: np.ndarray):
             self.lock.acquire()
             try:
@@ -763,7 +769,7 @@ class _ShardWorker:
                     flags = self._receive()
                     if not merge:
                         return
-                    for p, view, got in zip(params.values(), self.grads, flags):
+                    for p, view, got in zip(self.params.values(), self.grads, flags):
                         if got:   # accum_grad keeps a first gradient: copy it out of the mapping
                             p.accum_grad(view.copy() if p.grad is None else view)
                 finally:
@@ -774,35 +780,33 @@ class _ShardWorker:
         return start
 
     def stop(self) -> None:
-        """End the worker process and forget it; the next sharded forward starts another."""
-        global _SHARD_WORKER
-        if _SHARD_WORKER is self:
-            _SHARD_WORKER = None
+        """End the worker process; it may already have ended."""
         self.graph = None
         self.conn.close()
         self.process.kill()
         self.process.join()
 
 
-_SHARD_WORKER: _ShardWorker | None = None
-_SHARD_WORKER_LOCK = threading.Lock()   # held while a thread picks, stops or starts the worker
+_SCOPE: ContextVar[_ShardWorker | None] = ContextVar("shard_worker", default=None)
 
 
-def _shard_worker(params: dict[str, Tensor]) -> _ShardWorker:
-    """This process's worker for ``params``' layout, started (or restarted) as needed."""
-    global _SHARD_WORKER
-    layout = [(name, p.shape) for name, p in params.items()]
-    with _SHARD_WORKER_LOCK:
-        worker = _SHARD_WORKER
-        if worker is not None and worker.owner != os.getpid():
-            worker = None       # a forked copy of another process's worker: not ours to use
-        if worker is not None and worker.layout != layout:
-            with worker.lock:   # once an exchange another thread is in has ended
-                worker.stop()
-            worker = None
-        if worker is None:
-            worker = _SHARD_WORKER = _ShardWorker(layout)
-        return worker
+@contextmanager
+def sharding(params: dict[str, Tensor]) -> Iterator[_ShardWorker]:
+    """Run this context's grad-on forwards of ``params`` as two row shards (:func:`_forward`).
+
+    Forks a :class:`_ShardWorker` for ``params`` on entry, binds it to the
+    current context, as :class:`roar3d.numerics.no_grad` binds its flag, and
+    stops it on exit, however the block ends. The names and shapes of
+    ``params`` must not change inside the block, and threads that run in
+    copies of the context must be done with the worker before it ends.
+    """
+    worker = _ShardWorker(params)     # forked before the binding, so the worker never sees it
+    token = _SCOPE.set(worker)
+    try:
+        yield worker
+    finally:
+        _SCOPE.reset(token)
+        worker.stop()
 
 
 def _rows(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np.ndarray,

@@ -3,8 +3,8 @@
 Just enough operations for attention stacks: matmul, norms, SiLU, a slice
 and a per-sample scale, the fused glue of an adaLN-zero block (``linear``,
 ``ada_layer_norm``, ``gated_add``), the router's score kernel and its
-straight-through hard choice (``straight_through``), and two fused
-attention kernels. The design goals are auditability and determinism, not
+straight-through hard choice (``straight_through``), two fused attention
+kernels and the squared-error loss (``mse``). The design goals are auditability and determinism, not
 generality:
 
 * everything is float64, row-major;
@@ -15,30 +15,28 @@ generality:
 
 Tensors are immutable after construction except through their owning graph;
 forward/backward of one graph is single-threaded. Independent graphs may run
-on independent threads, except that the graphs ``gather_rows`` joins share
-one worker process (below). ``no_grad`` acts on the current context only, so
+on independent threads. ``no_grad`` acts on the current context only, so
 one thread's inference does not switch off another's graph. This module
 starts no thread and no process.
 
-``gather_rows`` is the one node whose graph spans two processes. A training
-forward of the model (``roar3d.model._forward``) splits its batch into two
-row shards: the first runs on the parameters in the calling process, the
-second in the model's one worker process, on leaf twins over a shared copy
-of the parameters' data, and ``gather_rows`` joins the calling shard's
-output with the worker's rows. Its backward hands the worker its rows of
-the incoming gradient, sweeps the first shard's graph meanwhile, waits for
-the worker and then adds the worker's gradients to the parameters' in
-parameter order. The two processes share the parameters' data (the caller
-copies it into a shared mapping on every forward, the worker only reads it)
-and the worker's gradients (the worker writes them into a second mapping,
-the caller only reads them after the sweep); the batch arrays, the shard's
-outputs and small flags travel as messages over a pipe. Nothing else is
-shared: every graph, tape and gradient buffer lives in one process, so
-values and gradients do not depend on timing or on the number of CPUs. The
-worker serves one exchange (a shard's forward, or its sweep) at a time, so
-threads that run sharded forwards take turns on it; it holds the graph of
-the last sharded forward only, so the backward of a graph that a later
-forward, of any thread, has replaced raises ``RuntimeError`` and sweeps
+``gather_rows`` is the one node whose graph spans two processes. Inside the
+sharding scope that ``roar3d.trainer.train`` opens, a training forward of
+the model (``roar3d.model._forward``) splits its batch into two row shards:
+the first runs on the parameters in the calling process, the second in the
+scope's worker process, on leaf twins over a shared copy of the parameters'
+data, and ``gather_rows`` joins the calling shard's output with the
+worker's rows. Its backward hands the worker its rows of the incoming
+gradient, sweeps the first shard's graph meanwhile, waits for the worker
+and then adds the worker's gradients to the parameters' in parameter order.
+The two processes share the parameters' data (the caller copies it into a
+shared mapping on every forward, the worker only reads it) and the worker's
+gradients (the worker writes them into a second mapping, the caller only
+reads them after the sweep); the batch arrays, the shard's outputs and
+small flags travel as messages over a pipe. Nothing else is shared: every
+graph, tape and gradient buffer lives in one process, so values and
+gradients do not depend on timing or on the number of CPUs. The worker
+holds the graph of the last sharded forward only, so the backward of a
+graph that a later forward has replaced raises ``RuntimeError`` and sweeps
 nothing.
 
 Backward consumes its graph: as the sweep passes an op output it drops that
@@ -75,7 +73,6 @@ __all__ = [
     "grad_enabled",
     "matmul",
     "sub",
-    "mul",
     "linear",
     "dual_linear",
     "scale_batch",
@@ -90,7 +87,6 @@ __all__ = [
     "router_scores",
     "self_attention",
     "routed_attention",
-    "mean_all",
     "mse",
     "sweep",
     "gather_rows",
@@ -288,18 +284,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         b.accum_grad(-g)
 
     return _node(a.data - b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        a.accum_grad(g * b.data)
-        b.accum_grad(g * a.data)
-
-    return _node(a.data * b.data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -622,19 +606,21 @@ def router_scores(q: Tensor, keys: Tensor, w_agg: Tensor, heads: int) -> Tensor:
     return _node(np.einsum("bhnv,h->bnv", scores, w_agg.data), (q, keys, w_agg), backward)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
+def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared difference, one node; the expressions of a ``sub``, ``mul``,
+    ``mean_all`` chain in its order, so its value and gradients, bit for bit."""
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
+    d = pred.data - target.data
 
     def backward(g: np.ndarray) -> None:
-        x.accum_grad(np.full_like(x.data, float(g) / n))
+        f = np.full_like(d, float(g) / d.size)
+        gd = f * d + f * d
+        pred.accum_grad(gd)
+        target.accum_grad(-gd)
 
-    return _node(np.asarray(x.data.mean()), (x,), backward)
-
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    d = sub(pred, target)
-    return mean_all(mul(d, d))
+    return _node(np.asarray((d * d).mean()), (pred, target), backward)
 
 
 # ---------------------------------------------------------------------------

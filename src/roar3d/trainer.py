@@ -19,6 +19,7 @@ fraction matches ``p_pert``).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .config import (ADAM_EPS, AUX_MIN, BETA1, BETA2, WEIGHT_DECAY, ConfigError,
                      TrainConfig)
 from .data import SplitData
 from .model import (ForwardInfo, ForwardOptions, Model, constant_init, mismatched_tensors,
-                    parameter_layout, rotate_latent)
+                    parameter_layout, rotate_latent, sharding)
 from .numerics import Tensor
 from .rng import stream
 from .world import BIN_CENTERS, azimuth_bin
@@ -87,13 +88,10 @@ def flow_matching_loss(
 
     z_t = (1 - t) * z_clean + t * noise, target velocity u = noise - z_clean.
 
-    One ``model.velocity`` call over the whole batch. With gradients on, the
-    model runs a batch of B >= 2 as two row shards: rows [0, B//2) in the
-    calling process, rows [B//2, B) in the model's worker process, each
-    forward and each backward sweep (see :func:`roar3d.model._forward`). The
-    worker gets the parameters' data through a shared mapping and its rows
-    of this batch as a message. The info holds the batch's routing
-    decisions.
+    One ``model.velocity`` call over the whole batch: two row shards in two
+    processes inside the :func:`roar3d.model.sharding` scope that
+    :func:`train` opens (see :func:`roar3d.model._forward`), one graph
+    anywhere else. The info holds the batch's routing decisions.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if noise.shape != batch.z0.shape:
@@ -317,7 +315,9 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLo
 
     ``phase`` is "single" (one view, no router) or "mv". Divergence raises
     :class:`TrainingDiverged` before the parameters are damaged, so the live
-    model still holds the last good weights.
+    model still holds the last good weights. With a batch of two or more the
+    step loop runs inside :func:`roar3d.model.sharding`, whose worker process
+    stops when the loop ends or raises.
     """
     if phase not in ("single", "mv"):
         raise ValueError(f"unknown phase {phase!r}")
@@ -328,19 +328,20 @@ def train(model: Model, split: SplitData, cfg: RunConfig, phase: str) -> TrainLo
     opt = AdamW(model.params)
     log = TrainLog()
 
-    for step in range(total):
-        batch = assemble_batch(split, cfg, step, phase, p_pert)
-        # cube-root draw (density 3t^2) balances the clean-latent head's
-        # 1/t^2 effective weighting, so per-sample gradients stay comparable
-        # across the path and the high-noise (conditioning) regime is covered
-        t = stream(cfg.seed, "time", step).random(batch.size) ** (1.0 / 3.0)
-        noise = stream(cfg.seed, "noise", step).normal(size=batch.z0.shape)
-        opts = ForwardOptions(mode="train", run_seed=cfg.seed, step=step)
-        model.zero_grads()
-        loss, info = flow_matching_loss(model, batch, t, noise, opts)
-        loss.backward()
-        frozen = apply_freeze(model.params, batch.perturbed)
-        lr = cosine_lr(tc, step, total)
-        opt.step(lr, frozen)
-        log.add(step, float(loss.data), lr, batch, info.mean_entropy() if routed else 0.0)
+    with sharding(model.params) if tc.batch >= 2 else nullcontext():
+        for step in range(total):
+            batch = assemble_batch(split, cfg, step, phase, p_pert)
+            # cube-root draw (density 3t^2) balances the clean-latent head's
+            # 1/t^2 effective weighting, so per-sample gradients stay comparable
+            # across the path and the high-noise (conditioning) regime is covered
+            t = stream(cfg.seed, "time", step).random(batch.size) ** (1.0 / 3.0)
+            noise = stream(cfg.seed, "noise", step).normal(size=batch.z0.shape)
+            opts = ForwardOptions(mode="train", run_seed=cfg.seed, step=step)
+            model.zero_grads()
+            loss, info = flow_matching_loss(model, batch, t, noise, opts)
+            loss.backward()
+            frozen = apply_freeze(model.params, batch.perturbed)
+            lr = cosine_lr(tc, step, total)
+            opt.step(lr, frozen)
+            log.add(step, float(loss.data), lr, batch, info.mean_entropy() if routed else 0.0)
     return log

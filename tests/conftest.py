@@ -3,15 +3,14 @@
 import dataclasses
 import mmap
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-import roar3d.model as M
 import roar3d.numerics as nx
 from roar3d.config import ModelConfig, RunConfig, SampleConfig, TrainConfig, WorldConfig
 from roar3d.data import build_dataset, load_dataset
-from roar3d.model import ForwardOptions
 from roar3d.numerics import Tensor
 from roar3d.router import RoutingDecision
 
@@ -20,7 +19,7 @@ def micro_run_config(seed: int = 0) -> RunConfig:
     cfg = RunConfig(
         world=WorldConfig(points=256, patch_grid=2, feat_dim=8, elevation_max=20.0),
         model=ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4,
-                          patches=4, feat_dim=8, mlp_ratio=2),
+                          patches=4, feat_dim=8),
         train=TrainConfig(batch=4, steps_single=40, steps_mv=40, lr=1e-3, lr_final=1e-4),
         sample=SampleConfig(euler_steps=8, n_train=24, n_val=4, n_test=6, views_per_bin=2),
         seed=seed,
@@ -125,6 +124,36 @@ def surrogate_select(logits, noise, hard_index, offset):
                            surrogate_multiplier(y_soft, hard_index, offset))
 
 
+def mul(a, b):
+    """a * b of one shape."""
+    a, b = nx._as_tensor(a), nx._as_tensor(b)
+    if a.shape != b.shape:
+        raise nx.ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accum_grad(g * b.data)
+        b.accum_grad(g * a.data)
+
+    return nx._node(a.data * b.data, (a, b), backward)
+
+
+def mean_all(x):
+    """Mean of every entry."""
+    x = nx._as_tensor(x)
+    n = x.data.size
+
+    def backward(g):
+        x.accum_grad(np.full_like(x.data, float(g) / n))
+
+    return nx._node(np.asarray(x.data.mean()), (x,), backward)
+
+
+def mse_chain(pred, target):
+    """The three-node spelling of ``nx.mse``: ``mean_all(mul(d, d))``, d = pred - target."""
+    d = nx.sub(pred, target)
+    return mean_all(mul(d, d))
+
+
 def sum_all(x):
     """Sum of every entry, the scalar loss of most gradient checks."""
     x = nx._as_tensor(x)
@@ -204,10 +233,11 @@ def router_score_chain(q, keys, w_agg, heads):
     return head_mix(scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
 
 
-# With gradients on, ``Model.velocity`` runs a batch as two row shards and joins
-# their velocities; the loss then differs from one graph over the whole batch by
-# rounding only. Measured on the micro and desk configs: losses within 4e-16
-# relative, every gradient entry within 4e-15 of that gradient's largest entry.
+# Inside ``model.sharding``, ``Model.velocity`` runs a batch as two row shards and
+# joins their velocities; the loss then differs from one graph over the whole
+# batch, which the same call makes outside the scope, by rounding only. Measured
+# on the micro and desk configs: losses within 4e-16 relative, every gradient
+# entry within 4e-15 of that gradient's largest entry.
 LOSS_RTOL = 1e-14
 GRAD_RTOL = 1e-13
 
@@ -220,39 +250,6 @@ def assert_gradients_close(got: dict, want: dict) -> None:
             assert np.abs(got[k] - w).max() <= GRAD_RTOL * np.abs(w).max(), k
 
 
-def unsharded_velocity(model, z_t, t, feats, primary_index=None, opts=None):
-    """``model.velocity`` as one graph over the whole batch, never sharded.
-
-    It calls the model's block loop (``model._rows``), which each shard of a
-    training forward runs on its own rows, once on every row, with each routed
-    block's training noise drawn for the whole batch as the forward draws it.
-    """
-    cfg, opts = model.cfg, opts or ForwardOptions()
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if cfg.arch != "routed":   # the router-less forward reads one (flattened) view
-        feats, primary_index = feats.reshape(feats.shape[0], 1, -1, feats.shape[-1]), None
-    noise = None
-    if primary_index is not None and opts.mode == "train":
-        shape = z_t.shape[:2] + feats.shape[1:2]
-        noise = [M.routing_noise(opts.run_seed, opts.step, l, shape) for l in range(cfg.blocks)]
-    return M._rows(model.params, cfg, z_t, t, feats, primary_index, opts, noise)
-
-
-def single_graph_loss(model, batch, t, noise, opts=None):
-    """``trainer.flow_matching_loss`` as one graph over the whole batch, unsharded."""
-    t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (batch.size,))
-    tb = t[:, None, None]
-    z_t = (1.0 - tb) * batch.z0 + tb * noise
-    vel, info = unsharded_velocity(model, z_t, t, batch.feats, batch.primary_index, opts)
-    return nx.mse(vel, Tensor(noise - batch.z0)), info
-
-
-def stop_shard_worker():
-    """End this process's shard worker; the next sharded forward forks a new one."""
-    if M._SHARD_WORKER is not None:
-        M._SHARD_WORKER.stop()
-
-
 def shared_ints(shape) -> np.ndarray:
     """Zeroed int64s in an anonymous shared mapping: a shard worker forked after
     this call writes into the same memory, so a test reads what the worker saw."""
@@ -260,16 +257,16 @@ def shared_ints(shape) -> np.ndarray:
                          dtype=np.int64).reshape(shape)
 
 
-@pytest.fixture
-def restart_worker():
-    """``stop_shard_worker``, for a test that patches what the worker process runs.
-
-    A worker keeps the code it was forked with, so such a test calls this after
-    patching; the fixture calls it again after the test, so no later test meets
-    a patched worker.
-    """
-    yield stop_shard_worker
-    stop_shard_worker()
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, such as a shard worker whose
+    scope did not stop it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ from conftest import (
     assert_gradients_close,
     micro_run_config,
     randomize_zero_init,
-    single_graph_loss,
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -104,9 +103,10 @@ def test_each_step_reports_the_full_batch_loss_and_merged_gradients(micro_datase
 
     def flow_matching_loss(m, batch, t, noise, opts=None):
         loss, info = loss_fn(m, batch, t, noise, opts)
-        ref_model = m.copy()
-        ref, _ = single_graph_loss(ref_model, batch, t, noise, opts)
+        ref_model = m.copy()    # other parameters: one graph inside train's scope
+        ref, ref_info = loss_fn(ref_model, batch, t, noise, opts)
         ref.backward()
+        assert info.views is None and ref_info.views is not None   # joined shards, one graph
         assert batch.size == cfg.train.batch
         assert abs(float(loss.data) - float(ref.data)) <= LOSS_RTOL * abs(float(ref.data))
         steps.append({k: p.grad for k, p in ref_model.params.items()})

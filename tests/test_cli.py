@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import json
+import multiprocessing
 import struct
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from roar3d import checkpoint as ckpt
-from roar3d.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
+from roar3d import trainer
+from roar3d.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, main
 from roar3d.config import ModelConfig, RunConfig
 from roar3d.evaluation import load_trace, save_trace
 from roar3d.model import Model
@@ -136,6 +138,29 @@ def test_training_artifacts_exist(pipeline):
         assert len(lines) == 26  # header + 25 steps
 
 
+@pytest.mark.parametrize("diverges", [False, True], ids=["ok", "diverged"])
+def test_train_single_in_process_leaves_no_child_process(pipeline, tmp_path, monkeypatch,
+                                                         diverges):
+    """The training command's shard worker stops with its run, also when the run exits 4."""
+    loss_fn, alive = trainer.flow_matching_loss, []
+
+    def flow_matching_loss(model, batch, t, noise, opts):
+        alive.append(len(multiprocessing.active_children()))
+        if diverges and opts.step == 3:
+            raise trainer.TrainingDiverged(opts.step)
+        return loss_fn(model, batch, t, noise, opts)
+
+    monkeypatch.setattr(trainer, "flow_matching_loss", flow_matching_loss)
+    out = tmp_path / "w"
+    code = main(["train-single", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                 "--out", str(out)])
+    assert code == (EXIT_DIVERGED if diverges else EXIT_OK)
+    assert alive == [1] * (4 if diverges else 25)
+    assert not multiprocessing.active_children()
+    assert ckpt.load_sidecar(out / "checkpoint.bin")["phase"] == (
+        "single-aborted" if diverges else "single")
+
+
 def test_train_single_records_the_single_stream_model_it_trained(pipeline):
     recorded = RunConfig.load(pipeline["single"] / "resolved.cfg")
     meta = ckpt.load_sidecar(pipeline["single"] / "checkpoint.bin")
@@ -233,11 +258,11 @@ def test_truncated_sidecar_exit_code(pipeline, tmp_path):
     assert code == EXIT_MISSING
 
 
-# the eleven keys that config files and checkpoint sidecars carried before their
+# the twelve keys that config files and checkpoint sidecars carried before their
 # values became constants, each at that value
 FIXED_KEYS = {
     "world": {"image_extent": 1.5, "occlusion_window": 0.15, "lift_seed": 2401},
-    "model": {"occupancy_scale": 4.0, "offset_scale": 8.0},
+    "model": {"occupancy_scale": 4.0, "offset_scale": 8.0, "mlp_ratio": 2},
     "train": {"weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08,
               "aux_min": 1, "tau": 1.0},
 }
@@ -543,6 +568,7 @@ def _json_of(text: str) -> str:
     ("bad.cfg", lambda text: text.replace("[world]", "[world]\nocclusion_window = -0.1")),
     ("bad.cfg", lambda text: text.replace("[model]", "[model]\noccupancy_scale = 0")),
     ("bad.cfg", lambda text: text.replace("[model]", "[model]\noffset_scale = 0")),
+    ("bad.cfg", lambda text: text.replace("[model]", "[model]\nmlp_ratio = 4")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nlr = inf")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nlr_final = -1e-4")),
     ("bad.cfg", lambda text: text.replace("[train]", "[train]\nbeta1 = 1.0")),
@@ -555,7 +581,7 @@ def _json_of(text: str) -> str:
     ("bad.cfg", lambda text: text.replace("[world]", "[world]\nelevation_max = -30")),
 ], ids=["json-config", "tau-zero", "tau-infinite", "split-size-negative", "views-per-bin-zero",
         "unknown-class", "lift-seed-negative", "points-below-16", "image-extent-zero",
-        "occlusion-window-negative", "occupancy-scale-zero", "offset-scale-zero",
+        "occlusion-window-negative", "occupancy-scale-zero", "offset-scale-zero", "mlp-ratio-four",
         "lr-infinite", "lr-final-negative", "beta1-one", "beta2-negative", "adam-eps-zero",
         "run-unknown-key", "patch-grid-negative", "elevation-max-nan", "elevation-max-inf",
         "elevation-max-negative"])

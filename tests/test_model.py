@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import threading
 
@@ -29,12 +30,12 @@ from roar3d.router import ScoreMatrix, gumbel_select, routing_logits_batched
 from roar3d.trainer import upgrade_from_single
 from roar3d.world import PointCloud, generate_shape, rotate_azimuth
 
-from conftest import randomize_zero_init, shared_ints, surrogate_select, unsharded_velocity
+from conftest import mean_all, mul, randomize_zero_init, shared_ints, sum_all, surrogate_select
 
 CFG = ModelConfig()
 
 MICRO = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4,
-                    patches=4, feat_dim=8, mlp_ratio=2)
+                    patches=4, feat_dim=8)
 SINGLE = dataclasses.replace(MICRO, arch="single")
 
 
@@ -185,12 +186,14 @@ def test_a_training_forward_draws_each_blocks_routing_noise_once(monkeypatch):
 
     monkeypatch.setattr(M, "routing_noise", recording)
     opts = ForwardOptions(mode="train", run_seed=3, step=7)
-    _, info = model.velocity(z, t, feats, primary, opts)
+    with M.sharding(model.params):
+        vel, info = model.velocity(z, t, feats, primary, opts)
     here = threading.get_ident()
+    assert not vel._parents   # a gather_rows root: the forward ran as two shards
     assert sorted(drawn) == [(l, (B, N, V), here) for l in range(MICRO.blocks)]
 
     drawn.clear()
-    _, whole = unsharded_velocity(model, z, t, feats, primary, opts)
+    _, whole = model.velocity(z, t, feats, primary, opts)
     assert len(drawn) == MICRO.blocks
     noise = [draw(3, 7, l, (B, N, V)) for l in range(MICRO.blocks)]
     assert info.hard_trace().tobytes() == whole.hard_trace().tobytes()
@@ -202,6 +205,38 @@ def test_a_training_forward_draws_each_blocks_routing_noise_once(monkeypatch):
             assert got.y_soft[lo:hi].tobytes() == want.y_soft.tobytes()
     for got, want in zip(info.decisions, whole.decisions):
         np.testing.assert_allclose(got.y_soft, want.y_soft, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch, mode", [("routed", "train"), ("routed", "inference"),
+                                        ("single", "train")])
+def test_a_forward_outside_a_sharding_scope_is_one_graph_bit_exactly(arch, mode):
+    """With gradients on and two or more rows, no process starts; value and gradients
+    are those of the block loop over every row."""
+    rng = np.random.default_rng(14)
+    cfg = dataclasses.replace(MICRO, arch=arch)
+    B, V, N = 4, 3 if arch == "routed" else 1, cfg.tokens
+    z, t = rng.normal(size=(B, N, cfg.model_dim)), rng.random(B)
+    feats, primary = _rand_views(rng, cfg, V, B), np.array([0, 1, -1, 2])[:B] % V
+    w = Tensor(rng.normal(size=(B, N, cfg.model_dim)))
+    opts = ForwardOptions(mode=mode, run_seed=3, step=7)
+    outputs = []
+    for run in ("velocity", "rows"):
+        model = Model(cfg, init_params(cfg, 1))
+        randomize_zero_init(model.params, np.random.default_rng(15))
+        if run == "velocity":
+            vel, _ = model.velocity(z, t, feats, primary, opts)
+            assert not multiprocessing.active_children()
+        else:
+            routed = arch == "routed"
+            noise = ([M.routing_noise(3, 7, l, (B, N, V)) for l in range(cfg.blocks)]
+                     if routed and mode == "train" else None)
+            vel, _ = M._rows(model.params, cfg, z, t, feats, primary if routed else None,
+                             opts, noise)
+        assert vel._parents   # an op output, not a gather_rows root
+        sum_all(mul(vel, w)).backward()
+        outputs.append((vel.data.tobytes(),
+                        {k: p.grad.tobytes() for k, p in model.params.items()}))
+    assert outputs[0] == outputs[1]
 
 
 def test_forward_rejects_unknown_routing_mode():
@@ -303,7 +338,7 @@ def test_single_view_equivalence_with_baseline():
         assert np.abs(base.data - mv.data).max() < 1e-12
 
 
-def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch, restart_worker):
+def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch):
     rng = np.random.default_rng(7)
     single_params = init_params(SINGLE, 8)
     randomize_zero_init(single_params, rng)
@@ -317,7 +352,6 @@ def test_post_upgrade_forced_primary_identity_bit_exact(monkeypatch, restart_wor
         return dec
 
     monkeypatch.setattr(M, "gumbel_select", to_primary)
-    restart_worker()      # the second row shard of each forward routes in the worker
     for draw in range(10):
         z_t = rng.normal(size=(B, N, MICRO.model_dim))
         t = rng.random(B)
@@ -534,7 +568,7 @@ def test_inference_forward_without_soft_weights_bit_exact(monkeypatch, arch, vie
     feats = _rand_views(rng, cfg, views, batch=B)
     prim = np.full(B, primary, dtype=np.int64)
     opts = ForwardOptions(mode=mode, run_seed=2, step=1)
-    vel, info = unsharded_velocity(model, z_t, t, feats, prim, opts)
+    vel, info = model.velocity(z_t, t, feats, prim, opts)
     assert not any(folded)
     folded.clear()
     with nx.no_grad():
@@ -569,11 +603,11 @@ def test_one_view_inference_forward_scores_nothing_bit_exactly(monkeypatch, prim
     t = rng.random(B)
     feats = _rand_views(rng, MICRO, 1, batch=B)
     prim = np.full(B, primary, dtype=np.int64)
-    vel, info = unsharded_velocity(model, z_t, t, feats, prim)
+    vel, info = model.velocity(z_t, t, feats, prim)
     assert len(calls) == MICRO.blocks
     # with gradients on the router and CA_a still get their (zero) gradients:
     # AdamW treats a zero gradient and a missing one differently
-    nx.mean_all(nx.mul(vel, Tensor(rng.normal(size=vel.shape)))).backward()
+    mean_all(mul(vel, Tensor(rng.normal(size=vel.shape)))).backward()
     assert all(p.grad is not None for p in model.params.values())
     with nx.no_grad():
         bare_vel, bare = model.velocity(z_t, t, feats, prim)
@@ -640,7 +674,7 @@ def test_timestep_changes_output():
     assert np.abs(v0.data - v1.data).max() > 1e-8
 
 
-def test_forward_gradients_match_soft_surrogate(monkeypatch, restart_worker):
+def test_forward_gradients_match_soft_surrogate(monkeypatch):
     """Micro version of the STE gradient acceptance check."""
     rng = np.random.default_rng(10)
     params = init_params(MICRO, 11)
@@ -669,8 +703,9 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch, restart_worker):
 
     for p in params.values():
         p.zero_grad()
-    ste_loss, info = loss()
-    ste_loss.backward()
+    with M.sharding(params):
+        ste_loss, info = loss()
+        ste_loss.backward()
     ste_grads = {k: p.grad.copy() for k, p in checked.items()}
 
     # the surrogate network replays each (shard, block) hard choice and swaps
@@ -694,17 +729,17 @@ def test_forward_gradients_match_soft_surrogate(monkeypatch, restart_worker):
         return surrogate_select(logits, noise, overrides[block][rows], offsets[block][rows])
 
     monkeypatch.setattr(M, "gumbel_select", replay)
-    restart_worker()      # so the worker replays too
 
     def surrogate():
         return loss()[0]
 
-    for p in params.values():
-        p.zero_grad()
-    surrogate().backward()
-    for k, p in checked.items():
-        assert np.array_equal(p.grad, ste_grads[k]), k
-    report = nx.grad_check(surrogate, checked, max_entries=5)
+    with M.sharding(params):      # forked after the patch, so the worker replays too
+        for p in params.values():
+            p.zero_grad()
+        surrogate().backward()
+        for k, p in checked.items():
+            assert np.array_equal(p.grad, ste_grads[k]), k
+        report = nx.grad_check(surrogate, checked, max_entries=5)
     assert max(report.values()) < 1e-4, report
     assert made[0] == made[1] > MICRO.blocks, made
     assert np.array_equal(calls[0, :made[0]], calls[1, :made[1]])

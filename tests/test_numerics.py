@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import contextvars
 import dataclasses
+import multiprocessing
 import os
 import re
 import signal
@@ -27,7 +29,10 @@ from roar3d.trainer import Batch, flow_matching_loss
 from conftest import (
     add,
     head_mix,
+    mean_all,
     micro_run_config,
+    mse_chain,
+    mul,
     randomize_zero_init,
     reshape,
     router_score_chain,
@@ -83,7 +88,7 @@ def test_matmul_gradient_matches_finite_differences():
     b = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     w = rng.normal(size=(5, 3))  # fixed projection to a scalar
 
-    loss = sum_all(nx.mul(nx.matmul(a, b), Tensor(w)))
+    loss = sum_all(mul(nx.matmul(a, b), Tensor(w)))
     loss.backward()
 
     fd_a = _fd_scalar(lambda: float((a.data @ b.data * w).sum()), a.data)
@@ -242,7 +247,7 @@ def test_norms_bit_equal_to_mean_var_form(shape):
         for t in inputs:
             t.zero_grad()
         out = op(*inputs)
-        sum_all(nx.mul(out, Tensor(g))).backward()
+        sum_all(mul(out, Tensor(g))).backward()
         got = [out.data] + [t.grad for t in inputs]
         expect = reference(*(t.data for t in inputs), g)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], op.__name__
@@ -264,9 +269,9 @@ def test_accum_grad_keeps_sibling_gradients_apart():
 
 def test_grad_check_square():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    report = grad_check(lambda: sum_all(nx.mul(x, x)), {"x": x})
+    report = grad_check(lambda: sum_all(mul(x, x)), {"x": x})
     x.zero_grad()
-    loss = sum_all(nx.mul(x, x))
+    loss = sum_all(mul(x, x))
     loss.backward()
     assert np.allclose(x.grad, 6.0)
     assert report["x"] < 1e-8
@@ -327,7 +332,7 @@ def _primitive_cases(rng):
         ("matmul_shared_rhs", {"a": ab, "b": shared}, lambda: nx.matmul(ab, shared)),
         ("add", {"a": e1, "b": e2}, lambda: add(e1, e2)),
         ("sub", {"a": e1, "b": e2}, lambda: nx.sub(e1, e2)),
-        ("mul", {"a": e1, "b": e2}, lambda: nx.mul(e1, e2)),
+        ("mul", {"a": e1, "b": e2}, lambda: mul(e1, e2)),
         ("scale", {"a": e1}, lambda: scale(e1, -1.7)),
         ("linear", {"x": e1, "w": w54, "b": b4}, lambda: nx.linear(e1, w54, b4)),
         ("linear_3d", {"x": x3, "w": w44, "b": b4}, lambda: nx.linear(x3, w44, b4)),
@@ -354,7 +359,8 @@ def _primitive_cases(rng):
          lambda: nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, H)),
         ("routed_attention_one_stream", {"q": qp, "k": kp, "v": vp},
          lambda: nx.routed_attention(qp, qp, (kp, vp), (kp, vp), v_star, use_p, H)),
-        ("mean_all", {"a": e1}, lambda: nx.mean_all(e1)),
+        ("mean_all", {"a": e1}, lambda: mean_all(e1)),
+        ("mse", {"a": e1, "b": e2}, lambda: nx.mse(e1, e2)),
     ]
 
 
@@ -366,7 +372,7 @@ def test_primitive_gradients_match_finite_differences_over_seeds():
         for name, params, build in _primitive_cases(rng):
             # random fixed projection makes the scalar sensitive to all outputs
             w = rng.normal(size=build().shape)
-            report = grad_check(lambda: sum_all(nx.mul(build(), Tensor(w))),
+            report = grad_check(lambda: sum_all(mul(build(), Tensor(w))),
                                 params, max_entries=4, rng=rng)
             err = max(report.values())
             worst[name] = max(worst.get(name, 0.0), err)
@@ -380,7 +386,7 @@ def test_backward_deterministic_bit_identical():
         a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         h = softmax(nx.matmul(a, b))
-        loss = nx.mean_all(nx.mul(h, h))
+        loss = mean_all(mul(h, h))
         loss.backward()
         return a.grad.copy(), b.grad.copy()
 
@@ -395,7 +401,7 @@ def test_ste_one_forward_is_exact_ones_backward_passthrough():
     out = ste_one(picked)
     assert np.array_equal(out.data, np.ones((2, 1)))
     w = np.array([[2.0], [-3.0]])
-    sum_all(nx.mul(out, Tensor(w))).backward()
+    sum_all(mul(out, Tensor(w))).backward()
     expect = np.zeros((2, 2))
     expect[0, 1] = 2.0
     expect[1, 0] = -3.0
@@ -418,7 +424,7 @@ def _node_and_chain_bytes(logits, noise, g):
             hard, y_soft, m = dec.hard_index, dec.y_soft, dec.multiplier
             assert len(nx.ComputationTape.trace(m).nodes) == 2    # the node and its logits
         assert np.array_equal(m.data, np.ones(logits.shape[:-1] + (1,)))
-        sum_all(nx.mul(m, Tensor(g))).backward()
+        sum_all(mul(m, Tensor(g))).backward()
         runs.append([hard.tobytes(), y_soft.tobytes(), m.data.tobytes(), logits.grad.tobytes()])
     return runs
 
@@ -446,6 +452,27 @@ def test_straight_through_exact_tie_takes_lowest_index_on_both_paths():
     assert runs[0][0] == np.array([0, 0, 1], dtype=np.int64).tobytes()
 
 
+@pytest.mark.parametrize("target_grad", [False, True], ids=["target-constant", "target-leaf"])
+@pytest.mark.parametrize("shape", [(16, 64, 64), (3, 5, 7), (1,)])
+def test_mse_bit_equal_to_reference_chain(shape, target_grad):
+    """Value and gradients of the one node equal the sub, mul, mean_all chain's, bit for
+    bit, under an incoming gradient other than one; a target that requires a gradient
+    gets the negated one."""
+    runs = []
+    for loss_fn in (nx.mse, mse_chain):
+        rng = np.random.default_rng(33)
+        pred = Tensor(rng.normal(size=shape), requires_grad=True)
+        target = Tensor(rng.normal(size=shape), requires_grad=target_grad)
+        loss = loss_fn(pred, target)
+        mul(loss, Tensor(np.array(-1.7))).backward()
+        runs.append([loss.data.tobytes(), pred.grad.tobytes(),
+                     None if target.grad is None else target.grad.tobytes()])
+    assert runs[0] == runs[1]
+    assert (runs[0][2] is not None) == target_grad
+    with pytest.raises(nx.ShapeError):
+        nx.mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+
 def _dual_linear_inputs(rng, B=2, N=8, k=4, n=3, V=3):
     """x, w_p, w_a, (a soft routing row per token, hard picks) and a mixed stream mask."""
     x = Tensor(rng.normal(size=(B, N, k)), requires_grad=True)
@@ -466,7 +493,7 @@ def test_dual_linear_gradients_match_finite_differences():
 
     def f():
         out = nx.dual_linear(x, w_p, w_a, use_p, surrogate_multiplier(y_soft, hard, offset))
-        return sum_all(nx.mul(out, Tensor(w)))
+        return sum_all(mul(out, Tensor(w)))
 
     report = grad_check(f, {"x": x, "w_p": w_p, "w_a": w_a, "y_soft": y_soft})
     assert max(report.values()) < 1e-4, report
@@ -492,7 +519,7 @@ def _straight_through_runs(rng, x, w_p, w_a, routing, use_p):
         for t in inputs:
             t.zero_grad()
         out = op(x, w_p, w_a, use_p, ste_one(take_index_last(y_soft, hard)))
-        sum_all(nx.mul(out, g)).backward()
+        sum_all(mul(out, g)).backward()
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
     return runs
 
@@ -549,7 +576,7 @@ def _run_op(op, inputs, g):
     for t in inputs:
         t.zero_grad()
     out = op(*inputs)
-    sum_all(nx.mul(out, Tensor(g))).backward()
+    sum_all(mul(out, Tensor(g))).backward()
     return [out.data] + [t.grad for t in inputs]
 
 
@@ -612,8 +639,8 @@ def test_layer_norms_bit_equal_to_separate_layer_norms(shape):
         for t in (x, g1, b1, g2, b2):
             t.zero_grad()
         y1, y2 = norms()
-        loss = add(add(sum_all(nx.mul(y1, w1)), sum_all(nx.mul(y2, w2))),
-                      sum_all(nx.mul(x, w3)))
+        loss = add(add(sum_all(mul(y1, w1)), sum_all(mul(y2, w2))),
+                      sum_all(mul(x, w3)))
         loss.backward()
         runs.append([y1.data.tobytes(), y2.data.tobytes()]
                     + [t.grad.tobytes() for t in (x, g1, b1, g2, b2)])
@@ -675,7 +702,7 @@ def test_router_scores_gradients_match_finite_differences():
     w = rng.normal(size=(2, 6, 3))
 
     def f():
-        return sum_all(nx.mul(nx.router_scores(q, keys, w_agg, heads), Tensor(w)))
+        return sum_all(mul(nx.router_scores(q, keys, w_agg, heads), Tensor(w)))
 
     report = grad_check(f, {"q": q, "keys": keys, "w_agg": w_agg})
     assert max(report.values()) < 1e-4, report
@@ -808,7 +835,7 @@ def _keep_graph_backward(tape, root):
             node._backward(node.grad)
 
 
-def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch, restart_worker):
+def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch):
     here = os.getpid()
     # per process (calling, worker), in memory the worker shares: the op outputs
     # of the tapes it swept, and how many of them still hold a gradient or edges
@@ -823,19 +850,19 @@ def test_backward_releases_op_outputs_and_keeps_leaf_gradients(monkeypatch, rest
         held[shard] += sum(n.grad is not None or n._parents != () for n in nodes)
 
     monkeypatch.setattr(nx.ComputationTape, "backward", recording)
-    restart_worker()      # so the worker's sweeps record too
     model = _routed_model()
-    loss, info = _routed_loss(model)
-    loss.backward()
+    with M.sharding(model.params):      # forked after the patch: the worker's sweeps record too
+        loss, info = _routed_loss(model)
+        loss.backward()
     assert swept.all() and not held.any(), (swept, held)
     grads = {k: p.grad for k, p in model.params.items()}
     assert all(g is not None for g in grads.values())
 
     monkeypatch.setattr(nx.ComputationTape, "backward", _keep_graph_backward)
-    restart_worker()      # so the worker keeps its graph too
     kept_model = _routed_model()
-    kept_loss, kept_info = _routed_loss(kept_model)
-    kept_loss.backward()
+    with M.sharding(kept_model.params):     # so the worker keeps its graph too
+        kept_loss, kept_info = _routed_loss(kept_model)
+        kept_loss.backward()
     for k, p in kept_model.params.items():
         assert np.array_equal(grads[k], p.grad), k
     assert loss.data.tobytes() == kept_loss.data.tobytes()
@@ -850,6 +877,12 @@ def _step_bytes(model, seed: int = 0):
     loss.backward()
     return (loss.data.tobytes(), info.hard_trace().tobytes(),
             {k: None if p.grad is None else p.grad.tobytes() for k, p in model.params.items()})
+
+
+def _sharded_step_bytes(model, seed: int = 0):
+    """``_step_bytes`` in a sharding scope of its own on ``model``'s parameters."""
+    with M.sharding(model.params):
+        return _step_bytes(model, seed)
 
 
 def _inline_velocity(model, z_t, t, feats, primary, opts, merge: bool = True):
@@ -898,21 +931,22 @@ def test_worker_process_forward_and_sweep_match_inline_bit_exactly():
     for run in ("worker", "inline"):
         model, args, target = _micro_case()
         if run == "worker":
-            vel, _ = model.velocity(*args)
-            assert M._SHARD_WORKER.process.pid != os.getpid()
-            assert not vel._parents and vel._backward is not None   # a gather_rows root
+            with M.sharding(model.params) as worker:
+                assert worker.process.pid != os.getpid()
+                vel, _ = model.velocity(*args)
+                assert not vel._parents and vel._backward is not None   # a gather_rows root
+                nx.mse(vel, Tensor(target)).backward()
         else:
             vel = _inline_velocity(model, *args)
-        nx.mse(vel, Tensor(target)).backward()
+            nx.mse(vel, Tensor(target)).backward()
         outputs.append((vel.data.tobytes(), {k: p.grad.tobytes() for k, p in model.params.items()}))
     assert outputs[0] == outputs[1]
     grads = outputs[0][1]
     assert sum(np.frombuffer(g).any() for g in grads.values()) > len(grads) // 2
 
 
-def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypatch,
-                                                                       restart_worker):
-    want = _step_bytes(_routed_model())
+def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypatch):
+    want = _sharded_step_bytes(_routed_model())
     model, here, rows, finished, failed = _routed_model(), os.getpid(), M._rows, [], []
 
     def rows_failing_once_in_the_worker(*args):
@@ -924,19 +958,19 @@ def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypat
         return out
 
     monkeypatch.setattr(M, "_rows", rows_failing_once_in_the_worker)
-    restart_worker()
-    with pytest.raises(FloatingPointError, match="bad shard"):
-        _routed_loss(model)
-    assert finished == [here]
-    assert _step_bytes(model) == want     # the same worker runs the next step as a fresh one
+    with M.sharding(model.params):      # forked after the patch
+        with pytest.raises(FloatingPointError, match="bad shard"):
+            _routed_loss(model)
+        assert finished == [here]
+        assert _step_bytes(model) == want     # the same worker runs the next step as a fresh one
 
 
 def test_a_failed_worker_sweep_raises_after_the_calling_sweep_and_merges_nothing(
-        monkeypatch, restart_worker):
+        monkeypatch):
     model, args, target = _micro_case()
     nx.mse(_inline_velocity(model, *args, merge=False), Tensor(target)).backward()
     calling_shard_only = {k: p.grad for k, p in model.params.items()}
-    want = _step_bytes(_routed_model())
+    want = _sharded_step_bytes(_micro_case()[0])
     here, sweep, finished, failed = os.getpid(), nx.sweep, [], []
 
     def sweep_failing_once_in_the_worker(root, g):
@@ -947,22 +981,21 @@ def test_a_failed_worker_sweep_raises_after_the_calling_sweep_and_merges_nothing
         finished.append(os.getpid())
 
     monkeypatch.setattr(nx, "sweep", sweep_failing_once_in_the_worker)
-    restart_worker()
     model, args, target = _micro_case()
-    vel, _ = model.velocity(*args)
-    with pytest.raises(FloatingPointError, match="bad sweep"):
-        nx.mse(vel, Tensor(target)).backward()
-    assert finished == [here]
-    for k, p in model.params.items():    # the calling shard's gradients, none of the worker's
-        want_k = calling_shard_only[k]
-        assert (p.grad is None) == (want_k is None), k
-        assert want_k is None or p.grad.tobytes() == want_k.tobytes(), k
-    assert _step_bytes(_routed_model()) == want
+    with M.sharding(model.params):
+        vel, _ = model.velocity(*args)
+        with pytest.raises(FloatingPointError, match="bad sweep"):
+            nx.mse(vel, Tensor(target)).backward()
+        assert finished == [here]
+        for k, p in model.params.items():    # the calling shard's gradients, none of the worker's
+            want_k = calling_shard_only[k]
+            assert (p.grad is None) == (want_k is None), k
+            assert want_k is None or p.grad.tobytes() == want_k.tobytes(), k
+        assert _step_bytes(model) == want    # the worker's reply was taken: in step
 
 
-def test_a_failed_calling_sweep_waits_for_the_worker_and_merges_nothing(monkeypatch,
-                                                                        restart_worker):
-    want = _step_bytes(_routed_model())
+def test_a_failed_calling_sweep_waits_for_the_worker_and_merges_nothing(monkeypatch):
+    want = _sharded_step_bytes(_micro_case()[0])
     here, sweep, failed = os.getpid(), nx.sweep, []
 
     def sweep_failing_once_here(root, g):
@@ -972,87 +1005,118 @@ def test_a_failed_calling_sweep_waits_for_the_worker_and_merges_nothing(monkeypa
         sweep(root, g)
 
     monkeypatch.setattr(nx, "sweep", sweep_failing_once_here)
-    restart_worker()
     model, args, target = _micro_case()
-    vel, _ = model.velocity(*args)
-    with pytest.raises(FloatingPointError, match="bad sweep"):
-        nx.mse(vel, Tensor(target)).backward()
-    assert all(p.grad is None for p in model.params.values())
-    assert _step_bytes(_routed_model()) == want    # the worker's reply was taken: in step
+    with M.sharding(model.params):
+        vel, _ = model.velocity(*args)
+        with pytest.raises(FloatingPointError, match="bad sweep"):
+            nx.mse(vel, Tensor(target)).backward()
+        assert all(p.grad is None for p in model.params.values())
+        assert _step_bytes(model) == want    # the worker's reply was taken: in step
 
 
 def test_forwards_without_a_backward_leave_the_worker_usable():
     """A diverged step and a finite-difference probe never sweep their forward: the
     worker drops that graph at the next forward."""
-    want = _step_bytes(_routed_model())
+    want = _sharded_step_bytes(_routed_model())
     model = _routed_model()
-    for _ in range(3):
-        _routed_loss(model)
-    assert _step_bytes(model) == want
+    with M.sharding(model.params):
+        for _ in range(3):
+            _routed_loss(model)
+        assert _step_bytes(model) == want
 
 
 def test_a_backward_through_a_replaced_graph_raises_and_sweeps_nothing():
-    want = _step_bytes(_routed_model())
+    want = _sharded_step_bytes(_routed_model())
     model = _routed_model()
-    old, _ = _routed_loss(model)
-    new, _ = _routed_loss(model)
-    with pytest.raises(RuntimeError, match="no longer holds"):
-        old.backward()
-    assert all(p.grad is None for p in model.params.values())
-    new.backward()
+    with M.sharding(model.params):
+        old, _ = _routed_loss(model)
+        new, _ = _routed_loss(model)
+        with pytest.raises(RuntimeError, match="no longer holds"):
+            old.backward()
+        assert all(p.grad is None for p in model.params.values())
+        new.backward()
     assert {k: None if p.grad is None else p.grad.tobytes()
             for k, p in model.params.items()} == want[2]
 
 
-def test_a_dead_worker_fails_the_step_and_the_next_forward_starts_another():
-    want = _step_bytes(_routed_model())
+def test_a_dead_worker_fails_its_scope_and_the_next_scope_forks_another():
+    want = _sharded_step_bytes(_routed_model())
     model = _routed_model()
-    loss, _ = _routed_loss(model)
-    dead = M._SHARD_WORKER.process
-    os.kill(dead.pid, signal.SIGKILL)
-    dead.join(10)
-    with pytest.raises(RuntimeError, match=f"pid {dead.pid}\\) died"):
-        loss.backward()
-    assert M._SHARD_WORKER is None and all(p.grad is None for p in model.params.values())
-    assert _step_bytes(model) == want
-    assert M._SHARD_WORKER.process.pid != dead.pid
+    with pytest.raises(RuntimeError, match="died"):
+        with M.sharding(model.params) as worker:
+            loss, _ = _routed_loss(model)
+            dead = worker.process
+            os.kill(dead.pid, signal.SIGKILL)
+            dead.join(10)
+            with pytest.raises(RuntimeError, match=f"pid {dead.pid}\\) died"):
+                loss.backward()
+            assert all(p.grad is None for p in model.params.values())
+            _routed_loss(model)          # every later exchange of the scope fails too
+    assert not multiprocessing.active_children()
+    with M.sharding(model.params) as worker:
+        assert worker.process.pid != dead.pid
+        assert _step_bytes(model) == want
 
 
-def test_threads_training_at_once_get_their_own_gradients_or_a_clear_error():
-    """Threads take turns on the one worker: each step's gradients are its own, or
-    its backward raises because another thread's forward replaced its graph."""
-    want = _step_bytes(_routed_model())
-    outcomes = []
+def test_threads_in_copies_of_a_scope_take_turns_on_its_worker():
+    """Threads that run in copies of one context share its worker and take turns on it:
+    every forward gets its own rows back, and every step gets its own gradients or
+    raises because the other thread's forward replaced its graph."""
+    model = _routed_model()
+    with M.sharding(model.params):
+        want = _step_bytes(model)
+        probe = _routed_loss(model, seed=1)[0].data.tobytes()
+        outcomes = []
 
-    def train():
-        model = _routed_model()
-        for _ in range(6):
-            try:
-                outcomes.append(_step_bytes(model) == want)
-            except RuntimeError as exc:
-                outcomes.append("no longer holds" in str(exc))
+        def train():
+            for _ in range(6):
+                try:
+                    outcomes.append(_step_bytes(model) == want)
+                except RuntimeError as exc:
+                    outcomes.append("no longer holds" in str(exc))
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=train) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(outcomes) == 12 and all(outcomes), outcomes
-    assert _step_bytes(_routed_model()) == want
+        def forward():      # forwards only: the two threads never write the same gradients
+            for _ in range(6):
+                outcomes.append(_routed_loss(model, seed=1)[0].data.tobytes() == probe)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=contextvars.copy_context().run, args=(fn,))
+                       for fn in (train, forward)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 12 and all(outcomes), outcomes
+        assert _step_bytes(model) == want
 
 
-def test_sharded_training_forwards_need_linux(monkeypatch, restart_worker):
-    restart_worker()
+def test_a_sharding_scope_needs_linux(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
     with pytest.raises(RuntimeError, match="Linux only, not darwin"):
-        _routed_loss(_routed_model())
-    assert M._SHARD_WORKER is None
+        with M.sharding(_routed_model().params):
+            pass
+    assert not multiprocessing.active_children()
+
+
+def test_a_process_forked_inside_a_scope_does_not_use_its_worker():
+    """A forked child inherits the scope's binding, but not the worker: it runs one graph."""
+    model, args, _ = _micro_case()
+    one_graph = shared_ints(1)
+
+    def child():
+        vel, _ = model.velocity(*args)
+        one_graph[0] = bool(vel._parents)
+
+    with M.sharding(model.params):
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+    assert process.exitcode == 0 and one_graph[0] == 1
 
 
 # a training loop in a fresh interpreter: argv[1] steps (or forever if negative),
@@ -1063,22 +1127,22 @@ import numpy as np
 from roar3d import model as M
 from roar3d.config import ModelConfig
 from roar3d.model import ForwardOptions, Model
-from roar3d.router import gumbel_select, sample_gumbel
 from roar3d.trainer import AdamW, Batch, flow_matching_loss
-cfg = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4, patches=4,
-                  feat_dim=8, mlp_ratio=2)
+cfg = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4, patches=4, feat_dim=8)
 model, rng = Model.create(cfg, 0), np.random.default_rng(0)
 opt, steps = AdamW(model.params), int(sys.argv[1])
-for step in range(steps) if steps >= 0 else itertools.count():
-    batch = Batch(rng.normal(size=(4, cfg.tokens, cfg.model_dim)),
-                  rng.normal(size=(4, 2, cfg.patches, cfg.feat_dim)), np.array([0, 1, -1, 0]))
-    model.zero_grads()
-    loss, _ = flow_matching_loss(model, batch, rng.random(4), rng.normal(size=batch.z0.shape),
-                                 ForwardOptions(mode="train", step=step))
-    loss.backward()
-    opt.step(1e-3)
-    if step == 0:
-        print(M._SHARD_WORKER.process.pid, flush=True)
+with M.sharding(model.params) as worker:
+    for step in range(steps) if steps >= 0 else itertools.count():
+        batch = Batch(rng.normal(size=(4, cfg.tokens, cfg.model_dim)),
+                      rng.normal(size=(4, 2, cfg.patches, cfg.feat_dim)), np.array([0, 1, -1, 0]))
+        model.zero_grads()
+        loss, _ = flow_matching_loss(model, batch, rng.random(4),
+                                     rng.normal(size=batch.z0.shape),
+                                     ForwardOptions(mode="train", step=step))
+        loss.backward()
+        opt.step(1e-3)
+        if step == 0:
+            print(worker.process.pid, flush=True)
 """
 
 
@@ -1121,15 +1185,17 @@ def test_a_killed_caller_leaves_no_worker():
 
 
 def test_second_backward_through_a_spent_graph_raises():
-    loss, _ = _routed_loss(_routed_model())
-    loss.backward()
-    with pytest.raises(RuntimeError, match="consumed"):
+    model = _routed_model()
+    with M.sharding(model.params):
+        loss, _ = _routed_loss(model)
         loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
     x = Tensor(np.ones(3), requires_grad=True)
     y = scale(x, 2.0)
     sum_all(y).backward()
     with pytest.raises(RuntimeError, match="consumed"):
-        sum_all(nx.mul(y, y)).backward()
+        sum_all(mul(y, y)).backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 

@@ -13,7 +13,7 @@ from roar3d.router import (gumbel_select, router_keys, routing_logits_batched, s
                            score_matrix)
 from roar3d.rng import stream
 
-from conftest import reshape, sum_all, surrogate_select
+from conftest import mul, reshape, sum_all, surrogate_select
 
 
 def _params(seed, model_dim=8, feat_dim=8, heads=2, head_dim=4):
@@ -29,7 +29,7 @@ def _params(seed, model_dim=8, feat_dim=8, heads=2, head_dim=4):
 
 
 POOL_CFG = ModelConfig(blocks=1, grid=2, model_dim=16, heads=2, head_dim=4,
-                       patches=4, feat_dim=8, mlp_ratio=2)
+                       patches=4, feat_dim=8)
 
 
 def _pooled_keys(monkeypatch, feats):
@@ -231,7 +231,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
     # real network: STE multiplier scales a fixed downstream value
     w.zero_grad()
     dec = decision()
-    loss = sum_all(nx.mul(dec.multiplier, Tensor(downstream)))
+    loss = sum_all(mul(dec.multiplier, Tensor(downstream)))
     loss.backward()
     analytic = w.grad.copy()
 
@@ -242,7 +242,7 @@ def test_ste_backward_equals_soft_surrogate_finite_differences():
 
     def surrogate():
         d2 = surrogate_select(nx.matmul(Tensor(x), w), noise, hard0, offset)
-        return sum_all(nx.mul(d2.multiplier, Tensor(downstream)))
+        return sum_all(mul(d2.multiplier, Tensor(downstream)))
 
     report = grad_check(surrogate, {"w": w})
     assert report["w"] < 1e-4

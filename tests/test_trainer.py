@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from roar3d import trainer
 from roar3d.config import RunConfig
-from roar3d.model import ForwardInfo, ForwardOptions, Model, rotate_latent
+from roar3d.model import ForwardInfo, ForwardOptions, Model, rotate_latent, sharding
 from roar3d.numerics import Tensor
 from roar3d.rng import stream
 from roar3d.trainer import (
@@ -28,7 +30,6 @@ from conftest import (
     assert_gradients_close,
     micro_run_config,
     randomize_zero_init,
-    single_graph_loss,
 )
 
 CFG = micro_run_config()
@@ -119,8 +120,10 @@ def _loss_and_grads(loss_fn, model, batch, t, noise, opts):
 @pytest.mark.parametrize("B", (3, 4))
 def test_sharded_loss_matches_the_single_graph(B, rows):
     case = _loss_case(B, PRIMARY[rows], seed=B)
-    loss, info, got = _loss_and_grads(flow_matching_loss, *case)
-    ref, ref_info, want = _loss_and_grads(single_graph_loss, *case)
+    with sharding(case[0].params):
+        loss, info, got = _loss_and_grads(flow_matching_loss, *case)
+    ref, ref_info, want = _loss_and_grads(flow_matching_loss, *case)
+    assert info.views is None and ref_info.views is not None   # joined shards, one graph
     assert abs(float(loss.data) - float(ref.data)) <= LOSS_RTOL * abs(float(ref.data))
     assert np.array_equal(info.hard_trace(), ref_info.hard_trace())
     assert abs(info.mean_entropy() - ref_info.mean_entropy()) <= 1e-12
@@ -131,10 +134,11 @@ def test_sharded_loss_matches_the_single_graph(B, rows):
 def test_loss_of_one_row_is_the_single_graph_bit_exactly():
     case = _loss_case(1, (-1,))
     model, batch, t, _, opts = case
-    vel, _ = model.velocity(batch.z0, t, batch.feats, batch.primary_index, opts)
-    assert vel._parents   # an op output, not a gather_rows root
-    loss, info, got = _loss_and_grads(flow_matching_loss, *case)
-    ref, ref_info, want = _loss_and_grads(single_graph_loss, *case)
+    with sharding(model.params):
+        vel, _ = model.velocity(batch.z0, t, batch.feats, batch.primary_index, opts)
+        assert vel._parents   # an op output, not a gather_rows root
+        loss, info, got = _loss_and_grads(flow_matching_loss, *case)
+    ref, ref_info, want = _loss_and_grads(flow_matching_loss, *case)
     assert loss.data.tobytes() == ref.data.tobytes()
     assert info.mean_entropy() == ref_info.mean_entropy()
     for k, w in want.items():
@@ -409,6 +413,60 @@ def test_fully_perturbed_training_leaves_ca_p_bit_identical(micro_cfg, micro_dat
     train(model, micro_dataset.split("train"), cfg, phase="mv")
     for k, v in before.items():
         assert np.array_equal(model.params[k].data, v), k
+
+
+def test_two_training_phases_each_shard_their_steps_and_leave_no_process(micro_dataset,
+                                                                         monkeypatch):
+    """Each ``train`` forks one worker for its model's parameters and stops it when it
+    returns; inside its scope a forward of other parameters is one graph."""
+    cfg = micro_run_config(seed=4)
+    cfg.train = dataclasses.replace(cfg.train, steps_single=3, steps_mv=3)
+    split = micro_dataset.split("train")
+    seen = []
+    velocity = Model.velocity
+
+    def recording(model, z_t, t, feats, primary_index=None, opts=None):
+        vel, info = velocity(model, z_t, t, feats, primary_index, opts)
+        twins = {k: Tensor(p.data, requires_grad=True) for k, p in model.params.items()}
+        other, _ = velocity(Model(model.cfg, twins), z_t, t, feats, primary_index, opts)
+        workers = [child.pid for child in multiprocessing.active_children()]
+        # a gather_rows root has no parents; an op output of one graph has some
+        seen.append((model.cfg.arch, not vel._parents, bool(other._parents), workers))
+        return vel, info
+
+    monkeypatch.setattr(Model, "velocity", recording)
+    single = Model.create(dataclasses.replace(cfg.model, arch="single"), 4)
+    train(single, split, cfg, "single")
+    assert not multiprocessing.active_children()
+    train(upgrade_from_single(single), split, cfg, "mv")
+    assert not multiprocessing.active_children()
+    assert [s[:3] for s in seen] == [("single", True, True)] * 3 + [("routed", True, True)] * 3
+    workers = [s[3] for s in seen]
+    assert all(len(w) == 1 for w in workers)
+    assert workers[0] == workers[2] != workers[3] == workers[5]
+
+
+class _Interrupted(Exception):
+    """Raised from a patched ``assemble_batch``, as the benchmark ends a timed run."""
+
+
+def test_a_train_that_raises_leaves_no_process(micro_dataset, monkeypatch):
+    """The worker stops when the step loop raises; a diverged run is the CLI test's case."""
+    cfg = micro_run_config(seed=4)
+    assemble, alive = trainer.assemble_batch, []
+
+    def assemble_batch(split, run_cfg, step, *args):
+        alive.append(len(multiprocessing.active_children()))
+        if step == 2:
+            raise _Interrupted
+        return assemble(split, run_cfg, step, *args)
+
+    monkeypatch.setattr(trainer, "assemble_batch", assemble_batch)
+    model = Model.create(dataclasses.replace(cfg.model, arch="single"), 4)
+    with pytest.raises(_Interrupted):
+        train(model, micro_dataset.split("train"), cfg, "single")
+    assert alive == [1, 1, 1]
+    assert not multiprocessing.active_children()
 
 
 def test_assemble_batch_deterministic(micro_cfg, micro_dataset):
