@@ -34,7 +34,7 @@ import signal
 import sys
 import threading
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 
@@ -559,17 +559,11 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
     each shard takes its rows, so a sample's noise does not depend on how its
     batch was split. Inside :func:`sharding` for these same ``params``, with
     gradients on, a batch of B >= 2 that brings no view or time context is
-    split into rows [0, B//2) and [B//2, B): the first shard runs
-    :func:`_rows` on ``params`` in the calling process, the second in the
-    scope's worker process (:class:`_ShardWorker`) on leaf twins over a copy
-    of the parameters' data. Each shard builds its own view and time
-    contexts. The velocity is the two shards' rows
-    (:func:`roar3d.numerics.gather_rows`), whose backward sweeps each shard
-    in its own process and adds the worker's gradients to the parameters'.
-    The info then holds the batch's routing decisions, without multipliers,
-    and no view context. Any other forward is one graph in the calling
-    process. The worker holds the graph of the last sharded forward only,
-    so the backward of an earlier one raises ``RuntimeError``.
+    split into rows [0, B//2), run by :func:`_rows` on ``params`` here, and
+    [B//2, B), run by the scope's :class:`_ShardWorker`; the velocity joins
+    the two (:func:`roar3d.numerics.gather_rows`), and the info holds the
+    batch's routing decisions, without multipliers, and no view context.
+    Any other forward is one graph in the calling process.
     """
     opts = opts or ForwardOptions()
     B, N, _ = z_t.shape
@@ -589,14 +583,10 @@ def _forward(params, cfg: ModelConfig, z_t: np.ndarray, t: np.ndarray, feats: np
                 None if noise is None else [n[rows] for n in noise])
 
     h = B // 2
-    worker.start_forward(shard(slice(h, B)))
-    try:
-        first, info = _rows(params, *shard(slice(0, h)))
-    except BaseException:
-        worker.drop_forward()
-        raise
-    second, decisions, sweep_second = worker.finish_forward()
-    vel = nx.gather_rows(first, second, sweep_second)
+    (first, info), (second, decisions), token = worker.forward(
+        shard(slice(h, B)), lambda: _rows(params, *shard(slice(0, h))))
+    vel = nx.gather_rows(first, second, lambda g: worker.sweep(
+        token, g[h:], lambda: nx.sweep(first, g[:h])))
     return vel, ForwardInfo([_joined(a, *b) for a, b in zip(info.decisions, decisions)])
 
 
@@ -617,17 +607,23 @@ class _ShardWorker:
     into the second after a sweep, and the caller copies them out. The pipe
     carries the shard's inputs and the ``requires_grad`` flags in, and the
     velocity rows, the routing decisions and the flags of which twins got a
-    gradient back. The worker holds one graph at a time: a new forward
-    replaces the last one, swept or not. It exits when its pipe reaches end
-    of file, so it does not outlive the process that started it; it is a
-    daemon as well, so a normal exit stops it at once. Once it has died,
-    every exchange raises ``RuntimeError``.
+    gradient back. Nothing else is shared: each graph lives in one process,
+    so values and gradients do not depend on timing.
 
-    One exchange (a forward, or a sweep) holds ``lock`` from its request to
-    its reply, so threads that reach the worker through copies of one
-    context take turns and never read each other's replies. The worker is
-    forked, so it runs on Linux only; elsewhere starting one raises
-    ``RuntimeError``.
+    Each exchange, :meth:`forward` or :meth:`sweep`, sends its request, runs
+    the calling shard's own part meanwhile and then takes the reply
+    (:meth:`_overlap`), holding ``lock`` throughout, so threads that reach
+    the worker through copies of one context take turns and never read each
+    other's replies. An error is raised only once the worker has replied:
+    the calling shard's error if it has one, else the worker's; after
+    either, a sweep adds none of the worker's gradients. The worker holds
+    one graph at a time: a new forward replaces the last one, swept or not,
+    and a sweep of a replaced graph raises ``RuntimeError`` and sweeps
+    nothing. The worker exits when its pipe reaches end of file, so it does
+    not outlive the process that started it; it is a daemon as well, so a
+    normal exit stops it at once. Once it has died, every exchange raises
+    ``RuntimeError``. It is forked, so it runs on Linux only; elsewhere
+    starting one raises ``RuntimeError``.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -719,65 +715,45 @@ class _ShardWorker:
         self.stop()
         raise RuntimeError(f"the shard worker process (pid {self.process.pid}) died")
 
-    def start_forward(self, args: tuple) -> None:
-        """Take the lock, copy the parameters' data into the shared mapping and send
-        the shard's inputs; :meth:`finish_forward` or :meth:`drop_forward` releases it."""
-        self.lock.acquire()
+    def _overlap(self, request, local: Callable):
+        """Send ``request``, run ``local()`` here meanwhile, then take the reply:
+        ``(local's result, the reply)``, or the error the class docstring names."""
+        self._send(request)
         try:
+            mine = local()
+        except BaseException:
+            with suppress(Exception):
+                self._receive()
+            raise
+        return mine, self._receive()
+
+    def forward(self, args: tuple, local: Callable) -> tuple[object, tuple, object]:
+        """Run the shard ``args`` in the worker while ``local()`` runs here.
+
+        Returns ``local``'s result, the worker's (velocity rows, each routed
+        block's (hard_index, y_soft)) and the token that :meth:`sweep` takes.
+        """
+        with self.lock:
             self.graph = None
             for view, p in zip(self.data, self.params.values()):
                 np.copyto(view, p.data)
-            self._send(("forward", [p.requires_grad for p in self.params.values()], args))
-        except BaseException:
-            self.lock.release()
-            raise
-
-    def finish_forward(self) -> tuple[np.ndarray, list, Callable]:
-        """The shard's velocity rows, each routed block's (hard_index, y_soft),
-        and ``sweep_second`` of :func:`roar3d.numerics.gather_rows` for its graph."""
-        try:
-            vel, decisions = self._receive()
+            flags = [p.requires_grad for p in self.params.values()]
+            mine, reply = self._overlap(("forward", flags, args), local)
             token = self.graph = object()
-        finally:
-            self.lock.release()
-        return vel, decisions, self._sweeper(token)
+        return mine, reply, token
 
-    def drop_forward(self) -> None:
-        """Wait for a forward whose result is not wanted; its error is not raised."""
-        try:
-            self._receive()
-        except Exception:
-            pass
-        finally:
-            self.lock.release()
-
-    def _sweeper(self, token: object):
-        def start(g: np.ndarray):
-            self.lock.acquire()
-            try:
-                if self.graph is not token:
-                    raise RuntimeError("the shard worker no longer holds this graph: "
-                                       "a later forward replaced it")
-                self.graph = None
-                self._send(("sweep", g))
-            except BaseException:
-                self.lock.release()
-                raise
-
-            def finish(merge: bool) -> None:
-                try:
-                    flags = self._receive()
-                    if not merge:
-                        return
-                    for p, view, got in zip(self.params.values(), self.grads, flags):
-                        if got:   # accum_grad keeps a first gradient: copy it out of the mapping
-                            p.accum_grad(view.copy() if p.grad is None else view)
-                finally:
-                    self.lock.release()
-
-            return finish
-
-        return start
+    def sweep(self, token: object, g: np.ndarray, local: Callable) -> None:
+        """Sweep the graph of forward ``token`` from ``g`` while ``local()`` runs here,
+        then add the worker's gradients to the parameters' in parameter order."""
+        with self.lock:
+            if self.graph is not token:
+                raise RuntimeError("the shard worker no longer holds this graph: "
+                                   "a later forward replaced it")
+            self.graph = None
+            _, flags = self._overlap(("sweep", g), local)
+            for p, view, got in zip(self.params.values(), self.grads, flags):
+                if got:   # accum_grad keeps a first gradient: copy it out of the mapping
+                    p.accum_grad(view.copy() if p.grad is None else view)
 
     def stop(self) -> None:
         """End the worker process; it may already have ended."""

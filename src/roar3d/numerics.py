@@ -19,25 +19,10 @@ on independent threads. ``no_grad`` acts on the current context only, so
 one thread's inference does not switch off another's graph. This module
 starts no thread and no process.
 
-``gather_rows`` is the one node whose graph spans two processes. Inside the
-sharding scope that ``roar3d.trainer.train`` opens, a training forward of
-the model (``roar3d.model._forward``) splits its batch into two row shards:
-the first runs on the parameters in the calling process, the second in the
-scope's worker process, on leaf twins over a shared copy of the parameters'
-data, and ``gather_rows`` joins the calling shard's output with the
-worker's rows. Its backward hands the worker its rows of the incoming
-gradient, sweeps the first shard's graph meanwhile, waits for the worker
-and then adds the worker's gradients to the parameters' in parameter order.
-The two processes share the parameters' data (the caller copies it into a
-shared mapping on every forward, the worker only reads it) and the worker's
-gradients (the worker writes them into a second mapping, the caller only
-reads them after the sweep); the batch arrays, the shard's outputs and
-small flags travel as messages over a pipe. Nothing else is shared: every
-graph, tape and gradient buffer lives in one process, so values and
-gradients do not depend on timing or on the number of CPUs. The worker
-holds the graph of the last sharded forward only, so the backward of a
-graph that a later forward has replaced raises ``RuntimeError`` and sweeps
-nothing.
+``gather_rows`` joins rows whose graphs this module does not trace: it is
+a parent-less node whose backward hands the whole incoming gradient to one
+callback, which sweeps those graphs (:func:`sweep` sweeps one graph from a
+gradient of its value).
 
 Backward consumes its graph: as the sweep passes an op output it drops that
 node's gradient, its parents and its backward closure, so the saved arrays
@@ -199,9 +184,8 @@ class ComputationTape:
     Each saved array is freed as soon as the last node holding it is passed.
     Leaves keep their gradients and every node keeps its ``data``. The tape
     is local to one call, so sweeps of independent graphs on independent
-    threads never share state. A ``gather_rows`` node, which has no
-    parents, runs its first shard's sweep from its own backward, while the
-    process that holds its second shard's graph runs that one.
+    threads never share state. A ``gather_rows`` node has no parents: its
+    backward is one callback, which sweeps the graphs its rows came from.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -624,7 +608,7 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# two row shards, the second one's graph held elsewhere
+# rows whose graphs the tape does not trace
 # ---------------------------------------------------------------------------
 
 
@@ -637,38 +621,16 @@ def sweep(root: Tensor, g: np.ndarray) -> None:
 
 
 def gather_rows(first: Tensor, second: np.ndarray,
-                sweep_second: Callable[[np.ndarray], Callable[[bool], None]]) -> Tensor:
+                backward: Callable[[np.ndarray], None]) -> Tensor:
     """The rows of ``first`` and then those of ``second``, as one parent-less node.
 
-    ``second`` is the value of a graph that another process holds.
-    ``sweep_second(g)`` starts that graph's sweep from its rows ``g`` of the
-    incoming gradient and returns ``finish(merge)``, which waits for the
-    sweep and, if ``merge``, adds its gradients to the leaves they belong to.
-    The node's backward starts the other sweep, sweeps ``first``'s graph
-    from its own rows meanwhile, and then finishes the other one. An error
-    of either sweep is raised only once both have ended, the calling
-    process's first; after an error no gradient of the other sweep is
-    added.
+    ``backward(g)`` gets the node's whole incoming gradient and sweeps the
+    graphs of both: ``first``'s and the one ``second`` is the value of.
     """
     out = Tensor(np.concatenate([first.data, second]))
-    if not (_grad_enabled.get() and first.requires_grad):
-        return out
-    h = first.shape[0]
-
-    def backward(g: np.ndarray) -> None:
-        finish = sweep_second(g[h:])
-        try:
-            sweep(first, g[:h])
-        except BaseException:
-            try:
-                finish(False)
-            except Exception:   # the calling process's error is the one raised
-                pass
-            raise
-        finish(True)
-
-    out.requires_grad = True
-    out._backward = backward
+    if _grad_enabled.get() and first.requires_grad:
+        out.requires_grad = True
+        out._backward = backward
     return out
 
 

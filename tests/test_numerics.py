@@ -889,27 +889,26 @@ def _inline_velocity(model, z_t, t, feats, primary, opts, merge: bool = True):
     """The two row shards of a training forward, both run here one after the other.
 
     The second runs on leaf twins of the parameters (their ``data``, their own
-    ``grad``), and its sweep adds the twins' gradients to the parameters' in
-    parameter order when ``merge``, as the worker's gradients are added.
+    ``grad``). The backward sweeps the second rows on the twins, then the
+    first, and then, when ``merge``, adds the twins' gradients to the
+    parameters' in parameter order, as the worker's gradients are added.
     """
     cfg, (B, N, _), V = model.cfg, z_t.shape, feats.shape[1]
+    h = B // 2
     noise = [M.routing_noise(opts.run_seed, opts.step, l, (B, N, V)) for l in range(cfg.blocks)]
     twins = {k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in model.params.items()}
     (first, _), (second, _) = (
         M._rows(params, cfg, z_t[r], t[r], feats[r], primary[r], opts, [n[r] for n in noise])
-        for params, r in ((model.params, slice(0, B // 2)), (twins, slice(B // 2, B))))
+        for params, r in ((model.params, slice(0, h)), (twins, slice(h, B))))
 
-    def sweep_second(g):
-        nx.sweep(second, g)
+    def backward(g):
+        nx.sweep(second, g[h:])
+        nx.sweep(first, g[:h])
+        for k, p in model.params.items():
+            if merge and twins[k].grad is not None:
+                p.accum_grad(twins[k].grad)
 
-        def finish(merge_now):
-            for k, p in model.params.items():
-                if merge and merge_now and twins[k].grad is not None:
-                    p.accum_grad(twins[k].grad)
-
-        return finish
-
-    return nx.gather_rows(first, second.data, sweep_second)
+    return nx.gather_rows(first, second.data, backward)
 
 
 def _micro_case(seed: int = 2):
@@ -963,6 +962,28 @@ def test_a_failed_worker_shard_raises_after_the_calling_shard_finishes(monkeypat
             _routed_loss(model)
         assert finished == [here]
         assert _step_bytes(model) == want     # the same worker runs the next step as a fresh one
+
+
+@pytest.mark.parametrize("worker_fails", [False, True])
+def test_a_failed_calling_shard_raises_its_error_once_the_worker_has_replied(monkeypatch,
+                                                                              worker_fails):
+    """The calling shard's forward raises: its error wins over the worker's, the
+    worker's reply is taken, and the scope's next step is a fresh scope's."""
+    want = _sharded_step_bytes(_routed_model())
+    model, here, rows, failed = _routed_model(), os.getpid(), M._rows, []
+
+    def rows_failing_once(*args):
+        if not failed and (worker_fails or os.getpid() == here):
+            failed.append(True)          # each process's own copy of the list
+            raise FloatingPointError("bad calling shard" if os.getpid() == here
+                                     else "bad worker shard")
+        return rows(*args)
+
+    monkeypatch.setattr(M, "_rows", rows_failing_once)
+    with M.sharding(model.params):      # forked after the patch
+        with pytest.raises(FloatingPointError, match="bad calling shard"):
+            _routed_loss(model, seed=1)  # another step's rows: a reply left unread would show
+        assert _step_bytes(model) == want
 
 
 def test_a_failed_worker_sweep_raises_after_the_calling_sweep_and_merges_nothing(
