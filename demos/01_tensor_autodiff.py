@@ -12,10 +12,10 @@ from roar3d.numerics import Tensor, grad_check
 rng = np.random.default_rng(0)
 
 # --- forward ops ----------------------------------------------------------
-x = Tensor(rng.normal(size=(4, 6)), requires_grad=True, name="x")
-w = Tensor(rng.normal(size=(6, 3)), requires_grad=True, name="w")
-gain = Tensor(np.ones(3), requires_grad=True, name="gain")
-bias = Tensor(np.zeros(3), requires_grad=True, name="bias")
+x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+gain = Tensor(np.ones(3), requires_grad=True)
+bias = Tensor(np.zeros(3), requires_grad=True)
 
 h = nx.layer_norm(nx.matmul(x, w), gain, bias)
 print("layer_norm row means are zero:", np.allclose(h.data.mean(axis=-1), 0.0))
@@ -23,7 +23,7 @@ act = nx.silu(h)
 print("silu of row 0:", act.data[0].round(4))
 
 # --- backward -------------------------------------------------------------
-target = Tensor(rng.normal(size=act.shape), name="target")
+target = Tensor(rng.normal(size=act.shape))
 loss = nx.mse(act, target)
 loss.backward()
 print("loss:", float(loss.data))

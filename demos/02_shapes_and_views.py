@@ -8,7 +8,7 @@ view into per-patch features.
 import numpy as np
 
 from roar3d.config import WorldConfig
-from roar3d.evaluation import chamfer_distance
+from roar3d.evaluation import geo_metrics
 from roar3d.rng import stream
 from roar3d.world import (Camera, azimuth_bin, encode_view, generate_shape, rotate_azimuth,
                           sample_views)
@@ -19,7 +19,7 @@ print("=== shape classes ===")
 for klass in cfg.classes:
     pc = generate_shape(seed=7, klass=klass, points=1024)
     lo, hi = pc.points.min(axis=0), pc.points.max(axis=0)
-    cds = [chamfer_distance(pc, rotate_azimuth(pc, d)) for d in (90, 180, 270)]
+    cds = [geo_metrics(pc, rotate_azimuth(pc, d)).cd for d in (90, 180, 270)]
     print(f"{klass:18s} bbox [{lo.round(2)} .. {hi.round(2)}]  "
           f"CD to rotations: {[round(c, 3) for c in cds]}")
 

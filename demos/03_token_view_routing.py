@@ -59,7 +59,7 @@ multiplier = dec.multiplier
 print("\nSTE multiplier forward values:", multiplier.data.ravel())
 
 # backward: gradient reaches the router parameters through the soft weights
-downstream = Tensor(rng.normal(size=(1, 1, N)))
-nx.matmul(downstream, multiplier).backward()  # loss sum_n downstream[n] * multiplier[n]
+target = Tensor(rng.normal(size=multiplier.shape))
+nx.mse(multiplier, target).backward()  # dL/dm_n = 2 (m_n - target_n) / N
 print("w_agg gradient:", params["w_agg"].grad.round(5))
 print("|dL/dW_q|:", float(np.abs(params["w_q"].grad).max()))

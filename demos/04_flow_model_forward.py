@@ -6,10 +6,12 @@ point of top-1 routing: attention cost does not grow with the view count),
 and prints the parameter budget.
 """
 
+import math
+
 import numpy as np
 
 from roar3d.config import ModelConfig
-from roar3d.model import ForwardOptions, Model, count_parameters, forward_multiview
+from roar3d.model import ForwardOptions, Model, forward_multiview, parameter_layout
 
 cfg = ModelConfig(blocks=2, grid=2, model_dim=16, heads=2, head_dim=4,
                   patches=4, feat_dim=8)
@@ -28,7 +30,12 @@ for v in (1, 2, 4, 8, 12):
           f"{feats.shape[2]} (S), concat attends {v * feats.shape[2]} (V*S)")
 
 print("\n=== parameter budget (desk config) ===")
-counts = count_parameters(Model.create(ModelConfig(), seed=0).params)
-for k in ("backbone", "ca_p", "ca_a", "router"):
-    print(f"{k:10s} {counts[k]:8d}")
-print(f"added/baseline ratio: {counts['added_ratio']:.3f}")
+# a block tensor blocks.{l}.ca_a.* belongs to CA_a, and so on; the rest is backbone
+counts = dict.fromkeys(("backbone", "ca_p", "ca_a", "router"), 0)
+for name, (_, shape) in parameter_layout(ModelConfig()).items():
+    group = next((g for g in ("ca_p", "ca_a", "router") if f".{g}." in name), "backbone")
+    counts[group] += math.prod(shape)
+for k, n in counts.items():
+    print(f"{k:10s} {n:8d}")
+added, baseline = counts["ca_a"] + counts["router"], counts["backbone"] + counts["ca_p"]
+print(f"added/baseline ratio: {added / baseline:.3f}")

@@ -7,11 +7,10 @@ three consistency metrics on synthetic routing traces.
 import numpy as np
 
 from roar3d.evaluation import (
-    chamfer_distance,
     consistency_report,
     cross_block_consistency,
     cross_timestep_consistency,
-    f_score,
+    geo_metrics,
     global_consistency,
 )
 from roar3d.world import generate_shape, rotate_azimuth
@@ -19,15 +18,16 @@ from roar3d.world import generate_shape, rotate_azimuth
 print("=== Chamfer distance (reported x 1e3) ===")
 a = np.array([[0.0, 0.0, 0.0]])
 b = np.array([[0.1, 0.0, 0.0]])
-print("single points 0.1 apart:", 1e3 * chamfer_distance(a, b))
+print("single points 0.1 apart:", 1e3 * geo_metrics(a, b).cd)
 
 pc = generate_shape(3, "l-prism", points=512)
 for deg in (0.0, 90.0, 180.0):
-    cd = chamfer_distance(pc, rotate_azimuth(pc, deg))
+    cd = geo_metrics(pc, rotate_azimuth(pc, deg)).cd
     print(f"shape vs itself rotated {deg:5.1f}: CD x1e3 = {1e3 * cd:8.2f}")
 
 print("\n=== F-score boundary convention (<= threshold counts) ===")
-print("threshold 0.05:", f_score(a, b, 0.05), "| threshold 0.1:", f_score(a, b, 0.1))
+m = geo_metrics(a, b)
+print("threshold 0.05:", m.f1_at_0_05, "| threshold 0.1:", m.f1_at_0_1)
 
 print("\n=== routing consistency ===")
 rng = np.random.default_rng(0)

@@ -25,8 +25,6 @@ import numpy as np
 MAGIC = b"ROAR"
 VERSION = 1
 
-__all__ = ["save_tensors", "load_tensors", "save_sidecar", "load_sidecar", "content_hash"]
-
 
 class CheckpointError(IOError):
     """Malformed or incompatible checkpoint file."""

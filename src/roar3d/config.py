@@ -24,15 +24,6 @@ from pathlib import Path
 from .checkpoint import content_hash
 from .rng import SEED_LIMIT
 
-__all__ = [
-    "WorldConfig",
-    "ModelConfig",
-    "TrainConfig",
-    "SampleConfig",
-    "RunConfig",
-    "ConfigError",
-]
-
 SHAPE_CLASSES = ("notched-box", "l-prism", "asymmetric-cross", "stepped-pyramid")
 _SECTIONS = ("world", "model", "train", "sample")  # the dataclass sections of a RunConfig
 

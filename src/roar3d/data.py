@@ -23,8 +23,6 @@ from .model import latent_encode
 from .rng import stream, stream_seed
 from .world import encode_view, generate_shape, sample_views
 
-__all__ = ["DatasetStore", "SplitData", "build_dataset", "load_dataset"]
-
 SPLITS = ("train", "val", "test")
 
 

@@ -29,22 +29,6 @@ from .model import Model, integrate_flow, latent_decode
 from .rng import stream
 from .world import Camera, PointCloud, encode_view
 
-__all__ = [
-    "GeoMetrics",
-    "chamfer_distance",
-    "f_score",
-    "cross_block_consistency",
-    "cross_timestep_consistency",
-    "global_consistency",
-    "consistency_report",
-    "eval_cameras",
-    "shape_features",
-    "evaluate",
-    "save_trace",
-    "load_trace",
-    "EMPTY_CLOUD_CD",
-]
-
 # Rows of the smaller cloud per block of the nearest-neighbor pass. Against a
 # 2048-point shape its two scratch buffers take 256 KB each; at 32 or 64 rows
 # the allocator handed them back to the OS after every call, and each call
@@ -118,18 +102,6 @@ def _f_score(d_ab: np.ndarray, d_ba: np.ndarray, threshold: float) -> float:
         return 0.0
     # grouping keeps F1(A, B) == F1(B, A) bit-exact under the P/R swap
     return 200.0 * (precision * recall) / (precision + recall)
-
-
-def chamfer_distance(a, b) -> float:
-    """Symmetric mean nearest-neighbor distance (non-squared)."""
-    return _chamfer(*_both_ways(a, b))
-
-
-def f_score(a, b, threshold: float) -> float:
-    """Harmonic mean of NN precision/recall at ``threshold``, in percent."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return _f_score(*_both_ways(a, b), threshold)
 
 
 def geo_metrics(pred, target) -> GeoMetrics:

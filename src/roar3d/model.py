@@ -48,29 +48,7 @@ from .numerics import Tensor
 from .router import (RoutingDecision, gumbel_select, router_keys, routing_logits_batched,
                      routing_noise, score_matrix)
 from .rng import stream
-from .world import _QUARTER, PointCloud
-
-__all__ = [
-    "ForwardOptions",
-    "ForwardInfo",
-    "ViewContext",
-    "view_context",
-    "TimeContext",
-    "time_context",
-    "latent_encode",
-    "latent_decode",
-    "rotate_latent",
-    "parameter_layout",
-    "constant_init",
-    "init_params",
-    "Model",
-    "mismatched_tensors",
-    "forward_single",
-    "forward_multiview",
-    "integrate_flow",
-    "count_parameters",
-    "sharding",
-]
+from .world import QUARTER_TURNS, PointCloud
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +133,7 @@ def rotate_latent(z: np.ndarray, degrees: float, cfg: ModelConfig) -> np.ndarray
         raise ValueError("latent rotation supports quarter turns only")
     quarters = int(round(quarters)) % 4
     dest = grid_permutation(cfg.grid, quarters)
-    rot = _QUARTER[quarters]
+    rot = QUARTER_TURNS[quarters]
     tokens = np.zeros_like(z)
     moved = z.copy()
     moved[:, 1] = rot[0, 0] * z[:, 1] + rot[0, 1] * z[:, 2]
@@ -240,24 +218,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
                 else constant_init(cfg, init, shape))
         params[name] = Tensor(data, requires_grad=True)
     return params
-
-
-def count_parameters(params: dict[str, Tensor]) -> dict:
-    """Parameter counts per group plus the added/baseline ratio."""
-    groups = {"backbone": 0, "ca_p": 0, "ca_a": 0, "router": 0}
-    for name, t in params.items():
-        if ".ca_p." in name:
-            groups["ca_p"] += t.data.size
-        elif ".ca_a." in name:
-            groups["ca_a"] += t.data.size
-        elif ".router." in name:
-            groups["router"] += t.data.size
-        else:
-            groups["backbone"] += t.data.size
-    baseline = groups["backbone"] + groups["ca_p"]
-    added = groups["ca_a"] + groups["router"]
-    return {**groups, "baseline": baseline, "added": added,
-            "added_ratio": added / baseline if baseline else 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +461,7 @@ def _cross_attention(
     pre = f"blocks.{l}"
     q_p, kv_p = _ca_q(params, f"{pre}.ca_p", znorm), views.kv_p[l]
     if multiplier is None and use_primary.all():
-        attn = nx.routed_attention(q_p, q_p, kv_p, kv_p, v_star, use_primary, cfg.heads)
+        attn = nx.routed_attention(q_p, None, kv_p, None, v_star, use_primary, cfg.heads)
         out = nx.matmul(attn, params[f"{pre}.ca_p.w_o"])
     else:
         q_a = _ca_q(params, f"{pre}.ca_a", znorm)

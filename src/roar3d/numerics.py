@@ -8,14 +8,16 @@ kernels and the squared-error loss (``mse``). The design goals are auditability 
 generality:
 
 * everything is float64, row-major;
-* no broadcasting beyond the documented cases (shared 2-D rhs in matmul,
+* no broadcasting beyond the documented cases (a 2-D rhs in matmul,
   bias over the last axis, per-row scalars);
 * backward passes are hand-written per op and verified against central
   finite differences (see :func:`grad_check` and the test suite).
 
 Tensors are immutable after construction except through their owning graph;
-forward/backward of one graph is single-threaded. Independent graphs may run
-on independent threads. ``no_grad`` acts on the current context only, so
+forward/backward of one graph is single-threaded. Graphs that share no leaf
+requiring a gradient may be built and swept on separate threads; a shared
+leaf is not safe, since ``accum_grad`` is an unlocked read-modify-write of
+its gradient. ``no_grad`` acts on the current context only, so
 one thread's inference does not switch off another's graph. This module
 starts no thread and no process.
 
@@ -29,8 +31,7 @@ node's gradient, its parents and its backward closure, so the saved arrays
 of a step are freed while the sweep runs, not when the next step rebinds its
 variables. Leaves keep their gradients and every node keeps its ``data``; a
 second backward through a spent graph raises ``RuntimeError``. The sweep
-touches only the nodes of its own graph, so independent graphs stay
-thread-independent.
+touches only the nodes of its own graph and the gradients of its leaves.
 
 A backward closure keeps only what it cannot rebuild in one elementwise pass
 over data the graph already holds: the norms keep per-row statistics (and
@@ -50,34 +51,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "ComputationTape",
-    "ShapeError",
-    "no_grad",
-    "grad_enabled",
-    "matmul",
-    "sub",
-    "linear",
-    "dual_linear",
-    "scale_batch",
-    "layer_norm",
-    "layer_norms",
-    "rms_norm",
-    "silu",
-    "slice_last",
-    "straight_through",
-    "ada_layer_norm",
-    "gated_add",
-    "router_scores",
-    "self_attention",
-    "routed_attention",
-    "mse",
-    "sweep",
-    "gather_rows",
-    "grad_check",
-]
-
 LN_EPS = 1e-5
 RMS_EPS = 1e-6
 
@@ -93,13 +66,12 @@ class Tensor:
     leaves created directly carry none.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -131,8 +103,7 @@ class Tensor:
         ComputationTape.trace(self).backward(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = self.name or "tensor"
-        return f"Tensor({tag}, shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -183,8 +154,9 @@ class ComputationTape:
     parents to ``()`` and its backward to one that raises ``RuntimeError``.
     Each saved array is freed as soon as the last node holding it is passed.
     Leaves keep their gradients and every node keeps its ``data``. The tape
-    is local to one call, so sweeps of independent graphs on independent
-    threads never share state. A ``gather_rows`` node has no parents: its
+    is local to one call, so graphs that share no leaf requiring a gradient
+    can be swept on separate threads; sweeps that reach one such leaf race
+    on its gradient. A ``gather_rows`` node has no parents: its
     backward is one callback, which sweeps the graphs its rows came from.
     """
 
@@ -232,30 +204,19 @@ class ComputationTape:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Either both operands share leading batch axes, or
-    ``b`` is a plain 2-D matrix applied to every leading slice of ``a``."""
+    """a[..., k] @ b[k, n]: one 2-D matrix applied to every leading slice of ``a``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul needs >=2-D operands")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims {a.shape} x {b.shape}")
-    shared_rhs = b.ndim == 2 and a.ndim > 2
-    if not shared_rhs and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul batch dims differ: {a.shape} x {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs a[..., k] @ b[k, n], got {a.shape} x {b.shape}")
+    k, n = b.shape
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accum_grad(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            a.accum_grad(np.matmul(g, b.data.T))
         if b.requires_grad:
-            if shared_rhs:
-                k, n = b.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accum_grad(gb)
+            b.accum_grad(a.data.reshape(-1, k).T @ g.reshape(-1, n))
 
-    return _node(out_data, (a, b), backward)
+    return _node(np.matmul(a.data, b.data), (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -273,9 +234,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[..., k] @ w[k, n] + b[n] as one node.
 
-    It runs the expressions of ``matmul`` with a shared 2-D rhs followed by a
-    bias add, in the same order, so its value and every gradient equal, bit
-    for bit, those of that node pair.
+    It runs the expressions of ``matmul`` followed by a bias add, in the same
+    order, so its value and every gradient equal, bit for bit, those of that
+    node pair.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
@@ -703,9 +664,9 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 def routed_attention(
     q_p: Tensor,
-    q_a: Tensor,
+    q_a: Tensor | None,
     kv_p: tuple[Tensor, Tensor],
-    kv_a: tuple[Tensor, Tensor],
+    kv_a: tuple[Tensor, Tensor] | None,
     view_index: np.ndarray,
     use_primary: np.ndarray,
     heads: int,
@@ -719,15 +680,16 @@ def routed_attention(
     (B, V, S, heads * d); the kernel splits the heads inside. Tokens are
     grouped by (sample, view, stream) so the kernel runs a handful of
     medium-sized matmuls instead of one per token. A router-less call passes
-    its one stream twice (``q_a is q_p`` and ``kv_a is kv_p``); its backward
-    then builds and accumulates one set of gradients.
+    None for ``q_a`` and ``kv_a``; every token must then be primary.
     """
-    q_p, q_a = _as_tensor(q_p), _as_tensor(q_a)
-    k_p, v_p = (_as_tensor(t) for t in kv_p)
-    k_a, v_a = (_as_tensor(t) for t in kv_a)
-    if q_p.shape != q_a.shape or q_p.ndim != 3:
-        raise ShapeError(f"routed_attention query shapes: {q_p.shape}, {q_a.shape}")
-    if k_p.shape != v_p.shape or k_a.shape != v_a.shape or k_p.shape != k_a.shape:
+    q_p, (k_p, v_p) = _as_tensor(q_p), (_as_tensor(t) for t in kv_p)
+    streams = [(q_p, k_p, v_p)]
+    if q_a is not None:
+        q_a, (k_a, v_a) = _as_tensor(q_a), (_as_tensor(t) for t in kv_a)
+        streams.append((q_a, k_a, v_a))
+    if q_p.ndim != 3 or any(q.shape != q_p.shape for q, _, _ in streams):
+        raise ShapeError(f"routed_attention query shapes: {[s[0].shape for s in streams]}")
+    if any(k.shape != k_p.shape or vv.shape != k_p.shape for _, k, vv in streams):
         raise ShapeError("routed_attention key/value shapes differ")
     B, N, width = q_p.shape
     if k_p.ndim != 4 or (k_p.shape[0], k_p.shape[-1]) != (B, width) or width % heads:
@@ -740,47 +702,46 @@ def routed_attention(
         raise ShapeError("routed_attention index shapes")
     if view_index.min() < 0 or view_index.max() >= V:
         raise ShapeError("view index out of range")
+    if q_a is None and not use_primary.all():
+        raise ShapeError("a token is not primary but there is no auxiliary stream")
     sc = 1.0 / np.sqrt(dh)
-    one_stream = q_a is q_p and k_a is k_p and v_a is v_p
-    streams = {True: (q_p, k_p, v_p), False: (q_a, k_a, v_a)}
-    arrays = {s: (q.data.reshape(B, N, H, dh), k.data.reshape(B, V, S, H, dh),
-                  vv.data.reshape(B, V, S, H, dh)) for s, (q, k, vv) in streams.items()}
+    arrays = [(q.data.reshape(B, N, H, dh), k.data.reshape(B, V, S, H, dh),
+               vv.data.reshape(B, V, S, H, dh)) for q, k, vv in streams]
 
-    def operands(b, v, primary, idx):
+    def operands(b, v, s, idx):
         """The group's (H, G, d) queries and (H, S, d) keys and values."""
-        q, k, vv = arrays[primary]
+        q, k, vv = arrays[s]
         return (q[b, idx].transpose(1, 0, 2), k[b, v].transpose(1, 0, 2),
                 vv[b, v].transpose(1, 0, 2))
 
     out = np.zeros((B, N, H, dh))
-    groups: list[tuple[int, int, bool, np.ndarray, np.ndarray]] = []
+    groups: list[tuple[int, int, int, np.ndarray, np.ndarray]] = []
     for b in range(B):
-        for v in np.unique(view_index[b]):
-            sel = view_index[b] == v
-            for primary in (True, False):
-                idx = np.nonzero(sel & (use_primary[b] == primary))[0]
-                if idx.size == 0:
-                    continue
-                og, attn = _attend(*operands(b, v, primary, idx), sc)
-                out[b, idx] = og.transpose(1, 0, 2)
-                groups.append((b, int(v), primary, idx, attn))
+        # group key: the view, plus V on the auxiliary stream
+        key = view_index[b] + V * ~use_primary[b]
+        for group in np.unique(key):
+            s, v = divmod(int(group), V)
+            idx = np.nonzero(key == group)[0]
+            og, attn = _attend(*operands(b, v, s, idx), sc)
+            out[b, idx] = og.transpose(1, 0, 2)
+            groups.append((b, v, s, idx, attn))
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(B, N, H, dh)
-        grads = {True: [np.zeros_like(a) for a in arrays[True]]}
-        grads[False] = grads[True] if one_stream else [np.zeros_like(a) for a in arrays[False]]
-        for b, v, primary, idx, attn in groups:
+        grads = [[np.zeros_like(a) for a in per_stream] for per_stream in arrays]
+        for b, v, s, idx, attn in groups:
             gq, gk, gv = _attend_grad(g[b, idx].transpose(1, 0, 2),
-                                      *operands(b, v, primary, idx), attn, sc)
-            gq_s, gk_s, gv_s = grads[primary]
+                                      *operands(b, v, s, idx), attn, sc)
+            gq_s, gk_s, gv_s = grads[s]
             gq_s[b, idx] += gq.transpose(1, 0, 2)
             gk_s[b, v] += gk.transpose(1, 0, 2)
             gv_s[b, v] += gv.transpose(1, 0, 2)
-        for primary in (True,) if one_stream else (True, False):
-            for t, gt in zip(streams[primary], grads[primary]):
+        for tensors, stream_grads in zip(streams, grads):
+            for t, gt in zip(tensors, stream_grads):
                 t.accum_grad(gt.reshape(t.shape))
 
-    return _node(out.reshape(B, N, width), (q_p, q_a, k_p, v_p, k_a, v_a), backward)
+    parents = (q_p, k_p, v_p) if q_a is None else (q_p, q_a, k_p, v_p, k_a, v_a)
+    return _node(out.reshape(B, N, width), parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SEED_LIMIT", "stream", "stream_seed", "worker_count"]
-
 SEED_LIMIT = 2**63  # root seeds lie in [0, SEED_LIMIT)
 
 # FNV-1a, used to fold stream names into the Philox key deterministically.

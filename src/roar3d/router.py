@@ -31,9 +31,6 @@ from . import numerics as nx
 from .numerics import Tensor
 from .rng import stream
 
-__all__ = ["RoutingDecision", "ScoreMatrix", "router_keys", "score_matrix",
-           "routing_logits_batched", "gumbel_select"]
-
 
 @dataclass
 class RoutingDecision:

@@ -34,18 +34,6 @@ from .numerics import Tensor
 from .rng import stream
 from .world import BIN_CENTERS, azimuth_bin
 
-__all__ = [
-    "Batch",
-    "TrainingDiverged",
-    "flow_matching_loss",
-    "perturbation",
-    "apply_freeze",
-    "AdamW",
-    "upgrade_from_single",
-    "cosine_lr",
-    "assemble_batch",
-    "train",
-]
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):

@@ -22,17 +22,6 @@ import numpy as np
 from .config import IMAGE_EXTENT, LIFT_SEED, OCCLUSION_WINDOW, SHAPE_CLASSES, WorldConfig
 from .rng import stream
 
-__all__ = [
-    "PointCloud",
-    "Camera",
-    "generate_shape",
-    "rotate_azimuth",
-    "azimuth_bin",
-    "sample_views",
-    "encode_view",
-    "feature_lift_matrix",
-]
-
 BIN_CENTERS = (0.0, 90.0, 180.0, 270.0)
 
 
@@ -240,7 +229,9 @@ def generate_shape(seed: int, klass: str, points: int = 2048) -> PointCloud:
     return PointCloud(points=pts)
 
 
-_QUARTER = {
+# Exact {-1, 0, 1} matrices of 0-3 quarter turns about z; model.rotate_latent
+# turns latent offsets with the same ones.
+QUARTER_TURNS = {
     0: np.array([[1.0, 0.0], [0.0, 1.0]]),
     1: np.array([[0.0, -1.0], [1.0, 0.0]]),
     2: np.array([[-1.0, 0.0], [0.0, -1.0]]),
@@ -257,7 +248,7 @@ def rotate_azimuth(pc: PointCloud, degrees: float) -> PointCloud:
     pts = pc.points
     quarters = degrees / 90.0
     if quarters == round(quarters):
-        rot = _QUARTER[int(round(quarters)) % 4]
+        rot = QUARTER_TURNS[int(round(quarters)) % 4]
     else:
         rad = math.radians(degrees)
         rot = np.array([[math.cos(rad), -math.sin(rad)], [math.sin(rad), math.cos(rad)]])

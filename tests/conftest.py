@@ -210,6 +210,19 @@ def scale(x, s):
     return nx._node(x.data * s, (x,), backward)
 
 
+def matmul_batched(a, b):
+    """a[..., m, k] @ b[..., k, n] over the same leading batch axes."""
+    a, b = nx._as_tensor(a), nx._as_tensor(b)
+    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise nx.ShapeError(f"batched matmul shapes: {a.shape} x {b.shape}")
+
+    def backward(g):
+        a.accum_grad(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        b.accum_grad(np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return nx._node(np.matmul(a.data, b.data), (a, b), backward)
+
+
 def head_mix(scores, w):
     """Aggregate per-head scores: out[b, n, v] = sum_h w[h] * scores[b, h, n, v]."""
     scores, w = nx._as_tensor(scores), nx._as_tensor(w)
@@ -230,7 +243,7 @@ def router_score_chain(q, keys, w_agg, heads):
     V, dh = keys.shape[1], width // heads
     qh = transpose(reshape(q, (B, N, heads, dh)), (0, 2, 1, 3))          # (B, H, N, dh)
     kh = transpose(reshape(keys, (B, V, heads, dh)), (0, 2, 3, 1))       # (B, H, dh, V)
-    return head_mix(scale(nx.matmul(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
+    return head_mix(scale(matmul_batched(qh, kh), 1.0 / np.sqrt(dh)), w_agg)
 
 
 # Inside ``model.sharding``, ``Model.velocity`` runs a batch as two row shards and

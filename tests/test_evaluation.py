@@ -9,12 +9,11 @@ import pytest
 from roar3d.checkpoint import CheckpointError, load_sidecar, load_tensors, save_tensors
 from roar3d.evaluation import (
     EMPTY_CLOUD_CD,
-    chamfer_distance,
+    GeoMetrics,
     consistency_report,
     cross_block_consistency,
     cross_timestep_consistency,
     evaluate,
-    f_score,
     geo_metrics,
     global_consistency,
     load_trace,
@@ -62,20 +61,20 @@ def _edge_pairs():
 
 def test_chamfer_identical_clouds():
     pts = np.random.default_rng(0).uniform(-1, 1, (64, 3))
-    assert chamfer_distance(pts, pts) == 0.0
+    assert geo_metrics(pts, pts).cd == 0.0
 
 
 def test_chamfer_two_points_analytic():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[0.1, 0.0, 0.0]])
-    cd = chamfer_distance(a, b)
+    cd = geo_metrics(a, b).cd
     assert abs(cd - 0.2) < 1e-15
     assert abs(1e3 * cd - 200.0) < 1e-12  # reported x1e3 convention
 
 
 def test_chamfer_rejects_empty():
     with pytest.raises(ValueError):
-        chamfer_distance(np.zeros((0, 3)), np.ones((3, 3)))
+        geo_metrics(np.zeros((0, 3)), np.ones((3, 3)))
 
 
 def test_chamfer_matches_brute_force_exactly():
@@ -83,14 +82,14 @@ def test_chamfer_matches_brute_force_exactly():
     pairs = [(rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3)),
               rng.uniform(-1, 1, (int(rng.integers(5, 500)), 3))) for _ in range(30)]
     for a, b in pairs + _edge_pairs():
-        assert chamfer_distance(a, b) == _brute_chamfer(a, b)
+        assert geo_metrics(a, b).cd == _brute_chamfer(a, b)
 
 
 def test_chamfer_symmetric_exactly():
     rng = np.random.default_rng(2)
     a = rng.uniform(-1, 1, (40, 3))
     b = rng.uniform(-1, 1, (60, 3))
-    assert chamfer_distance(a, b) == chamfer_distance(b, a)
+    assert geo_metrics(a, b).cd == geo_metrics(b, a).cd
 
 
 def test_chamfer_matches_pure_python_double_loop():
@@ -114,7 +113,7 @@ def test_chamfer_matches_pure_python_double_loop():
             best = d if best is None or d < best else best
         rev.append(best)
     expect = float(np.mean(dists) + np.mean(rev))
-    assert chamfer_distance(a, b) == expect
+    assert geo_metrics(a, b).cd == expect
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +126,25 @@ def test_chamfer_matches_pure_python_double_loop():
 def test_metrics_reject_non_finite_points(side, bad):
     clouds = [np.zeros((4, 3)), np.ones((5, 3))]
     clouds[side][2, 1] = bad
-    for metric in (chamfer_distance, lambda a, b: f_score(a, b, 0.1), geo_metrics):
-        with pytest.raises(ValueError, match="finite"):
-            metric(*clouds)
+    with pytest.raises(ValueError, match="finite"):
+        geo_metrics(*clouds)
 
 
 def test_fscore_identical_clouds():
     pts = np.random.default_rng(4).uniform(-1, 1, (32, 3))
-    assert f_score(pts, pts, 0.05) == 100.0
+    assert geo_metrics(pts, pts).f1_at_0_05 == 100.0
 
 
 def test_fscore_two_points_below_threshold():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[0.1, 0.0, 0.0]])
-    assert f_score(a, b, 0.05) == 0.0
+    assert geo_metrics(a, b).f1_at_0_05 == 0.0
 
 
 def test_fscore_boundary_inclusive():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[0.1, 0.0, 0.0]])
-    assert f_score(a, b, 0.1) == 100.0  # distance == threshold counts
+    assert geo_metrics(a, b).f1_at_0_1 == 100.0  # distance == threshold counts
 
 
 def test_fscore_symmetric_and_matches_brute_force():
@@ -154,29 +152,19 @@ def test_fscore_symmetric_and_matches_brute_force():
     pairs = [(rng.uniform(-1, 1, (int(rng.integers(5, 200)), 3)),
               rng.uniform(-1, 1, (int(rng.integers(5, 200)), 3))) for _ in range(20)]
     for a, b in pairs + _edge_pairs():
-        for thr in (0.05, 0.1):
-            assert f_score(a, b, thr) == _brute_fscore(a, b, thr)
-            assert f_score(a, b, thr) == f_score(b, a, thr)
+        m, swapped = geo_metrics(a, b), geo_metrics(b, a)
+        assert m.f1_at_0_05 == _brute_fscore(a, b, 0.05) == swapped.f1_at_0_05
+        assert m.f1_at_0_1 == _brute_fscore(a, b, 0.1) == swapped.f1_at_0_1
 
 
-def test_geo_metrics_equal_chamfer_and_fscore_on_unequal_clouds():
-    """One nearest-neighbor pass gives CD and both F-scores bit for bit."""
+def test_geo_metrics_match_brute_force_on_unequal_clouds():
+    """One nearest-neighbor pass gives CD and both F-scores of brute force bit for bit."""
     rng = np.random.default_rng(7)
     pairs = [(rng.uniform(-1, 1, (na, 3)), rng.uniform(-1, 1, (nb, 3)))
              for na, nb in ((1, 300), (57, 200), (400, 13))]
     for a, b in pairs + _edge_pairs():
-        m = geo_metrics(a, b)
-        assert m.cd == chamfer_distance(a, b)
-        assert m.f1_at_0_1 == f_score(a, b, 0.1)
-        assert m.f1_at_0_05 == f_score(a, b, 0.05)
-
-
-def test_fscore_nondecreasing_in_threshold():
-    rng = np.random.default_rng(6)
-    a = rng.uniform(-1, 1, (100, 3))
-    b = rng.uniform(-1, 1, (80, 3))
-    scores = [f_score(a, b, thr) for thr in (0.01, 0.05, 0.1, 0.3, 1.0)]
-    assert all(s1 <= s2 + 1e-12 for s1, s2 in zip(scores, scores[1:]))
+        assert geo_metrics(a, b) == GeoMetrics(_brute_chamfer(a, b), _brute_fscore(a, b, 0.1),
+                                               _brute_fscore(a, b, 0.05))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ import roar3d.model as M
 import roar3d.numerics as nx
 from roar3d import checkpoint as ckpt
 from roar3d.config import ModelConfig, RunConfig
-from roar3d.evaluation import chamfer_distance
+from roar3d.evaluation import geo_metrics
 from roar3d.model import (
     ForwardOptions,
     Model,
-    count_parameters,
     forward_multiview,
     forward_single,
     init_params,
     latent_decode,
     latent_encode,
+    parameter_layout,
     rotate_latent,
 )
 from roar3d.numerics import Tensor
@@ -100,7 +100,7 @@ def test_roundtrip_chamfer_below_cell_size():
     for i in range(100):
         pc = generate_shape(int(rng.integers(1 << 30)), classes[i % 4], points=512)
         rec = latent_decode(latent_encode(pc, CFG), CFG)
-        worst = max(worst, chamfer_distance(rec, pc))
+        worst = max(worst, geo_metrics(rec, pc).cd)
     assert worst < cell, f"worst roundtrip CD {worst}"
     assert worst < diag
 
@@ -764,24 +764,33 @@ def test_init_multiview_params_pinned():
         assert h.hexdigest() == digest, cfg.arch
 
 
-def test_count_parameters_router_and_aux_formulas():
-    params = init_params(CFG, 0)
-    counts = count_parameters(params)
+def _group_sizes(cfg):
+    """Parameter count per ``parameter_layout`` group; the backbone holds the head too."""
+    sizes = dict.fromkeys(("backbone", "ca_p", "ca_a", "router"), 0)
+    for name, (_, shape) in parameter_layout(cfg).items():
+        group = next((g for g in ("ca_p", "ca_a", "router") if f".{g}." in name), "backbone")
+        sizes[group] += int(np.prod(shape))
+    return sizes
+
+
+def test_parameter_layout_router_and_aux_formulas():
+    sizes = _group_sizes(CFG)
     d, hd, h, df = CFG.model_dim, CFG.attn_width, CFG.heads, CFG.feat_dim
     router_expected = CFG.blocks * (d * hd + df * hd + h + 2 * hd + 2 * d)
     ca_expected = CFG.blocks * (d * hd + df * hd + df * hd + hd * d + 2 * hd)
-    assert counts["router"] == router_expected
-    assert counts["ca_a"] == ca_expected
-    assert counts["ca_a"] == counts["ca_p"]
-    assert counts["baseline"] == counts["backbone"] + counts["ca_p"]
+    assert sizes["router"] == router_expected
+    assert sizes["ca_a"] == ca_expected
+    assert sizes["ca_a"] == sizes["ca_p"]
+    assert sum(sizes.values()) == sum(p.data.size for p in init_params(CFG, 0).values())
 
 
-def test_count_parameters_desk_ratio_frozen():
+def test_parameter_layout_desk_ratio_frozen():
     """Desk-config added/baseline ratio, frozen as a regression value."""
-    counts = count_parameters(init_params(CFG, 0))
-    assert counts["added"] == 75280
-    assert counts["baseline"] == 324608
-    assert abs(counts["added_ratio"] - 0.23191) < 1e-4
+    sizes = _group_sizes(CFG)
+    added, baseline = sizes["ca_a"] + sizes["router"], sizes["backbone"] + sizes["ca_p"]
+    assert added == 75280
+    assert baseline == 324608
+    assert abs(added / baseline - 0.23191) < 1e-4
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -29,6 +29,7 @@ from roar3d.trainer import Batch, flow_matching_loss
 from conftest import (
     add,
     head_mix,
+    matmul_batched,
     mean_all,
     micro_run_config,
     mse_chain,
@@ -323,12 +324,13 @@ def _primitive_cases(rng):
     ka, va = mk(B, V, S, H * dh), mk(B, V, S, H * dh)
     v_star = rng.integers(0, V, size=(B, N))
     use_p = rng.random((B, N)) < 0.5
+    all_p = np.ones((B, N), dtype=bool)
     idx = rng.integers(0, V, size=(2, 3))
     yv = mk(2, 3, V)
 
     return [
         ("matmul", {"a": a2, "b": b2}, lambda: nx.matmul(a2, b2)),
-        ("matmul_batched", {"a": ab, "b": bb}, lambda: nx.matmul(ab, bb)),
+        ("matmul_batched", {"a": ab, "b": bb}, lambda: matmul_batched(ab, bb)),
         ("matmul_shared_rhs", {"a": ab, "b": shared}, lambda: nx.matmul(ab, shared)),
         ("add", {"a": e1, "b": e2}, lambda: add(e1, e2)),
         ("sub", {"a": e1, "b": e2}, lambda: nx.sub(e1, e2)),
@@ -358,7 +360,7 @@ def _primitive_cases(rng):
         ("routed_attention", {"qp": qp, "qa": qa, "kp": kp, "vp": vp, "ka": ka, "va": va},
          lambda: nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, H)),
         ("routed_attention_one_stream", {"q": qp, "k": kp, "v": vp},
-         lambda: nx.routed_attention(qp, qp, (kp, vp), (kp, vp), v_star, use_p, H)),
+         lambda: nx.routed_attention(qp, None, (kp, vp), None, v_star, all_p, H)),
         ("mean_all", {"a": e1}, lambda: mean_all(e1)),
         ("mse", {"a": e1, "b": e2}, lambda: nx.mse(e1, e2)),
     ]
@@ -720,17 +722,21 @@ def test_router_scores_bit_equal_to_node_chain(V):
     assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-def test_routed_attention_one_stream_accumulates_one_gradient_set(monkeypatch, mixed):
-    """A call passing one stream twice makes one accum_grad per input, no zero
-    arrays, and the gradients of a two-stream call on equal copies, summed."""
-    rng = np.random.default_rng(41 + mixed)
-    B, N, V, S, H, dh = 2, 7, 3, 4, 2, 3
-    q, k, v = _leaves(rng, (B, N, H * dh), (B, V, S, H * dh), (B, V, S, H * dh))
-    v_star = rng.integers(0, V, size=(B, N))
-    use_p = rng.random((B, N)) < 0.5 if mixed else np.ones((B, N), dtype=bool)
-    g = rng.normal(size=(B, N, H * dh))
-    out = nx.routed_attention(q, q, (k, v), (k, v), v_star, use_p, H)
+def _one_stream_inputs():
+    """Leaf queries (2, 7, 6), keys and values (2, 3, 4, 6) of two heads, and view indices."""
+    rng = np.random.default_rng(41)
+    q, k, v = _leaves(rng, (2, 7, 6), (2, 3, 4, 6), (2, 3, 4, 6))
+    return q, k, v, rng.integers(0, 3, size=(2, 7))
+
+
+def test_routed_attention_without_auxiliary_stream_accumulates_one_gradient_set(monkeypatch):
+    """A call without an auxiliary stream makes one accum_grad per input, no zero
+    arrays, and the output and gradients of a two-stream call whose auxiliary
+    stream no token uses."""
+    q, k, v, v_star = _one_stream_inputs()
+    use_p = np.ones(v_star.shape, dtype=bool)
+    g = np.random.default_rng(42).normal(size=q.shape)
+    out = nx.routed_attention(q, None, (k, v), None, v_star, use_p, 2)
     calls = []
     accum = Tensor.accum_grad
     monkeypatch.setattr(Tensor, "accum_grad", lambda t, a: (calls.append(a), accum(t, a))[1])
@@ -740,11 +746,19 @@ def test_routed_attention_one_stream_accumulates_one_gradient_set(monkeypatch, m
 
     twin = [[Tensor(t.data.copy(), requires_grad=True) for t in (q, k, v)] for _ in range(2)]
     (qp, kp, vp), (qa, ka, va) = twin
-    two = nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, H)
+    two = nx.routed_attention(qp, qa, (kp, vp), (ka, va), v_star, use_p, 2)
     two._backward(g)
     assert out.data.tobytes() == two.data.tobytes()
     for one, p, a in zip((q, k, v), twin[0], twin[1]):
-        assert one.grad.tobytes() == (p.grad + a.grad).tobytes()
+        assert one.grad.tobytes() == p.grad.tobytes() and not a.grad.any()
+
+
+def test_routed_attention_without_auxiliary_stream_rejects_an_auxiliary_token():
+    q, k, v, v_star = _one_stream_inputs()
+    use_p = np.ones(v_star.shape, dtype=bool)
+    use_p[1, 3] = False
+    with pytest.raises(nx.ShapeError, match="not primary"):
+        nx.routed_attention(q, None, (k, v), None, v_star, use_p, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,6 +1130,33 @@ def test_threads_in_copies_of_a_scope_take_turns_on_its_worker():
         assert _step_bytes(model) == want
 
 
+def test_graphs_over_separate_parameters_sweep_on_separate_threads():
+    """Two threads that each build and sweep graphs over their own parameters, four
+    rounds each, leave the gradients of a sequential run, bit for bit."""
+    def rounds(model, seed, out):
+        for r in range(4):
+            _routed_loss(model, seed=seed + r)[0].backward()
+        out.append({k: p.grad.tobytes() for k, p in model.params.items()})
+
+    want = []
+    for seed in (0, 10):
+        rounds(_routed_model(), seed, want)
+    got = [[], []]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=rounds, args=(_routed_model(), seed, out))
+                   for seed, out in zip((0, 10), got)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [out[0] for out in got] == want
+
+
 def test_a_sharding_scope_needs_linux(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
     with pytest.raises(RuntimeError, match="Linux only, not darwin"):
@@ -1364,37 +1405,62 @@ def test_third_party_imports_equal_declared_dependencies():
     assert sorted(third_party) == sorted(declared)
 
 
-# grad_check is the finite-difference ground truth that demo 01 and the tests run
-_UNUSED_EXPORTS = {"grad_check"}
+# Reference implementations that tests check against and src/ does not call:
+# the finite-difference ground truth of every backward pass, and the point
+# rotation that rotate_latent is checked against.
+_UNREAD_PUBLIC = [("numerics", "grad_check"), ("world", "rotate_azimuth")]
 
 
-def test_every_numerics_export_is_used_in_src():
-    """Each name of ``numerics.__all__`` is read by ``src/roar3d`` outside its own definition.
+def _defines(top: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a def, a class or a constant."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
 
-    A read is a bare name in ``numerics.py`` outside the top-level definition
-    of that name, or, in another module, an attribute of the imported module
-    (``nx.matmul``) or a name imported from it.
+
+def test_every_public_name_of_src_has_a_reader():
+    """Each public top-level name of ``src/roar3d`` is read outside its own definition.
+
+    Public means no leading underscore; the names are every top-level
+    ``def``, ``class`` and constant. A read is a bare name in the defining
+    module outside that name's top-level definition, or, in another module of
+    ``src/roar3d`` or in ``perfbench/*.py``, an attribute of the imported
+    module (``nx.matmul``) or a name imported from it. No module of
+    ``src/roar3d`` imports or reads another module's underscore name.
     """
     package = Path(nx.__file__).resolve().parent
-    used = set()
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        home = path.name == "numerics.py"
-        modules, names = set(), {n: n for n in nx.__all__} if home else {}
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    public = {(home, name) for home, tree in trees.items() for top in tree.body
+              for name in _defines(top) if not name.startswith("_")}
+    bench = [(None, ast.parse(path.read_text()))
+             for path in (package.parents[1] / "perfbench").glob("*.py")]
+    read, private = set(), set()
+    for home, tree in [*trees.items(), *bench]:
+        modules, names = {}, {}  # local name -> module, local name -> (module, name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or (node.module or "").split(".")[0] == "roar3d"):
+                module = node.module if node.level else node.module.partition(".")[2]
                 for alias in node.names:
-                    if node.module is None and alias.name == "numerics":
-                        modules.add(alias.asname or alias.name)
-                    elif node.module == "numerics":
-                        names[alias.asname or alias.name] = alias.name
+                    if module:
+                        names[alias.asname or alias.name] = (module, alias.name)
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
         for top in tree.body:
-            reads = set()
+            own = _defines(top) if home else set()
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id in names:
-                    reads.add(names[node.id])
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in names:
+                        read.add(names[node.id])
+                    elif home and node.id not in own:
+                        read.add((home, node.id))
                 elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                         and node.value.id in modules):
-                    reads.add(node.attr)
-            used |= reads - {getattr(top, "name", None) if home else None}
-    assert sorted(set(nx.__all__) - used) == sorted(_UNUSED_EXPORTS)
+                    read.add((modules[node.value.id], node.attr))
+                    if home and node.attr.startswith("_"):
+                        private.add((home, modules[node.value.id], node.attr))
+        if home:
+            private |= {(home, *q) for q in names.values() if q[1].startswith("_")}
+    assert sorted(public - read) == sorted(_UNREAD_PUBLIC)
+    assert sorted(private) == []

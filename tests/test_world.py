@@ -7,7 +7,7 @@ import pytest
 
 from roar3d.config import IMAGE_EXTENT, LIFT_SEED, WorldConfig
 from roar3d.data import build_dataset
-from roar3d.evaluation import chamfer_distance
+from roar3d.evaluation import geo_metrics
 from roar3d.rng import stream
 from roar3d.world import (
     Camera,
@@ -56,7 +56,7 @@ def test_no_quarter_rotation_maps_shape_to_itself(klass):
     for seed in (1, 2, 3, 11, 29):
         pc = generate_shape(seed, klass, points=768)
         for deg in (90.0, 180.0, 270.0):
-            cd = chamfer_distance(pc, rotate_azimuth(pc, deg))
+            cd = geo_metrics(pc, rotate_azimuth(pc, deg)).cd
             assert cd > 0.05, f"{klass} seed {seed} rot {deg}: CD {cd}"
 
 
